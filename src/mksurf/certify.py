@@ -72,9 +72,9 @@ def _normalize(obj):
 
 
 def _timed(build):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cert = build()
-    cert.runtime_ms = int((time.time() - t0) * 1000)
+    cert.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return cert
 
 
@@ -230,36 +230,30 @@ def build_hfe1_matrix(nu, ell):
     return a
 
 
-def _local_commutator_check(task):
-    """One modulus of the local verification; module-level so worker pools
-    can pick it up."""
-    entries, q, cap = task
-    a = Mat2(*entries)
-    replayed = False
-    wdata = None
+def _local_commutator_check(a, q, cap):
+    """One modulus of the local verification: (replayed ok, witness data)."""
     try:
         ok, wit = commutator_test_modq(mat_mod(a, q), q, cap=cap)
     except ValueError as exc:
-        ok, wdata = False, {"error": str(exc)}
-    if ok:
-        x, y = wit
-        replayed = commutator(x, y) == mat_mod(a, q)
-        wdata = {"X": [[e.v for e in (x.a, x.b)], [e.v for e in (x.c, x.d)]],
-                 "Y": [[e.v for e in (y.a, y.b)], [e.v for e in (y.c, y.d)]]}
-    return q, ok and replayed, wdata
+        return False, {"error": str(exc)}
+    if not ok:
+        return False, None
+    x, y = wit
+    wdata = {"X": [[e.v for e in (x.a, x.b)], [e.v for e in (x.c, x.d)]],
+             "Y": [[e.v for e in (y.a, y.b)], [e.v for e in (y.c, y.d)]]}
+    return commutator(x, y) == mat_mod(a, q), wdata
 
 
 def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
                 sint_bound=DEFAULT_SINT_BOUND, sint_max_exp=DEFAULT_SINT_MAX_EXP,
-                cap=DEFAULT_MODULUS_CAP, matrix=None, workers=1):
+                cap=DEFAULT_MODULUS_CAP, matrix=None):
     """End-to-end certificate: the matrix is a commutator in every listed
     finite quotient (with recorded witnesses) yet the trace surface has no
     S-integer points, so it cannot be a commutator globally.
 
     The local verification necessarily truncates at the listed moduli; the
     certificate records them rather than claiming all prime powers.
-    Passing matrix= audits a claimed matrix instead of the built one; the
-    per-modulus checks are independent and fan out across workers.
+    Passing matrix= audits a claimed matrix instead of the built one.
     """
 
     def build():
@@ -275,14 +269,8 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
             result=a.det() == 1 and red2 and red3,
             data={"matrix": [[a.a, a.b], [a.c, a.d]], "trace": t},
         ))
-        tasks = [(a.entries(), q, cap) for q in local_moduli]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_local_commutator_check, tasks))
-        else:
-            results = [_local_commutator_check(t_) for t_ in tasks]
-        for q, ok, wdata in results:
+        for q in local_moduli:
+            ok, wdata = _local_commutator_check(a, q, cap)
             checks.append(Check(
                 name="commutator-mod-%d" % q,
                 statement="A is a commutator in SL2(Z/%d) with a recorded witness" % q,

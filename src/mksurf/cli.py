@@ -3,7 +3,6 @@ table reproduction targets."""
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -252,8 +251,7 @@ def _cmd_certify_sint(args):
 
 def _cmd_certify_hfe1(args):
     moduli = tuple(_parse_ints(args.moduli)) if args.moduli else cert.DEFAULT_HFE1_MODULI
-    workers = int(os.environ.get("MKSURF_WORKERS", "1"))
-    c = cert.verify_hfe1(args.nu, args.ell, local_moduli=moduli, workers=workers)
+    c = cert.verify_hfe1(args.nu, args.ell, local_moduli=moduli)
     return c.to_dict()
 
 

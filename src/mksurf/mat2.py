@@ -98,10 +98,6 @@ class Mat2:
         return "[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
 
 
-def mat_z(a, b, c, d):
-    return Mat2(a, b, c, d)
-
-
 def mat_mod(m, q):
     """Reduce an integer (or ModInt) matrix modulo q."""
     def red(x):
@@ -152,25 +148,6 @@ def count_conic_modp(delta, n, p):
     return p * (1 + chi) - chi
 
 
-def sl2_elements_modp(p):
-    """All of SL2(Z/p) as integer 4-tuples (a, b, c, d)."""
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                bc1 = (1 + b * c) % p
-                if a == 0:
-                    if bc1 == 0:
-                        out.extend((0, b, c, d) for d in range(p))
-                else:
-                    out.append((a, b, c, bc1 * pow(a, -1, p) % p))
-    return out
-
-
-def _tuple_mat(t, p):
-    return Mat2(*(ModInt(v, p) for v in t))
-
-
 def _canonical_conjugator(a, p):
     """gamma in SL2(Z/p) with gamma^-1 * A * gamma = [[0,1],[-1,t]].
 
@@ -192,7 +169,9 @@ def sl2_conjugacy_test_modp(a, b, p):
     """Decide SL2(Z/p)-conjugacy of A and B; returns (bool, gamma or None).
 
     For trace != +-2 both sides are compared through the canonical
-    companion form; the exceptional traces fall back to exhaustive search.
+    companion form; the exceptional traces are read off the conjugacy
+    classes of `quotients.group_table(p)`, which raises BudgetExceeded for
+    p above the default modulus cap.
     """
     if p == 2 or not is_probable_prime(p):
         raise ValueError("p must be an odd prime")
@@ -212,11 +191,14 @@ def sl2_conjugacy_test_modp(a, b, p):
         gamma = gb * ga.inverse()
         assert gamma * a * gamma.inverse() == b
         return True, gamma
-    for t in sl2_elements_modp(p):
-        g = _tuple_mat(t, p)
-        if g * a * g.inverse() == b:
-            return True, g
-    return False, None
+    from .quotients import DEFAULT_MODULUS_CAP, _check_budget, group_table
+
+    _check_budget(p, DEFAULT_MODULUS_CAP)
+    table = group_table(p)
+    i, j = (int(table.index([e.v for e in m.entries()])) for m in (a, b))
+    if table.cls[i] != table.cls[j]:
+        return False, None
+    return True, mat_mod(Mat2(*table.conjugator(i, j)), p)
 
 
 def random_sl2z(rng, length=8, entry=3):

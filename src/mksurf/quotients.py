@@ -1,12 +1,28 @@
-"""Exhaustive computations in SL2(Z/q): enumeration, a commutator test that
-solves a linear system for the second matrix, and the set of commutator
-traces."""
+"""SL2(Z/q) as a group table, a commutator test read off its conjugacy
+classes, and the set of commutator traces.
 
+`group_table(q)` enumerates SL2(Z/q) once per process and keeps, for
+every element, its sorted integer code (located with `np.searchsorted`),
+the id of its conjugacy class and a conjugator g_e with e = g_e r g_e^-1
+for the class representative r. Classes are the connected components of
+conjugation by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate
+SL2(Z) and so every SL2(Z/q), composite q included; the conjugators are
+the paths of a breadth-first tree grown from the representatives.
+
+Z = [X, Y] = X Y X^-1 Y^-1 says Y W Y^-1 = W Z for W = X^-1, so Z is a
+commutator exactly when some W is conjugate to W Z: one vectorized
+class-id comparison over the group, with the witness X = W^-1,
+Y = g_{WZ} g_W^-1 read from the tree. Tables are cached (the 16 most
+recent moduli); the one at q = 64 keeps about 3 MB.
+"""
+
+import functools
+import itertools
 import math
 
 import numpy as np
 
-from .mat2 import Mat2
+from .mat2 import Mat2, mat_mod
 from .rings import ModInt
 
 
@@ -16,6 +32,9 @@ class BudgetExceeded(RuntimeError):
 
 DEFAULT_MODULUS_CAP = 64
 
+# S, T and their inverses, row-major
+_GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
+
 
 def _check_budget(q, cap):
     if q > cap:
@@ -23,7 +42,7 @@ def _check_budget(q, cap):
 
 
 def sl2_tuples(q):
-    """All (a, b, c, d) with a*d - b*c = 1 (mod q)."""
+    """All (a, b, c, d) with a*d - b*c = 1 (mod q), in lexicographic order."""
     out = []
     for a in range(q):
         g = math.gcd(a, q)
@@ -55,75 +74,90 @@ def sl2_order(q):
     return order
 
 
-def _diagonalize_int(mat):
-    """Unimodular row/column reduction of an integer matrix to diagonal
-    form; returns (diagonal, V) with the column operations collected in V,
-    so kernels mod q are read off the diagonal."""
-    a = [row[:] for row in mat]
-    nrows = len(a)
-    ncols = len(a[0])
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    for t in range(min(nrows, ncols)):
+def _mul(x, y, q):
+    """X Y mod q for row-major entry quadruples of ints or arrays."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % q, (a * f + b * h) % q,
+            (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def _inv(x, q):
+    """X^-1 mod q for determinant 1."""
+    a, b, c, d = x
+    return (d % q, -b % q, -c % q, a % q)
+
+
+class GroupTable:
+    """SL2(Z/q) with its conjugacy classes; element i is column i of
+    `entries`, `cls[i]` is the index of its class representative and
+    column i of `conj` is g_i with element i = g_i rep g_i^-1."""
+
+    def __init__(self, q):
+        self.q = q
+        # int32 holds every code and every product below when q^4 < 2^31
+        self.itype = np.int32 if q**4 < 2**31 else np.int64
+        etype = np.min_scalar_type(q - 1)
+        tuples = sl2_tuples(q)
+        self.entries = np.fromiter(itertools.chain.from_iterable(tuples), dtype=etype,
+                                   count=4 * len(tuples)).reshape(-1, 4).T.copy()
+        del tuples
+        elems = self.elements()
+        self.codes = self.code(elems)  # sorted: sl2_tuples is lexicographic
+        n = len(self.codes)
+        moves = [self.index(_mul(_mul(g, elems, q), _inv(g, q), q)).astype(self.itype)
+                 for g in _GENERATORS]
+        del elems
+        # class id = least index in the class: spread minima along the moves
+        cls = np.arange(n, dtype=self.itype)
         while True:
-            piv = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
+            new = cls[cls]
+            for mv in moves:
+                new = np.minimum(new, new[mv])
+            if np.array_equal(new, cls):
                 break
-            pi, pj = piv
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
-            clean = True
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    f = a[i][t] // a[t][t]
-                    for j in range(t, ncols):
-                        a[i][j] -= f * a[t][j]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    f = a[t][j] // a[t][t]
-                    for i in range(nrows):
-                        a[i][j] -= f * a[i][t]
-                    for i in range(ncols):
-                        v[i][j] -= f * v[i][t]
-                    if a[t][j]:
-                        clean = False
-            if clean:
-                break
-    return [a[i][i] for i in range(min(nrows, ncols))], v
+            cls = new
+        self.cls = cls
+        self.reps = np.flatnonzero(cls == np.arange(n))
+        # breadth-first tree from every representative at once
+        self.conj = np.zeros((4, n), dtype=etype)
+        self.conj[:, self.reps] = np.array((1 % q, 0, 0, 1 % q), dtype=etype)[:, None]
+        seen = np.zeros(n, dtype=bool)
+        seen[self.reps] = True
+        frontier = self.reps
+        while frontier.size:
+            grown = []
+            for g, mv in zip(_GENERATORS, moves):
+                nxt = mv[frontier]
+                fresh = ~seen[nxt]
+                nxt, src = nxt[fresh], frontier[fresh]
+                seen[nxt] = True
+                self.conj[:, nxt] = _mul(g, self.conj[:, src].astype(self.itype), q)
+                grown.append(nxt)
+            frontier = np.concatenate(grown)
+
+    def elements(self):
+        """Entry quadruple of every element, as arithmetic arrays."""
+        return tuple(self.entries.astype(self.itype))
+
+    def code(self, m):
+        q = self.q
+        a, b, c, d = (np.asarray(v, dtype=self.itype) for v in m)
+        return ((a * q + b) * q + c) * q + d
+
+    def index(self, m):
+        """Position of the element(s) with entries m."""
+        return np.searchsorted(self.codes, self.code(m))
+
+    def conjugator(self, i, j):
+        """gamma = g_j g_i^-1, so gamma e_i gamma^-1 = e_j when cls[i] == cls[j]."""
+        gi, gj = (tuple(int(v) for v in self.conj[:, k]) for k in (i, j))
+        return _mul(gj, _inv(gi, self.q), self.q)
 
 
-def _kernel_mod(mat, q):
-    """All vectors y (mod q) with mat @ y = 0 (mod q)."""
-    diag, v = _diagonalize_int(mat)
-    ncols = len(mat[0])
-    diag = diag + [0] * (ncols - len(diag))
-    choices = []
-    for d in diag:
-        g = math.gcd(d, q)
-        step = q // g
-        choices.append(range(0, q, step) if g > 1 else (0,))
-    out = []
-    idx = [0] * ncols
-    stack = [(0, [])]
-    while stack:
-        pos, z = stack.pop()
-        if pos == ncols:
-            y = [sum(v[i][j] * z[j] for j in range(ncols)) % q for i in range(ncols)]
-            out.append(tuple(y))
-            continue
-        for val in choices[pos]:
-            stack.append((pos + 1, z + [val]))
-    return out
+@functools.lru_cache(maxsize=16)
+def group_table(q):
+    return GroupTable(q)
 
 
 def _as_tuple_mod(z, q):
@@ -134,61 +168,41 @@ def _as_tuple_mod(z, q):
 
 
 def commutator_test_modq(z, q, cap=DEFAULT_MODULUS_CAP):
-    """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness or None).
-
-    For each X the equation X Y = Z Y X is linear in the entries of Y, so
-    the q^4-size Y loop collapses to a kernel computation; determinant-1
-    kernel vectors are the witnesses.
-    """
+    """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None)."""
     _check_budget(q, cap)
-    z1, z2, z3, z4 = _as_tuple_mod(z, q)
-    if (z1 * z4 - z2 * z3) % q != 1:
+    z = _as_tuple_mod(z, q)
+    if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
-    ident = Mat2(ModInt(1, q), ModInt(0, q), ModInt(0, q), ModInt(1, q))
-    if (z1 % q, z2 % q, z3 % q, z4 % q) == (1 % q, 0, 0, 1 % q):
-        return True, (ident, ident)
-    for (a, b, c, d) in sl2_tuples(q):
-        mat = _commutation_system(a, b, c, d, z1, z2, z3, z4)
-        for y in _kernel_mod(mat, q):
-            y1, y2, y3, y4 = y
-            if (y1 * y4 - y2 * y3) % q == 1:
-                x = Mat2(ModInt(a, q), ModInt(b, q), ModInt(c, q), ModInt(d, q))
-                ym = Mat2(ModInt(y1, q), ModInt(y2, q), ModInt(y3, q), ModInt(y4, q))
-                return True, (x, ym)
-    return False, None
-
-
-def _commutation_system(a, b, c, d, z1, z2, z3, z4):
-    """Coefficient matrix of X*Y - Z*Y*X = 0 in the entries of Y."""
-    rows = []
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        coeff = [0, 0, 0, 0]
-        x = ((a, b), (c, d))
-        z = ((z1, z2), (z3, z4))
-        # (X Y)_{ij} = sum_k X_{ik} Y_{kj}
-        for k in range(2):
-            coeff[2 * k + j] += x[i][k]
-        # (Z Y X)_{ij} = sum_{k,l} Z_{ik} Y_{kl} X_{lj}
-        for k in range(2):
-            for l in range(2):
-                coeff[2 * k + l] -= z[i][k] * x[l][j]
-        rows.append(coeff)
-    return rows
+    ident = (1 % q, 0, 0, 1 % q)
+    if z == ident:
+        return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
+    table = group_table(q)
+    wz = table.index(_mul(table.elements(), z, q))
+    hits = np.flatnonzero(table.cls[wz] == table.cls)
+    if not hits.size:
+        return False, None
+    w = int(hits[0])
+    x = _inv(tuple(int(v) for v in table.entries[:, w]), q)
+    y = table.conjugator(w, int(wz[w]))
+    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
 
 
 def trace_commutator_image(q, cap=DEFAULT_MODULUS_CAP):
     """The set { Tr W(X, Y) mod q : X, Y in SL2(Z/q) }.
 
     Uses the trace identity Tr W = M(Tr X, Tr Y, Tr XY) - 2, so only the
-    three traces are needed; the Y side is vectorized.
+    three traces are needed; Tr W(X, Y) is invariant under simultaneous
+    conjugation, so X runs over class representatives and Y, vectorized,
+    over the whole group.
     """
     _check_budget(q, cap)
-    tuples = np.array(sl2_tuples(q), dtype=np.int64)
-    ya, yb, yc, yd = tuples[:, 0], tuples[:, 1], tuples[:, 2], tuples[:, 3]
+    table = group_table(q)
+    ya, yb, yc, yd = table.elements()
     x2 = (ya + yd) % q
     image = set()
     full = set(range(q))
-    for (a, b, c, d) in tuples.tolist():
+    for r in table.reps:
+        a, b, c, d = (int(v) for v in table.entries[:, r])
         x1 = (a + d) % q
         x3 = (a * ya + b * yc + c * yb + d * yd) % q
         tr = (x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3 - 2) % q

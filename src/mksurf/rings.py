@@ -479,33 +479,6 @@ def exact_div(x, d):
     raise TypeError("unsupported operands %r / %r" % (x, d))
 
 
-def ring_gcd(a, b):
-    """gcd in Z, Z[1/l] (up to units), or a residue field."""
-    if isinstance(a, int) and isinstance(b, int):
-        return math.gcd(a, b)
-    if isinstance(a, LocalizedInt) or isinstance(b, LocalizedInt):
-        ref = a if isinstance(a, LocalizedInt) else b
-        na = _unit_free_part(a, ref.ell)
-        nb = _unit_free_part(b, ref.ell)
-        return LocalizedInt(math.gcd(na, nb), 0, ref.ell)
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        # field: any nonzero element is a gcd
-        a = Fraction(a)
-        return a if a != 0 else Fraction(b)
-    if isinstance(a, ModInt):
-        return a if is_unit(a) else a._coerce(b)
-    raise TypeError("no gcd for %r, %r" % (a, b))
-
-
-def _unit_free_part(x, ell):
-    if isinstance(x, int):
-        x = LocalizedInt(x, 0, ell)
-    n = abs(x.num)
-    while n and n % ell == 0:
-        n //= ell
-    return n
-
-
 # --- ring descriptors (used by the CLI and the universality constructions) ---
 
 def _egcd(a, b):

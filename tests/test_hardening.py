@@ -1,10 +1,9 @@
 """Adversarial cross-checks beyond the acceptance surface: descent
 consistency at awkward levels, search completeness against direct
-enumeration, kernel completeness, composite moduli, and S-integer
-profiles."""
+enumeration, the commutator test against its definition, composite
+moduli, and S-integer profiles."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -20,7 +19,7 @@ from mksurf.markoff import (
 )
 from mksurf.mat2 import Mat2, commutator
 from mksurf.quadforms import hasse_profile
-from mksurf.quotients import _kernel_mod, commutator_test_modq, sl2_tuples
+from mksurf.quotients import commutator_test_modq, sl2_tuples
 from mksurf.rings import LocalizedInt, ModInt
 from mksurf.words import alg1_representatives, psl2_class_reps, word_trace
 
@@ -76,17 +75,66 @@ def test_search_localized_matches_direct_enumeration():
     assert got == direct
 
 
-def test_kernel_mod_is_complete():
+def _mul_mod(x, y, q):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % q, (a * f + b * h) % q,
+            (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def _commutator_mod(x, y, q):
+    xinv = (x[3], -x[1] % q, -x[2] % q, x[0])
+    yinv = (y[3], -y[1] % q, -y[2] % q, y[0])
+    return _mul_mod(_mul_mod(x, y, q), _mul_mod(xinv, yinv, q), q)
+
+
+def _brute_commutators(q, group):
+    """{[X, Y]} from the definition. Above q = 9 the set is a union of
+    conjugacy classes (g [X, Y] g^-1 = [g X g^-1, g Y g^-1]), so X runs
+    over one element of each class, classes being closed under conjugation
+    by S and T, and each [X, Y] contributes its whole class."""
+    if q <= 9:
+        return {_commutator_mod(x, y, q) for x in group for y in group}
+    conjugators = [((0, q - 1, 1, 0), (0, 1, q - 1, 0)), ((0, 1, q - 1, 0), (0, q - 1, 1, 0)),
+                   ((1, 1, 0, 1), (1, q - 1, 0, 1)), ((1, q - 1, 0, 1), (1, 1, 0, 1))]
+    reps, class_of = [], {}
+    for x in group:
+        if x in class_of:
+            continue
+        reps.append(x)
+        cls = class_of[x] = {x}
+        stack = [x]
+        while stack:
+            e = stack.pop()
+            for g, ginv in conjugators:
+                f = _mul_mod(_mul_mod(g, e, q), ginv, q)
+                if f not in cls:
+                    cls.add(f)
+                    class_of[f] = cls
+                    stack.append(f)
+    out = set()
+    for x in reps:
+        for y in group:
+            z = _commutator_mod(x, y, q)
+            if z not in out:
+                out |= class_of[z]
+    return out
+
+
+def test_commutator_test_against_definition():
+    # every Z for q = 2..9 (6 is composite), a seeded sample at 12 and 16;
+    # each witness is multiplied out
     rng = random.Random(202)
-    for _ in range(60):
-        q = rng.choice([4, 6, 8, 9, 12])
-        m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        got = set(_kernel_mod(m, q))
-        brute = set()
-        for y in product(range(q), repeat=4):
-            if all(sum(r * v for r, v in zip(row, y)) % q == 0 for row in m):
-                brute.add(y)
-        assert got == brute, (q, m)
+    for q in (2, 3, 4, 5, 6, 7, 8, 9, 12, 16):
+        group = sl2_tuples(q)
+        comms = _brute_commutators(q, group)
+        zs = group if q <= 9 else rng.sample(group, 150)
+        for z in zs:
+            ok, wit = commutator_test_modq(z, q)
+            assert ok == (z in comms), (q, z)
+            if ok:
+                x, y = (tuple(e.v for e in m.entries()) for m in wit)
+                assert _commutator_mod(x, y, q) == z, (q, z)
 
 
 def test_commutator_test_composite_modulus():

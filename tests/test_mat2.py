@@ -11,8 +11,8 @@ from mksurf.mat2 import (
     mat_mod,
     random_sl2z,
     sl2_conjugacy_test_modp,
-    sl2_elements_modp,
 )
+from mksurf.quotients import sl2_tuples
 from mksurf.rings import ModInt, legendre
 
 
@@ -156,7 +156,7 @@ def test_sl2_conjugacy_identity_and_brute_agreement():
     # cross-check the canonical-form path against exhaustive search
     rng = random.Random(4)
     p = 5
-    elements = [Mat2(*(ModInt(v, p) for v in t)) for t in sl2_elements_modp(p)]
+    elements = [Mat2(*(ModInt(v, p) for v in t)) for t in sl2_tuples(p)]
     for _ in range(40):
         a = mat_mod(random_sl2z(rng, length=5), p)
         b = mat_mod(random_sl2z(rng, length=5), p)
@@ -165,3 +165,20 @@ def test_sl2_conjugacy_identity_and_brute_agreement():
         assert ok == brute
         if ok:
             assert gamma * a * gamma.inverse() == b
+
+
+def test_sl2_conjugacy_exceptional_traces_against_orbits():
+    # trace +-2 goes through the class table; compare every pair with the
+    # conjugation orbits computed from the definition
+    for p in (3, 5, 7):
+        group = [Mat2(*(ModInt(v, p) for v in t)) for t in sl2_tuples(p)]
+        for tr in (2, p - 2):
+            mats = [m for m in group if m.trace().v == tr]
+            for a in mats:
+                orbit = {(g * a * g.inverse()).entries() for g in group}
+                for b in mats:
+                    ok, gamma = sl2_conjugacy_test_modp(a, b, p)
+                    assert ok == (b.entries() in orbit), (p, a, b)
+                    if ok:
+                        assert gamma.det() == ModInt(1, p)
+                        assert gamma * a * gamma.inverse() == b

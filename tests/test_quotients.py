@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mksurf.expected_tables import HFU2_IMAGES
 from mksurf.mat2 import Mat2, commutator, mat_mod, random_sl2z
 from mksurf.quotients import (
     BudgetExceeded,
@@ -17,6 +18,7 @@ def test_sl2_enumeration():
     for q in (2, 3, 4, 5, 6, 8, 9, 12):
         tuples = sl2_tuples(q)
         assert len(tuples) == sl2_order(q)
+        assert tuples == sorted(tuples)  # the group table's codes rely on it
         assert len(set(tuples)) == len(tuples)
         for (a, b, c, d) in random.Random(q).sample(tuples, min(50, len(tuples))):
             assert (a * d - b * c) % q == 1
@@ -94,3 +96,10 @@ def test_trace_image_mod_9_and_16():
     img16 = trace_commutator_image(16)
     assert img16 & {0, 1, 4, 5, 8, 9, 10, 12, 13} == set()
     assert img16 == {2, 3, 6, 7, 11, 14, 15}
+
+
+def test_trace_image_mod_27_and_32_lift_9_and_16():
+    # the excluded traces at 27 and 32 are exactly the lifts of those at 9 and 16
+    for q, base in ((27, 9), (32, 16)):
+        lifts = {t for t in range(q) if t % base in HFU2_IMAGES[base]}
+        assert trace_commutator_image(q) == lifts
