@@ -70,7 +70,6 @@ from .words import (
     is_unit_in_S,
     metabelian_image,
     psl2_class_reps,
-    reduce_word,
     table1_trace_filter,
     word,
     word_trace,

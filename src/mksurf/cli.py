@@ -363,8 +363,6 @@ def build_parser():
                                  description="Markoff surfaces, commutator lifting, "
                                              "and Hasse-failure certificates")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="recorded in the output; all computations are deterministic")
     sub = ap.add_subparsers(dest="group", required=True)
 
     mk = sub.add_parser("markoff").add_subparsers(dest="cmd", required=True)
@@ -479,8 +477,6 @@ def run(argv):
     except (ValueError, OSError) as exc:
         _emit({"error": str(exc), "kind": "invalid-input"}, args.format)
         return EXIT_BAD_INPUT
-    if isinstance(payload, dict):
-        payload.setdefault("seed", args.seed)
     _emit(payload, args.format)
     if args.group == "repro" and not payload.get("ok", True):
         return 1

@@ -191,25 +191,12 @@ def sl2_conjugacy_test_modp(a, b, p):
         gamma = gb * ga.inverse()
         assert gamma * a * gamma.inverse() == b
         return True, gamma
-    from .quotients import DEFAULT_MODULUS_CAP, _check_budget, group_table
+    from .quotients import DEFAULT_MODULUS_CAP, _check_modulus, group_table
 
-    _check_budget(p, DEFAULT_MODULUS_CAP)
+    _check_modulus(p, DEFAULT_MODULUS_CAP)
     table = group_table(p)
     i, j = (int(table.index([e.v for e in m.entries()])) for m in (a, b))
     if table.cls[i] != table.cls[j]:
         return False, None
     return True, mat_mod(Mat2(*table.conjugator(i, j)), p)
 
-
-def random_sl2z(rng, length=8, entry=3):
-    """Random SL2(Z) element: a word in elementary matrices (test helper)."""
-    m = Mat2(1, 0, 0, 1)
-    for _ in range(length):
-        e = rng.randint(-entry, entry)
-        if rng.random() < 0.5:
-            m = m * Mat2(1, e, 0, 1)
-        else:
-            m = m * Mat2(1, 0, e, 1)
-    if rng.random() < 0.5:
-        m = -m
-    return m

@@ -36,7 +36,9 @@ DEFAULT_MODULUS_CAP = 64
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
 
 
-def _check_budget(q, cap):
+def _check_modulus(q, cap):
+    if q < 2:
+        raise ValueError("modulus must be at least 2, got %d" % q)
     if q > cap:
         raise BudgetExceeded("modulus %d exceeds the configured cap %d" % (q, cap))
 
@@ -169,7 +171,7 @@ def _as_tuple_mod(z, q):
 
 def commutator_test_modq(z, q, cap=DEFAULT_MODULUS_CAP):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None)."""
-    _check_budget(q, cap)
+    _check_modulus(q, cap)
     z = _as_tuple_mod(z, q)
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
@@ -195,7 +197,7 @@ def trace_commutator_image(q, cap=DEFAULT_MODULUS_CAP):
     conjugation, so X runs over class representatives and Y, vectorized,
     over the whole group.
     """
-    _check_budget(q, cap)
+    _check_modulus(q, cap)
     table = group_table(q)
     ya, yb, yc, yd = table.elements()
     x2 = (ya + yd) % q

@@ -55,17 +55,13 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.identity(self.m, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word.make(self.runs * k, self.m, self.n)
 
     def letters(self):
         """Flat tuple of (letter, +-1); finite-order letters are positive."""
         out = []
         for g, e in self.runs:
-            step = 1 if e > 0 else -1
-            out.extend((g, step) for _ in range(abs(e)))
+            out.extend([(g, 1 if e > 0 else -1)] * abs(e))
         return tuple(out)
 
     def length(self):
@@ -94,14 +90,21 @@ class Word:
         return w
 
     def rotations(self):
-        """All letter-granularity rotations (requires cyclically reduced)."""
+        """All letter-granularity rotations (requires cyclically reduced), one
+        per starting letter. A cut inside a run splits it into tail ... head,
+        which never meet since the first and last runs differ."""
         if not self.is_cyclically_reduced():
             raise ValueError("rotations need a cyclically reduced word")
-        letters = self.letters()
+        runs = self.runs
+        if len(runs) <= 1:
+            return [self] * max(1, self.length())
         out = []
-        for i in range(max(1, len(letters))):
-            rot = letters[i:] + letters[:i]
-            out.append(Word.make(tuple(rot), self.m, self.n))
+        for j, (g, e) in enumerate(runs):
+            rest = runs[j + 1:] + runs[:j]
+            out.append(Word(((g, e),) + rest, self.m, self.n))
+            step = 1 if e > 0 else -1
+            for r in range(step, e, step):
+                out.append(Word(((g, e - r),) + rest + ((g, r),), self.m, self.n))
         return out
 
     def __str__(self):
@@ -139,11 +142,6 @@ def word(m, n, text):
         e = int(tok[1:]) if len(tok) > 1 else 1
         runs.append((g, e))
     return Word.make(tuple(runs), m, n)
-
-
-def reduce_word(w):
-    """Words normalize on construction; exposed for the module surface."""
-    return Word.make(w.runs, w.m, w.n)
 
 
 def cyclic_conjugacy_equal(w1, w2):
@@ -196,12 +194,14 @@ def embedding_matrix(m, n, gen):
 
 
 def modular_word(m, n, w):
-    """The u,v-word of an element of the embedded free product."""
-    uv = Word.identity(2, 3)
-    uv_gens = {g: Word.make(r, 2, 3) for g, r in _EMBED_WORDS[(m, n)].items()}
+    """The u,v-word of an element of the embedded free product: the image
+    runs of its letters, concatenated and normalized once."""
+    images = _EMBED_WORDS[(m, n)]
+    runs = []
     for g, e in w.runs:
-        uv = uv * uv_gens[g] ** e
-    return uv
+        img = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
+        runs.extend(img * abs(e))
+    return Word.make(tuple(runs), 2, 3)
 
 
 def uv_matrix(w):
@@ -284,20 +284,26 @@ def psl2_small_trace_classes(t):
 
 # --- membership filtering (factorization through the embedding) --------------
 
+@lru_cache(maxsize=256)
 def _syllable_images(m, n, max_len):
-    """(letter, exponent, image-letter-tuple) for all generator powers whose
-    embedded length can fit in max_len, longest image first."""
-    out = {"a": [], "b": []}
-    for g in ("a", "b"):
-        o = (m if g == "a" else n)
-        exps = range(1, o) if o is not None else \
-            [e for k in range(1, max_len + 1) for e in (k, -k)]
-        base = Word.make(_EMBED_WORDS[(m, n)][g], 2, 3)
-        for e in exps:
-            img = (base ** e).letters()
-            if 0 < len(img) <= max_len:
-                out[g].append((e, img))
-        out[g].sort(key=lambda p: -len(p[1]))
+    """{letter: ((exponent, image letters), ...)} for all generator powers
+    whose embedded length fits in max_len, longest image first. Each power
+    is the last times one step, p_{k+1} = p_k base; images lengthen with |k|,
+    so each sign stops at its first power too long."""
+    out = {}
+    for g, o in (("a", m), ("b", n)):
+        table = []
+        for sign in (1,) if o is not None else (1, -1):
+            step = Word.make(_EMBED_WORDS[(m, n)][g], 2, 3) ** sign
+            power = Word.identity(2, 3)
+            for k in range(1, o or max_len + 1):
+                power = power * step
+                img = power.letters()
+                if len(img) > max_len:
+                    break
+                table.append((sign * k, img))
+        # ties keep the order 1, -1, 2, -2, ...
+        out[g] = tuple(sorted(table, key=lambda p: (-len(p[1]), abs(p[0]), p[0] < 0)))
     return out
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from mksurf.certify import certify_hfz, certify_sint_failure, verify_hfe1, \
     catalogue_congruence_obstructions
-from mksurf.mat2 import Mat2, commutator, random_sl2z
+from mksurf.mat2 import Mat2, commutator
 from mksurf.markoff import (
     MarkoffMove,
     MarkoffPoint,
@@ -34,6 +34,8 @@ from mksurf.words import (
 )
 from mksurf.cli import repro
 from mksurf.mat2 import count_conic_modp
+
+from _util import random_sl2z
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in

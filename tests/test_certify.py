@@ -13,8 +13,10 @@ from mksurf.certify import (
     check_certificate,
     verify_hfe1,
 )
-from mksurf.mat2 import Mat2, mat_mod, random_sl2z
+from mksurf.mat2 import Mat2, mat_mod
 from mksurf.quotients import commutator_test_modq
+
+from _util import random_sl2z
 
 
 def test_hfz_families():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mksurf.cli import run, repro
 
 
@@ -102,6 +104,22 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = capture(capsys, ["certify", "hfz", "--k", "20", "--bound", "50"])
     assert code == 0  # computed: the answer is no, but it is an answer
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_quotient_rejects_modulus_below_2(capsys, q):
+    for argv in (["quotient", "image", "--q", str(q)],
+                 ["quotient", "test", "--q", str(q), "--z", "1,0,0,1"]):
+        code, out = capture(capsys, argv)
+        assert code == 2, argv
+        assert json.loads(out)["kind"] == "invalid-input"
+
+
+def test_no_seed_flag(capsys):
+    code, out = capture(capsys, ["markoff", "admissible", "--k", "108"])
+    assert code == 0 and "seed" not in json.loads(out)
+    code, _ = capture(capsys, ["--seed", "1", "markoff", "admissible", "--k", "108"])
+    assert code == 2
 
 
 def test_byte_identical_reruns(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mksurf.mat2 import Mat2, commutator, in_trace_set, mat_mod, random_sl2z
+from mksurf.mat2 import Mat2, commutator, in_trace_set, mat_mod
 from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move
 from mksurf.lifting import (
     LiftError,
@@ -17,6 +17,8 @@ from mksurf.lifting import (
     universal_point,
 )
 from mksurf.rings import IntegerRing, ModInt, ResidueRing, SIntegerRing
+
+from _util import random_sl2z
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in

@@ -9,11 +9,12 @@ from mksurf.mat2 import (
     fricke_level,
     in_trace_set,
     mat_mod,
-    random_sl2z,
     sl2_conjugacy_test_modp,
 )
 from mksurf.quotients import sl2_tuples
 from mksurf.rings import ModInt, legendre
+
+from _util import random_sl2z
 
 
 def rand_mat(rng, lo=-9, hi=9):

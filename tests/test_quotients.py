@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mksurf.expected_tables import HFU2_IMAGES
-from mksurf.mat2 import Mat2, commutator, mat_mod, random_sl2z
+from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.quotients import (
     BudgetExceeded,
     commutator_test_modq,
@@ -12,6 +12,8 @@ from mksurf.quotients import (
     trace_commutator_image,
 )
 from mksurf.rings import ModInt
+
+from _util import random_sl2z
 
 
 def test_sl2_enumeration():

@@ -3,11 +3,14 @@ from itertools import product
 
 import pytest
 
+from mksurf.expected_tables import RT_TABLE
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.words import (
     SRingElem,
     SUPPORTED,
     Word,
+    _EMBED_WORDS,
+    _syllable_images,
     alg1_representatives,
     cyclic_conjugacy_equal,
     conjugacy_class_key,
@@ -34,6 +37,89 @@ def rand_word(m, n, rng, syllables=6, span=3):
         e = rng.choice([x for x in range(-span, span + 1) if x])
         runs.append((g, e))
     return Word.make(tuple(runs), m, n)
+
+
+# --- the definitions the fast paths replaced, kept as oracles ----------------
+
+def power_by_products(w, k):
+    if k < 0:
+        return power_by_products(w.inverse(), -k)
+    out = Word.identity(w.m, w.n)
+    for _ in range(k):
+        out = out * w
+    return out
+
+
+def rotations_by_letters(w):
+    letters = w.letters()
+    return [Word.make(letters[i:] + letters[:i], w.m, w.n)
+            for i in range(max(1, len(letters)))]
+
+
+def modular_word_by_powers(m, n, w):
+    uv = Word.identity(2, 3)
+    uv_gens = {g: Word.make(r, 2, 3) for g, r in _EMBED_WORDS[(m, n)].items()}
+    for g, e in w.runs:
+        uv = uv * power_by_products(uv_gens[g], e)
+    return uv
+
+
+def syllable_images_by_powers(m, n, max_len):
+    out = {}
+    for g, o in (("a", m), ("b", n)):
+        exps = range(1, o) if o is not None else \
+            [e for k in range(1, max_len + 1) for e in (k, -k)]
+        base = Word.make(_EMBED_WORDS[(m, n)][g], 2, 3)
+        imgs = [(e, power_by_products(base, e).letters()) for e in exps]
+        out[g] = tuple(sorted((p for p in imgs if 0 < len(p[1]) <= max_len),
+                              key=lambda p: -len(p[1])))
+    return out
+
+
+def sample_words(m, n, rng, count=60):
+    """Seeded random words with negative exponents, plus the empty word and
+    single runs."""
+    out = [Word.identity(m, n)]
+    out += [Word.gen(g, m, n, e) for g in "ab" for e in (1, -1, 2, -2, 5, -5)]
+    out += [rand_word(m, n, rng, syllables=rng.randint(1, 7), span=4)
+            for _ in range(count)]
+    return out
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(76)
+    for (m, n) in SUPPORTED:
+        for w in sample_words(m, n, rng):
+            for k in range(-4, 5):
+                assert w ** k == power_by_products(w, k), (str(w), k)
+
+
+def test_rotations_match_letter_rotations():
+    rng = random.Random(77)
+    uv_singles = [Word.gen("v", 2, 3, 2), Word.gen("u", 2, 3)]
+    for (m, n) in SUPPORTED + ((None, None),):
+        words = sample_words(m, n, rng)
+        if (m, n) != (None, None):
+            words += [modular_word(m, n, w) for w in words[:30]]
+        for w in [w.cyclic_reduction() for w in words] + uv_singles:
+            assert w.rotations() == rotations_by_letters(w), str(w)
+    assert Word.gen("b", 2, None, 5).rotations() == [Word.gen("b", 2, None, 5)] * 5
+    assert Word.gen("b", 2, None, -3).rotations() == [Word.gen("b", 2, None, -3)] * 3
+    assert Word.identity(2, 3).rotations() == [Word.identity(2, 3)]
+
+
+def test_modular_word_matches_powers_of_images():
+    rng = random.Random(78)
+    for (m, n) in SUPPORTED:
+        for w in sample_words(m, n, rng):
+            assert modular_word(m, n, w) == modular_word_by_powers(m, n, w), str(w)
+
+
+def test_syllable_images_match_powers_of_base():
+    for (m, n) in SUPPORTED:
+        for max_len in range(0, 31):
+            assert _syllable_images(m, n, max_len) == \
+                syllable_images_by_powers(m, n, max_len), (m, n, max_len)
 
 
 def test_reduce_word_examples():
@@ -177,20 +263,11 @@ def test_factor_through_embedding_rejects_outsiders():
 
 
 def test_alg1_tables():
-    cases = {
-        (2, 3, 3): (["a b a-1 b-1"], ["a b a-1 b-1"]),
-        (2, None, 6): (["a b a-1 b-1", "a b3", "a b-3", "a b a b2", "a b-1 a b-2"],
-                       ["a b a-1 b-1"]),
-        (3, 3, 6): (["a b a-1 b-1", "a b2 a-1 b-2"], ["a b a-1 b-1", "a b2 a-1 b-2"]),
-        (3, None, 14): (["b2 a2", "a b-2"], []),
-        (3, None, 18): (["a b a-1 b-1", "a b-1 a-1 b"], ["a b a-1 b-1", "a b-1 a-1 b"]),
-    }
-
     def inv_class_key(w):
         return min(conjugacy_class_key(w.cyclic_reduction()),
                    conjugacy_class_key(w.inverse().cyclic_reduction()))
 
-    for (m, n, t), (exp_words, exp_derived) in cases.items():
+    for (m, n, t), (exp_words, exp_derived) in RT_TABLE.items():
         reps = alg1_representatives(m, n, t)
         # every output word: cyclically reduced, right trace, pairwise non-conjugate
         for w in reps:
@@ -205,6 +282,22 @@ def test_alg1_tables():
         got_d = {inv_class_key(w) for w in reps if in_derived_subgroup(m, n, w)}
         want_d = {inv_class_key(word(m, n, s)) for s in exp_derived}
         assert got_d == want_d, (m, n, t)
+
+
+def test_alg1_invariants_up_to_trace_24():
+    # independent of the rotations under test: classes keyed by letter rotation
+    def letter_key(w):
+        return min(r.runs for r in rotations_by_letters(w))
+
+    for (m, n) in SUPPORTED:
+        for t in range(3, 25):
+            reps = alg1_representatives(m, n, t)
+            for w in reps:
+                assert w.length() > 0 and w.is_cyclically_reduced()
+                assert word_trace(m, n, w) == t, (m, n, t, str(w))
+            assert len({letter_key(w) for w in reps}) == len(reps), (m, n, t)
+            if (m, n) == (2, 3):
+                assert len(reps) == len(psl2_class_reps(t)), t
 
 
 def test_in_derived_subgroup():
