@@ -3,6 +3,7 @@ and machine-checkable Hasse-failure certificates."""
 
 from .rings import (
     INF,
+    BudgetExceeded,
     LocalizedInt,
     ModInt,
     IntegerRing,
@@ -75,7 +76,6 @@ from .words import (
     word_trace,
 )
 from .quotients import (
-    BudgetExceeded,
     commutator_test_modq,
     sl2_order,
     sl2_tuples,

@@ -231,11 +231,12 @@ def build_hfe1_matrix(nu, ell):
 
 
 def _local_commutator_check(a, q, cap):
-    """One modulus of the local verification: (replayed ok, witness data)."""
-    try:
-        ok, wit = commutator_test_modq(mat_mod(a, q), q, cap=cap)
-    except ValueError as exc:
-        return False, {"error": str(exc)}
+    """One modulus of the local verification: (replayed ok, witness data).
+    A matrix of determinant other than 1 mod q (an audited claim) is not a
+    commutator there."""
+    if (a.det() - 1) % q:
+        return False, {"error": "Z must have determinant 1 mod %d" % q}
+    ok, wit = commutator_test_modq(mat_mod(a, q), q, cap=cap)
     if not ok:
         return False, None
     x, y = wit
@@ -254,7 +255,11 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
     The local verification necessarily truncates at the listed moduli; the
     certificate records them rather than claiming all prime powers.
     Passing matrix= audits a claimed matrix instead of the built one.
+    A modulus below 2 is invalid input (ValueError), not a failed check.
     """
+    bad = [q for q in local_moduli if q < 2]
+    if bad:
+        raise ValueError("local moduli must be at least 2, got %r" % (bad,))
 
     def build():
         checks = []
@@ -372,16 +377,42 @@ def catalogue_congruence_obstructions(z):
     return out
 
 
+_REQUIRED_PARAMETERS = {"E3FailureZ": ("k",), "E3FailureSInt": ("k", "ell"),
+                        "E2Failure": ("nu", "ell"), "HFE1": ("nu", "ell")}
+
+
 def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
     Deterministic: regenerating with the stored parameters must reproduce
-    every check result and the conclusion.
+    every check result and the conclusion.  Input that is not a certificate
+    of a known kind (not a JSON object, no `checks` list of named results,
+    no `conclusion`, a required parameter missing, or a parameter that is
+    not an integer; `local_moduli` is a list of them) raises ValueError.
     """
+    if not isinstance(cert_dict, dict):
+        raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
     kind = cert_dict.get("kind")
     params = cert_dict.get("parameters", {})
     if cert_dict.get("schema_version") != SCHEMA_VERSION:
         return False, {"error": "unknown schema version"}
+    if kind not in _REQUIRED_PARAMETERS:
+        return False, {"error": "unknown certificate kind %r" % (kind,)}
+    checks = cert_dict.get("checks")
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and "name" in c and "result" in c for c in checks):
+        raise ValueError("certificate needs a list of checks, each with a name and a result")
+    if "conclusion" not in cert_dict:
+        raise ValueError("certificate has no conclusion")
+    if not isinstance(params, dict):
+        raise ValueError("certificate parameters must be a JSON object")
+    missing = [p for p in _REQUIRED_PARAMETERS[kind] if p not in params]
+    if missing:
+        raise ValueError("%s certificate lacks parameters %s" % (kind, ", ".join(missing)))
+    for name, value in params.items():
+        values = value if name == "local_moduli" and isinstance(value, list) else [value]
+        if not all(type(v) is int for v in values):
+            raise ValueError("certificate parameter %s must be an integer, got %r" % (name, value))
     if kind == "E3FailureZ":
         fresh = certify_hfz(params["k"], bound=params.get("bound", DEFAULT_HFZ_BOUND))
     elif kind == "E3FailureSInt":
@@ -392,15 +423,13 @@ def check_certificate(cert_dict):
         fresh = certify_e2_failure(params["nu"], params["ell"],
                                    bound=params.get("bound", DEFAULT_SINT_BOUND),
                                    max_exp=params.get("max_exp", DEFAULT_SINT_MAX_EXP))
-    elif kind == "HFE1":
+    else:
         fresh = verify_hfe1(params["nu"], params["ell"],
                             local_moduli=tuple(params.get("local_moduli", DEFAULT_HFE1_MODULI)),
                             sint_bound=params.get("sint_bound", DEFAULT_SINT_BOUND),
                             sint_max_exp=params.get("sint_max_exp", DEFAULT_SINT_MAX_EXP))
-    else:
-        return False, {"error": "unknown certificate kind %r" % (kind,)}
     fresh_dict = fresh.to_dict()
-    old = _normalize({c["name"]: c["result"] for c in cert_dict["checks"]})
+    old = _normalize({c["name"]: c["result"] for c in checks})
     new = _normalize({c["name"]: c["result"] for c in fresh_dict["checks"]})
     ok = old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
     return ok, fresh_dict

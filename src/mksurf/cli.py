@@ -23,8 +23,8 @@ from .markoff import (
 from .mat2 import Mat2
 from .lifting import find_trace_set_matrix, lift_point, universal_pair
 from .quadforms import form_isotropic, hasse_profile
-from .quotients import BudgetExceeded, commutator_test_modq, trace_commutator_image
-from .rings import INF, LocalizedInt, ModInt, parse_ring
+from .quotients import commutator_test_modq, trace_commutator_image
+from .rings import INF, BudgetExceeded, LocalizedInt, ModInt, parse_ring
 from .words import (
     alg1_representatives,
     embedding_matrix,

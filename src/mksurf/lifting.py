@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import MarkoffPoint, level
-from .rings import ModInt, exact_div, is_unit, one_like, unit_inverse, zero_like
+from .rings import BudgetExceeded, ModInt, exact_div, is_unit, one_like, unit_inverse, zero_like
 
 
 class LiftError(ValueError):
@@ -181,12 +181,21 @@ def lift_point(z, point, y):
     return LiftResult(pair[0], pair[1], z, "Z", row)
 
 
+MAX_TRACE_SET_BOUND = 50
+
+
 def find_trace_set_matrix(z, target_trace, bound=12):
     """Bounded search for Y in the trace set of Z with Tr Y = target_trace.
 
     Scans the entry box |a|, |b|, |c| <= bound with d forced by the trace;
     returns the first hit or None.  Existence is not decidable this way, so
-    None only means "nothing in the box"."""
+    None only means "nothing in the box".  The scan is O(bound^3), so a
+    bound above MAX_TRACE_SET_BOUND raises BudgetExceeded."""
+    if bound < 0:
+        raise ValueError("entry bound must be nonnegative")
+    if bound > MAX_TRACE_SET_BOUND:
+        raise BudgetExceeded("entry bound %d exceeds the search budget %d"
+                             % (bound, MAX_TRACE_SET_BOUND))
     one = one_like(z.a)
     for a in _box(bound, one):
         d = target_trace - a

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import LocalizedInt, factorize, jacobi, squarefree_part
+from .rings import BudgetExceeded, LocalizedInt, factorize, jacobi, squarefree_part
 
 
 class DescentStalled(RuntimeError):
@@ -258,22 +258,59 @@ def admissible_t(t):
     return t % 16 not in _T_OBSTRUCTED_16 and t % 9 not in _T_OBSTRUCTED_9
 
 
+def _row_top(k, b, x1):
+    """Largest x2 that row x1 >= 4 of the search_integral scan can hold."""
+    top = (b - 1) // (x1 - 1)
+    if k > 0:
+        top = max(top, math.isqrt(k // (x1 + 2)))
+    elif k < 0:
+        top = max(top, math.isqrt(-k // (x1 - 3)))
+    return min(b, top)
+
+
 def search_integral(k, bound):
     """All integer points with |x1| <= |x2| <= |x3| <= bound, as a sorted
     list.  Enumerates (x1, x2) in the nonnegative quadrant (every solution
     is a double-sign image of one with x1, x2 >= 0) and solves the
-    quadratic in x3."""
+    quadratic in x3.
+
+    Row x1 only scans x2 in [x1, top(x1)].  Proof that no point is lost:
+    take 0 <= x1 <= x2 <= |x3| <= b with x1 >= 4.  x3 is a root of
+    t^2 - P t + C with P = x1 x2 and C = x1^2 + x2^2 - k.  Let r be the
+    smaller root; it is an integer, as the roots sum to P, the larger one
+    is P - r >= P/2, and C = r (P - r).
+
+    (a) |r| < x2: x3 != r, so x3 = P - r >= P - x2 + 1, and x3 <= b gives
+        x2 (x1 - 1) <= b - 1.
+    (b) r <= -x2: P - r >= P + x2 > 0, so C <= -x2 (P + x2), that is
+        k >= x1^2 + x2^2 (x1 + 2); so k > 0 and x2^2 <= k / (x1 + 2).
+    (c) r >= x2: r lies in [x2, P/2], where t (P - t) increases, so
+        C >= x2 (P - x2), that is -k >= x2^2 (x1 - 2) - x1^2 >= x2^2 (x1 - 3)
+        (as x1 <= x2); so k < 0 and x2^2 <= -k / (x1 - 3).
+
+    Hence top(x1) = min(b, max((b - 1) // (x1 - 1), isqrt(k // (x1 + 2))
+    if k > 0, isqrt(-k // (x1 - 3)) if k < 0)), and each of the three
+    limits is attained, e.g. by (4, 5, 16) at k = -23, b = 16, by
+    (4, 4, -4) at k = 112 and by (4, 4, 4) at k = -16.  Rows x1 <= 3 are
+    scanned in full.  top is non-increasing in x1 >= 4, so the scan stops
+    at the first row with top < x1: O(b log b + |k|^(2/3)) cells in
+    O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
+    the whole box.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > 40000 or abs(k) > 10**17:
         # discriminants must stay inside int64 for the vectorized scan
-        raise ValueError("search budget exceeds the exact-arithmetic range "
-                         "(bound <= 40000, |k| <= 1e17)")
+        raise BudgetExceeded("search budget exceeds the exact-arithmetic range "
+                             "(bound <= 40000, |k| <= 1e17)")
     base = set()
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)
     for x1 in range(0, b + 1):
-        lo = x2s[x1:]
+        top = b if x1 <= 3 else _row_top(k, b, x1)
+        if top < x1:
+            break
+        lo = x2s[x1:top + 1]
         disc = (x1 * x1 - 4) * (lo * lo - 4) + 4 * (k - 4)
         ok = disc >= 0
         if not ok.any():
@@ -310,7 +347,7 @@ def search_localized(k, ell, max_exp, bound):
         raise ValueError("ell must be an odd prime")
     worst = ell ** (2 * max_exp)
     if bound**4 + worst * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
-        raise ValueError("search budget exceeds the exact-arithmetic range")
+        raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
     pts = []
     for p in search_integral(k, bound):
         pts.append(MarkoffPoint(*(LocalizedInt(c, 0, ell) for c in p.coords()),

@@ -23,11 +23,7 @@ import math
 import numpy as np
 
 from .mat2 import Mat2, mat_mod
-from .rings import ModInt
-
-
-class BudgetExceeded(RuntimeError):
-    pass
+from .rings import BudgetExceeded, ModInt
 
 
 DEFAULT_MODULUS_CAP = 64

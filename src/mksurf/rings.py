@@ -7,6 +7,11 @@ from fractions import Fraction
 
 INF = float("inf")
 
+
+class BudgetExceeded(RuntimeError):
+    """A search or modulus budget was exceeded; the CLI exits 3."""
+
+
 # Witnesses making Miller-Rabin deterministic for n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981

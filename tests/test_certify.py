@@ -109,6 +109,30 @@ def test_verify_hfe1_tampered_matrix():
     assert not c.checks[0].result  # matrix shape check catches it
 
 
+def test_verify_hfe1_rejects_moduli_below_2():
+    for moduli in ((1,), (0,), (-3,), (2, 1)):
+        with pytest.raises(ValueError):
+            verify_hfe1(139, 19, local_moduli=moduli, sint_bound=50)
+
+
+def test_check_certificate_rejects_malformed_input():
+    good = json.loads(certify_hfz(102, bound=50).to_json())
+    shapes = [[good], "E3FailureZ", {k: v for k, v in good.items() if k != "checks"},
+              dict(good, checks={"x": True}), dict(good, checks=[{"result": True}]),
+              {k: v for k, v in good.items() if k != "conclusion"},
+              dict(good, parameters={"bound": 50}), dict(good, parameters=None),
+              dict(good, kind="E3FailureSInt", parameters={"k": 102}),
+              dict(good, kind="E2Failure", parameters={"ell": 19}),
+              dict(good, kind="HFE1", parameters={"nu": 139}),
+              dict(good, parameters={"k": "102"}), dict(good, parameters={"k": 102, "bound": 1.5}),
+              dict(good, parameters={"k": True}),
+              dict(good, kind="HFE1", parameters={"nu": 139, "ell": 19, "local_moduli": "2,3"})]
+    for blob in shapes:
+        with pytest.raises(ValueError):
+            check_certificate(blob)
+    assert check_certificate(good)[0]
+
+
 def test_certify_e2_failure():
     c = certify_e2_failure(139, 19, bound=1000, max_exp=3)
     assert c.conclusion

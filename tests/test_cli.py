@@ -115,6 +115,59 @@ def test_quotient_rejects_modulus_below_2(capsys, q):
         assert json.loads(out)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("moduli", ["1", "0", "-3", "2,1"])
+def test_certify_hfe1_rejects_moduli_below_2(capsys, moduli):
+    code, out = capture(capsys, ["certify", "hfe1", "--nu", "139", "--ell", "19",
+                                 "--moduli=" + moduli])
+    assert code == 2
+    assert json.loads(out)["kind"] == "invalid-input"
+
+
+GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 102, "bound": 50},
+            "checks": [{"name": "family-membership", "result": True},
+                       {"name": "integral-search-empty", "result": True}],
+            "conclusion": True}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([GOOD_HFZ]),
+    json.dumps(dict(GOOD_HFZ, parameters={"bound": 50})),
+    json.dumps(dict(GOOD_HFZ, parameters=[102, 50])),
+    json.dumps({k: v for k, v in GOOD_HFZ.items() if k != "checks"}),
+    json.dumps(dict(GOOD_HFZ, checks=[{"name": "family-membership"}])),
+    json.dumps({k: v for k, v in GOOD_HFZ.items() if k != "conclusion"}),
+    json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139})),
+    json.dumps(dict(GOOD_HFZ, parameters={"k": "abc"})),
+    "{",
+])
+def test_certify_check_rejects_malformed_files(tmp_path, capsys, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out = capture(capsys, ["certify", "check", "--file", str(path)])
+    assert code == 2
+    assert json.loads(out)["kind"] == "invalid-input"
+
+
+def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(GOOD_HFZ))
+    code, out = capture(capsys, ["certify", "check", "--file", str(path)])
+    assert code == 0 and json.loads(out)["replay_matches"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["markoff", "search", "--k", "102", "--bound", "50000"],
+    ["certify", "hfz", "--k", "102", "--bound", "50000"],
+    ["markoff", "search", "--k", "224", "--bound", "1000", "--ell", "19", "--max-exp", "6"],
+    ["certify", "sint", "--k", str(4 + 20 * 139**2), "--ell", "19", "--max-exp", "6"],
+    ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
+])
+def test_budget_overruns_exit_3(capsys, argv):
+    code, out = capture(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["kind"] == "budget"
+
+
 def test_no_seed_flag(capsys):
     code, out = capture(capsys, ["markoff", "admissible", "--k", "108"])
     assert code == 0 and "seed" not in json.loads(out)

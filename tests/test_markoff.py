@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from mksurf.markoff import (
@@ -10,6 +12,7 @@ from mksurf.markoff import (
     apply_move,
     apply_path,
     class_data,
+    default_class_bound,
     e2_good_test,
     level,
     reduce_point,
@@ -17,7 +20,7 @@ from mksurf.markoff import (
     search_integral,
     search_localized,
 )
-from mksurf.rings import LocalizedInt, jacobi
+from mksurf.rings import BudgetExceeded, LocalizedInt, jacobi
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
@@ -153,6 +156,111 @@ def test_search_integral_matches_direct_enumeration():
               if level(x1, x2, x3) == k and abs(x1) <= abs(x2) <= abs(x3)}
     got = {p.coords() for p in search_integral(k, bound)}
     assert got == direct
+
+
+def search_integral_by_full_box(k, bound):
+    """The whole-box scan search_integral replaced: every row x1 in [0, b],
+    every x2 in [x1, b]; kept as the oracle for the pruned scan."""
+    base = set()
+    b = int(bound)
+    x2s = np.arange(0, b + 1, dtype=np.int64)
+    for x1 in range(0, b + 1):
+        lo = x2s[x1:]
+        disc = (x1 * x1 - 4) * (lo * lo - 4) + 4 * (k - 4)
+        ok = disc >= 0
+        if not ok.any():
+            continue
+        d = disc[ok]
+        x2v = lo[ok]
+        s = np.sqrt(d.astype(np.float64)).astype(np.int64)
+        for ds in (-1, 0, 1):
+            ss = s + ds
+            hit = (ss >= 0) & (ss * ss == d)
+            for x2, sv in zip(x2v[hit].tolist(), ss[hit].tolist()):
+                prod = x1 * x2
+                for x3 in ((prod + sv) // 2, (prod - sv) // 2):
+                    if (prod + sv) % 2 == 0 and x2 <= abs(x3) <= b:
+                        base.add((x1, x2, x3))
+    out = set()
+    for (x1, x2, x3) in base:
+        out.update({(x1, x2, x3), (x1, -x2, -x3), (-x1, x2, -x3), (-x1, -x2, x3)})
+    return [MarkoffPoint(c[0], c[1], c[2], k) for c in sorted(out) if level(*c) == k]
+
+
+def test_search_integral_matches_full_box_grid():
+    for k in range(-300, 301):
+        for b in (0, 1, 2, 3, 5, 17, 60, 200):
+            assert search_integral(k, b) == search_integral_by_full_box(k, b), (k, b)
+
+
+def test_search_integral_matches_full_box_large_k():
+    rng = random.Random(44)
+    cases = [(rng.randint(-10**6, 10**6), rng.choice((60, 200, 1000))) for _ in range(150)]
+    cases += [(k, default_class_bound(k)) for k in (3 * 10**6, -3 * 10**6, 2 * 10**6 + 1)]
+    for k, b in cases:
+        assert search_integral(k, b) == search_integral_by_full_box(k, b), (k, b)
+
+
+def row_limits(k, b, x1):
+    """The three row limits of search_integral for x1 >= 4 ((b) and (c)
+    are -1 where they do not apply)."""
+    return ((b - 1) // (x1 - 1),
+            math.isqrt(k // (x1 + 2)) if k > 0 else -1,
+            math.isqrt(-k // (x1 - 3)) if k < 0 else -1)
+
+
+# (limit, k, b, point): a point whose x2 equals that row limit and exceeds
+# the other two, so tightening that limit alone by one loses the point.
+# (a) at x3 = b with x2 = (b - 1) // (x1 - 1); (b) at (x1, x2, -x2), k = x1^2 + x2^2 (x1 + 2);
+# (c) at (n, n, n), k = 3n^2 - n^3, and at (8, 8, 9).
+TIGHT_ROWS = [(0, -23, 16, (4, 5, 16)), (0, 17, 15, (4, 4, 15)), (0, -27, 33, (6, 6, 33)),
+              (0, -379, 60, (5, 14, 60)),
+              (1, 112, 4, (4, 4, -4)), (1, level(4, 7, -7), 7, (4, 7, -7)),
+              (1, level(9, 11, -11), 11, (9, 11, -11)),
+              (2, -16, 4, (4, 4, 4)), (2, -50, 5, (5, 5, 5)), (2, level(9, 9, 9), 9, (9, 9, 9)),
+              (2, -367, 10, (8, 8, 9))]
+
+
+@pytest.mark.parametrize("limit, k, b, point", TIGHT_ROWS)
+def test_search_integral_row_limit_edges(limit, k, b, point):
+    x1, x2, _ = point
+    lims = row_limits(k, b, x1)
+    assert level(*point) == k
+    assert x2 == lims[limit] and all(x2 > v for i, v in enumerate(lims) if i != limit)
+    got = search_integral(k, b)
+    assert point in {p.coords() for p in got}
+    assert got == search_integral_by_full_box(k, b)
+
+
+def test_search_integral_full_rows_up_to_x1_3():
+    # row x1 = 3 has no limit: (3, 10, 10) at k = -91 and (3, 3, 3) at k = 0
+    # lie above the (a) limit (b - 1) // 2, and (c) would divide by x1 - 3 = 0
+    for k, b, point in ((-91, 10, (3, 10, 10)), (0, 3, (3, 3, 3))):
+        assert level(*point) == k and point[1] > (b - 1) // 2
+        got = search_integral(k, b)
+        assert point in {p.coords() for p in got}
+        assert got == search_integral_by_full_box(k, b)
+
+
+def test_search_integral_double_roots_at_x1_x2_equal_2b():
+    # x3 = x1 x2 / 2 = b: the larger root at its least, where x1 x2 = 2b
+    for x1, x2 in ((4, 5), (6, 7), (4, 4)):
+        b = x1 * x2 // 2
+        point = (x1, x2, b)
+        got = search_integral(level(*point), b)
+        assert point in {p.coords() for p in got}
+        assert got == search_integral_by_full_box(level(*point), b)
+
+
+def test_search_integral_budget():
+    with pytest.raises(BudgetExceeded):
+        search_integral(102, 40001)
+    with pytest.raises(BudgetExceeded):
+        search_integral(10**17 + 1, 10)
+    with pytest.raises(BudgetExceeded):
+        search_localized(224, 19, 6, 1000)
+    with pytest.raises(ValueError):
+        search_integral(102, -1)
 
 
 def test_search_integral_empty_families():
