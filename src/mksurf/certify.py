@@ -86,12 +86,13 @@ def _prime_classes_check(nu, moduli_classes, modulus):
     return not bad, {"nu": nu, "factorization": fac, "offending": bad}
 
 
-def _square_nu(value):
-    """nu >= 1 with value = nu^2, or None."""
-    if value <= 0:
+def _family_nu(k, c):
+    """nu >= 1 with k - 4 = c * nu^2, or None."""
+    d = k - 4
+    if d <= 0 or d % c:
         return None
-    nu = math.isqrt(value)
-    return nu if nu * nu == value else None
+    nu = math.isqrt(d // c)
+    return nu if c * nu * nu == d else None
 
 
 def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
@@ -102,20 +103,19 @@ def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
     def build():
         checks = []
         families = []
-        d = k - 4
-        nu = _square_nu(d // 2) if d % 2 == 0 else None
-        if nu is not None and d == 2 * nu * nu:
+        nu = _family_nu(k, 2)
+        if nu is not None:
             ok, ev = _prime_classes_check(nu, {1, 7}, 8)
             families.append(("i", "k = 4 + 2*nu^2, prime factors of nu = +-1 (mod 8)", ok, ev))
-        nu = _square_nu(d // 12) if d % 12 == 0 else None
-        if nu is not None and d == 12 * nu * nu:
+        nu = _family_nu(k, 12)
+        if nu is not None:
             ok, ev = _prime_classes_check(nu, {1, 11}, 12)
             ok2 = nu * nu % 32 == 25
             ev["nu_sq_mod_32"] = nu * nu % 32
             families.append(("ii", "k = 4 + 12*nu^2, nu^2 = 25 (mod 32), factors = +-1 (mod 12)",
                              ok and ok2, ev))
-        nu = _square_nu(d // 20) if d % 20 == 0 else None
-        if nu is not None and d == 20 * nu * nu:
+        nu = _family_nu(k, 20)
+        if nu is not None:
             ok, ev = _prime_classes_check(nu, {1, 19}, 20)
             families.append(("iii", "k = 4 + 20*nu^2, prime factors of nu = +-1 (mod 20)", ok, ev))
         matched = [f for f in families if f[2]]
@@ -151,10 +151,9 @@ def certify_sint_failure(k, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_
 
     def build():
         checks = []
-        d = k - 4
         families = []
-        nu = _square_nu(d // 2) if d % 2 == 0 else None
-        if nu is not None and d == 2 * nu * nu:
+        nu = _family_nu(k, 2)
+        if nu is not None:
             okl = ell % 8 in (1, 7)
             okf, ev = _prime_classes_check(nu, {1, 7}, 8)
             okn = nu % 9 in (0, 3, 6, 4, 5)
@@ -164,8 +163,8 @@ def certify_sint_failure(k, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_
                        "factors of nu = +-1 (mod 8)": okf,
                        "nu in {0, +-3, +-4} (mod 9)": okn}
             families.append(("2nu^2", clauses, okl and okf and okn, ev))
-        nu = _square_nu(d // 20) if d % 20 == 0 else None
-        if nu is not None and d == 20 * nu * nu:
+        nu = _family_nu(k, 20)
+        if nu is not None:
             okl = ell % 5 in (1, 4)
             okf, ev = _prime_classes_check(nu, {1, 19}, 20)
             okn = nu % 9 in (4, 5)

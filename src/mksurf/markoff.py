@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import BudgetExceeded, LocalizedInt, factorize, jacobi, squarefree_part
+from .rings import (BudgetExceeded, LocalizedInt, factorize, is_probable_prime, jacobi,
+                    squarefree_part)
 
 
 class DescentStalled(RuntimeError):
@@ -258,6 +259,32 @@ def admissible_t(t):
     return t % 16 not in _T_OBSTRUCTED_16 and t % 9 not in _T_OBSTRUCTED_9
 
 
+def integer_roots(p, c):
+    """Integer roots of t^2 - p t + c = 0 for int64 arrays p and c.
+
+    Returns (idx, lo, hi): the indices where both roots are integers, and
+    the smaller and larger root there (lo == hi at a double root).
+    Precondition: d = p^2 - 4c fits in int64 at every index.
+
+    The float root is exact where it matters: for d = r^2 < 2^63, float64(d)
+    has relative error at most 2^-53, which moves its square root by less
+    than r 2^-54, under half the spacing of doubles at r, so the correctly
+    rounded sqrt returns r itself and s^2 == d finds every perfect square
+    with no correction step.  No parity test is needed either: s^2 =
+    p^2 - 4c forces s = p (mod 2), so p - s and p + s are even.
+    """
+    d = p * p - 4 * c
+    s = np.sqrt(d, where=d >= 0, out=np.zeros(d.shape)).astype(np.int64)
+    idx = np.flatnonzero(s * s == d)
+    p, s = p[idx], s[idx]
+    return idx, (p - s) // 2, (p + s) // 2
+
+
+def _double_signs(x1, x2, x3):
+    """The four images of (x1, x2, x3) under the double sign changes."""
+    return ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3))
+
+
 def _row_top(k, b, x1):
     """Largest x2 that row x1 >= 4 of the search_integral scan can hold."""
     top = (b - 1) // (x1 - 1)
@@ -311,29 +338,12 @@ def search_integral(k, bound):
         if top < x1:
             break
         lo = x2s[x1:top + 1]
-        disc = (x1 * x1 - 4) * (lo * lo - 4) + 4 * (k - 4)
-        ok = disc >= 0
-        if not ok.any():
-            continue
-        d = disc[ok]
-        x2v = lo[ok]
-        s = np.sqrt(d.astype(np.float64)).astype(np.int64)
-        for ds in (-1, 0, 1):
-            ss = s + ds
-            hit = (ss >= 0) & (ss * ss == d)
-            if not hit.any():
-                continue
-            for x2, sv in zip(x2v[hit].tolist(), ss[hit].tolist()):
-                prod = x1 * x2
-                for x3 in ((prod + sv) // 2, (prod - sv) // 2):
-                    if (prod + sv) % 2 == 0 and x2 <= abs(x3) <= b:
-                        base.add((x1, x2, x3))
-    out = set()
-    for (x1, x2, x3) in base:
-        out.add((x1, x2, x3))
-        out.add((x1, -x2, -x3))
-        out.add((-x1, x2, -x3))
-        out.add((-x1, -x2, x3))
+        idx, r1, r2 = integer_roots(x1 * lo, x1 * x1 + lo * lo - k)
+        for x2, x3a, x3b in zip(lo[idx].tolist(), r1.tolist(), r2.tolist()):
+            for x3 in (x3a, x3b):
+                if x2 <= abs(x3) <= b:
+                    base.add((x1, x2, x3))
+    out = {c for p in base for c in _double_signs(*p)}
     return [MarkoffPoint(c[0], c[1], c[2], k) for c in sorted(out)
             if level(*c) == k]
 
@@ -342,8 +352,13 @@ def search_localized(k, ell, max_exp, bound):
     """Points of the level-k surface over Z[1/ell] within the two shapes an
     l-denominator can take: integral points, and (x1, x2/l^a, x3/l^a) with
     l coprime to x2*x3 and 1 <= a <= max_exp; numerators bounded by bound.
+
+    Order: the integral points as search_integral lists them, then the
+    others by a and by their least double-sign image (x1, x2, x3) with
+    x1, x2 >= 0, each group as (x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3),
+    (-x1, x2, -x3).
     """
-    if ell < 3 or ell % 2 == 0:
+    if ell == 2 or not is_probable_prime(ell):
         raise ValueError("ell must be an odd prime")
     worst = ell ** (2 * max_exp)
     if bound**4 + worst * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
@@ -354,33 +369,19 @@ def search_localized(k, ell, max_exp, bound):
                                 k=LocalizedInt(k, 0, ell)))
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)
+    keep2 = x2s[x2s % ell != 0]
     found = set()
     for a in range(1, max_exp + 1):
         big = ell ** (2 * a)
-        keep2 = x2s[x2s % ell != 0]
         for x1 in range(0, b + 1):
-            c0 = (x1 * x1 - k) * big
-            disc = (x1 * x1) * (keep2 * keep2) - 4 * (keep2 * keep2) - 4 * c0
-            ok = disc >= 0
-            if not ok.any():
-                continue
-            d = disc[ok]
-            x2v = keep2[ok]
-            s = np.sqrt(d.astype(np.float64)).astype(np.int64)
-            for ds in (-1, 0, 1):
-                ss = s + ds
-                hit = (ss >= 0) & (ss * ss == d)
-                for x2, sv in zip(x2v[hit].tolist(), ss[hit].tolist()):
-                    prod = x1 * x2
-                    if (prod + sv) % 2:
-                        continue
-                    for x3 in ((prod + sv) // 2, (prod - sv) // 2):
-                        if abs(x3) <= b and x3 % ell != 0:
-                            found.add((a, x1, x2, x3))
+            idx, r1, r2 = integer_roots(x1 * keep2, keep2 * keep2 + (x1 * x1 - k) * big)
+            for x2, x3a, x3b in zip(keep2[idx].tolist(), r1.tolist(), r2.tolist()):
+                for x3 in (x3a, x3b):
+                    if abs(x3) <= b and x3 % ell != 0:
+                        found.add((a, x1, x2, x3))
     seen = set()
     for (a, x1, x2, x3) in sorted(found):
-        variants = ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3))
-        for (v1, v2, v3) in variants:
+        for (v1, v2, v3) in _double_signs(x1, x2, x3):
             if (a, v1, v2, v3) in seen:
                 continue
             seen.add((a, v1, v2, v3))

@@ -23,11 +23,6 @@ class Mat2:
     c: object
     d: object
 
-    @staticmethod
-    def from_rows(rows):
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
-
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 

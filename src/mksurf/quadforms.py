@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import MarkoffPoint
+from .markoff import MarkoffPoint, integer_roots
 from .rings import (
     INF,
+    BudgetExceeded,
     LocalizedInt,
     factorize,
     hilbert,
@@ -58,17 +59,11 @@ class HasseProfile:
 
     entries: tuple  # sorted tuple of (place, value) with INF last
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def product(self):
         out = 1
         for _, v in self.entries:
             out *= v
         return out
-
-    def value_at(self, p):
-        return self.as_dict().get(p, 1)
 
     def nontrivial(self):
         return {p: v for p, v in self.entries if v == -1}
@@ -128,36 +123,30 @@ def legendre_isotropic(a, b, c):
 def _witness_search(form, bound):
     """Nontrivial integer zero of the form with |u_i| <= bound, or None.
 
-    Scans |u1| outward from 0 and returns the first hit, reduced to a
-    primitive vector, so small witnesses come out small.
+    Scans rows u1 = 0, 1, -1, 2, -2, ... and, in the first row holding a
+    zero, takes the one with the least (|u2|, |u3|), reduced to a primitive
+    vector, so small witnesses come out small.  Each row solves for u3 with
+    `integer_roots`.  Its discriminants are at most 4 B^2 (X^2 + X + 2) for
+    X = max|x_i| and B = bound; when that bound reaches 2^63, the int64
+    scan could wrap, so this raises BudgetExceeded instead.
     """
     x1, x2, x3 = form.x1, form.x2, form.x3
+    big = max(abs(x1), abs(x2), abs(x3))
+    if 4 * bound * bound * (big * big + big + 2) >= 2**63:
+        raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
+                             "for coordinates up to %d" % (bound, big))
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
     order = [0]
     for v in range(1, bound + 1):
         order.extend((v, -v))
     for u1 in order:
-        bq = x2 * u1 + x3 * u2s
-        cq = u1 * u1 + u2s * u2s + x1 * u1 * u2s
-        disc = bq * bq - 4 * cq
-        ok = disc >= 0
-        if not ok.any():
-            continue
-        d = disc[ok]
-        u2v = u2s[ok]
-        bv = bq[ok]
-        s = np.sqrt(d.astype(np.float64)).astype(np.int64)
+        idx, r1, r2 = integer_roots(-(x2 * u1 + x3 * u2s), u1 * u1 + u2s * u2s + x1 * u1 * u2s)
         row = []
-        for ds in (-1, 0, 1):
-            ss = s + ds
-            hit = (ss >= 0) & (ss * ss == d)
-            for u2, bb, sv in zip(u2v[hit].tolist(), bv[hit].tolist(), ss[hit].tolist()):
-                if (sv - bb) % 2:
-                    continue
-                for u3 in ((-bb + sv) // 2, (-bb - sv) // 2):
-                    if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
-                        if form.evaluate(u1, u2, u3) == 0:
-                            row.append((abs(u2), abs(u3), (u1, u2, u3)))
+        for u2, u3a, u3b in zip(u2s[idx].tolist(), r1.tolist(), r2.tolist()):
+            for u3 in (u3a, u3b):
+                if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
+                    if form.evaluate(u1, u2, u3) == 0:
+                        row.append((abs(u2), abs(u3), (u1, u2, u3)))
         if row:
             w = min(row)[2]
             g = math.gcd(math.gcd(abs(w[0]), abs(w[1])), abs(w[2]))
@@ -171,7 +160,8 @@ def form_isotropic(point, witness_bound=600):
 
     Returns (verdict, data) with verdict in {"Isotropic", "Anisotropic",
     "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
-    one exists within witness_bound (None and flagged otherwise).
+    one exists within witness_bound (None and flagged otherwise); a point
+    too large for that scan's int64 range raises BudgetExceeded.
     """
     k = point.k
     if not isinstance(k, int) or k <= 4:

@@ -251,10 +251,6 @@ class LocalizedInt:
         object.__setattr__(self, "exp", exp)
 
     @staticmethod
-    def from_int(n, ell):
-        return LocalizedInt(n, 0, ell)
-
-    @staticmethod
     def from_fraction(x, ell):
         x = Fraction(x)
         e, d = _split_prime(x.denominator, ell)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .mat2 import Mat2, commutator
+from .rings import BudgetExceeded
 
 SUPPORTED = ((2, 3), (2, None), (3, 3), (3, None))  # None encodes infinite order
 
@@ -237,6 +238,9 @@ def _min_rotation(seq):
     return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
+MAX_ALG1_TRACE = 100
+
+
 @lru_cache(maxsize=None)
 def psl2_class_reps(t):
     """One cyclically reduced word u v^{s_1} ... u v^{s_k} per conjugacy
@@ -244,10 +248,14 @@ def psl2_class_reps(t):
 
     Every class of trace >= 3 has such a representative, the syllable
     length is bounded by the trace, and appending syllables only grows the
-    trace of the positivized product, which prunes the search.
+    trace of the positivized product, which prunes the search.  The search
+    recurses as deep as t and its time grows faster than t^2, so a trace
+    above MAX_ALG1_TRACE raises BudgetExceeded.
     """
     if t < 3:
         raise ValueError("use psl2_small_trace_classes for |trace| <= 2")
+    if t > MAX_ALG1_TRACE:
+        raise BudgetExceeded("trace %d exceeds the search budget %d" % (t, MAX_ALG1_TRACE))
     reps = []
     seen = set()
 

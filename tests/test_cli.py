@@ -123,6 +123,15 @@ def test_certify_hfe1_rejects_moduli_below_2(capsys, moduli):
     assert json.loads(out)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("ell", ["25", "9", "15"])
+def test_markoff_search_rejects_composite_ell(capsys, ell):
+    # Z[1/25] = Z[1/5] has denominator shapes the scan never tries
+    code, out = capture(capsys, ["markoff", "search", "--k", "224", "--bound", "30",
+                                 "--ell", ell])
+    assert code == 2
+    assert json.loads(out)["kind"] == "invalid-input"
+
+
 GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 102, "bound": 50},
             "checks": [{"name": "family-membership", "result": True},
                        {"name": "integral-search-empty", "result": True}],
@@ -161,6 +170,7 @@ def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     ["markoff", "search", "--k", "224", "--bound", "1000", "--ell", "19", "--max-exp", "6"],
     ["certify", "sint", "--k", str(4 + 20 * 139**2), "--ell", "19", "--max-exp", "6"],
     ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
+    ["words", "alg1", "--m", "2", "--n", "inf", "--t", "101"],
 ])
 def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)

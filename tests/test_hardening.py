@@ -51,8 +51,9 @@ def test_reduce_orbit_consistency_stress():
         assert apply_path(path1, nf1).coords() == q.coords()
 
 
-def test_search_localized_matches_direct_enumeration():
-    k, ell, bound, max_exp = 224, 5, 20, 2
+def _direct_localized(k, ell, max_exp, bound):
+    """(a, x1, x2, x3) for every point (x1, x2/l^a, x3/l^a) that
+    search_localized must find, by enumerating the whole box."""
     direct = set()
     for a in range(0, max_exp + 1):
         big = ell ** (2 * a)
@@ -66,13 +67,45 @@ def test_search_localized_matches_direct_enumeration():
                         continue
                     if x1 * x1 * big + x2 * x2 + x3 * x3 - x1 * x2 * x3 == k * big:
                         direct.add((a, x1, x2, x3))
-    assert any(a > 0 for (a, _, _, _) in direct)  # denominator shapes occur
-    got = set()
+    return direct
+
+
+def _localized_tuples(k, ell, max_exp, bound):
+    out = []
     for p in search_localized(k, ell, max_exp, bound):
         c1, c2, c3 = p.coords()
         assert c1.exp == 0 and c2.exp == c3.exp
-        got.add((c2.exp, c1.num, c2.num, c3.num))
-    assert got == direct
+        out.append((c2.exp, c1.num, c2.num, c3.num))
+    return out
+
+
+def test_search_localized_matches_direct_enumeration():
+    k, ell, bound, max_exp = 224, 5, 20, 2
+    direct = _direct_localized(k, ell, max_exp, bound)
+    assert any(a > 0 for (a, _, _, _) in direct)  # denominator shapes occur
+    assert set(_localized_tuples(k, ell, max_exp, bound)) == direct
+
+
+@pytest.mark.parametrize("k, ell", [(224, 5), (2, 5), (5, 3)])
+def test_search_localized_order(k, ell):
+    # the documented order, which `markoff search --limit` and the found
+    # field of a certificate expose; (2, 5) has x1 = 0 groups such as
+    # (0, 1/5, 7/5), and (5, 3) has exponent-2 points
+    bound, max_exp = 20, 2
+
+    def images(x1, x2, x3):
+        return [(x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3)]
+
+    def key(point):
+        a, v = point[0], point[1:]
+        base = min(w for w in images(*v) if w[0] >= 0 and w[1] >= 0)
+        return a, base, images(*base).index(v)
+
+    direct = _direct_localized(k, ell, max_exp, bound)
+    expected = (sorted(p for p in direct if p[0] == 0)
+                + sorted((p for p in direct if p[0] > 0), key=key))
+    assert any(p[0] > 0 for p in direct)
+    assert _localized_tuples(k, ell, max_exp, bound) == expected
 
 
 def _mul_mod(x, y, q):

@@ -14,6 +14,7 @@ from mksurf.markoff import (
     class_data,
     default_class_bound,
     e2_good_test,
+    integer_roots,
     level,
     reduce_point,
     same_orbit,
@@ -250,6 +251,42 @@ def test_search_integral_double_roots_at_x1_x2_equal_2b():
         got = search_integral(level(*point), b)
         assert point in {p.coords() for p in got}
         assert got == search_integral_by_full_box(level(*point), b)
+
+
+def _roots_case(p, d):
+    """(p, c) with p^2 - 4c = d; needs d = p^2 (mod 4)."""
+    return p, (p * p - d) // 4
+
+
+def test_integer_roots_matches_isqrt():
+    rng = random.Random(71)
+    cases = []
+    for _ in range(3000):
+        r1, r2 = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        cases.append((r1 + r2, r1 * r2))  # integer roots, d = (r1 - r2)^2
+        cases.append((r1 + r2, r1 * r2 + rng.randint(-50, 50)))  # mostly none
+        cases.append((r1, r1 * r1 + rng.randint(0, 10**6)))  # d <= 0
+        cases.append((2 * r1, r1 * r1))  # d = 0
+    # s^2 - 1, s^2, s^2 + 1 near 2^31 and near the int64 edge isqrt(2^63 - 1)
+    for s0 in (2**31, math.isqrt(2**63 - 1)):
+        for s in range(s0 - 40, s0 + 1):
+            for d in (s * s - 1, s * s, s * s + 1):
+                if d % 4 in (0, 1):
+                    cases.append(_roots_case(d % 4, d))
+                    cases.append(_roots_case(d % 4 + 2 * rng.randint(-10**8, 10**8), d))
+    cases += [_roots_case(0, 2**63 - 4), _roots_case(1, 2**63 - 3)]
+    expected = []
+    for i, (p, c) in enumerate(cases):
+        d = p * p - 4 * c
+        assert -2**63 <= d < 2**63
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            s = math.isqrt(d)
+            expected.append((i, (p - s) // 2, (p + s) // 2))
+    ps = np.array([p for p, _ in cases], dtype=np.int64)
+    cs = np.array([c for _, c in cases], dtype=np.int64)
+    idx, lo, hi = integer_roots(ps, cs)
+    assert list(zip(idx.tolist(), lo.tolist(), hi.tolist())) == expected
+    assert 3000 < len(expected) < len(cases)
 
 
 def test_search_integral_budget():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move, class_data, search_integral
 from mksurf.quadforms import (
     TernaryForm,
+    _witness_search,
     form_isotropic,
     hasse_profile,
     legendre_isotropic,
@@ -14,6 +16,7 @@ from mksurf.quadforms import (
     mtype_conjugate,
     mtype_matrix,
 )
+from mksurf.rings import BudgetExceeded
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
                 [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
@@ -140,6 +143,49 @@ def test_form_isotropic_verdicts_match_witness_search():
         if verdict == "Anisotropic":
             assert w is None, (p, w)
         done += 1
+
+
+def brute_witness(form, bound):
+    """_witness_search's documented answer by plain enumeration: rows
+    u1 = 0, 1, -1, 2, -2, ...; in the first row holding a nontrivial zero,
+    the least (|u2|, |u3|), made primitive."""
+    for u1 in [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]:
+        row = [(abs(u2), abs(u3), (u1, u2, u3))
+               for u2 in range(-bound, bound + 1) for u3 in range(-bound, bound + 1)
+               if (u1, u2, u3) != (0, 0, 0) and form.evaluate(u1, u2, u3) == 0]
+        if row:
+            w = min(row)[2]
+            g = math.gcd(*w)
+            return tuple(v // g for v in w)
+    return None
+
+
+def test_witness_search_matches_brute_force():
+    points = [rep for k in (329, 460, 3780, 10**4 + 1) for rep in class_data(k)]
+    rng = random.Random(55)
+    points += [random_point(rng, span=12) for _ in range(60)]
+    found = 0
+    for p in points:
+        form = TernaryForm.from_point(p)
+        w = _witness_search(form, 9)
+        assert w == brute_witness(form, 9), p
+        found += w is not None
+    assert 20 < found < len(points)
+
+
+def test_witness_search_int64_edge():
+    # (X - 4, -1, X) has the zero (1, 1, -1); with B = 600 the scan's
+    # discriminants fit in int64 while 4 B^2 (X^2 + X + 2) < 2^63
+    top = math.isqrt(2**63 // (4 * 600 * 600))
+    while 4 * 600 * 600 * (top * top + top + 2) >= 2**63:
+        top -= 1
+    form = TernaryForm.from_point(MarkoffPoint.make(top - 4, -1, top))
+    assert _witness_search(form, 600) == (1, 1, -1)
+    with pytest.raises(BudgetExceeded):
+        _witness_search(TernaryForm.from_point(MarkoffPoint.make(top - 3, -1, top + 1)), 600)
+    # (1, 1, -1) is a zero here too, but the scan's int64 rows would wrap
+    with pytest.raises(BudgetExceeded):
+        form_isotropic(MarkoffPoint.make(10**10 + 1, -1, 10**10 + 5))
 
 
 def test_mtype_matrices():
