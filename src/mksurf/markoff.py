@@ -357,9 +357,22 @@ def search_localized(k, ell, max_exp, bound):
     others by a and by their least double-sign image (x1, x2, x3) with
     x1, x2 >= 0, each group as (x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3),
     (-x1, x2, -x3).
+
+    At exponent a, with L = l^(2a), row x1 is scanned only when
+    L |x1^2 - k| <= b^2 (x1 + 2).  Proof that no point is lost: take
+    0 <= x1, x2 <= b and |x3| <= b with (x1, x2/l^a, x3/l^a) on the
+    surface, and let P = x1 x2.  Clearing denominators, x3 is a root of
+    t^2 - P t + C with C = x2^2 + L (x1^2 - k).  The other root is P - x3,
+    so C = x3 (P - x3) and |C| <= b (P + b) <= b^2 (x1 + 1).  Hence
+    L |x1^2 - k| = |C - x2^2| <= |C| + x2^2 <= b^2 (x1 + 2).  The limit is
+    attained: (7, 7/3, -7/3) at k = 98, l = 3, b = 7 gives 441 = 441.
+    So for k > 0 the rows kept have x1^2 within b^2 (x1 + 2) / L of k,
+    and for k < 0 none is kept once L |k| > b^2 (b + 2).
     """
     if ell == 2 or not is_probable_prime(ell):
         raise ValueError("ell must be an odd prime")
+    if max_exp < 0:
+        raise ValueError("max_exp must be nonnegative")
     worst = ell ** (2 * max_exp)
     if bound**4 + worst * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
@@ -374,6 +387,8 @@ def search_localized(k, ell, max_exp, bound):
     for a in range(1, max_exp + 1):
         big = ell ** (2 * a)
         for x1 in range(0, b + 1):
+            if big * abs(x1 * x1 - k) > b * b * (x1 + 2):
+                continue
             idx, r1, r2 = integer_roots(x1 * keep2, keep2 * keep2 + (x1 * x1 - k) * big)
             for x2, x3a, x3b in zip(keep2[idx].tolist(), r1.tolist(), r2.tolist()):
                 for x3 in (x3a, x3b):

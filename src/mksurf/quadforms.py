@@ -45,9 +45,6 @@ class TernaryForm:
     def gram(self):
         return [[2, self.x1, self.x2], [self.x1, 2, self.x3], [self.x2, self.x3, 2]]
 
-    def gram_det(self):
-        return mat3_det(self.gram())
-
     def evaluate(self, u1, u2, u3):
         return (u1 * u1 + u2 * u2 + u3 * u3
                 + self.x1 * u1 * u2 + self.x2 * u1 * u3 + self.x3 * u2 * u3)
@@ -128,11 +125,13 @@ def _witness_search(form, bound):
     vector, so small witnesses come out small.  Each row solves for u3 with
     `integer_roots`.  Its discriminants are at most 4 B^2 (X^2 + X + 2) for
     X = max|x_i| and B = bound; when that bound reaches 2^63, the int64
-    scan could wrap, so this raises BudgetExceeded instead.
+    scan could wrap, so this raises BudgetExceeded instead.  The check
+    takes B >= 1, so it also covers the coordinates themselves, which enter
+    the int64 arithmetic even at bound 0.
     """
     x1, x2, x3 = form.x1, form.x2, form.x3
     big = max(abs(x1), abs(x2), abs(x3))
-    if 4 * bound * bound * (big * big + big + 2) >= 2**63:
+    if 4 * max(bound, 1) ** 2 * (big * big + big + 2) >= 2**63:
         raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
                              "for coordinates up to %d" % (bound, big))
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -161,8 +160,11 @@ def form_isotropic(point, witness_bound=600):
     Returns (verdict, data) with verdict in {"Isotropic", "Anisotropic",
     "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
     one exists within witness_bound (None and flagged otherwise); a point
-    too large for that scan's int64 range raises BudgetExceeded.
+    too large for that scan's int64 range raises BudgetExceeded.  A
+    negative witness_bound is invalid input (ValueError).
     """
+    if witness_bound < 0:
+        raise ValueError("witness_bound must be nonnegative")
     k = point.k
     if not isinstance(k, int) or k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")
@@ -207,12 +209,6 @@ def mat3_mul(a, b):
 
 def mat3_transpose(a):
     return [[a[j][i] for j in range(3)] for i in range(3)]
-
-
-def mat3_det(a):
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
 _COMPLEMENT = {1: 3, 2: 2, 3: 1}

@@ -203,17 +203,6 @@ def hilbert(a, b, p):
     return s
 
 
-def hilbert_product_places(a, b):
-    """The finite set of places where (a,b)_p can be -1: 2, INF and the odd
-    primes dividing either square class."""
-    places = {2, INF}
-    for v in (square_class_int(a), square_class_int(b)):
-        for q, _ in factorize(v):
-            if q > 2:
-                places.add(q)
-    return places
-
-
 def is_square_mod(r, m):
     """True iff x**2 = r (mod m) is solvable, for squarefree m >= 1."""
     if m < 0:
@@ -591,13 +580,6 @@ class SIntegerRing(Ring):
         if d != 1:
             raise ValueError("%s is not in %s" % (x, self.name))
         return f
-
-    def contains(self, x):
-        try:
-            self.elem(x)
-            return True
-        except ValueError:
-            return False
 
     def _unit_free(self, e):
         n = abs(Fraction(e).numerator)

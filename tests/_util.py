@@ -1,6 +1,7 @@
 """Helpers shared by the test files."""
 
 from mksurf.mat2 import Mat2
+from mksurf.rings import INF, factorize, square_class_int
 
 
 def random_sl2z(rng, length=8, entry=3):
@@ -15,3 +16,14 @@ def random_sl2z(rng, length=8, entry=3):
     if rng.random() < 0.5:
         m = -m
     return m
+
+
+def hilbert_product_places(a, b):
+    """The finite set of places where (a,b)_p can be -1: 2, INF and the odd
+    primes dividing either square class."""
+    places = {2, INF}
+    for v in (square_class_int(a), square_class_int(b)):
+        for q, _ in factorize(v):
+            if q > 2:
+                places.add(q)
+    return places

@@ -23,7 +23,7 @@ from mksurf.markoff import (
 from mksurf.lifting import lift2, pair_move, trace_triple
 from mksurf.quadforms import TernaryForm, form_isotropic, hasse_profile
 from mksurf.quotients import trace_commutator_image
-from mksurf.rings import hilbert, hilbert_product_places
+from mksurf.rings import hilbert
 from mksurf.words import (
     SUPPORTED,
     SRingElem,
@@ -35,7 +35,7 @@ from mksurf.words import (
 from mksurf.cli import repro
 from mksurf.mat2 import count_conic_modp
 
-from _util import random_sl2z
+from _util import hilbert_product_places, random_sl2z
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in

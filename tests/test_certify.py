@@ -115,6 +115,13 @@ def test_verify_hfe1_rejects_moduli_below_2():
             verify_hfe1(139, 19, local_moduli=moduli, sint_bound=50)
 
 
+def test_negative_max_exp_is_invalid_input():
+    with pytest.raises(ValueError):
+        certify_sint_failure(4 + 20 * 139**2, 19, max_exp=-1)
+    with pytest.raises(ValueError):
+        verify_hfe1(139, 19, sint_max_exp=-1)
+
+
 def test_check_certificate_rejects_malformed_input():
     good = json.loads(certify_hfz(102, bound=50).to_json())
     shapes = [[good], "E3FailureZ", {k: v for k, v in good.items() if k != "checks"},

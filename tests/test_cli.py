@@ -132,6 +132,19 @@ def test_markoff_search_rejects_composite_ell(capsys, ell):
     assert json.loads(out)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "sint", "--k", "386424", "--ell", "19", "--max-exp", "-1"],
+    ["markoff", "search", "--k", "386424", "--ell", "19", "--max-exp", "-2", "--bound", "10"],
+    ["quadform", "isotropy", "--k", "3780", "--witness-bound", "-1"],
+])
+def test_negative_search_limits_exit_2(capsys, argv):
+    # a negative exponent or witness bound searches nothing, so it cannot
+    # back a "no point" or "no zero within bound" answer
+    code, out = capture(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["kind"] == "invalid-input"
+
+
 GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 102, "bound": 50},
             "checks": [{"name": "family-membership", "result": True},
                        {"name": "integral-search-empty", "result": True}],

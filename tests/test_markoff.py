@@ -253,6 +253,81 @@ def test_search_integral_double_roots_at_x1_x2_equal_2b():
         assert got == search_integral_by_full_box(level(*point), b)
 
 
+def search_localized_by_full_rows(k, ell, max_exp, bound):
+    """The scan search_localized replaced: every row x1 in [0, b] at every
+    exponent; kept as the oracle for the row filter."""
+    pts = [MarkoffPoint(*(LocalizedInt(c, 0, ell) for c in p.coords()), k=LocalizedInt(k, 0, ell))
+           for p in search_integral(k, bound)]
+    b = int(bound)
+    x2s = np.arange(0, b + 1, dtype=np.int64)
+    keep2 = x2s[x2s % ell != 0]
+    found = set()
+    for a in range(1, max_exp + 1):
+        big = ell ** (2 * a)
+        for x1 in range(0, b + 1):
+            idx, r1, r2 = integer_roots(x1 * keep2, keep2 * keep2 + (x1 * x1 - k) * big)
+            for x2, x3a, x3b in zip(keep2[idx].tolist(), r1.tolist(), r2.tolist()):
+                for x3 in (x3a, x3b):
+                    if abs(x3) <= b and x3 % ell != 0:
+                        found.add((a, x1, x2, x3))
+    seen = set()
+    for (a, x1, x2, x3) in sorted(found):
+        for v in ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3)):
+            if (a,) + v not in seen:
+                seen.add((a,) + v)
+                pts.append(MarkoffPoint(LocalizedInt(v[0], 0, ell), LocalizedInt(v[1], a, ell),
+                                        LocalizedInt(v[2], a, ell), k=LocalizedInt(k, 0, ell)))
+    return pts
+
+
+def _localized_grid():
+    """Seeded (k, ell, max_exp, b): levels of random denominator-shape
+    points, so most cases have points, plus random levels with
+    ell^(2a) |k| far above b^2, where the row filter drops most rows."""
+    rng = random.Random(66)
+    cases = []
+    while len(cases) < 120:
+        ell, a, b = rng.choice((3, 5, 7, 11)), rng.randint(1, 3), rng.choice((7, 12, 25, 40))
+        x1, x2 = rng.randint(0, b), rng.randint(1, b)
+        big = ell ** (2 * a)
+        x3s = [x3 for x3 in range(-b, b + 1) if x3 % ell and x2 % ell
+               and (x2 * x2 + x3 * x3 - x1 * x2 * x3) % big == 0]
+        if x3s:
+            x3 = rng.choice(x3s)
+            cases.append((x1 * x1 + (x2 * x2 + x3 * x3 - x1 * x2 * x3) // big,
+                          ell, rng.randint(a, 3), b))
+    for _ in range(60):
+        cases.append((rng.randint(-20000, 20000), rng.choice((3, 5, 7, 11)),
+                      rng.randint(0, 3), rng.choice((7, 12, 25, 40))))
+    return cases
+
+
+def test_search_localized_matches_full_rows_grid():
+    # compared as lists: the order is what `markoff search --limit` and a
+    # certificate's found field expose
+    cases = _localized_grid()
+    with_points = dropped = 0
+    for k, ell, max_exp, b in cases:
+        got = search_localized(k, ell, max_exp, b)
+        assert got == search_localized_by_full_rows(k, ell, max_exp, b), (k, ell, max_exp, b)
+        with_points += any(p.x2.exp for p in got)
+        dropped += sum(ell ** (2 * a) * abs(x1 * x1 - k) > b * b * (x1 + 2)
+                       for a in range(1, max_exp + 1) for x1 in range(b + 1))
+    assert with_points > 60
+    assert dropped > sum(max_exp * (b + 1) for _, _, max_exp, b in cases) // 2
+
+
+def test_search_localized_row_filter_edge():
+    # (7, 7/3, -7/3) at k = 98, l = 3, b = 7: L |x1^2 - k| = 9 * 49 = 441
+    # = b^2 (x1 + 2), so row 7 sits exactly on the filter's limit
+    point = MarkoffPoint(LocalizedInt(7, 0, 3), LocalizedInt(7, 1, 3), LocalizedInt(-7, 1, 3),
+                         k=LocalizedInt(98, 0, 3))
+    assert 9 * abs(7 * 7 - 98) == 7 * 7 * (7 + 2)
+    got = search_localized(98, 3, 1, 7)
+    assert point in got
+    assert got == search_localized_by_full_rows(98, 3, 1, 7)
+
+
 def _roots_case(p, d):
     """(p, c) with p^2 - 4c = d; needs d = p^2 (mod 4)."""
     return p, (p * p - d) // 4

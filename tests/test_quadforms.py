@@ -10,7 +10,6 @@ from mksurf.quadforms import (
     form_isotropic,
     hasse_profile,
     legendre_isotropic,
-    mat3_det,
     mat3_mul,
     mat3_transpose,
     mtype_conjugate,
@@ -24,6 +23,12 @@ ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
                 MarkoffMove.sign_change(2, 3)])
 
 
+def mat3_det(a):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
 def random_point(rng, span=25):
     return MarkoffPoint.make(rng.randint(-span, span), rng.randint(-span, span),
                              rng.randint(-span, span))
@@ -34,7 +39,7 @@ def test_gram_determinant():
     for _ in range(10**4):
         p = random_point(rng)
         f = TernaryForm.from_point(p)
-        assert f.gram_det() == -2 * (p.k - 4)
+        assert mat3_det(f.gram()) == -2 * (p.k - 4)
 
 
 def test_hasse_profile_329():
@@ -186,6 +191,19 @@ def test_witness_search_int64_edge():
     # (1, 1, -1) is a zero here too, but the scan's int64 rows would wrap
     with pytest.raises(BudgetExceeded):
         form_isotropic(MarkoffPoint.make(10**10 + 1, -1, 10**10 + 5))
+
+
+def test_witness_search_bound_0():
+    # bound 0 holds only the trivial vector; coordinates >= 2^63 would
+    # still reach numpy's int64 conversion, so the range check covers them
+    assert _witness_search(TernaryForm.from_point(MarkoffPoint.make(10, -1, 14)), 0) is None
+    with pytest.raises(BudgetExceeded):
+        _witness_search(TernaryForm.from_point(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5)), 0)
+
+
+def test_form_isotropic_rejects_negative_witness_bound():
+    with pytest.raises(ValueError):
+        form_isotropic(MarkoffPoint.make(10, -1, 14), witness_bound=-1)
 
 
 def test_mtype_matrices():
