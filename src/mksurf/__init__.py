@@ -36,6 +36,7 @@ from .markoff import (
     class_data,
     e2_good_test,
     level,
+    orbit_within,
     reduce_point,
     same_orbit,
     search_integral,

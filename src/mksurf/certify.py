@@ -229,6 +229,16 @@ def build_hfe1_matrix(nu, ell):
     return a
 
 
+def _trace_admissible_check(t):
+    return Check(
+        name="trace-admissible",
+        statement="t avoids the obstructed classes mod 16 and mod 9",
+        method="closed-form",
+        result=admissible_t(t),
+        data={"t": t, "t_mod_16": t % 16, "t_mod_9": t % 9},
+    )
+
+
 def _local_commutator_check(a, q, cap):
     """One modulus of the local verification: (replayed ok, witness data).
     A matrix of determinant other than 1 mod q (an audited claim) is not a
@@ -291,13 +301,7 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
             result=sub.conclusion,
             data=sub.to_dict(),
         ))
-        checks.append(Check(
-            name="trace-admissible",
-            statement="t avoids the obstructed classes mod 16 and mod 9",
-            method="closed-form",
-            result=admissible_t(t),
-            data={"t": t, "t_mod_16": t % 16, "t_mod_9": t % 9},
-        ))
+        checks.append(_trace_admissible_check(t))
         return Certificate("HFE1",
                            {"nu": nu, "ell": ell, "local_moduli": list(local_moduli),
                             "sint_bound": sint_bound, "sint_max_exp": sint_max_exp},
@@ -312,14 +316,7 @@ def certify_e2_failure(nu, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_M
 
     def build():
         t = 2 + 20 * nu * nu
-        checks = []
-        checks.append(Check(
-            name="trace-admissible",
-            statement="t avoids the obstructed classes mod 16 and mod 9",
-            method="closed-form",
-            result=admissible_t(t),
-            data={"t": t, "t_mod_16": t % 16, "t_mod_9": t % 9},
-        ))
+        checks = [_trace_admissible_check(t)]
         sub = certify_sint_failure(t + 2, ell, bound=bound, max_exp=max_exp)
         checks.append(Check(
             name="surface-failure",

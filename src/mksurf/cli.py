@@ -15,8 +15,8 @@ from .markoff import (
     apply_path,
     class_data,
     default_class_bound,
+    orbit_within,
     reduce_point,
-    same_orbit,
     search_integral,
     search_localized,
 )
@@ -119,13 +119,9 @@ def _cmd_markoff_class(args):
     classes = class_data(args.k, bound)
     out = []
     for rep in classes:
-        sample = set()
-        for pt in search_integral(args.k, max(10, rep.maxabs() * 3)):
-            if same_orbit(pt, rep):
-                sample.add(tuple(pt.coords()))
-            if len(sample) >= 12:
-                break
-        out.append({"rep": list(rep.coords()), "orbit_sample": sorted(sample)[:5],
+        orbit = orbit_within(rep.coords(), max(10, rep.maxabs() * 3))
+        sample = sorted(c for c in orbit if abs(c[0]) <= abs(c[1]) <= abs(c[2]))
+        out.append({"rep": list(rep.coords()), "orbit_sample": sample[:5],
                     "bound": bound})
     return {"k": args.k, "classes": out, "hhat": len(classes)}
 

@@ -105,7 +105,8 @@ def _apply_coords(move, c):
             return (x1, x1 * x3 - x2, x3)
         return (x1, x2, x1 * x2 - x3)
     if move.tag == "perm":
-        return tuple(c[p - 1] for p in move.data)
+        p1, p2, p3 = move.data
+        return (c[p1 - 1], c[p2 - 1], c[p3 - 1])
     i, j = move.data
     out = list(c)
     out[i - 1] = -out[i - 1]
@@ -138,13 +139,40 @@ def _family_canonical(c):
 
 
 def _maxabs(c):
-    return max(abs(v) for v in c)
+    return max(map(abs, c))
 
 
-_ALL_PERMS = [MarkoffMove.perm(p) for p in
-              [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-_ALL_SIGNS = [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-              MarkoffMove.sign_change(2, 3)]
+_MOVES = ([VIETA1, VIETA2, VIETA3]
+          + [MarkoffMove.perm(p) for p in
+             [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
+          + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
+             MarkoffMove.sign_change(2, 3)])
+
+
+def orbit_within(c, bound):
+    """Every point reachable from the integer triple c by the Markoff moves
+    without max|x| going above bound, as an insertion-ordered dict
+    {coords: list of moves from c}.  Depth-first: the stack pops from its
+    end, and each point tries the three Vieta moves, the five non-trivial
+    permutations and the three double sign changes, in that order.
+
+    Completeness: take q with max|q| <= bound, and let r be its normal
+    form under reduce_point.  The path from q to r never raises max|x|:
+    descent steps lower it, and the floor closure and any restart stay at
+    or below the floor.  Reversed, that path reaches q from r inside the
+    bound, so orbit_within(r, bound) holds every point of max|x| <= bound
+    that descends to r.
+    """
+    seen = {c: []}
+    stack = [c]
+    while stack:
+        cur = stack.pop()
+        for mv in _MOVES:
+            cand = _apply_coords(mv, cur)
+            if cand not in seen and _maxabs(cand) <= bound:
+                seen[cand] = seen[cur] + [mv]
+                stack.append(cand)
+    return seen
 
 
 def reduce_point(point, max_steps=10**6):
@@ -152,11 +180,12 @@ def reduce_point(point, max_steps=10**6):
     replaying path from the normal form reproduces the input point.
 
     Descent repeatedly applies the Vieta move that strictly decreases the
-    max-norm (lowest index on ties).  At the floor, the component of the
-    orbit reachable without increasing the max-norm is closed over and the
-    normal form is the lexicographically largest family-canonical tuple in
-    it, which keeps e.g. (1,1,1) fixed rather than drifting to a zero
-    coordinate.
+    max-norm (lowest index on ties).  At the floor, orbit_within closes over
+    the orbit reachable without increasing the max-norm.  If that closure
+    holds a point below the floor, descent restarts from the first one
+    found; otherwise the normal form is the lexicographically largest
+    family-canonical tuple in it, which keeps e.g. (1,1,1) fixed rather than
+    drifting to a zero coordinate.
     """
     if not point.is_integral():
         raise ValueError("descent needs integer coordinates")
@@ -181,41 +210,20 @@ def reduce_point(point, max_steps=10**6):
         if steps > max_steps:
             raise DescentStalled("descent exceeded %d steps" % max_steps)
 
-    # Norm-preserving closure at the floor (Vieta moves only; the perm/sign
-    # group is folded in through the family-canonical form).
     floor = _maxabs(cur)
-    seen = {cur: list(path)}
-    queue = [cur]
-    while queue:
-        c = queue.pop()
-        for mv in (VIETA1, VIETA2, VIETA3):
-            cand = _apply_coords(mv, c)
-            if cand in seen:
-                continue
-            m1 = _maxabs(cand)
-            if m1 > floor:
-                continue
-            seen[cand] = seen[c] + [mv]
-            queue.append(cand)
-            if m1 < floor:
-                # a strict improvement surfaced late; restart from there
-                p = MarkoffPoint(cand[0], cand[1], cand[2], point.k)
-                nf, tail = reduce_point(p, max_steps=max_steps - steps)
-                repl = [m.inverse() for m in reversed(seen[cand])]
-                return nf, tail + repl
-        for mv in _ALL_PERMS[1:] + _ALL_SIGNS:
-            cand = _apply_coords(mv, c)
-            if cand not in seen:
-                seen[cand] = seen[c] + [mv]
-                queue.append(cand)
+    closure = orbit_within(cur, floor)
+    for c, tail in closure.items():
+        if _maxabs(c) < floor:
+            # a strict improvement surfaced late; restart from there
+            nf, rest = reduce_point(MarkoffPoint(c[0], c[1], c[2], point.k),
+                                    max_steps=max_steps - steps)
+            return nf, rest + [m.inverse() for m in reversed(path + tail)]
 
-    # seen is closed under the perm/sign group, so the canonical tuple of the
-    # winning family is itself a key
-    target = max(_family_canonical(c) for c in seen)
-    best_path = seen[target]
+    # the closure is closed under the perm/sign group, so the canonical tuple
+    # of the winning family is itself a key
+    target = max(_family_canonical(c) for c in closure)
     normal = MarkoffPoint(target[0], target[1], target[2], point.k)
-    replay = [m.inverse() for m in reversed(best_path)]
-    return normal, replay
+    return normal, [m.inverse() for m in reversed(path + closure[target])]
 
 
 def default_class_bound(k):

@@ -27,6 +27,9 @@ from .rings import BudgetExceeded, ModInt
 
 
 DEFAULT_MODULUS_CAP = 64
+# Ceiling whatever cap says: the table at q = 128 holds 1.6e6 elements (a
+# few seconds, about 190 MB) and the tables grow like q^3.
+MAX_MODULUS = 128
 
 # S, T and their inverses, row-major
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
@@ -37,6 +40,8 @@ def _check_modulus(q, cap):
         raise ValueError("modulus must be at least 2, got %d" % q)
     if q > cap:
         raise BudgetExceeded("modulus %d exceeds the configured cap %d" % (q, cap))
+    if q > MAX_MODULUS:
+        raise BudgetExceeded("modulus %d exceeds the ceiling %d" % (q, MAX_MODULUS))
 
 
 def sl2_tuples(q):

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from mksurf.cli import run, repro
+from mksurf.markoff import MarkoffPoint, same_orbit, search_integral
 
 
 def capture(capsys, argv):
@@ -18,6 +20,39 @@ def test_markoff_class(capsys):
     assert d["hhat"] == 2
     reps = {tuple(c["rep"]) for c in d["classes"]}
     assert reps == {(-3, 8, 8), (-4, 4, 11)}
+
+
+def orbit_sample_by_search(k, rep):
+    """The sample `markoff class` took before it walked the orbit: scan the
+    box in sorted order, keep the first 12 orbit-mates of rep, report the
+    first 5; kept as the oracle for the walk."""
+    sample = set()
+    for pt in search_integral(k, max(10, rep.maxabs() * 3)):
+        if same_orbit(pt, rep):
+            sample.add(tuple(pt.coords()))
+        if len(sample) >= 12:
+            break
+    return [list(c) for c in sorted(sample)[:5]]
+
+
+def test_markoff_class_samples_match_box_search(capsys):
+    ks = random.Random(62).sample([k for k in range(-300, 601) if k not in (0, 4)], 60)
+    for k in sorted(ks) + [-99995]:
+        code, out = capture(capsys, ["markoff", "class", "--k", str(k)])
+        assert code == 0
+        for c in json.loads(out)["classes"]:
+            want = orbit_sample_by_search(k, MarkoffPoint.make(*c["rep"]))
+            assert c["orbit_sample"] == want, (k, c["rep"])
+
+
+def test_markoff_class_past_the_box_search_range(capsys):
+    # the representative (4, 7000, 14000) puts the sample bound at 42000,
+    # past the 40000 a box search allows; the walk needs no box
+    code, out = capture(capsys, ["markoff", "class", "--k", str(16 - 3 * 14000**2 // 4)])
+    assert code == 0
+    d = json.loads(out)
+    assert [c["rep"] for c in d["classes"]] == [[4, 7000, 14000]]
+    assert [-4, -7000, 14000] in d["classes"][0]["orbit_sample"]
 
 
 def test_markoff_reduce(capsys):
@@ -178,6 +213,8 @@ def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["quotient", "image", "--q", "256", "--cap", "256"],
+    ["quotient", "test", "--q", "256", "--cap", "256", "--z", "1,1,0,1"],
     ["markoff", "search", "--k", "102", "--bound", "50000"],
     ["certify", "hfz", "--k", "102", "--bound", "50000"],
     ["markoff", "search", "--k", "224", "--bound", "1000", "--ell", "19", "--max-exp", "6"],

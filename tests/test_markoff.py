@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from mksurf.markoff import (
     e2_good_test,
     integer_roots,
     level,
+    orbit_within,
     reduce_point,
     same_orbit,
     search_integral,
@@ -70,6 +72,11 @@ def test_reduce_examples():
     assert nf.coords() == (1, 1, 1) and path == []
     nf, _ = reduce_point(MarkoffPoint.make(-3, 8, 8))
     assert nf.coords() == (-3, 8, 8)
+    # the path is read off the floor walk, so it pins the walk's move order
+    nf, path = reduce_point(MarkoffPoint.make(-45, -20, 4))
+    assert nf.coords() == (4, 20, 35)
+    assert path == [MarkoffMove.sign_change(1, 3), MarkoffMove.perm((3, 2, 1)),
+                    MarkoffMove.sign_change(2, 3), MarkoffMove.vieta(1)]
 
 
 def test_reduce_idempotent_and_replay():
@@ -115,6 +122,48 @@ def test_class_data_bound_independent():
     a = [c.coords() for c in class_data(329)]
     b = [c.coords() for c in class_data(329, bound=200)]
     assert a == b
+
+
+ORBIT_KS = sorted(random.Random(61).sample([k for k in range(-300, 601) if k not in (0, 4)], 60))
+
+
+def sample_bound(rep):
+    """The bound `markoff class` walks each orbit within."""
+    return max(10, 3 * rep.maxabs())
+
+
+def test_orbit_within_is_the_orbit_in_the_cube():
+    """Cube differential: the walk from a representative within B finds
+    exactly the points of max|c| <= B that descend to it."""
+    for k in ORBIT_KS + [329, 3780]:
+        for rep in class_data(k):
+            b = sample_bound(rep)
+            cube = {tuple(p.coords()[i] for i in perm) for p in search_integral(k, b)
+                    for perm in itertools.permutations(range(3))}
+            want = {c for c in cube if reduce_point(MarkoffPoint(*c, k))[0] == rep}
+            assert set(orbit_within(rep.coords(), b)) == want, (k, rep)
+
+
+def test_orbit_within_paths_replay_and_walk_is_closed():
+    for k in ORBIT_KS[::3]:
+        for rep in class_data(k):
+            b = sample_bound(rep)
+            orbit = orbit_within(rep.coords(), b)
+            assert next(iter(orbit.items())) == (rep.coords(), [])
+            for c, path in orbit.items():
+                assert apply_path(path, rep).coords() == c
+                for m in ALL_MOVES:
+                    d = apply_move(m, MarkoffPoint(*c, k)).coords()
+                    assert d in orbit or max(map(abs, d)) > b
+
+
+def test_orbit_within_small_example():
+    # the whole orbit of (1, 1, 1) at level 2: its four double-sign images
+    # and the twelve signed permutations of (0, 1, 1)
+    orbit = orbit_within((1, 1, 1), 1)
+    assert len(orbit) == 16 and set(orbit) == set(orbit_within((1, 1, 1), 100))
+    # at bound 0 the walk cannot leave its start
+    assert orbit_within((1, 1, 1), 0) == {(1, 1, 1): []}
 
 
 def test_admissible_k():

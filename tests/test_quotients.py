@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mksurf import quotients
 from mksurf.expected_tables import HFU2_IMAGES
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.quotients import (
@@ -41,6 +42,20 @@ def test_commutator_test_budget():
         commutator_test_modq(Mat2(1, 0, 0, 1), 101, cap=64)
     with pytest.raises(BudgetExceeded):
         trace_commutator_image(101, cap=64)
+
+
+def test_modulus_ceiling_holds_whatever_the_cap(monkeypatch):
+    def no_table(q):
+        raise AssertionError("group table built for q = %d" % q)
+    monkeypatch.setattr(quotients, "group_table", no_table)
+    assert quotients.MAX_MODULUS == 128
+    with pytest.raises(BudgetExceeded):
+        commutator_test_modq(Mat2(1, 1, 0, 1), 256, cap=256)
+    with pytest.raises(BudgetExceeded):
+        trace_commutator_image(256, cap=256)
+    with pytest.raises(BudgetExceeded):
+        quotients._check_modulus(129, 129)
+    quotients._check_modulus(128, 128)  # the ceiling itself is allowed
 
 
 def test_unipotent_obstructions():

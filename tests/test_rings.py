@@ -183,6 +183,14 @@ def test_factorize():
         assert prod == n
 
 
+def test_is_probable_prime_past_the_deterministic_limit():
+    # the limit itself is 1287836182261 * 2575672364521, a strong
+    # pseudoprime to all twelve first bases; base 43 catches it
+    assert 3317044064679887385961981 == 1287836182261 * 2575672364521
+    assert not is_probable_prime(3317044064679887385961981)
+    assert is_probable_prime(2**89 - 1)
+
+
 def test_is_square_mod():
     assert is_square_mod(2, 7)
     assert not is_square_mod(5, 13)
