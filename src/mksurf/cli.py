@@ -20,7 +20,7 @@ from .markoff import (
     search_integral,
     search_localized,
 )
-from .mat2 import Mat2
+from .mat2 import Mat2, commutator
 from .lifting import find_trace_set_matrix, lift_point, universal_pair
 from .quadforms import form_isotropic, hasse_profile
 from .quotients import commutator_test_modq, trace_commutator_image
@@ -191,7 +191,7 @@ def _cmd_lift_point(args):
 def _cmd_lift_universal(args):
     ring = parse_ring(args.ring)
     x, y = universal_pair(args.t, Fraction(args.eps), ring)
-    w = x * y * x.inverse() * y.inverse()
+    w = commutator(x, y)
     return {"t": args.t, "ring": str(ring), "eps": args.eps,
             "x": x, "y": y, "commutator": w, "trace": w.trace()}
 

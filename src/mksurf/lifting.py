@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import MarkoffPoint, level
-from .rings import BudgetExceeded, ModInt, exact_div, is_unit, one_like, unit_inverse, zero_like
+from .rings import BudgetExceeded, ModInt
 
 
 class LiftError(ValueError):
@@ -74,29 +74,25 @@ def lift2(z, y, x1, x3):
     """The unique X with Tr X = x1, Tr XY = x3 and W(X, Y) = Z, given
     Y with Tr ZY = Tr Y and Delta = Tr Z + 2 - (Tr Y)^2 invertible.
 
-    Over Z and Z[1/l] a non-unit Delta is allowed when it divides every
-    entry of the numerator matrix; failures are reported entry by entry.
-    Over Z/q a non-unit Delta shrinks the modulus to q / gcd(Delta, q) and
-    the returned matrix lives there.
+    Entries lie in Z, Q or Z/q.  Over Z a non-unit Delta is allowed when
+    it divides every entry of the numerator matrix; failures are reported
+    entry by entry.  Over Z/q a non-unit Delta shrinks the modulus to
+    q / gcd(Delta, q) and the returned matrix lives there.
     """
-    one = one_like(z.a)
-    two = one + one
-    if z.det() != one or y.det() != one:
+    if z.det() != 1 or y.det() != 1:
         raise LiftError("lift2 needs determinant-1 inputs")
     x2 = y.trace()
     if (z * y).trace() != x2:
         raise LiftError("Y is not in the trace set of Z (Tr ZY != Tr Y)")
     t = z.trace()
-    if level(x1, x2, x3) != t + two:
+    if level(x1, x2, x3) != t + 2:
         raise LiftError("(x1, x2, x3) is not on the level t+2 surface")
-    delta = t + two - x2 * x2
+    delta = t + 2 - x2 * x2
     yinv = y.inverse()
     ident = z.identity_like()
     num = (z - yinv * yinv) * (ident.scale(x1) - y.scale(x3))
 
-    if is_unit(delta):
-        x = num.scale(unit_inverse(delta))
-    elif isinstance(delta, ModInt):
+    if isinstance(delta, ModInt):
         g = math.gcd(delta.v, delta.q)
         q2 = delta.q // g
         if q2 < 2:
@@ -112,22 +108,24 @@ def lift2(z, y, x1, x3):
         x1 = ModInt(x1.v if isinstance(x1, ModInt) else x1, q2)
         x3 = ModInt(x3.v if isinstance(x3, ModInt) else x3, q2)
     else:
-        if delta == zero_like(delta):
+        if delta == 0:
             raise LiftError("Delta = 0: no unique lift exists")
         entries = []
         bad = []
         for v in num.entries():
-            try:
-                entries.append(exact_div(v, delta))
-            except ValueError:
+            quo = Fraction(v) / delta
+            if not isinstance(v, int):
+                entries.append(quo)
+            elif quo.denominator == 1:
+                entries.append(quo.numerator)
+            else:
                 bad.append(v)
         if bad:
             raise LiftError("entries %r not divisible by Delta = %r" % (bad, delta),
                             failed_entries=bad)
         x = Mat2(*entries)
 
-    one2 = one_like(x.a)
-    if x.det() != one2 or x.trace() != x1 or (x * y).trace() != x3 \
+    if x.det() != 1 or x.trace() != x1 or (x * y).trace() != x3 \
             or commutator(x, y) != z:
         raise LiftError("lift2 contract failed after division by Delta")
     return x
@@ -140,12 +138,10 @@ def lift_point(z, point, y):
     Returns a LiftResult whose pair projects onto the point's coordinates
     exactly; the middle coordinate must equal Tr Y.
     """
-    one = one_like(z.a)
-    two = one + one
     t = z.trace()
-    if t == two or t == -two:
+    if t == 2 or t == -2:
         raise LiftError("need Tr Z != +-2")
-    if point.k != t + two:
+    if point.k != t + 2:
         raise LiftError("point level %r != Tr Z + 2" % (point.k,))
     x2 = y.trace()
     if (z * y).trace() != x2:
@@ -154,8 +150,12 @@ def lift_point(z, point, y):
     js = [j for j in (1, 2, 3) if coords[j - 1] == x2]
     if not js:
         raise LiftError("no coordinate of %r matches Tr Y = %r" % (coords, x2))
-    delta = t + two - x2 * x2
-    if not is_unit(delta) and not (isinstance(delta, Fraction) and delta != 0):
+    delta = t + 2 - x2 * x2
+    if isinstance(delta, ModInt):
+        unit = math.gcd(delta.v, delta.q) == 1
+    else:
+        unit = delta != 0 if isinstance(delta, Fraction) else delta in (1, -1)
+    if not unit:
         # Delta depends only on Tr Y and t, so no Vieta fix-up can repair it
         # once Y is fixed.
         raise LiftError("Delta = %r degenerate for this Y" % (delta,))
@@ -196,19 +196,19 @@ def find_trace_set_matrix(z, target_trace, bound=12):
     if bound > MAX_TRACE_SET_BOUND:
         raise BudgetExceeded("entry bound %d exceeds the search budget %d"
                              % (bound, MAX_TRACE_SET_BOUND))
-    one = one_like(z.a)
+    one = z.a - z.a + 1
     for a in _box(bound, one):
         d = target_trace - a
         for b in _box(bound, one):
             for c in _box(bound, one):
                 y = Mat2(a, b, c, d)
-                if y.det() == one and (z * y).trace() == target_trace:
+                if y.det() == 1 and (z * y).trace() == target_trace:
                     return y
     return None
 
 
 def _box(bound, one):
-    yield zero_like(one)
+    yield one - one
     val = one
     for _ in range(bound):
         yield val

@@ -11,10 +11,6 @@ from .rings import (BudgetExceeded, LocalizedInt, factorize, is_probable_prime, 
                     squarefree_part)
 
 
-class DescentStalled(RuntimeError):
-    pass
-
-
 def level(x1, x2, x3):
     return x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3
 
@@ -158,10 +154,10 @@ def orbit_within(c, bound):
 
     Completeness: take q with max|q| <= bound, and let r be its normal
     form under reduce_point.  The path from q to r never raises max|x|:
-    descent steps lower it, and the floor closure and any restart stay at
-    or below the floor.  Reversed, that path reaches q from r inside the
-    bound, so orbit_within(r, bound) holds every point of max|x| <= bound
-    that descends to r.
+    descent steps lower it, and the floor closure stays at the floor.
+    Reversed, that path reaches q from r inside the bound, so
+    orbit_within(r, bound) holds every point of max|x| <= bound that
+    descends to r.
     """
     seen = {c: []}
     stack = [c]
@@ -180,12 +176,26 @@ def reduce_point(point, max_steps=10**6):
     replaying path from the normal form reproduces the input point.
 
     Descent repeatedly applies the Vieta move that strictly decreases the
-    max-norm (lowest index on ties).  At the floor, orbit_within closes over
-    the orbit reachable without increasing the max-norm.  If that closure
-    holds a point below the floor, descent restarts from the first one
-    found; otherwise the normal form is the lexicographically largest
-    family-canonical tuple in it, which keeps e.g. (1,1,1) fixed rather than
-    drifting to a zero coordinate.
+    max-norm (lowest index on ties); more than max_steps of them raise
+    BudgetExceeded.  At the floor m, orbit_within closes over the orbit
+    reachable without increasing the max-norm, and the normal form is the
+    lexicographically largest family-canonical tuple in it, which keeps
+    e.g. (1,1,1) fixed rather than drifting to a zero coordinate.
+
+    Every point of that closure has max-norm m.  Call d a floor point if
+    max|d| = m and no Vieta move takes it below m; descent stops at one.
+    Floor points are closed under the moves that stay within m.
+    Permutations and double sign changes keep max|d| and conjugate the
+    Vieta moves among themselves.
+    For a Vieta move, by symmetry take d = (x, y, z) -> d' = (x', y, z) with
+    x' = yz - x and max|d'| <= m, so max|d'| = m.  Moving d' back in
+    coordinate 1 gives d.  Suppose moving d' in coordinate 2 drops below m:
+    |x'|, |z|, |x'z - y| < m.  Then |y| = m, and |z| >= 2 would give
+    |x| = |yz - x'| > 2m - m = m, so |z| <= 1.  z = 0 gives |x'z - y| = m,
+    so z = e = +-1, x = ey - x' and |x| = |x'z - y| < m.  But then moving d
+    in coordinate 2 gives (x, xz - y, z) = (x, -ex', z), below m, which d
+    being a floor point rules out.  Coordinate 3 is the same with y and z
+    swapped.
     """
     if not point.is_integral():
         raise ValueError("descent needs integer coordinates")
@@ -208,17 +218,9 @@ def reduce_point(point, max_steps=10**6):
         cur = best[2]
         steps += 1
         if steps > max_steps:
-            raise DescentStalled("descent exceeded %d steps" % max_steps)
+            raise BudgetExceeded("descent exceeded %d steps" % max_steps)
 
-    floor = _maxabs(cur)
-    closure = orbit_within(cur, floor)
-    for c, tail in closure.items():
-        if _maxabs(c) < floor:
-            # a strict improvement surfaced late; restart from there
-            nf, rest = reduce_point(MarkoffPoint(c[0], c[1], c[2], point.k),
-                                    max_steps=max_steps - steps)
-            return nf, rest + [m.inverse() for m in reversed(path + tail)]
-
+    closure = orbit_within(cur, _maxabs(cur))
     # the closure is closed under the perm/sign group, so the canonical tuple
     # of the winning family is itself a key
     target = max(_family_canonical(c) for c in closure)

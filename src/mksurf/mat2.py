@@ -3,15 +3,7 @@ trace sets, conjugacy in SL2 over prime fields, and conic point counts."""
 
 from dataclasses import dataclass
 
-from .rings import (
-    ModInt,
-    is_unit,
-    legendre,
-    is_probable_prime,
-    one_like,
-    unit_inverse,
-    zero_like,
-)
+from .rings import ModInt, is_probable_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -27,8 +19,8 @@ class Mat2:
         return [[self.a, self.b], [self.c, self.d]]
 
     def identity_like(self):
-        one = one_like(self.a)
-        zero = zero_like(self.a)
+        zero = self.a - self.a  # keeps a ModInt's q and a LocalizedInt's ell
+        one = zero + 1
         return Mat2(one, zero, zero, one)
 
     def __mul__(self, other):
@@ -66,10 +58,11 @@ class Mat2:
         return Mat2(self.a, self.c, self.b, self.d)
 
     def inverse(self):
+        """The SL2 inverse: the adjugate of a determinant-1 matrix."""
         det = self.det()
-        if not is_unit(det):
-            raise ValueError("matrix with non-unit determinant %r" % (det,))
-        return self.adjugate().scale(unit_inverse(det))
+        if det != 1:
+            raise ValueError("inverse needs determinant 1, got %r" % (det,))
+        return self.adjugate()
 
     def __pow__(self, n):
         if n < 0:
@@ -110,8 +103,7 @@ def commutator(x, y):
 
 def fricke_level(x, y):
     """M(Tr X, Tr Y, Tr XY); equals Tr W(X,Y) + 2 when det X = det Y = 1."""
-    one = one_like(x.a)
-    if x.det() != one or y.det() != one:
+    if x.det() != 1 or y.det() != 1:
         raise ValueError("fricke_level needs determinant-1 matrices")
     x1 = x.trace()
     x2 = y.trace()
@@ -121,8 +113,7 @@ def fricke_level(x, y):
 
 def in_trace_set(z, x):
     """X in S(Z): det X = 1 and Tr(ZX) = Tr(X)."""
-    one = one_like(x.a)
-    return x.det() == one and (z * x).trace() == x.trace()
+    return x.det() == 1 and (z * x).trace() == x.trace()
 
 
 def count_conic_modp(delta, n, p):

@@ -369,96 +369,6 @@ class ModInt:
         return "%d(mod %d)" % (self.v, self.q)
 
 
-# --- generic element helpers -------------------------------------------------
-
-def one_like(x):
-    if isinstance(x, int):
-        return 1
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, LocalizedInt):
-        return LocalizedInt(1, 0, x.ell)
-    if isinstance(x, ModInt):
-        return ModInt(1, x.q)
-    raise TypeError("unsupported ring element %r" % (x,))
-
-
-def zero_like(x):
-    if isinstance(x, int):
-        return 0
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    if isinstance(x, LocalizedInt):
-        return LocalizedInt(0, 0, x.ell)
-    if isinstance(x, ModInt):
-        return ModInt(0, x.q)
-    raise TypeError("unsupported ring element %r" % (x,))
-
-
-def is_unit(x):
-    if isinstance(x, int):
-        return x in (1, -1)
-    if isinstance(x, Fraction):
-        return x != 0
-    if isinstance(x, LocalizedInt):
-        if x.num == 0:
-            return False
-        n = abs(x.num)
-        while n % x.ell == 0:
-            n //= x.ell
-        return n == 1
-    if isinstance(x, ModInt):
-        return math.gcd(x.v, x.q) == 1
-    raise TypeError("unsupported ring element %r" % (x,))
-
-
-def unit_inverse(x):
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x
-    elif isinstance(x, Fraction):
-        if x != 0:
-            return 1 / x
-    elif isinstance(x, LocalizedInt):
-        if is_unit(x):
-            sign = 1 if x.num > 0 else -1
-            j = 0
-            n = abs(x.num)
-            while n % x.ell == 0:
-                n //= x.ell
-                j += 1
-            return LocalizedInt(sign * x.ell**x.exp, j, x.ell)
-    elif isinstance(x, ModInt):
-        if is_unit(x):
-            return x.inverse()
-    else:
-        raise TypeError("unsupported ring element %r" % (x,))
-    raise ValueError("%r is not a unit" % (x,))
-
-
-def exact_div(x, d):
-    """x / d when the quotient stays in the ring of x; ValueError otherwise."""
-    if isinstance(x, int) and isinstance(d, int):
-        if d == 0:
-            raise ValueError("division by zero")
-        q, r = divmod(x, d)
-        if r:
-            raise ValueError("%d not divisible by %d" % (x, d))
-        return q
-    if isinstance(x, Fraction) or isinstance(d, Fraction):
-        return Fraction(x) / Fraction(d)
-    if isinstance(x, LocalizedInt):
-        d = x._coerce(d)
-        if not d.num:
-            raise ValueError("division by zero")
-        val = x.to_fraction() / d.to_fraction()
-        return LocalizedInt.from_fraction(val, x.ell)
-    if isinstance(x, ModInt):
-        d = x._coerce(d)
-        return x * unit_inverse(d)
-    raise TypeError("unsupported operands %r / %r" % (x, d))
-
-
 # --- ring descriptors (used by the CLI and the universality constructions) ---
 
 def _egcd(a, b):
@@ -510,7 +420,9 @@ class IntegerRing(Ring):
         return math.gcd(a, b)
 
     def div(self, a, b):
-        return exact_div(a, b)
+        if b == 0 or a % b:
+            raise ValueError("%r is not divisible by %r in Z" % (a, b))
+        return a // b
 
     def bezout(self, a, b):
         g, x, y = _egcd(a, b)

@@ -1,10 +1,12 @@
+import functools
 import json
 import random
 
 import pytest
 
+import mksurf.cli
 from mksurf.cli import run, repro
-from mksurf.markoff import MarkoffPoint, same_orbit, search_integral
+from mksurf.markoff import MarkoffPoint, reduce_point, same_orbit, search_integral
 
 
 def capture(capsys, argv):
@@ -226,6 +228,14 @@ def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)
     assert code == 3
     assert json.loads(out)["kind"] == "budget"
+
+
+def test_long_descent_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(mksurf.cli, "reduce_point",
+                        functools.partial(reduce_point, max_steps=10))
+    code, out = capture(capsys, ["markoff", "reduce", "--point", "2,1000,1001"])
+    assert code == 3
+    assert json.loads(out) == {"error": "descent exceeded 10 steps", "kind": "budget"}
 
 
 def test_no_seed_flag(capsys):

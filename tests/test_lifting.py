@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,27 @@ def test_lift2_modulus_shrink():
     x = lift2(zq, yq, ModInt(x0.trace(), q), ModInt((x0 * y0).trace(), q))
     assert x.a.q == 3
     assert commutator(x, mat_mod(y0, x.a.q)) == mat_mod(z, x.a.q)
+
+
+def test_lift2_unit_delta_mod_q():
+    # gcd(Delta, q) = 1: the lift keeps the modulus and is num * Delta^-1
+    rng = random.Random(65)
+    for q in (12, 16, 25):
+        done = 0
+        while done < 20:
+            x0 = random_sl2z(rng, length=5)
+            y0 = random_sl2z(rng, length=5)
+            z = commutator(x0, y0)
+            x1, x2, x3 = trace_triple(x0, y0)
+            delta = z.trace() + 2 - x2 * x2
+            if math.gcd(delta, q) != 1 or delta % q in (1, q - 1):
+                continue
+            yinv = y0.adjugate()
+            num = (z - yinv * yinv) * (Mat2(x1, 0, 0, x1) - y0.scale(x3))
+            want = mat_mod(num, q).scale(ModInt(pow(delta, -1, q), q))
+            x = lift2(mat_mod(z, q), mat_mod(y0, q), ModInt(x1, q), ModInt(x3, q))
+            assert x == want == mat_mod(x0, q) and x.a.q == q
+            done += 1
 
 
 def test_pair_moves_match_tables():

@@ -104,6 +104,27 @@ def test_reduce_rejects_nongeneric_levels():
         reduce_point(MarkoffPoint.make(0, 0, 0))  # k = 0
 
 
+def test_reduce_point_step_budget():
+    # (2, 1000, 1001) on level 5 descends one Vieta step at a time
+    with pytest.raises(BudgetExceeded, match="descent exceeded 10 steps"):
+        reduce_point(MarkoffPoint.make(2, 1000, 1001), max_steps=10)
+
+
+def test_floor_walk_stays_at_the_floor():
+    # reduce_point's docstring proves this; it is checked on the whole cube
+    # max|c| <= 12, all levels included, since the proof does not use k
+    floors = 0
+    for c in itertools.product(range(-12, 13), repeat=3):
+        x, y, z = c
+        m = max(map(abs, c))
+        vieta = ((y * z - x, y, z), (x, x * z - y, z), (x, y, x * y - z))
+        if any(max(map(abs, v)) < m for v in vieta):
+            continue
+        floors += 1
+        assert all(max(map(abs, d)) == m for d in orbit_within(c, m)), c
+    assert floors > 1000
+
+
 def test_class_data_examples():
     assert len(class_data(70)) == 1
     assert same_orbit(class_data(70)[0], MarkoffPoint.make(-3, 3, 4))

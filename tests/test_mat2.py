@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from mksurf.mat2 import (
     sl2_conjugacy_test_modp,
 )
 from mksurf.quotients import sl2_tuples
-from mksurf.rings import ModInt, legendre
+from mksurf.rings import LocalizedInt, ModInt, legendre
 
 from _util import random_sl2z
 
@@ -46,6 +47,51 @@ def test_adjugate_identities():
         adj = a.adjugate()
         assert adj * adj == adj.scale(tr) - ident.scale(det)
         assert (a + b).det() == a.det() + b.det() + (a * b.adjugate()).trace()
+
+
+def _conjugate(m, d):
+    return d * m * d.inverse()
+
+
+def _z5(num, exp=0):
+    return LocalizedInt(num, exp, 5)
+
+
+_ENTRY_TYPES = {
+    # name: (SL2(Z) -> SL2 over the ring, entry type, its q or ell)
+    "int": (lambda m: m, int, None),
+    "Fraction": (lambda m: _conjugate(m.map(Fraction), Mat2(
+        Fraction(3, 2), Fraction(0), Fraction(0), Fraction(2, 3))), Fraction, None),
+    "mod12": (lambda m: mat_mod(m, 12), ModInt, 12),
+    "mod16": (lambda m: mat_mod(m, 16), ModInt, 16),
+    "Z[1/5]": (lambda m: _conjugate(m.map(_z5), Mat2(_z5(5), _z5(0), _z5(0), _z5(1, 1))),
+               LocalizedInt, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_TYPES))
+def test_inverse_is_the_sl2_inverse_over_every_entry_type(name):
+    convert, kind, modulus = _ENTRY_TYPES[name]
+    rng = random.Random(43)
+    entries = []
+    for _ in range(200):
+        m = convert(random_sl2z(rng, length=6))
+        ident = m.identity_like()
+        assert m * m.inverse() == ident and m.inverse() * m == ident
+        assert m.inverse() == m.adjugate()
+        for e in ident.entries():
+            assert type(e) is kind
+            assert getattr(e, "q", getattr(e, "ell", None)) == modulus
+        entries.extend(m.entries())
+    if kind is LocalizedInt:
+        assert any(e.exp > 0 for e in entries)  # not just SL2(Z) again
+
+
+def test_inverse_needs_determinant_1():
+    # 2 is a unit mod 5, but only SL2 matrices are inverted
+    for m in (Mat2(2, 0, 0, 1), mat_mod(Mat2(2, 0, 0, 1), 5)):
+        with pytest.raises(ValueError):
+            m.inverse()
 
 
 def test_commutator_expansion_identity():
