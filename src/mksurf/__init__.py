@@ -4,7 +4,6 @@ and machine-checkable Hasse-failure certificates."""
 from .rings import (
     INF,
     BudgetExceeded,
-    LocalizedInt,
     ModInt,
     IntegerRing,
     RationalField,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import admissible_k, admissible_t, search_integral, search_localized
 from .quotients import DEFAULT_MODULUS_CAP, commutator_test_modq
-from .rings import factorize, is_probable_prime
+from .rings import factorize, is_probable_prime, localized_str
 
 SCHEMA_VERSION = "1"
 DEFAULT_HFZ_BOUND = 10**4
@@ -58,17 +58,7 @@ class Certificate:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_json_default)
-
-
-def _json_default(o):
-    if isinstance(o, (tuple, set, frozenset)):
-        return list(o)
-    raise TypeError("not JSON-serializable: %r" % (o,))
-
-
-def _normalize(obj):
-    return json.loads(json.dumps(obj, sort_keys=True, default=_json_default))
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _timed(build):
@@ -198,7 +188,8 @@ def certify_sint_failure(k, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_
             method="exhaustive",
             result=not pts,
             data={"k": k, "ell": ell, "max_exp": max_exp,
-                  "found": [repr(p) for p in pts[:5]]},
+                  "found": ["(%s, %s, %s)@%d" % (*(localized_str(c, ell) for c in p.coords()), k)
+                            for p in pts[:5]]},
             bound=bound,
         ))
         return Certificate("E3FailureSInt",
@@ -382,18 +373,19 @@ def check_certificate(cert_dict):
 
     Deterministic: regenerating with the stored parameters must reproduce
     every check result and the conclusion.  Input that is not a certificate
-    of a known kind (not a JSON object, no `checks` list of named results,
-    no `conclusion`, a required parameter missing, or a parameter that is
-    not an integer; `local_moduli` is a list of them) raises ValueError.
+    of a known kind (not a JSON object, another schema version, an unknown
+    kind, no `checks` list of named results, no `conclusion`, a required
+    parameter missing, or a parameter that is not an integer;
+    `local_moduli` is a list of them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
         raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
     kind = cert_dict.get("kind")
     params = cert_dict.get("parameters", {})
     if cert_dict.get("schema_version") != SCHEMA_VERSION:
-        return False, {"error": "unknown schema version"}
+        raise ValueError("unknown schema version %r" % (cert_dict.get("schema_version"),))
     if kind not in _REQUIRED_PARAMETERS:
-        return False, {"error": "unknown certificate kind %r" % (kind,)}
+        raise ValueError("unknown certificate kind %r" % (kind,))
     checks = cert_dict.get("checks")
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and "name" in c and "result" in c for c in checks):
@@ -425,7 +417,7 @@ def check_certificate(cert_dict):
                             sint_bound=params.get("sint_bound", DEFAULT_SINT_BOUND),
                             sint_max_exp=params.get("sint_max_exp", DEFAULT_SINT_MAX_EXP))
     fresh_dict = fresh.to_dict()
-    old = _normalize({c["name"]: c["result"] for c in checks})
-    new = _normalize({c["name"]: c["result"] for c in fresh_dict["checks"]})
+    old = {c["name"]: c["result"] for c in checks}
+    new = {c["name"]: c["result"] for c in fresh_dict["checks"]}
     ok = old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
     return ok, fresh_dict

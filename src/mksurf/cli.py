@@ -24,7 +24,7 @@ from .mat2 import Mat2, commutator
 from .lifting import find_trace_set_matrix, lift_point, universal_pair
 from .quadforms import form_isotropic, hasse_profile
 from .quotients import commutator_test_modq, trace_commutator_image
-from .rings import INF, BudgetExceeded, LocalizedInt, ModInt, parse_ring
+from .rings import INF, BudgetExceeded, ModInt, localized_str, parse_ring
 from .words import (
     alg1_representatives,
     embedding_matrix,
@@ -46,8 +46,6 @@ def _encode(obj):
         first = obj.a
         if isinstance(first, ModInt):
             return {"ring": "Zmod", "q": first.q, "entries": entries}
-        if isinstance(first, LocalizedInt):
-            return {"ring": "Z1/L", "ell": first.ell, "entries": entries}
         if isinstance(first, Fraction):
             return {"ring": "Q", "entries": entries}
         return {"ring": "Z", "entries": entries}
@@ -55,8 +53,6 @@ def _encode(obj):
         return {"coords": [_encode(c) for c in obj.coords()], "k": _encode(obj.k)}
     if isinstance(obj, ModInt):
         return obj.v
-    if isinstance(obj, LocalizedInt):
-        return str(obj) if obj.exp else obj.num
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else obj.numerator
     if isinstance(obj, (list, tuple)):
@@ -127,12 +123,17 @@ def _cmd_markoff_class(args):
 
 
 def _cmd_markoff_search(args):
+    if args.limit < 0:
+        raise ValueError("limit must be nonnegative, got %d" % args.limit)
     if args.ell is not None:
         pts = search_localized(args.k, args.ell, args.max_exp, args.bound)
+        shown = [{"coords": [localized_str(c, args.ell) for c in p.coords()], "k": p.k}
+                 for p in pts[:args.limit]]
     else:
         pts = search_integral(args.k, args.bound)
+        shown = pts[:args.limit]
     return {"k": args.k, "bound": args.bound, "ell": args.ell,
-            "count": len(pts), "points": [p for p in pts[:args.limit]]}
+            "count": len(pts), "points": shown}
 
 
 def _cmd_markoff_admissible(args):
@@ -255,7 +256,7 @@ def _cmd_certify_check(args):
     with open(args.file) as fh:
         d = json.load(fh)
     ok, fresh = cert.check_certificate(d)
-    return {"file": args.file, "replay_matches": ok, "conclusion": fresh.get("conclusion")}
+    return {"file": args.file, "replay_matches": ok, "conclusion": fresh["conclusion"]}
 
 
 # --- reproduction targets -----------------------------------------------------

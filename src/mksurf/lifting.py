@@ -19,8 +19,8 @@ class LiftError(ValueError):
 
 @dataclass(frozen=True)
 class LiftResult:
-    """A pair (X, Y) whose commutator is Z (orientation "Z") or Z^-1
-    (orientation "Zinv"), together with the permutation row used."""
+    """A pair (X, Y) whose commutator is Z (orientation "Z"), together
+    with the permutation row used."""
 
     x: Mat2
     y: Mat2
@@ -240,7 +240,7 @@ def universal_pair(t, eps, ring):
 def universal_point(k, z, w, ring):
     """A point on the level-k surface from z, w with z^2 - 4 = w^2 and w a
     unit; needs 2 invertible (characteristic != 2)."""
-    if getattr(ring, "char_two", False):
+    if ring.char_two:
         raise ValueError("characteristic-2 quotients are not supported here")
     k = ring.elem(k)
     z = ring.elem(z)

@@ -4,11 +4,11 @@ Z and Z[1/l], and congruence admissibility."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .rings import (BudgetExceeded, LocalizedInt, factorize, is_probable_prime, jacobi,
-                    squarefree_part)
+from .rings import BudgetExceeded, factorize, is_probable_prime, jacobi, squarefree_part
 
 
 def level(x1, x2, x3):
@@ -363,8 +363,9 @@ def search_localized(k, ell, max_exp, bound):
     l-denominator can take: integral points, and (x1, x2/l^a, x3/l^a) with
     l coprime to x2*x3 and 1 <= a <= max_exp; numerators bounded by bound.
 
-    Order: the integral points as search_integral lists them, then the
-    others by a and by their least double-sign image (x1, x2, x3) with
+    Order: the integral points as search_integral returns them, with int
+    coordinates, then the others, whose x2/l^a and x3/l^a are Fractions,
+    by a and by their least double-sign image (x1, x2, x3) with
     x1, x2 >= 0, each group as (x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3),
     (-x1, x2, -x3).
 
@@ -386,10 +387,7 @@ def search_localized(k, ell, max_exp, bound):
     worst = ell ** (2 * max_exp)
     if bound**4 + worst * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
-    pts = []
-    for p in search_integral(k, bound):
-        pts.append(MarkoffPoint(*(LocalizedInt(c, 0, ell) for c in p.coords()),
-                                k=LocalizedInt(k, 0, ell)))
+    pts = search_integral(k, bound)
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)
     keep2 = x2s[x2s % ell != 0]
@@ -410,9 +408,7 @@ def search_localized(k, ell, max_exp, bound):
             if (a, v1, v2, v3) in seen:
                 continue
             seen.add((a, v1, v2, v3))
-            cand = (LocalizedInt(v1, 0, ell), LocalizedInt(v2, a, ell),
-                    LocalizedInt(v3, a, ell))
-            pts.append(MarkoffPoint(*cand, k=LocalizedInt(k, 0, ell)))
+            pts.append(MarkoffPoint(v1, Fraction(v2, ell**a), Fraction(v3, ell**a), k))
     return pts
 
 

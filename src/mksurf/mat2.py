@@ -19,7 +19,7 @@ class Mat2:
         return [[self.a, self.b], [self.c, self.d]]
 
     def identity_like(self):
-        zero = self.a - self.a  # keeps a ModInt's q and a LocalizedInt's ell
+        zero = self.a - self.a  # keeps a ModInt's q
         one = zero + 1
         return Mat2(one, zero, zero, one)
 

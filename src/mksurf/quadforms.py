@@ -12,7 +12,6 @@ from .markoff import MarkoffPoint, integer_roots
 from .rings import (
     INF,
     BudgetExceeded,
-    LocalizedInt,
     factorize,
     hilbert,
     is_square_mod,
@@ -20,12 +19,6 @@ from .rings import (
     square_class_int,
     squarefree_part,
 )
-
-
-def _as_rational(x):
-    if isinstance(x, LocalizedInt):
-        return x.to_fraction()
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,10 @@ def hasse_profile(point):
     """Invariant profile c_p = (x^2-4, k-4)_p of the form attached to a
     Markoff point, computed from a coordinate with x^2 != 4 and
     cross-checked against every other usable coordinate."""
-    k = _as_rational(point.k)
+    k = Fraction(point.k)
     if k <= 4:
         raise ValueError("profiles need k > 4, got %s" % k)
-    coords = [_as_rational(c) for c in point.coords()]
+    coords = [Fraction(c) for c in point.coords()]
     usable = [c for c in coords if c * c != 4]
     if not usable:
         raise ValueError("all coordinates are +-2: corrupt data for k > 4")

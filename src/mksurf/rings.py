@@ -207,97 +207,16 @@ def is_square_mod(r, m):
     return True
 
 
-@dataclass(frozen=True)
-class LocalizedInt:
-    """Element num / ell**exp of Z[1/ell], kept in normalized form
-    (exp == 0 or ell does not divide num)."""
-
-    num: int
-    exp: int
-    ell: int
-
-    def __post_init__(self):
-        num, exp = self.num, self.exp
-        if exp < 0:
-            num *= self.ell ** (-exp)
-            exp = 0
-        if num == 0:
-            exp = 0
-        while exp > 0 and num % self.ell == 0:
-            num //= self.ell
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    @staticmethod
-    def from_fraction(x, ell):
-        x = Fraction(x)
-        e, d = _split_prime(x.denominator, ell)
-        if d != 1:
-            raise ValueError("%s is not in Z[1/%d]" % (x, ell))
-        return LocalizedInt(x.numerator, e, ell)
-
-    def to_fraction(self):
-        return Fraction(self.num, self.ell**self.exp)
-
-    def _coerce(self, other):
-        if isinstance(other, LocalizedInt):
-            if other.ell != self.ell:
-                raise ValueError("mixed localizations")
-            return other
-        if isinstance(other, int):
-            return LocalizedInt(other, 0, self.ell)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        e = max(self.exp, o.exp)
-        num = self.num * self.ell ** (e - self.exp) + o.num * self.ell ** (e - o.exp)
-        return LocalizedInt(num, e, self.ell)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedInt(-self.num, self.exp, self.ell)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return LocalizedInt(self.num * o.num, self.exp + o.exp, self.ell)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.exp == 0 and self.num == other
-        if isinstance(other, LocalizedInt):
-            return (self.num, self.exp, self.ell) == (other.num, other.exp, other.ell)
-        if isinstance(other, Fraction):
-            return self.to_fraction() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.to_fraction())
-
-    def __bool__(self):
-        return self.num != 0
-
-    def __repr__(self):
-        if self.exp == 0:
-            return "%d" % self.num
-        return "%d/%d^%d" % (self.num, self.ell, self.exp)
+def localized_str(x, ell):
+    """Output spelling of an element x of Z[1/ell]: the int n when x is
+    integral, else the string "n/ell^a" with ell not dividing n."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return x.numerator
+    a, rest = _split_prime(x.denominator, ell)
+    if rest != 1:
+        raise ValueError("%s is not in Z[1/%d]" % (x, ell))
+    return "%d/%d^%d" % (x.numerator, ell, a)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,6 @@ class Word:
     def gen(letter, m, n, exp=1):
         return Word.make(((letter, exp),), m, n)
 
-    def orders(self):
-        return {"a": self.m, "b": self.n}
-
     def __mul__(self, other):
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("words from different groups")

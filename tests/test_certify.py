@@ -133,11 +133,21 @@ def test_check_certificate_rejects_malformed_input():
               dict(good, kind="HFE1", parameters={"nu": 139}),
               dict(good, parameters={"k": "102"}), dict(good, parameters={"k": 102, "bound": 1.5}),
               dict(good, parameters={"k": True}),
-              dict(good, kind="HFE1", parameters={"nu": 139, "ell": 19, "local_moduli": "2,3"})]
+              dict(good, kind="HFE1", parameters={"nu": 139, "ell": 19, "local_moduli": "2,3"}),
+              dict(good, schema_version="2"), dict(good, kind="Nope")]
     for blob in shapes:
         with pytest.raises(ValueError):
             check_certificate(blob)
     assert check_certificate(good)[0]
+
+
+def test_certify_sint_found_spelling():
+    # (15, 13/5, 26/5) lies on the level-56 surface: the search is not empty,
+    # and found spells each point through its n/l^a coordinates
+    c = certify_sint_failure(56, 5, bound=30, max_exp=2)
+    found = {ch.name: ch for ch in c.checks}["localized-search-empty"].data["found"]
+    assert found[0] == "(15, 13/5^1, 26/5^1)@56"
+    assert not c.conclusion
 
 
 def test_certify_e2_failure():

@@ -81,6 +81,20 @@ def test_markoff_search_localized(capsys):
     assert d["count"] > 0
 
 
+def test_markoff_search_spells_localized_coordinates(capsys):
+    # a coordinate with an l-denominator is spelled n/l^a with l not dividing
+    # n; integral coordinates and k stay JSON integers
+    code, out = capture(capsys, ["markoff", "search", "--k", "56", "--bound", "30",
+                                 "--ell", "5", "--max-exp", "2"])
+    assert code == 0
+    assert json.loads(out)["points"][0] == {"coords": [15, "13/5^1", "26/5^1"], "k": 56}
+    code, out = capture(capsys, ["markoff", "search", "--k", "5", "--bound", "20",
+                                 "--ell", "3", "--max-exp", "2", "--limit", "400"])
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert {"coords": [2, "1/3^2", "-8/3^2"], "k": 5} in points
+
+
 def test_quadform_commands(capsys):
     code, out = capture(capsys, ["quadform", "profile", "--k", "329",
                                  "--point=-3,8,8"])
@@ -173,10 +187,12 @@ def test_markoff_search_rejects_composite_ell(capsys, ell):
     ["certify", "sint", "--k", "386424", "--ell", "19", "--max-exp", "-1"],
     ["markoff", "search", "--k", "386424", "--ell", "19", "--max-exp", "-2", "--bound", "10"],
     ["quadform", "isotropy", "--k", "3780", "--witness-bound", "-1"],
+    ["markoff", "search", "--k", "5", "--bound", "3", "--limit=-1"],
 ])
 def test_negative_search_limits_exit_2(capsys, argv):
     # a negative exponent or witness bound searches nothing, so it cannot
-    # back a "no point" or "no zero within bound" answer
+    # back a "no point" or "no zero within bound" answer; a negative limit
+    # would drop points from the end of the list while count still has them
     code, out = capture(capsys, argv)
     assert code == 2
     assert json.loads(out)["kind"] == "invalid-input"
@@ -197,6 +213,8 @@ GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 102
     json.dumps({k: v for k, v in GOOD_HFZ.items() if k != "conclusion"}),
     json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139})),
     json.dumps(dict(GOOD_HFZ, parameters={"k": "abc"})),
+    json.dumps(dict(GOOD_HFZ, schema_version="2")),
+    json.dumps(dict(GOOD_HFZ, kind="Nope")),
     "{",
 ])
 def test_certify_check_rejects_malformed_files(tmp_path, capsys, text):

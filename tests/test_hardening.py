@@ -4,6 +4,7 @@ enumeration, the commutator test against its definition, composite
 moduli, and S-integer profiles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from mksurf.markoff import (
 from mksurf.mat2 import Mat2, commutator
 from mksurf.quadforms import hasse_profile
 from mksurf.quotients import commutator_test_modq, sl2_tuples
-from mksurf.rings import LocalizedInt, ModInt
+from mksurf.rings import ModInt
 from mksurf.words import alg1_representatives, psl2_class_reps, word_trace
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
@@ -73,9 +74,10 @@ def _direct_localized(k, ell, max_exp, bound):
 def _localized_tuples(k, ell, max_exp, bound):
     out = []
     for p in search_localized(k, ell, max_exp, bound):
-        c1, c2, c3 = p.coords()
-        assert c1.exp == 0 and c2.exp == c3.exp
-        out.append((c2.exp, c1.num, c2.num, c3.num))
+        c1, c2, c3 = (Fraction(c) for c in p.coords())
+        assert c1.denominator == 1 and c2.denominator == c3.denominator
+        a = next(a for a in range(max_exp + 1) if ell**a == c2.denominator)
+        out.append((a, c1.numerator, c2.numerator, c3.numerator))
     return out
 
 
@@ -187,7 +189,7 @@ def test_hasse_profile_on_localized_points():
     # denominator-shape points still satisfy the product formula and agree
     # along their orbit
     pts = [p for p in search_localized(224, 5, 2, 30)
-           if any(c.exp for c in p.coords())]
+           if any(Fraction(c).denominator > 1 for c in p.coords())]
     assert pts
     rng = random.Random(204)
     for p in pts[:6]:
@@ -196,7 +198,7 @@ def test_hasse_profile_on_localized_points():
         q = p
         for _ in range(8):
             q = apply_move(rng.choice(ALL_MOVES), q)
-            if max(abs(c.num) for c in q.coords()) > 10**6:
+            if max(abs(Fraction(c).numerator) for c in q.coords()) > 10**6:
                 break
             assert hasse_profile(q).nontrivial() == prof.nontrivial()
 
@@ -221,10 +223,9 @@ def test_search_integral_large_k_spot():
 
 def test_localized_point_constructor_rejects_wrong_level():
     with pytest.raises(ValueError):
-        MarkoffPoint(LocalizedInt(1, 0, 5), LocalizedInt(1, 1, 5),
-                     LocalizedInt(1, 1, 5), LocalizedInt(99, 0, 5))
+        MarkoffPoint(1, Fraction(1, 5), Fraction(1, 5), 99)
 
 
 def test_level_mixed_types():
-    coords = (LocalizedInt(15, 0, 5), LocalizedInt(1, 1, 5), LocalizedInt(2, 1, 5))
+    coords = (15, Fraction(1, 5), Fraction(2, 5))
     assert level(*coords) == 224

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mksurf.markoff import (
     search_integral,
     search_localized,
 )
-from mksurf.rings import BudgetExceeded, LocalizedInt, jacobi
+from mksurf.rings import BudgetExceeded, jacobi
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
@@ -326,8 +327,7 @@ def test_search_integral_double_roots_at_x1_x2_equal_2b():
 def search_localized_by_full_rows(k, ell, max_exp, bound):
     """The scan search_localized replaced: every row x1 in [0, b] at every
     exponent; kept as the oracle for the row filter."""
-    pts = [MarkoffPoint(*(LocalizedInt(c, 0, ell) for c in p.coords()), k=LocalizedInt(k, 0, ell))
-           for p in search_integral(k, bound)]
+    pts = search_integral(k, bound)
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)
     keep2 = x2s[x2s % ell != 0]
@@ -345,8 +345,7 @@ def search_localized_by_full_rows(k, ell, max_exp, bound):
         for v in ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3)):
             if (a,) + v not in seen:
                 seen.add((a,) + v)
-                pts.append(MarkoffPoint(LocalizedInt(v[0], 0, ell), LocalizedInt(v[1], a, ell),
-                                        LocalizedInt(v[2], a, ell), k=LocalizedInt(k, 0, ell)))
+                pts.append(MarkoffPoint(v[0], Fraction(v[1], ell**a), Fraction(v[2], ell**a), k))
     return pts
 
 
@@ -380,7 +379,7 @@ def test_search_localized_matches_full_rows_grid():
     for k, ell, max_exp, b in cases:
         got = search_localized(k, ell, max_exp, b)
         assert got == search_localized_by_full_rows(k, ell, max_exp, b), (k, ell, max_exp, b)
-        with_points += any(p.x2.exp for p in got)
+        with_points += any(Fraction(p.x2).denominator > 1 for p in got)
         dropped += sum(ell ** (2 * a) * abs(x1 * x1 - k) > b * b * (x1 + 2)
                        for a in range(1, max_exp + 1) for x1 in range(b + 1))
     assert with_points > 60
@@ -390,8 +389,7 @@ def test_search_localized_matches_full_rows_grid():
 def test_search_localized_row_filter_edge():
     # (7, 7/3, -7/3) at k = 98, l = 3, b = 7: L |x1^2 - k| = 9 * 49 = 441
     # = b^2 (x1 + 2), so row 7 sits exactly on the filter's limit
-    point = MarkoffPoint(LocalizedInt(7, 0, 3), LocalizedInt(7, 1, 3), LocalizedInt(-7, 1, 3),
-                         k=LocalizedInt(98, 0, 3))
+    point = MarkoffPoint(7, Fraction(7, 3), Fraction(-7, 3), 98)
     assert 9 * abs(7 * 7 - 98) == 7 * 7 * (7 + 2)
     got = search_localized(98, 3, 1, 7)
     assert point in got
@@ -453,12 +451,12 @@ def test_search_integral_empty_families():
 def test_search_localized():
     # integral points come back unchanged (exponent-0 shape)
     pts = search_localized(108, 5, 2, 25)
-    assert any(all(c.exp == 0 for c in p.coords()) for p in pts)
+    assert any(all(Fraction(c).denominator == 1 for c in p.coords()) for p in pts)
     # a genuine denominator shape: (15, 1/5, 2/5) lies on the level-224 surface
-    target = level(LocalizedInt(15, 0, 5), LocalizedInt(1, 1, 5), LocalizedInt(2, 1, 5))
+    target = level(15, Fraction(1, 5), Fraction(2, 5))
     assert target == 224
     pts = search_localized(224, 5, 2, 30)
-    assert any({c.exp for c in p.coords()} == {0, 1} for p in pts)
+    assert any({Fraction(c).denominator for c in p.coords()} == {1, 5} for p in pts)
     for p in pts:
         assert level(*p.coords()) == 224
     # the S-integer Hasse-failure family stays empty

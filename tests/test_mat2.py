@@ -13,7 +13,7 @@ from mksurf.mat2 import (
     sl2_conjugacy_test_modp,
 )
 from mksurf.quotients import sl2_tuples
-from mksurf.rings import LocalizedInt, ModInt, legendre
+from mksurf.rings import ModInt, SIntegerRing, legendre
 
 from _util import random_sl2z
 
@@ -53,19 +53,15 @@ def _conjugate(m, d):
     return d * m * d.inverse()
 
 
-def _z5(num, exp=0):
-    return LocalizedInt(num, exp, 5)
-
-
 _ENTRY_TYPES = {
-    # name: (SL2(Z) -> SL2 over the ring, entry type, its q or ell)
+    # name: (SL2(Z) -> SL2 over the ring, entry type, its q)
     "int": (lambda m: m, int, None),
     "Fraction": (lambda m: _conjugate(m.map(Fraction), Mat2(
         Fraction(3, 2), Fraction(0), Fraction(0), Fraction(2, 3))), Fraction, None),
     "mod12": (lambda m: mat_mod(m, 12), ModInt, 12),
     "mod16": (lambda m: mat_mod(m, 16), ModInt, 16),
-    "Z[1/5]": (lambda m: _conjugate(m.map(_z5), Mat2(_z5(5), _z5(0), _z5(0), _z5(1, 1))),
-               LocalizedInt, 5),
+    "Z[1/5]": (lambda m: _conjugate(m.map(Fraction), Mat2(
+        Fraction(5), Fraction(0), Fraction(0), Fraction(1, 5))), Fraction, None),
 }
 
 
@@ -81,10 +77,12 @@ def test_inverse_is_the_sl2_inverse_over_every_entry_type(name):
         assert m.inverse() == m.adjugate()
         for e in ident.entries():
             assert type(e) is kind
-            assert getattr(e, "q", getattr(e, "ell", None)) == modulus
+            assert getattr(e, "q", None) == modulus
         entries.extend(m.entries())
-    if kind is LocalizedInt:
-        assert any(e.exp > 0 for e in entries)  # not just SL2(Z) again
+    if name == "Z[1/5]":
+        z5 = SIntegerRing([5])
+        assert all(z5.elem(e) == e for e in entries)
+        assert any(e.denominator > 1 for e in entries)  # not just SL2(Z) again
 
 
 def test_inverse_needs_determinant_1():

@@ -6,7 +6,6 @@ import pytest
 
 from mksurf.rings import (
     INF,
-    LocalizedInt,
     ModInt,
     SIntegerRing,
     factorize,
@@ -14,6 +13,7 @@ from mksurf.rings import (
     is_probable_prime,
     is_square_mod,
     jacobi,
+    localized_str,
     squarefree_part,
 )
 
@@ -198,31 +198,19 @@ def test_is_square_mod():
     assert is_square_mod(7, 2)
 
 
-def test_localized_int_matches_fractions():
-    rng = random.Random(17)
-    for _ in range(10**4):
-        ell = rng.choice([3, 5, 7, 19])
-        a = LocalizedInt(rng.randint(-10**6, 10**6), rng.randint(0, 4), ell)
-        b = LocalizedInt(rng.randint(-10**6, 10**6), rng.randint(0, 4), ell)
-        op = rng.choice(("+", "-", "*"))
-        if op == "+":
-            got, want = a + b, a.to_fraction() + b.to_fraction()
-        elif op == "-":
-            got, want = a - b, a.to_fraction() - b.to_fraction()
-        else:
-            got, want = a * b, a.to_fraction() * b.to_fraction()
-        assert got.to_fraction() == want
-        assert got.exp == 0 or got.num % ell != 0  # normalized
-
-
 def test_localized_int_normalization_and_membership():
-    x = LocalizedInt(50, 2, 5)
-    assert (x.num, x.exp) == (2, 0)
-    assert LocalizedInt.from_fraction(Fraction(7, 19**3), 19).exp == 3
+    # Z[1/l] elements are Fractions: membership through SIntegerRing, the
+    # spelling n/l^a (l not dividing n) through localized_str
+    assert localized_str(Fraction(50, 25), 5) == 2
+    assert localized_str(Fraction(7, 19**3), 19) == "7/19^3"
+    assert localized_str(Fraction(-10, 125), 5) == "-2/5^2"
+    assert localized_str(3, 7) == 3 and type(localized_str(3, 7)) is int
     with pytest.raises(ValueError):
-        LocalizedInt.from_fraction(Fraction(1, 6), 5)
-    assert LocalizedInt(3, 0, 7) == 3
-    assert LocalizedInt(1, 1, 7) == Fraction(1, 7)
+        localized_str(Fraction(1, 6), 5)
+    z19 = SIntegerRing([19])
+    assert z19.elem(Fraction(7, 19**3)) == Fraction(7, 19**3)
+    with pytest.raises(ValueError):
+        SIntegerRing([5]).elem(Fraction(1, 6))
 
 
 def test_modint():
