@@ -5,8 +5,6 @@ from .rings import (
     INF,
     BudgetExceeded,
     ModInt,
-    IntegerRing,
-    RationalField,
     ResidueRing,
     SIntegerRing,
     factorize,

@@ -24,7 +24,7 @@ from .mat2 import Mat2, commutator
 from .lifting import find_trace_set_matrix, lift_point, universal_pair
 from .quadforms import form_isotropic, hasse_profile
 from .quotients import commutator_test_modq, trace_commutator_image
-from .rings import INF, BudgetExceeded, ModInt, localized_str, parse_ring
+from .rings import BudgetExceeded, ModInt, localized_str, parse_ring
 from .words import (
     alg1_representatives,
     embedding_matrix,
@@ -57,12 +57,8 @@ def _encode(obj):
         return str(obj) if obj.denominator != 1 else obj.numerator
     if isinstance(obj, (list, tuple)):
         return [_encode(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_encode(x) for x in obj)
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
-    if obj == INF:
-        return "inf"
     return obj
 
 
@@ -157,7 +153,7 @@ def _cmd_quadform_profile(args):
         raise ValueError("point has level %d, not %d" % (p.k, args.k))
     prof = hasse_profile(p)
     return {"k": p.k, "point": list(p.coords()),
-            "profile": {("inf" if pl == INF else str(pl)): v for pl, v in prof.entries},
+            "profile": dict(prof.entries),
             "product": prof.product()}
 
 
@@ -307,7 +303,7 @@ def repro(table):
         ok = len(classes) == len(expected.GENUS_329)
         for rep, exp in zip(classes, expected.GENUS_329):
             prof = hasse_profile(rep)
-            got = {("inf" if p == INF else str(p)): v for p, v in prof.entries}
+            got = {str(p): v for p, v in prof.entries}
             match = list(rep.coords()) == exp["rep"] and got == exp["profile"] \
                 and prof.product() == 1
             ok &= match

@@ -222,10 +222,10 @@ def universal_pair(t, eps, ring):
     t = ring.elem(t)
     eps = ring.elem(eps)
     if not ring.is_unit(eps):
-        raise ValueError("eps = %r is not a unit in %s" % (eps, ring))
+        raise ValueError("eps = %s is not a unit in %s" % (eps, ring))
     eta = eps - ring.inv(eps)
     if not ring.is_unit(eta):
-        raise ValueError("eps - eps^-1 = %r is not a unit in %s" % (eta, ring))
+        raise ValueError("eps - eps^-1 = %s is not a unit in %s" % (eta, ring))
     etainv = ring.inv(eta)
     tau = (t - ring.elem(2)) * etainv * etainv
     one = ring.elem(1)
@@ -247,9 +247,9 @@ def universal_point(k, z, w, ring):
     w = ring.elem(w)
     four = ring.elem(4)
     if z * z - four != w * w:
-        raise ValueError("z^2 - 4 = %r differs from w^2 = %r" % (z * z - four, w * w))
+        raise ValueError("z^2 - 4 = %s differs from w^2 = %s" % (z * z - four, w * w))
     if not ring.is_unit(w):
-        raise ValueError("w = %r is not a unit" % (w,))
+        raise ValueError("w = %s is not a unit" % (w,))
     half = ring.inv(ring.elem(2))
     zeta = (z + w) * half
     zetainv = (z - w) * half  # zeta * zetainv = (z^2 - w^2)/4 = 1
@@ -269,7 +269,7 @@ def minus_identity_commutator(ring, r1, r2, r3):
     r1, r2, r3 = (ring.elem(r) for r in (r1, r2, r3))
     zero = ring.elem(0)
     if r1 * r1 + r2 * r2 + r3 * r3 != zero:
-        raise ValueError("r1^2 + r2^2 + r3^2 = %r is nonzero in %s"
+        raise ValueError("r1^2 + r2^2 + r3^2 = %s is nonzero in %s"
                          % (r1 * r1 + r2 * r2 + r3 * r3, ring))
     if r1 == zero and r2 == zero and r3 == zero:
         raise ValueError("the all-zero triple is excluded")
@@ -322,7 +322,7 @@ def pid_commutator_via_trace_set(z, u, eps, ring):
     if u.det() != one or (z * u).trace() != u.trace():
         raise ValueError("U is not in the trace set of Z")
     if u.trace() != eps + epsinv:
-        raise ValueError("Tr U = %r differs from eps + eps^-1" % (u.trace(),))
+        raise ValueError("Tr U = %s differs from eps + eps^-1" % (u.trace(),))
 
     # eigenvector of U for eps, made primitive, completed to SL2
     v = (u.b, eps - u.a)

@@ -419,6 +419,18 @@ def odd_part(n):
     return n
 
 
+def anisotropy_prime(point):
+    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
+    nonresidue mod p, or None."""
+    for p, e in factorize(point.k - 4):
+        if p == 2 or e != 1:
+            continue
+        for x in point.coords():
+            if jacobi(x * x - 4, p) == -1:
+                return (p, x)
+    return None
+
+
 def e2_good_test(k):
     """Quadratic-residue scan deciding whether every orbit at level k fails
     to carry trace data of a matrix pair.
@@ -430,20 +442,6 @@ def e2_good_test(k):
     m = odd_part(k - 4)
     if m != abs(squarefree_part(m)):
         raise ValueError("odd part of k-4 = %d is not squarefree" % (k - 4))
-    odd_primes = [p for p, _ in factorize(k - 4) if p > 2]
-    classes = class_data(k)
-    data = []
-    all_bad = True
-    for rep in classes:
-        witness = None
-        for p in odd_primes:
-            for x in rep.coords():
-                if jacobi(x * x - 4, p) == -1:
-                    witness = (p, x)
-                    break
-            if witness:
-                break
-        data.append({"rep": rep.coords(), "witness": witness})
-        if witness is None:
-            all_bad = False
+    data = [{"rep": rep.coords(), "witness": anisotropy_prime(rep)} for rep in class_data(k)]
+    all_bad = all(d["witness"] is not None for d in data)
     return ("AllBad" if all_bad else "Inconclusive"), data

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import MarkoffPoint, integer_roots
+from .markoff import MarkoffPoint, anisotropy_prime, integer_roots
 from .rings import (
     INF,
     BudgetExceeded,
     factorize,
     hilbert,
     is_square_mod,
-    jacobi,
     square_class_int,
     squarefree_part,
 )
@@ -178,20 +177,9 @@ def form_isotropic(point, witness_bound=600):
             if w is None:
                 data["flag"] = "criterion only: no zero within bound"
             return "Isotropic", data
-        data["anisotropy_prime"] = _anisotropy_prime(point, n)
+        data["anisotropy_prime"] = anisotropy_prime(point)
         return "Anisotropic", data
     return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
-
-
-def _anisotropy_prime(point, n):
-    """An odd p with p || k-4 and some x_j^2-4 a nonresidue mod p, if any."""
-    for p, e in factorize(point.k - 4):
-        if p == 2 or e != 1:
-            continue
-        for x in point.coords():
-            if (x * x - 4) % p != 0 and jacobi(x * x - 4, p) == -1:
-                return (p, x)
-    return None
 
 
 # --- 3x3 integer matrix helpers ----------------------------------------------

@@ -305,116 +305,55 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
-class Ring:
-    """Base descriptor; concrete subclasses convert/query elements.
+class SIntegerRing:
+    """S^-1 Z: the integers with a set S of primes inverted.  A finite S
+    gives Z (S empty) or Z[1/6] = Z[1/2,1/3]; primes=None inverts every
+    prime and gives Q.
 
-    bezout(a, b) returns (u, v) with a*u - b*v = 1 when it exists.
+    Elements are Fractions whose denominators factor over S; membership is
+    enforced on conversion.  bezout(a, b) returns (u, v) with
+    a*u - b*v = 1 when it exists.
     """
 
-    name = "?"
     char_two = False
 
-    def __repr__(self):
-        return self.name
-
-
-class IntegerRing(Ring):
-    name = "Z"
-
-    def elem(self, x):
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError("%s is not an integer" % (x,))
-        return f.numerator
-
-    def is_unit(self, e):
-        return e in (1, -1)
-
-    def inv(self, e):
-        if e in (1, -1):
-            return e
-        raise ValueError("%r is not a unit in Z" % (e,))
-
-    def gcd(self, a, b):
-        return math.gcd(a, b)
-
-    def div(self, a, b):
-        if b == 0 or a % b:
-            raise ValueError("%r is not divisible by %r in Z" % (a, b))
-        return a // b
-
-    def bezout(self, a, b):
-        g, x, y = _egcd(a, b)
-        if g != 1:
-            raise ValueError("gcd(%r, %r) != 1: no Bezout pair" % (a, b))
-        return x, -y
-
-
-class RationalField(Ring):
-    name = "Q"
-
-    def elem(self, x):
-        return Fraction(x)
-
-    def is_unit(self, e):
-        return e != 0
-
-    def inv(self, e):
-        if e == 0:
-            raise ValueError("0 is not a unit")
-        return 1 / Fraction(e)
-
-    def gcd(self, a, b):
-        return Fraction(a) if a != 0 else Fraction(b)
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-    def bezout(self, a, b):
-        if a != 0:
-            return 1 / Fraction(a), Fraction(0)
-        if b == 0:
-            raise ValueError("no Bezout pair for (0, 0)")
-        return Fraction(0), -1 / Fraction(b)
-
-
-class SIntegerRing(Ring):
-    """Z localized away from a finite set of primes, e.g. Z[1/6] = Z[1/2,1/3].
-
-    Elements are Fractions whose denominators factor over the inverted set;
-    membership is enforced on conversion.
-    """
-
     def __init__(self, primes):
+        if primes is None:
+            self.primes = None
+            self.name = "Q"
+            return
         self.primes = frozenset(primes)
         for p in self.primes:
             if not is_probable_prime(p):
                 raise ValueError("%d is not prime" % p)
-        self.name = "Z[1/%d]" % math.prod(sorted(self.primes))
+        self.name = "Z[1/%d]" % math.prod(sorted(self.primes)) if self.primes else "Z"
+
+    def __repr__(self):
+        return self.name
 
     def elem(self, x):
         f = Fraction(x)
-        d = f.denominator
-        for p in self.primes:
-            while d % p == 0:
-                d //= p
-        if d != 1:
+        if self._unit_free(f.denominator) != 1:
             raise ValueError("%s is not in %s" % (x, self.name))
         return f
 
     def _unit_free(self, e):
+        """|numerator of e| with the primes of S divided out: 0 for e = 0,
+        1 exactly for the units."""
         n = abs(Fraction(e).numerator)
+        if self.primes is None:
+            return min(n, 1)
         for p in self.primes:
             while n and n % p == 0:
                 n //= p
         return n
 
     def is_unit(self, e):
-        return Fraction(e) != 0 and self._unit_free(e) == 1
+        return self._unit_free(e) == 1
 
     def inv(self, e):
         if not self.is_unit(e):
-            raise ValueError("%r is not a unit in %s" % (e, self.name))
+            raise ValueError("%s is not a unit in %s" % (e, self.name))
         return 1 / Fraction(e)
 
     def gcd(self, a, b):
@@ -431,13 +370,13 @@ class SIntegerRing(Ring):
             return self.inv(a), Fraction(0)
         g, x, y = _egcd(na, nb)
         if g != 1:
-            raise ValueError("no Bezout pair for %r, %r" % (a, b))
+            raise ValueError("no Bezout pair for %s, %s" % (a, b))
         ua = Fraction(a) / na  # unit
         ub = Fraction(b) / nb
         return Fraction(x) / ua, -Fraction(y) / ub
 
 
-class ResidueRing(Ring):
+class ResidueRing:
     """Z/qZ with canonical residues; gcd/div/bezout assume q prime."""
 
     def __init__(self, q):
@@ -446,6 +385,9 @@ class ResidueRing(Ring):
         self.q = q
         self.name = "Z/%d" % q
         self.char_two = q % 2 == 0
+
+    def __repr__(self):
+        return self.name
 
     def elem(self, x):
         if isinstance(x, ModInt):
@@ -480,9 +422,9 @@ def parse_ring(spec):
     """Ring descriptor from a CLI spelling: z, q, z1/6, mod97."""
     s = spec.strip().lower()
     if s == "z":
-        return IntegerRing()
+        return SIntegerRing(())
     if s == "q":
-        return RationalField()
+        return SIntegerRing(None)
     if s.startswith("z1/"):
         n = int(s[3:])
         return SIntegerRing([p for p, _ in factorize(n)])

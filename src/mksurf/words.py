@@ -515,24 +515,9 @@ def metabelian_image(m, n, w):
 def is_unit_in_S(m, n, s):
     """True iff s is +-x^i y^j, the only invertible elements."""
     _check_mn(m, n)
-    if not s.coeffs:
-        return False
-    if n is not None:
-        for sign in (1, -1):
-            for i in range(m):
-                for j in range(n):
-                    if s == SRingElem.monomial(m, n, i, j, sign):
-                        return True
-        return False
-    js = {j for (_, j) in s.coeffs}
-    if len(js) != 1:
-        return False
-    j = js.pop()
-    for sign in (1, -1):
-        for i in range(m):
-            if s == SRingElem.monomial(m, n, i, j, sign):
-                return True
-    return False
+    js = range(n) if n is not None else {j for _, j in s.coeffs}
+    return any(s == SRingElem.monomial(m, n, i, j, sign)
+               for sign in (1, -1) for i in range(m) for j in js)
 
 
 # --- the trace table ----------------------------------------------------------

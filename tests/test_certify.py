@@ -157,6 +157,16 @@ def test_certify_e2_failure():
     assert by_name["trace-admissible"].result
 
 
+def test_e2_failure_certificate_replays():
+    blob = json.loads(certify_e2_failure(139, 19, bound=300, max_exp=2).to_json())
+    ok, fresh = check_certificate(blob)
+    assert ok and fresh["kind"] == "E2Failure" and fresh["conclusion"] is True
+    assert [c["name"] for c in fresh["checks"]] == ["trace-admissible", "surface-failure"]
+    blob["checks"][1]["result"] = not blob["checks"][1]["result"]
+    ok, _ = check_certificate(blob)
+    assert not ok
+
+
 def random_with_trace(rng, t):
     alpha = rng.randint(-6, 6)
     z = Mat2(alpha, 1, alpha * (t - alpha) - 1, t - alpha)

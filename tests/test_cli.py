@@ -7,6 +7,8 @@ import pytest
 import mksurf.cli
 from mksurf.cli import run, repro
 from mksurf.markoff import MarkoffPoint, reduce_point, same_orbit, search_integral
+from mksurf.mat2 import Mat2, commutator, mat_mod
+from mksurf.rings import ModInt
 
 
 def capture(capsys, argv):
@@ -133,6 +135,56 @@ def test_lift_commands(capsys):
     code, out = capture(capsys, ["lift", "universal", "--t", "7"])
     d = json.loads(out)
     assert d["trace"] == 7
+
+
+def test_markoff_search_spells_integral_points(capsys):
+    code, out = capture(capsys, ["markoff", "search", "--k", "5", "--bound", "10"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["count"] == 44 and d["ell"] is None
+    assert d["points"][:3] == [{"coords": [-3, -4, 10], "k": 5},
+                               {"coords": [-3, 4, -10], "k": 5},
+                               {"coords": [-2, -9, 10], "k": 5}]
+    assert d["points"][-1] == {"coords": [3, 4, 10], "k": 5}
+
+
+def test_quotient_test_positive_witness(capsys):
+    code, out = capture(capsys, ["quotient", "test", "--q", "8", "--z", "2,1,1,1"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["is_commutator"] is True
+    assert d["z"] == {"ring": "Z", "entries": [[2, 1], [1, 1]]}
+    wit = d["witness"]
+    assert {wit["x"]["ring"], wit["y"]["ring"]} == {"Zmod"}
+    assert wit["x"]["q"] == wit["y"]["q"] == 8
+    x, y = (Mat2(*(ModInt(e, 8) for row in wit[g]["entries"] for e in row))
+            for g in ("x", "y"))
+    assert commutator(x, y) == mat_mod(Mat2(2, 1, 1, 1), 8)
+
+
+def test_lift_universal_over_q_matches_z1_6(capsys):
+    code, out = capture(capsys, ["lift", "universal", "--t", "7", "--ring", "q", "--eps", "2"])
+    assert code == 0
+    over_q = json.loads(out)
+    code, out = capture(capsys, ["lift", "universal", "--t", "7", "--ring", "z1/6", "--eps", "2"])
+    assert code == 0
+    over_z1_6 = json.loads(out)
+    assert over_q.pop("ring") == "Q" and over_z1_6.pop("ring") == "Z[1/6]"
+    assert over_q == over_z1_6
+    assert over_q["x"]["entries"] == [[1, "20/9"], [-1, "-11/9"]]
+
+
+@pytest.mark.parametrize("ring, eps, error", [
+    ("z", "2", "eps = 2 is not a unit in Z"),
+    ("z", "1", "eps - eps^-1 = 0 is not a unit in Z"),
+    ("z", "1/2", "1/2 is not in Z"),
+    ("z1/1", "2", "eps = 2 is not a unit in Z"),
+    ("z1/5", "5", "eps - eps^-1 = 24/5 is not a unit in Z[1/5]"),
+])
+def test_lift_universal_errors_spell_rationals(capsys, ring, eps, error):
+    code, out = capture(capsys, ["lift", "universal", "--t", "7", "--ring", ring, "--eps", eps])
+    assert code == 2
+    assert json.loads(out) == {"error": error, "kind": "invalid-input"}
 
 
 def test_certify_commands(tmp_path, capsys):

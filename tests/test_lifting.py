@@ -17,7 +17,7 @@ from mksurf.lifting import (
     universal_pair,
     universal_point,
 )
-from mksurf.rings import IntegerRing, ModInt, ResidueRing, SIntegerRing
+from mksurf.rings import ModInt, ResidueRing, SIntegerRing, parse_ring
 
 from _util import random_sl2z
 
@@ -239,7 +239,7 @@ def test_universal_pair():
             x, y = universal_pair(t, eps, ring)
             assert commutator(x, y).trace() == ModInt(t, q)
     with pytest.raises(ValueError):
-        universal_pair(5, 2, IntegerRing())  # 2 is not a unit in Z
+        universal_pair(5, 2, SIntegerRing(()))  # 2 is not a unit in Z
 
 
 def test_universal_point():
@@ -251,7 +251,7 @@ def test_universal_point():
     with pytest.raises(ValueError):
         universal_point(10, 3, 2, ResidueRing(7))  # 3^2 - 4 = 5 != 2^2
     with pytest.raises(ValueError):
-        universal_point(10, 3, 1, IntegerRing())
+        universal_point(10, 3, 1, SIntegerRing(()))
 
 
 def test_minus_identity_commutator():
@@ -262,7 +262,7 @@ def test_minus_identity_commutator():
     ident = x.identity_like()
     assert commutator(x, y) == -ident
     with pytest.raises(ValueError):
-        minus_identity_commutator(IntegerRing(), 1, 2, 2)
+        minus_identity_commutator(SIntegerRing(()), 1, 2, 2)
     # a denser field case
     r13 = ResidueRing(13)
     x, y = minus_identity_commutator(r13, 2, 3, 0)
@@ -283,6 +283,13 @@ def test_pid_commutator_via_trace_set():
         assert in_trace_set(z, yu)
         x, y = pid_commutator_via_trace_set(z, yu, 2, r6)
         assert commutator(x, y) == z
+    # over Q every nonzero element is a unit: gcd is 1, Bezout is trivial
+    rq = parse_ring("q")
+    for t in (7, 5, -1, 11):
+        xu, yu = universal_pair(t, 2, rq)
+        z = commutator(xu, yu)
+        x, y = pid_commutator_via_trace_set(z, yu, 2, rq)
+        assert x.det() == 1 and y.det() == 1 and commutator(x, y) == z
     # conjugated trace-set witness exercises the eigenvector reduction
     xu, yu = universal_pair(7, 2, r6)
     z = commutator(xu, yu)

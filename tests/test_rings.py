@@ -14,6 +14,7 @@ from mksurf.rings import (
     is_square_mod,
     jacobi,
     localized_str,
+    parse_ring,
     squarefree_part,
 )
 
@@ -233,3 +234,8 @@ def test_sinteger_ring():
     assert not r.is_unit(Fraction(5, 2))
     u, v = r.bezout(Fraction(5, 2), Fraction(7, 3))
     assert Fraction(5, 2) * u - Fraction(7, 3) * v == 1
+
+
+def test_parse_ring_names():
+    names = {spec: str(parse_ring(spec)) for spec in ("z", "z1/1", "q", "z1/6", "mod97")}
+    assert names == {"z": "Z", "z1/1": "Z", "q": "Q", "z1/6": "Z[1/6]", "mod97": "Z/97"}
