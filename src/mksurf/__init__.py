@@ -21,7 +21,6 @@ from .mat2 import (
     fricke_level,
     in_trace_set,
     mat_mod,
-    sl2_conjugacy_test_modp,
 )
 from .markoff import (
     MarkoffMove,
@@ -75,7 +74,6 @@ from .words import (
 )
 from .quotients import (
     commutator_test_modq,
-    sl2_order,
     sl2_tuples,
     trace_commutator_image,
 )
@@ -83,7 +81,6 @@ from .certify import (
     Certificate,
     build_hfe1_matrix,
     catalogue_congruence_obstructions,
-    certify_e2_failure,
     certify_hfz,
     certify_sint_failure,
     check_certificate,

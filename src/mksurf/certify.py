@@ -85,118 +85,107 @@ def _family_nu(k, c):
     return nu if c * nu * nu == d else None
 
 
-def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
-    """Certificate that the level-k surface has no integer points, by
-    membership in one of the three reciprocity-failure families, paired
-    with an independent exhaustive search."""
+# The Hasse-failure families k = 4 + c*nu^2, one row each:
+#   the name over Z, the name over Z[1/ell] (None: a family over Z only), c,
+#   m: every prime factor of nu is +-1 (mod m),
+#   m': ell is +-1 (mod m'),
+#   the extra clause on nu over Z, and the one over Z[1/ell], each as
+#   (text, evidence key, residue of nu, accepted residues).
+# The ell and nu (mod 9) clauses apply only over Z[1/ell]; the 12*nu^2 row
+# and its nu^2 (mod 32) clause only over Z.  Given the factor clause, each
+# nu (mod 9) clause says the same as `admissible_k`: nu is odd and prime to
+# 3, k is 0 or 2 (mod 4), and k = 4 + 2*nu^2 (mod 9) is +-3 exactly when
+# nu = +-1, +-2 (mod 9).  They stay because the certificates record them.
+_FAMILIES = (
+    ("i", "2nu^2", 2, 8, 8,
+     None, ("nu in {0, +-3, +-4} (mod 9)", "nu_mod_9", lambda nu: nu % 9, (0, 3, 4, 5, 6))),
+    ("ii", None, 12, 12, None,
+     ("nu^2 = 25 (mod 32)", "nu_sq_mod_32", lambda nu: nu * nu % 32, (25,)), None),
+    ("iii", "20nu^2", 20, 20, 5,
+     None, ("nu = +-4 (mod 9)", "nu_mod_9", lambda nu: nu % 9, (4, 5))),
+)
+
+
+def _family_candidates(k, ell):
+    """The families over Z (ell None) or Z[1/ell] that k has the shape of,
+    each as {family, clauses, holds, evidence}."""
+    out = []
+    for zname, sname, c, m, ell_m, z_clause, s_clause in _FAMILIES:
+        name = zname if ell is None else sname
+        nu = _family_nu(k, c)
+        if name is None or nu is None:
+            continue
+        okf, ev = _prime_classes_check(nu, {1, m - 1}, m)
+        clauses = {"factors of nu = +-1 (mod %d)" % m: okf}
+        if ell is not None:
+            ev["ell_mod_%d" % ell_m] = ell % ell_m
+            clauses["ell = +-1 (mod %d)" % ell_m] = ell % ell_m in (1, ell_m - 1)
+        extra = z_clause if ell is None else s_clause
+        if extra is not None:
+            text, key, residue, accepted = extra
+            ev[key] = residue(nu)
+            clauses[text] = residue(nu) in accepted
+        out.append({"family": name, "clauses": clauses, "holds": all(clauses.values()),
+                    "evidence": ev})
+    return out
+
+
+def _failure_certificate(k, ell, bound, max_exp):
+    """Certificate that the level-k surface has no points over S^-1 Z,
+    S = () when ell is None and (ell,) otherwise: membership in one of the
+    reciprocity-failure families, no congruence obstruction (so the surface
+    has points everywhere locally), and an independent bounded search that
+    finds no point."""
 
     def build():
-        checks = []
-        families = []
-        nu = _family_nu(k, 2)
-        if nu is not None:
-            ok, ev = _prime_classes_check(nu, {1, 7}, 8)
-            families.append(("i", "k = 4 + 2*nu^2, prime factors of nu = +-1 (mod 8)", ok, ev))
-        nu = _family_nu(k, 12)
-        if nu is not None:
-            ok, ev = _prime_classes_check(nu, {1, 11}, 12)
-            ok2 = nu * nu % 32 == 25
-            ev["nu_sq_mod_32"] = nu * nu % 32
-            families.append(("ii", "k = 4 + 12*nu^2, nu^2 = 25 (mod 32), factors = +-1 (mod 12)",
-                             ok and ok2, ev))
-        nu = _family_nu(k, 20)
-        if nu is not None:
-            ok, ev = _prime_classes_check(nu, {1, 19}, 20)
-            families.append(("iii", "k = 4 + 20*nu^2, prime factors of nu = +-1 (mod 20)", ok, ev))
-        matched = [f for f in families if f[2]]
-        checks.append(Check(
-            name="family-membership",
-            statement="k - 4 has one of the shapes 2*nu^2, 12*nu^2, 20*nu^2 "
-                      "with the required factor congruences",
-            method="closed-form",
-            result=bool(matched),
-            data={"k": k, "candidates": [{"family": f[0], "statement": f[1],
-                                          "holds": f[2], "evidence": f[3]} for f in families]},
-        ))
-        empty = not search_integral(k, bound)
-        checks.append(Check(
-            name="integral-search-empty",
-            statement="no integer point with all coordinates bounded",
-            method="exhaustive",
-            result=empty,
-            data={"k": k},
-            bound=bound,
-        ))
-        return Certificate("E3FailureZ", {"k": k, "bound": bound}, checks)
+        candidates = _family_candidates(k, ell)
+        if ell is None:
+            kind, params = "E3FailureZ", {"k": k, "bound": bound}
+            statement = ("k - 4 has one of the shapes 2*nu^2, 12*nu^2, 20*nu^2 "
+                         "with the required factor congruences")
+            membership = {"k": k, "candidates": candidates}
+            search = Check(name="integral-search-empty",
+                           statement="no integer point with all coordinates bounded",
+                           method="exhaustive", result=not search_integral(k, bound),
+                           data={"k": k}, bound=bound)
+        else:
+            kind, params = "E3FailureSInt", {"k": k, "ell": ell, "bound": bound,
+                                             "max_exp": max_exp}
+            statement = "(k, ell) lies in one of the S-integer failure families"
+            membership = {"k": k, "ell": ell, "candidates": candidates}
+            pts = search_localized(k, ell, max_exp, bound)
+            found = ["(%s, %s, %s)@%d" % (*(localized_str(c, ell) for c in p.coords()), k)
+                     for p in pts[:5]]
+            search = Check(name="localized-search-empty",
+                           statement="no point in either denominator shape within bounds",
+                           method="exhaustive", result=not pts,
+                           data={"k": k, "ell": ell, "max_exp": max_exp, "found": found},
+                           bound=bound)
+        return Certificate(kind, params, [
+            Check(name="family-membership", statement=statement, method="closed-form",
+                  result=any(f["holds"] for f in candidates), data=membership),
+            Check(name="no-congruence-obstruction",
+                  statement="k avoids 3 (mod 4) and +-3 (mod 9)", method="closed-form",
+                  result=admissible_k(k), data={"k_mod_4": k % 4, "k_mod_9": k % 9}),
+            search,
+        ])
 
     return _timed(build)
+
+
+def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
+    """Certificate that the level-k surface has no integer points although
+    it has no congruence obstruction (see `_failure_certificate`)."""
+    return _failure_certificate(k, None, bound, None)
 
 
 def certify_sint_failure(k, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_MAX_EXP):
-    """Certificate that the level-k surface has no Z[1/ell] points while
-    being congruence-unobstructed, by the two S-integer families plus an
-    independent bounded search over both denominator shapes."""
+    """Certificate that the level-k surface has no Z[1/ell] points although
+    it has no congruence obstruction (see `_failure_certificate`); the
+    search covers both denominator shapes."""
     if ell % 2 == 0 or ell % 3 == 0 or not is_probable_prime(ell):
         raise ValueError("ell must be a prime coprime to 6")
-
-    def build():
-        checks = []
-        families = []
-        nu = _family_nu(k, 2)
-        if nu is not None:
-            okl = ell % 8 in (1, 7)
-            okf, ev = _prime_classes_check(nu, {1, 7}, 8)
-            okn = nu % 9 in (0, 3, 6, 4, 5)
-            ev["ell_mod_8"] = ell % 8
-            ev["nu_mod_9"] = nu % 9
-            clauses = {"ell = +-1 (mod 8)": okl,
-                       "factors of nu = +-1 (mod 8)": okf,
-                       "nu in {0, +-3, +-4} (mod 9)": okn}
-            families.append(("2nu^2", clauses, okl and okf and okn, ev))
-        nu = _family_nu(k, 20)
-        if nu is not None:
-            okl = ell % 5 in (1, 4)
-            okf, ev = _prime_classes_check(nu, {1, 19}, 20)
-            okn = nu % 9 in (4, 5)
-            ev["ell_mod_5"] = ell % 5
-            ev["nu_mod_9"] = nu % 9
-            clauses = {"ell = +-1 (mod 5)": okl,
-                       "factors of nu = +-1 (mod 20)": okf,
-                       "nu = +-4 (mod 9)": okn}
-            families.append(("20nu^2", clauses, okl and okf and okn, ev))
-        matched = [f for f in families if f[2]]
-        checks.append(Check(
-            name="family-membership",
-            statement="(k, ell) lies in one of the S-integer failure families",
-            method="closed-form",
-            result=bool(matched),
-            data={"k": k, "ell": ell,
-                  "candidates": [{"family": f[0], "clauses": f[1], "holds": f[2],
-                                  "evidence": f[3]} for f in families]},
-        ))
-        checks.append(Check(
-            name="no-congruence-obstruction",
-            statement="k avoids 3 (mod 4) and +-3 (mod 9)",
-            method="closed-form",
-            result=admissible_k(k),
-            data={"k_mod_4": k % 4, "k_mod_9": k % 9},
-        ))
-        pts = search_localized(k, ell, max_exp, bound)
-        checks.append(Check(
-            name="localized-search-empty",
-            statement="no point in either denominator shape within bounds",
-            method="exhaustive",
-            result=not pts,
-            data={"k": k, "ell": ell, "max_exp": max_exp,
-                  "found": ["(%s, %s, %s)@%d" % (*(localized_str(c, ell) for c in p.coords()), k)
-                            for p in pts[:5]]},
-            bound=bound,
-        ))
-        return Certificate("E3FailureSInt",
-                           {"k": k, "ell": ell, "bound": bound, "max_exp": max_exp},
-                           checks)
-
-    return _timed(build)
+    return _failure_certificate(k, ell, bound, max_exp)
 
 
 def build_hfe1_matrix(nu, ell):
@@ -220,14 +209,19 @@ def build_hfe1_matrix(nu, ell):
     return a
 
 
-def _trace_admissible_check(t):
-    return Check(
-        name="trace-admissible",
-        statement="t avoids the obstructed classes mod 16 and mod 9",
-        method="closed-form",
-        result=admissible_t(t),
-        data={"t": t, "t_mod_16": t % 16, "t_mod_9": t % 9},
-    )
+def _trace_failure_checks(t, ell, bound, max_exp, name):
+    """The global half of a trace-t failure: the level t + 2 surface is a
+    Hasse failure over Z[1/ell] (the nested certificate, checked under
+    `name`), and t has no congruence obstruction."""
+    sub = certify_sint_failure(t + 2, ell, bound=bound, max_exp=max_exp)
+    return [
+        Check(name=name, statement="the level t+2 surface is a Hasse failure over Z[1/ell]",
+              method="oracle", result=sub.conclusion, data=sub.to_dict()),
+        Check(name="trace-admissible",
+              statement="t avoids the obstructed classes mod 16 and mod 9",
+              method="closed-form", result=admissible_t(t),
+              data={"t": t, "t_mod_16": t % 16, "t_mod_9": t % 9}),
+    ]
 
 
 def _local_commutator_check(a, q, cap):
@@ -284,41 +278,12 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
                 data=wdata,
                 bound=q,
             ))
-        sub = certify_sint_failure(t + 2, ell, bound=sint_bound, max_exp=sint_max_exp)
-        checks.append(Check(
-            name="nonsolvable-over-s-integers",
-            statement="the level t+2 surface is a Hasse failure over Z[1/ell]",
-            method="oracle",
-            result=sub.conclusion,
-            data=sub.to_dict(),
-        ))
-        checks.append(_trace_admissible_check(t))
+        checks += _trace_failure_checks(t, ell, sint_bound, sint_max_exp,
+                                        "nonsolvable-over-s-integers")
         return Certificate("HFE1",
                            {"nu": nu, "ell": ell, "local_moduli": list(local_moduli),
                             "sint_bound": sint_bound, "sint_max_exp": sint_max_exp},
                            checks)
-
-    return _timed(build)
-
-
-def certify_e2_failure(nu, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_MAX_EXP):
-    """Trace-level failure certificate: t = 2 + 20*nu^2 is admissible but
-    the underlying surface fails over Z[1/ell]."""
-
-    def build():
-        t = 2 + 20 * nu * nu
-        checks = [_trace_admissible_check(t)]
-        sub = certify_sint_failure(t + 2, ell, bound=bound, max_exp=max_exp)
-        checks.append(Check(
-            name="surface-failure",
-            statement="the level t+2 surface is a Hasse failure over Z[1/ell]",
-            method="oracle",
-            result=sub.conclusion,
-            data=sub.to_dict(),
-        ))
-        return Certificate("E2Failure",
-                           {"nu": nu, "ell": ell, "t": t,
-                            "bound": bound, "max_exp": max_exp}, checks)
 
     return _timed(build)
 
@@ -372,11 +337,12 @@ def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
     Deterministic: regenerating with the stored parameters must reproduce
-    every check result and the conclusion.  Input that is not a certificate
-    of a known kind (not a JSON object, another schema version, an unknown
-    kind, no `checks` list of named results, no `conclusion`, a required
-    parameter missing, or a parameter that is not an integer;
-    `local_moduli` is a list of them) raises ValueError.
+    every check result and the conclusion.  E2Failure files (the global
+    half of HFE1, which no command makes any more) still replay.  Input
+    that is not a certificate of a known kind (not a JSON object, another
+    schema version, an unknown kind, no `checks` list of named results, no
+    `conclusion`, a required parameter missing, or a parameter that is not
+    an integer; `local_moduli` is a list of them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
         raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
@@ -408,9 +374,13 @@ def check_certificate(cert_dict):
                                      bound=params.get("bound", DEFAULT_SINT_BOUND),
                                      max_exp=params.get("max_exp", DEFAULT_SINT_MAX_EXP))
     elif kind == "E2Failure":
-        fresh = certify_e2_failure(params["nu"], params["ell"],
-                                   bound=params.get("bound", DEFAULT_SINT_BOUND),
-                                   max_exp=params.get("max_exp", DEFAULT_SINT_MAX_EXP))
+        nu, ell = params["nu"], params["ell"]
+        t = 2 + 20 * nu * nu
+        bound = params.get("bound", DEFAULT_SINT_BOUND)
+        max_exp = params.get("max_exp", DEFAULT_SINT_MAX_EXP)
+        fresh = Certificate(  # checks in the order E2Failure files list them
+            "E2Failure", {"nu": nu, "ell": ell, "t": t, "bound": bound, "max_exp": max_exp},
+            _trace_failure_checks(t, ell, bound, max_exp, "surface-failure")[::-1])
     else:
         fresh = verify_hfe1(params["nu"], params["ell"],
                             local_moduli=tuple(params.get("local_moduli", DEFAULT_HFE1_MODULI)),
@@ -419,5 +389,9 @@ def check_certificate(cert_dict):
     fresh_dict = fresh.to_dict()
     old = {c["name"]: c["result"] for c in checks}
     new = {c["name"]: c["result"] for c in fresh_dict["checks"]}
+    if kind == "E3FailureZ":
+        # E3FailureZ files made before the congruence check was added to it
+        # replay as they did whenever that check holds
+        old.setdefault("no-congruence-obstruction", True)
     ok = old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
     return ok, fresh_dict

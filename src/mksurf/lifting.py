@@ -96,7 +96,7 @@ def lift2(z, y, x1, x3):
         g = math.gcd(delta.v, delta.q)
         q2 = delta.q // g
         if q2 < 2:
-            raise LiftError("Delta = %r annihilates the quotient" % (delta,))
+            raise LiftError("Delta = %s annihilates the quotient" % (delta,))
         bad = [v for v in num.entries() if v.v % g]
         if bad:
             raise LiftError("entries not divisible by gcd(Delta, q) = %d" % g,
@@ -121,7 +121,8 @@ def lift2(z, y, x1, x3):
             else:
                 bad.append(v)
         if bad:
-            raise LiftError("entries %r not divisible by Delta = %r" % (bad, delta),
+            raise LiftError("entries [%s] not divisible by Delta = %s"
+                            % (", ".join(map(str, bad)), delta),
                             failed_entries=bad)
         x = Mat2(*entries)
 
@@ -142,14 +143,15 @@ def lift_point(z, point, y):
     if t == 2 or t == -2:
         raise LiftError("need Tr Z != +-2")
     if point.k != t + 2:
-        raise LiftError("point level %r != Tr Z + 2" % (point.k,))
+        raise LiftError("point level %s != Tr Z + 2" % (point.k,))
     x2 = y.trace()
     if (z * y).trace() != x2:
         raise LiftError("Y is not in the trace set of Z")
     coords = point.coords()
     js = [j for j in (1, 2, 3) if coords[j - 1] == x2]
     if not js:
-        raise LiftError("no coordinate of %r matches Tr Y = %r" % (coords, x2))
+        raise LiftError("no coordinate of (%s) matches Tr Y = %s"
+                        % (", ".join(map(str, coords)), x2))
     delta = t + 2 - x2 * x2
     if isinstance(delta, ModInt):
         unit = math.gcd(delta.v, delta.q) == 1
@@ -158,7 +160,7 @@ def lift_point(z, point, y):
     if not unit:
         # Delta depends only on Tr Y and t, so no Vieta fix-up can repair it
         # once Y is fixed.
-        raise LiftError("Delta = %r degenerate for this Y" % (delta,))
+        raise LiftError("Delta = %s degenerate for this Y" % (delta,))
 
     j = 2 if 2 in js else js[0]
     if j == 2:

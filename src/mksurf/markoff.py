@@ -29,7 +29,7 @@ class MarkoffPoint:
     def __post_init__(self):
         if level(self.x1, self.x2, self.x3) != self.k:
             raise ValueError(
-                "(%r, %r, %r) is not on the level-%r surface" % (self.x1, self.x2, self.x3, self.k)
+                "(%s, %s, %s) is not on the level-%s surface" % (self.x1, self.x2, self.x3, self.k)
             )
 
     def coords(self):

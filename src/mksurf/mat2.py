@@ -1,5 +1,5 @@
 """2x2 matrix algebra over the supported rings, adjugate/trace identities,
-trace sets, conjugacy in SL2 over prime fields, and conic point counts."""
+trace sets, and conic point counts."""
 
 from dataclasses import dataclass
 
@@ -132,57 +132,3 @@ def count_conic_modp(delta, n, p):
         return p - legendre(delta, p)
     chi = legendre(delta, p) if delta else 0
     return p * (1 + chi) - chi
-
-
-def _canonical_conjugator(a, p):
-    """gamma in SL2(Z/p) with gamma^-1 * A * gamma = [[0,1],[-1,t]].
-
-    Exists whenever Tr A is not +-2 (single conjugacy class); found by
-    scanning for a column vector v with det [v, -A v] = 1.
-    """
-    for v1 in range(p):
-        for v2 in range(p):
-            if v1 == 0 and v2 == 0:
-                continue
-            w1 = -(a.a.v * v1 + a.b.v * v2) % p
-            w2 = -(a.c.v * v1 + a.d.v * v2) % p
-            if (v1 * w2 - v2 * w1) % p == 1:
-                return Mat2(ModInt(v1, p), ModInt(w1, p), ModInt(v2, p), ModInt(w2, p))
-    return None
-
-
-def sl2_conjugacy_test_modp(a, b, p):
-    """Decide SL2(Z/p)-conjugacy of A and B; returns (bool, gamma or None).
-
-    For trace != +-2 both sides are compared through the canonical
-    companion form; the exceptional traces are read off the conjugacy
-    classes of `quotients.group_table(p)`, which raises BudgetExceeded for
-    p above the default modulus cap.
-    """
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError("p must be an odd prime")
-    a = mat_mod(a, p) if not isinstance(a.a, ModInt) else a
-    b = mat_mod(b, p) if not isinstance(b.a, ModInt) else b
-    one = ModInt(1, p)
-    if a.det() != one or b.det() != one:
-        raise ValueError("inputs must have determinant 1 mod p")
-    if a == b:
-        return True, a.identity_like()
-    ta, tb = a.trace(), b.trace()
-    if ta != tb:
-        return False, None
-    if ta.v not in (2 % p, (p - 2) % p):
-        ga = _canonical_conjugator(a, p)
-        gb = _canonical_conjugator(b, p)
-        gamma = gb * ga.inverse()
-        assert gamma * a * gamma.inverse() == b
-        return True, gamma
-    from .quotients import DEFAULT_MODULUS_CAP, _check_modulus, group_table
-
-    _check_modulus(p, DEFAULT_MODULUS_CAP)
-    table = group_table(p)
-    i, j = (int(table.index([e.v for e in m.entries()])) for m in (a, b))
-    if table.cls[i] != table.cls[j]:
-        return False, None
-    return True, mat_mod(Mat2(*table.conjugator(i, j)), p)
-

@@ -61,22 +61,6 @@ def sl2_tuples(q):
     return out
 
 
-def sl2_order(q):
-    """|SL2(Z/q)| = q^3 * prod_{p | q} (1 - p^-2)."""
-    order = q**3
-    left = q
-    p = 2
-    while p * p <= left:
-        if left % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while left % p == 0:
-                left //= p
-        p += 1
-    if left > 1:
-        order = order // (left * left) * (left * left - 1)
-    return order
-
-
 def _mul(x, y, q):
     """X Y mod q for row-major entry quadruples of ints or arrays."""
     a, b, c, d = x

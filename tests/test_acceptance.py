@@ -123,7 +123,7 @@ def test_criterion_3_isotropy():
 
 
 def test_criterion_4_hasse_failures_over_z():
-    for k, nu in ((102, 7), (24, 1)):
+    for k, nu in ((1062, 23), (1456, 11), (386424, 139)):
         t0 = time.time()
         c = certify_hfz(k, bound=10**4)
         elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,6 @@ from mksurf.certify import (
     DEFAULT_HFE1_MODULI,
     build_hfe1_matrix,
     catalogue_congruence_obstructions,
-    certify_e2_failure,
     certify_hfz,
     certify_sint_failure,
     check_certificate,
@@ -18,13 +18,21 @@ from mksurf.quotients import commutator_test_modq
 
 from _util import random_sl2z
 
+DATA = Path(__file__).parent / "data"
+
+
+def stored_v1(name):
+    """A certificate file written by the schema-1 code before certify_hfz
+    checked congruence obstructions and while certify_e2_failure existed."""
+    return json.loads((DATA / name).read_text())
+
 
 def test_hfz_families():
-    c = certify_hfz(102, bound=2000)  # nu = 7 in the 2*nu^2 family
+    c = certify_hfz(1062, bound=2000)  # nu = 23 in the 2*nu^2 family
     assert c.conclusion
     fam = c.checks[0].data["candidates"]
     assert fam[0]["family"] == "i" and fam[0]["holds"]
-    c = certify_hfz(24, bound=2000)  # nu = 1, vacuous factor condition
+    c = certify_hfz(386424, bound=2000)  # nu = 139 = -1 (mod 20)
     assert c.conclusion
     fam = [f for f in c.checks[0].data["candidates"] if f["holds"]]
     assert fam[0]["family"] == "iii"
@@ -37,6 +45,15 @@ def test_hfz_families():
     c = certify_hfz(4 + 12 * 25, bound=500)
     fam = [f for f in c.checks[0].data["candidates"] if f["family"] == "ii"]
     assert fam and not fam[0]["holds"] and fam[0]["evidence"]["offending"] == [5]
+
+
+def test_hfz_rejects_congruence_obstructed_members():
+    # 102 (nu = 7) and 24 (nu = 1) lie in the families and have no integer
+    # point, but the surface has no point mod 9 either: no Hasse failure
+    for k in (102, 24):
+        c = certify_hfz(k, bound=2000)
+        assert not c.conclusion
+        assert [ch.name for ch in c.checks if not ch.result] == ["no-congruence-obstruction"]
 
 
 def test_hfz_not_applicable():
@@ -150,21 +167,23 @@ def test_certify_sint_found_spelling():
     assert not c.conclusion
 
 
-def test_certify_e2_failure():
-    c = certify_e2_failure(139, 19, bound=1000, max_exp=3)
-    assert c.conclusion
-    by_name = {ch.name: ch for ch in c.checks}
-    assert by_name["trace-admissible"].result
-
-
 def test_e2_failure_certificate_replays():
-    blob = json.loads(certify_e2_failure(139, 19, bound=300, max_exp=2).to_json())
+    blob = stored_v1("v1_e2failure_139_19.json")
     ok, fresh = check_certificate(blob)
     assert ok and fresh["kind"] == "E2Failure" and fresh["conclusion"] is True
     assert [c["name"] for c in fresh["checks"]] == ["trace-admissible", "surface-failure"]
     blob["checks"][1]["result"] = not blob["checks"][1]["result"]
     ok, _ = check_certificate(blob)
     assert not ok
+
+
+def test_v1_hfz_files_replay_by_admissibility():
+    # files without the no-congruence-obstruction check replay as before
+    # where k is admissible, and no longer at 102, which is 3 (mod 9)
+    ok, fresh = check_certificate(stored_v1("v1_hfz_1062.json"))
+    assert ok and fresh["conclusion"] is True
+    ok, fresh = check_certificate(stored_v1("v1_hfz_102.json"))
+    assert not ok and fresh["conclusion"] is False
 
 
 def random_with_trace(rng, t):

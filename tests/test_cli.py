@@ -188,7 +188,7 @@ def test_lift_universal_errors_spell_rationals(capsys, ring, eps, error):
 
 
 def test_certify_commands(tmp_path, capsys):
-    code, out = capture(capsys, ["certify", "hfz", "--k", "102", "--bound", "500"])
+    code, out = capture(capsys, ["certify", "hfz", "--k", "1062", "--bound", "500"])
     assert code == 0
     d = json.loads(out)
     assert d["conclusion"] is True
@@ -250,7 +250,7 @@ def test_negative_search_limits_exit_2(capsys, argv):
     assert json.loads(out)["kind"] == "invalid-input"
 
 
-GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 102, "bound": 50},
+GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 1062, "bound": 50},
             "checks": [{"name": "family-membership", "result": True},
                        {"name": "integral-search-empty", "result": True}],
             "conclusion": True}

@@ -190,6 +190,16 @@ def test_lift_point_driver():
         lift_point(z, MarkoffPoint.make(2, 2, 3), Mat2(1, 1, 0, 1))  # Tr ZY != Tr Y
 
 
+def test_lift_point_errors_spell_rationals():
+    # over Q, Tr Y = 2 + 1/2 and the point's coordinates print as n/d
+    x, y = universal_pair(7, 2, parse_ring("q"))
+    z = commutator(x, y)
+    with pytest.raises(LiftError, match=r"^point level 41/4 != Tr Z \+ 2$"):
+        lift_point(z, MarkoffPoint.make(Fraction(1, 2), Fraction(2), Fraction(3)), y)
+    with pytest.raises(LiftError, match=r"^no coordinate of \(3, 0, 0\) matches Tr Y = 5/2$"):
+        lift_point(z, MarkoffPoint.make(Fraction(3), Fraction(0), Fraction(0)), y)
+
+
 def test_lift_point_random_round_trips():
     rng = random.Random(64)
     done = 0

@@ -58,6 +58,11 @@ def test_level_invariance():
         assert apply_move(m, p).k == p.k
 
 
+def test_off_surface_message_spells_rationals():
+    with pytest.raises(ValueError, match=r"^\(1/2, 2, 3\) is not on the level-7/4 surface$"):
+        MarkoffPoint(Fraction(1, 2), Fraction(2), Fraction(3), Fraction(7, 4))
+
+
 def test_move_inverses():
     rng = random.Random(13)
     for _ in range(500):

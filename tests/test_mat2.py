@@ -10,10 +10,8 @@ from mksurf.mat2 import (
     fricke_level,
     in_trace_set,
     mat_mod,
-    sl2_conjugacy_test_modp,
 )
-from mksurf.quotients import sl2_tuples
-from mksurf.rings import ModInt, SIntegerRing, legendre
+from mksurf.rings import ModInt, SIntegerRing
 
 from _util import random_sl2z
 
@@ -169,61 +167,3 @@ def test_count_conic_matches_brute_force():
             for n in range(p):
                 assert count_conic_modp(delta, n, p) == brute_conic_count(delta, n, p), \
                     (delta, n, p)
-
-
-def test_sl2_conjugacy_same_trace_class():
-    # one class per trace t != +-2: any two such matrices are conjugate
-    p = 5
-    a = Mat2(0, 1, -1, 1)   # trace 1
-    b = Mat2(1, 1, -1, 0)   # trace 1
-    ok, gamma = sl2_conjugacy_test_modp(a, b, p)
-    assert ok
-    am, bm = mat_mod(a, p), mat_mod(b, p)
-    assert gamma * am * gamma.inverse() == bm
-
-
-def test_sl2_conjugacy_unipotent_split():
-    # [[1,1],[0,1]] and [[1,zeta],[0,1]] split when zeta is a nonresidue
-    p = 7
-    zeta = next(z for z in range(2, p) if legendre(z, p) == -1)
-    ok, _ = sl2_conjugacy_test_modp(Mat2(1, 1, 0, 1), Mat2(1, zeta, 0, 1), p)
-    assert not ok
-    square = next(z for z in range(2, p) if legendre(z, p) == 1)
-    ok, gamma = sl2_conjugacy_test_modp(Mat2(1, 1, 0, 1), Mat2(1, square, 0, 1), p)
-    assert ok and gamma * mat_mod(Mat2(1, 1, 0, 1), p) * gamma.inverse() \
-        == mat_mod(Mat2(1, square, 0, 1), p)
-
-
-def test_sl2_conjugacy_identity_and_brute_agreement():
-    a = Mat2(2, 1, 1, 1)
-    ok, gamma = sl2_conjugacy_test_modp(a, a, 11)
-    assert ok and gamma == mat_mod(a, 11).identity_like()
-    # cross-check the canonical-form path against exhaustive search
-    rng = random.Random(4)
-    p = 5
-    elements = [Mat2(*(ModInt(v, p) for v in t)) for t in sl2_tuples(p)]
-    for _ in range(40):
-        a = mat_mod(random_sl2z(rng, length=5), p)
-        b = mat_mod(random_sl2z(rng, length=5), p)
-        ok, gamma = sl2_conjugacy_test_modp(a, b, p)
-        brute = any(g * a * g.inverse() == b for g in elements)
-        assert ok == brute
-        if ok:
-            assert gamma * a * gamma.inverse() == b
-
-
-def test_sl2_conjugacy_exceptional_traces_against_orbits():
-    # trace +-2 goes through the class table; compare every pair with the
-    # conjugation orbits computed from the definition
-    for p in (3, 5, 7):
-        group = [Mat2(*(ModInt(v, p) for v in t)) for t in sl2_tuples(p)]
-        for tr in (2, p - 2):
-            mats = [m for m in group if m.trace().v == tr]
-            for a in mats:
-                orbit = {(g * a * g.inverse()).entries() for g in group}
-                for b in mats:
-                    ok, gamma = sl2_conjugacy_test_modp(a, b, p)
-                    assert ok == (b.entries() in orbit), (p, a, b)
-                    if ok:
-                        assert gamma.det() == ModInt(1, p)
-                        assert gamma * a * gamma.inverse() == b

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mksurf import quotients
@@ -8,13 +9,28 @@ from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.quotients import (
     BudgetExceeded,
     commutator_test_modq,
-    sl2_order,
     sl2_tuples,
     trace_commutator_image,
 )
 from mksurf.rings import ModInt
 
 from _util import random_sl2z
+
+
+def sl2_order(q):
+    """|SL2(Z/q)| = q^3 * prod_{p | q} (1 - p^-2)."""
+    order = q**3
+    left = q
+    p = 2
+    while p * p <= left:
+        if left % p == 0:
+            order = order // (p * p) * (p * p - 1)
+            while left % p == 0:
+                left //= p
+        p += 1
+    if left > 1:
+        order = order // (left * left) * (left * left - 1)
+    return order
 
 
 def test_sl2_enumeration():
@@ -25,6 +41,32 @@ def test_sl2_enumeration():
         assert len(set(tuples)) == len(tuples)
         for (a, b, c, d) in random.Random(q).sample(tuples, min(50, len(tuples))):
             assert (a * d - b * c) % q == 1
+
+
+def _conj(g, e, q):
+    """g e g^-1 mod q for determinant-1 entry quadruples (of ints or arrays)."""
+    a, b, c, d = g
+    w, x, y, z = e
+    m = (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
+    return ((m[0] * d - m[1] * c) % q, (m[1] * a - m[0] * b) % q,
+            (m[2] * d - m[3] * c) % q, (m[3] * a - m[2] * b) % q)
+
+
+def test_group_table_classes_are_conjugation_orbits():
+    # every element, every trace: the class ids against the orbits
+    # {g e g^-1 : g in SL2(Z/q)} computed from the definition, and every
+    # recorded conjugator between members of one class
+    for q in (3, 5, 7, 8, 9):
+        table = quotients.group_table(q)
+        group = tuple(v.astype(np.int64) for v in table.elements())
+        codes = {tuple(int(v) for v in table.entries[:, i]): i for i in range(len(table.codes))}
+        for e, i in codes.items():
+            orbit = {codes[m] for m in zip(*(v.tolist() for v in _conj(group, e, q)))}
+            assert set(np.flatnonzero(table.cls == table.cls[i]).tolist()) == orbit, (q, e)
+            for j in orbit:
+                g = table.conjugator(i, j)
+                assert (g[0] * g[3] - g[1] * g[2]) % q == 1, (q, i, j)
+                assert _conj(g, e, q) == tuple(table.entries[:, j]), (q, i, j)
 
 
 def test_commutator_test_identity():
