@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import admissible_k, admissible_t, search_integral, search_localized
-from .quotients import DEFAULT_MODULUS_CAP, commutator_test_modq
+from .quotients import commutator_test_modq
 from .rings import factorize, is_probable_prime, localized_str
 
 SCHEMA_VERSION = "1"
@@ -224,13 +224,13 @@ def _trace_failure_checks(t, ell, bound, max_exp, name):
     ]
 
 
-def _local_commutator_check(a, q, cap):
+def _local_commutator_check(a, q):
     """One modulus of the local verification: (replayed ok, witness data).
     A matrix of determinant other than 1 mod q (an audited claim) is not a
     commutator there."""
     if (a.det() - 1) % q:
         return False, {"error": "Z must have determinant 1 mod %d" % q}
-    ok, wit = commutator_test_modq(mat_mod(a, q), q, cap=cap)
+    ok, wit = commutator_test_modq(mat_mod(a, q), q)
     if not ok:
         return False, None
     x, y = wit
@@ -241,7 +241,7 @@ def _local_commutator_check(a, q, cap):
 
 def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
                 sint_bound=DEFAULT_SINT_BOUND, sint_max_exp=DEFAULT_SINT_MAX_EXP,
-                cap=DEFAULT_MODULUS_CAP, matrix=None):
+                matrix=None):
     """End-to-end certificate: the matrix is a commutator in every listed
     finite quotient (with recorded witnesses) yet the trace surface has no
     S-integer points, so it cannot be a commutator globally.
@@ -269,7 +269,7 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
             data={"matrix": [[a.a, a.b], [a.c, a.d]], "trace": t},
         ))
         for q in local_moduli:
-            ok, wdata = _local_commutator_check(a, q, cap)
+            ok, wdata = _local_commutator_check(a, q)
             checks.append(Check(
                 name="commutator-mod-%d" % q,
                 statement="A is a commutator in SL2(Z/%d) with a recorded witness" % q,

@@ -107,14 +107,13 @@ def _cmd_markoff_reduce(args):
 
 
 def _cmd_markoff_class(args):
-    bound = args.bound if args.bound is not None else default_class_bound(args.k)
-    classes = class_data(args.k, bound)
+    classes = class_data(args.k)
     out = []
     for rep in classes:
         orbit = orbit_within(rep.coords(), max(10, rep.maxabs() * 3))
         sample = sorted(c for c in orbit if abs(c[0]) <= abs(c[1]) <= abs(c[2]))
         out.append({"rep": list(rep.coords()), "orbit_sample": sample[:5],
-                    "bound": bound})
+                    "bound": default_class_bound(args.k)})
     return {"k": args.k, "classes": out, "hhat": len(classes)}
 
 
@@ -158,9 +157,8 @@ def _cmd_quadform_profile(args):
 
 
 def _cmd_quadform_isotropy(args):
-    classes = class_data(args.k, args.bound)
     out = []
-    for rep in classes:
+    for rep in class_data(args.k):
         verdict, data = form_isotropic(rep, witness_bound=args.witness_bound)
         out.append({"rep": list(rep.coords()), "verdict": verdict, "data": data})
     return {"k": args.k, "classes": out}
@@ -365,7 +363,6 @@ def build_parser():
     p.set_defaults(func=_cmd_markoff_reduce)
     p = mk.add_parser("class")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bound", type=int)
     p.set_defaults(func=_cmd_markoff_class)
     p = mk.add_parser("search")
     p.add_argument("--k", type=int, required=True)
@@ -387,7 +384,6 @@ def build_parser():
     p.set_defaults(func=_cmd_quadform_profile)
     p = qf.add_parser("isotropy")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bound", type=int)
     p.add_argument("--witness-bound", type=int, default=600)
     p.set_defaults(func=_cmd_quadform_isotropy)
 

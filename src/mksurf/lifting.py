@@ -132,6 +132,11 @@ def lift2(z, y, x1, x3):
     return x
 
 
+# lift_point: coordinate j = Tr Y -> (the two coordinates lift2 takes, the
+# _PERM_PAIR row that maps the lifted pair back onto the point)
+_LIFT_ROWS = {2: ((0, 2), (1, 2, 3)), 1: ((2, 1), (2, 3, 1)), 3: ((1, 0), (3, 1, 2))}
+
+
 def lift_point(z, point, y):
     """Package a Markoff point and a trace-set matrix Y into a commutator
     pair for Z, permuting the matched coordinate into the middle slot.
@@ -162,22 +167,8 @@ def lift_point(z, point, y):
         # once Y is fixed.
         raise LiftError("Delta = %s degenerate for this Y" % (delta,))
 
-    j = 2 if 2 in js else js[0]
-    if j == 2:
-        x = lift2(z, y, coords[0], coords[2])
-        pair = (x, y)
-        row = (1, 2, 3)
-    elif j == 1:
-        # lift the permuted point (x3, x1, x2), then map back through (2,3,1)
-        x = lift2(z, y, coords[2], coords[1])
-        f, _ = _PERM_PAIR[(2, 3, 1)]
-        pair = f(x, y)
-        row = (2, 3, 1)
-    else:
-        x = lift2(z, y, coords[1], coords[0])
-        f, _ = _PERM_PAIR[(3, 1, 2)]
-        pair = f(x, y)
-        row = (3, 1, 2)
+    (i1, i3), row = _LIFT_ROWS[2 if 2 in js else js[0]]
+    pair = _PERM_PAIR[row][0](lift2(z, y, coords[i1], coords[i3]), y)
     if trace_triple(*pair) != coords or commutator(*pair) != z:
         raise LiftError("permutation bookkeeping broke the lift contract")
     return LiftResult(pair[0], pair[1], z, "Z", row)
@@ -198,24 +189,15 @@ def find_trace_set_matrix(z, target_trace, bound=12):
     if bound > MAX_TRACE_SET_BOUND:
         raise BudgetExceeded("entry bound %d exceeds the search budget %d"
                              % (bound, MAX_TRACE_SET_BOUND))
-    one = z.a - z.a + 1
-    for a in _box(bound, one):
+    box = [0] + [v for i in range(1, bound + 1) for v in (i, -i)]
+    for a in box:
         d = target_trace - a
-        for b in _box(bound, one):
-            for c in _box(bound, one):
+        for b in box:
+            for c in box:
                 y = Mat2(a, b, c, d)
                 if y.det() == 1 and (z * y).trace() == target_trace:
                     return y
     return None
-
-
-def _box(bound, one):
-    yield one - one
-    val = one
-    for _ in range(bound):
-        yield val
-        yield -val
-        val = val + one
 
 
 def universal_pair(t, eps, ring):

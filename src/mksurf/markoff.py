@@ -171,12 +171,15 @@ def orbit_within(c, bound):
     return seen
 
 
-def reduce_point(point, max_steps=10**6):
+MAX_DESCENT_STEPS = 10**6
+
+
+def reduce_point(point):
     """Markoff descent to a normal form; returns (normal_point, path) where
     replaying path from the normal form reproduces the input point.
 
     Descent repeatedly applies the Vieta move that strictly decreases the
-    max-norm (lowest index on ties); more than max_steps of them raise
+    max-norm (lowest index on ties); more than MAX_DESCENT_STEPS of them raise
     BudgetExceeded.  At the floor m, orbit_within closes over the orbit
     reachable without increasing the max-norm, and the normal form is the
     lexicographically largest family-canonical tuple in it, which keeps
@@ -203,7 +206,6 @@ def reduce_point(point, max_steps=10**6):
         raise ValueError("k = %r is outside the generic range" % (point.k,))
     cur = point.coords()
     path = []  # moves from the input point to cur
-    steps = 0
     while True:
         m0 = _maxabs(cur)
         best = None
@@ -216,9 +218,8 @@ def reduce_point(point, max_steps=10**6):
             break
         path.append(best[1])
         cur = best[2]
-        steps += 1
-        if steps > max_steps:
-            raise BudgetExceeded("descent exceeded %d steps" % max_steps)
+        if len(path) > MAX_DESCENT_STEPS:
+            raise BudgetExceeded("descent exceeded %d steps" % MAX_DESCENT_STEPS)
 
     closure = orbit_within(cur, _maxabs(cur))
     # the closure is closed under the perm/sign group, so the canonical tuple
@@ -229,19 +230,37 @@ def reduce_point(point, max_steps=10**6):
 
 
 def default_class_bound(k):
+    """The search box of class_data: it meets every orbit at level k != 0, 4.
+
+    Each orbit holds a floor point d (descent ends at one), and a permutation
+    of d lies in search_integral(k, b) once m = max|d| <= b.  Claim:
+    5 m^2 <= 9 (|k| + 9), with equality at (3, 2j, 3j) for j >= 2.  Permute
+    and change two signs so that d = (x, y, z), 0 <= x <= y <= |z| = m.
+    (a) y < m.  Only the Vieta move on z can lower m, so |xy - z| >= m.  If
+        xyz <= 0, then k >= m^2.  Else z = m and xy > 0, so xy >= 2m and
+        x >= 3, and -k = f = mxy - m^2 - x^2 - y^2 grows with y <= m
+        (mx > 2y).  If x^2 >= 2m, y >= x gives f >= (m - 2) x^2 - m^2
+        >= m^2 - 4m.  Else y >= 2m/x gives f >= m^2 - (x^2 + 4m^2/x^2), which
+        is convex in x^2 on [9, 2m], so f >= m^2 - max(9 + 4m^2/9, 4m).  As
+        9 + 4m^2/9 - 4m = (2m/3 - 3)^2, -k >= 5m^2/9 - 9 either way.
+    (b) y = m.  Then k = x^2 + 2m^2 -+ x m^2 for z = +-m.  z = -m or x <= 1
+        gives k >= m^2, x = 2 gives k = 4, and x >= 3 gives -k = (x - 2) m^2
+        - x^2 >= m^2 - 9, as it grows with x <= m.
+    So 5 m^2 <= 9 (|k| + 9) <= 9 (|k| + 16).  With s = isqrt(9|k|) >= 3,
+    9 (|k| + 16) < (s + 1)^2 + 144 <= 5 (s + 4)^2, so m < s + 4, the box.
+    """
     return math.isqrt(9 * abs(k)) + 4
 
 
-def class_data(k, bound=None):
+def class_data(k):
     """Fundamental representatives of the Markoff-group orbits on the
-    level-k integer points, one per orbit, found by bounded enumeration
-    plus descent.  len(result) is the class number."""
+    level-k integer points, one per orbit: the normal forms of the points in
+    the box default_class_bound(k), which meets every orbit.  len(result)
+    is the class number."""
     if k in (0, 4):
         raise ValueError("k = %r is outside the generic range" % (k,))
-    if bound is None:
-        bound = default_class_bound(k)
     reps = {}
-    for p in search_integral(k, bound):
+    for p in search_integral(k, default_class_bound(k)):
         nf, _ = reduce_point(p)
         reps.setdefault(nf.coords(), nf)
     return [reps[c] for c in sorted(reps)]

@@ -93,10 +93,10 @@ def _pollard_rho(n):
     raise RuntimeError("rho failed on %d" % n)
 
 
-def factorize(n, trial_bound=10**6):
+def factorize(n):
     """Complete factorization of |n| as a sorted list of (prime, multiplicity).
 
-    Trial division up to trial_bound, Pollard rho on what remains.
+    Trial division up to 10^6, Pollard rho on what remains.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -111,7 +111,7 @@ def factorize(n, trial_bound=10**6):
             add(p)
             n //= p
     f = 5
-    while f <= trial_bound and f * f <= n:
+    while f <= 10**6 and f * f <= n:
         for p in (f, f + 2):
             while n % p == 0:
                 add(p)

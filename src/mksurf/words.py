@@ -159,24 +159,31 @@ def conjugacy_class_key(w):
 
 # --- the modular-group embeddings --------------------------------------------
 
-U_MAT = Mat2(0, -1, 1, 0)
-V_MAT = Mat2(0, -1, 1, 1)
+_UV_MATS = {"u": Mat2(0, -1, 1, 0), "v": Mat2(0, -1, 1, 1)}
 
-_EMBED_MATS = {
-    (2, 3): {"a": U_MAT, "b": V_MAT},
-    (2, None): {"a": U_MAT, "b": V_MAT * U_MAT * V_MAT},
-    (3, 3): {"a": V_MAT, "b": U_MAT * V_MAT * U_MAT**3},
-    (3, None): {"a": V_MAT, "b": (U_MAT * V_MAT) ** 3 * U_MAT},
-}
-
-# images of a and b as reduced u,v-words (u of order 2, v of order 3)
+# images of a and b as u,v-runs (u of order 2, v of order 3).  Evaluated as
+# written they give the defining SL2(Z) matrices: (3, 3)'s b is u v u^3, as
+# U V U^3 = -U V U is the sign `repro embeddings` records, while Word.make
+# reduces u^3 to u, so its modular words are those of u v u.
 _EMBED_WORDS = {
     (2, 3): {"a": (("u", 1),), "b": (("v", 1),)},
     (2, None): {"a": (("u", 1),), "b": (("v", 1), ("u", 1), ("v", 1))},
-    (3, 3): {"a": (("v", 1),), "b": (("u", 1), ("v", 1), ("u", 1))},
+    (3, 3): {"a": (("v", 1),), "b": (("u", 1), ("v", 1), ("u", 3))},
     (3, None): {"a": (("v", 1),),
                 "b": (("u", 1), ("v", 1)) * 3 + (("u", 1),)},
 }
+
+
+def _evaluate(runs, mats):
+    """The product of mats[letter] ** exponent over the runs."""
+    out = Mat2(1, 0, 0, 1)
+    for g, e in runs:
+        out = out * mats[g] ** e
+    return out
+
+
+_EMBED_MATS = {mn: {g: _evaluate(r, _UV_MATS) for g, r in imgs.items()}
+               for mn, imgs in _EMBED_WORDS.items()}
 
 
 def embedding_matrix(m, n, gen):
@@ -204,11 +211,7 @@ def modular_word(m, n, w):
 
 def uv_matrix(w):
     """Evaluate a u,v-word in SL2(Z)."""
-    out = Mat2(1, 0, 0, 1)
-    for g, e in w.runs:
-        base = U_MAT if g == "u" else V_MAT
-        out = out * base**e
-    return out
+    return _evaluate(w.runs, _UV_MATS)
 
 
 def word_trace(m, n, w):
@@ -219,10 +222,7 @@ def word_trace(m, n, w):
     if w.runs and w.runs[0][0] in ("u", "v"):
         return abs(uv_matrix(w).trace())
     _check_mn(m, n)
-    out = Mat2(1, 0, 0, 1)
-    for g, e in w.runs:
-        out = out * _EMBED_MATS[(m, n)][g] ** e
-    return abs(out.trace())
+    return abs(_evaluate(w.runs, _EMBED_MATS[(m, n)]).trace())
 
 
 # --- conjugacy representatives of a given trace ------------------------------

@@ -1,12 +1,12 @@
-import functools
 import json
 import random
 
 import pytest
 
 import mksurf.cli
+import mksurf.markoff
 from mksurf.cli import run, repro
-from mksurf.markoff import MarkoffPoint, reduce_point, same_orbit, search_integral
+from mksurf.markoff import MarkoffPoint, same_orbit, search_integral
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.rings import ModInt
 
@@ -301,11 +301,20 @@ def test_budget_overruns_exit_3(capsys, argv):
 
 
 def test_long_descent_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(mksurf.cli, "reduce_point",
-                        functools.partial(reduce_point, max_steps=10))
+    monkeypatch.setattr(mksurf.markoff, "MAX_DESCENT_STEPS", 10)
     code, out = capture(capsys, ["markoff", "reduce", "--point", "2,1000,1001"])
     assert code == 3
     assert json.loads(out) == {"error": "descent exceeded 10 steps", "kind": "budget"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["markoff", "class", "--k", "329", "--bound", "5"],
+    ["quadform", "isotropy", "--k", "3780", "--bound", "2"],
+])
+def test_class_box_is_not_an_option(capsys, argv):
+    # a smaller box would miss classes (k = 329 has 2), so there is no flag
+    code, _ = capture(capsys, argv)
+    assert code == 2
 
 
 def test_no_seed_flag(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mksurf.markoff
 from mksurf.markoff import (
     MarkoffMove,
     MarkoffPoint,
@@ -110,10 +111,11 @@ def test_reduce_rejects_nongeneric_levels():
         reduce_point(MarkoffPoint.make(0, 0, 0))  # k = 0
 
 
-def test_reduce_point_step_budget():
+def test_reduce_point_step_budget(monkeypatch):
     # (2, 1000, 1001) on level 5 descends one Vieta step at a time
+    monkeypatch.setattr(mksurf.markoff, "MAX_DESCENT_STEPS", 10)
     with pytest.raises(BudgetExceeded, match="descent exceeded 10 steps"):
-        reduce_point(MarkoffPoint.make(2, 1000, 1001), max_steps=10)
+        reduce_point(MarkoffPoint.make(2, 1000, 1001))
 
 
 def test_floor_walk_stays_at_the_floor():
@@ -145,10 +147,39 @@ def test_class_data_examples():
     assert len(class_data(3780)) == 1
 
 
-def test_class_data_bound_independent():
-    a = [c.coords() for c in class_data(329)]
-    b = [c.coords() for c in class_data(329, bound=200)]
-    assert a == b
+def test_class_data_meets_every_orbit_of_the_doubled_box():
+    # every point within twice the proven box reduces to a returned class
+    for k in range(-100, 201):
+        if k in (0, 4):
+            continue
+        reps = {c.coords() for c in class_data(k)}
+        for p in search_integral(k, 2 * default_class_bound(k)):
+            assert reduce_point(p)[0].coords() in reps, (k, p)
+
+
+def test_class_box_bound_at_its_edge():
+    # default_class_bound's docstring proves 5 m^2 <= 9 (|k| + 9) for every
+    # floor point; checked on the whole cube max|c| <= 40
+    r = np.arange(-40, 41, dtype=np.int64)
+    x, y, z = (a.ravel() for a in np.meshgrid(r, r, r, indexing="ij"))
+
+    def norm(a, b, c):
+        return np.maximum(np.maximum(abs(a), abs(b)), abs(c))
+
+    m = norm(x, y, z)
+    k = x * x + y * y + z * z - x * y * z
+    floor = ((norm(y * z - x, y, z) >= m) & (norm(x, x * z - y, z) >= m)
+             & (norm(x, y, x * y - z) >= m) & (k != 0) & (k != 4))
+    m, k = m[floor], k[floor]
+    assert np.all(5 * m * m <= 9 * (abs(k) + 9))
+    assert np.all(m <= [default_class_bound(int(v)) for v in k])
+    # the ratio behind the constant 9/5 nears it, and the bound is attained
+    assert (m * m / (abs(k) + 16)).max() > 1.7
+    assert np.count_nonzero(5 * m * m == 9 * (abs(k) + 9)) > 10
+    d = MarkoffPoint.make(3, 46, 69)
+    assert d.k == -2636 and 5 * 69**2 == 9 * (2636 + 9)
+    assert all(apply_move(MarkoffMove.vieta(j), d).maxabs() >= 69 for j in (1, 2, 3))
+    assert 69 <= default_class_bound(-2636)
 
 
 ORBIT_KS = sorted(random.Random(61).sample([k for k in range(-300, 601) if k not in (0, 4)], 60))

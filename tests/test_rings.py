@@ -171,9 +171,10 @@ def test_factorize():
     assert factorize(-12) == [(2, 2), (3, 1)]
     with pytest.raises(ValueError):
         factorize(0)
-    # a 64-bit semiprime exercises the rho stage
+    # a 64-bit semiprime of two primes above the 10^6 trial-division limit
+    # exercises the rho stage
     p, q = 1000003, 998244353
-    assert factorize(p * q, trial_bound=10**3) == [(p, 1), (q, 1)]
+    assert factorize(p * q) == [(p, 1), (q, 1)]
     rng = random.Random(8)
     for _ in range(200):
         n = rng.randint(2, 10**9)
