@@ -174,12 +174,32 @@ def orbit_within(c, bound):
 MAX_DESCENT_STEPS = 10**6
 
 
+def _descent_step(c):
+    """(move, image) for the Vieta move that lowers max|x| of the integer
+    triple c, or None when c is a floor point.  At most one does: a Vieta
+    move changes one coordinate, so only the move on the unique largest
+    coordinate can lower max|x|."""
+    m = _maxabs(c)
+    for mv in (VIETA1, VIETA2, VIETA3):
+        cand = _apply_coords(mv, c)
+        if _maxabs(cand) < m:
+            return mv, cand
+    return None
+
+
+def _normal_form(closure):
+    """The normal form of a floor closure: its lexicographically largest
+    family-canonical tuple.  The closure is closed under the perm/sign
+    group, so that tuple is itself one of its keys."""
+    return max(_family_canonical(c) for c in closure)
+
+
 def reduce_point(point):
     """Markoff descent to a normal form; returns (normal_point, path) where
     replaying path from the normal form reproduces the input point.
 
     Descent repeatedly applies the Vieta move that strictly decreases the
-    max-norm (lowest index on ties); more than MAX_DESCENT_STEPS of them raise
+    max-norm (_descent_step); more than MAX_DESCENT_STEPS of them raise
     BudgetExceeded.  At the floor m, orbit_within closes over the orbit
     reachable without increasing the max-norm, and the normal form is the
     lexicographically largest family-canonical tuple in it, which keeps
@@ -206,25 +226,14 @@ def reduce_point(point):
         raise ValueError("k = %r is outside the generic range" % (point.k,))
     cur = point.coords()
     path = []  # moves from the input point to cur
-    while True:
-        m0 = _maxabs(cur)
-        best = None
-        for mv in (VIETA1, VIETA2, VIETA3):
-            cand = _apply_coords(mv, cur)
-            m1 = _maxabs(cand)
-            if m1 < m0 and (best is None or m1 < best[0]):
-                best = (m1, mv, cand)
-        if best is None:
-            break
-        path.append(best[1])
-        cur = best[2]
+    while (step := _descent_step(cur)) is not None:
+        mv, cur = step
+        path.append(mv)
         if len(path) > MAX_DESCENT_STEPS:
             raise BudgetExceeded("descent exceeded %d steps" % MAX_DESCENT_STEPS)
 
     closure = orbit_within(cur, _maxabs(cur))
-    # the closure is closed under the perm/sign group, so the canonical tuple
-    # of the winning family is itself a key
-    target = max(_family_canonical(c) for c in closure)
+    target = _normal_form(closure)
     normal = MarkoffPoint(target[0], target[1], target[2], point.k)
     return normal, [m.inverse() for m in reversed(path + closure[target])]
 
@@ -254,16 +263,45 @@ def default_class_bound(k):
 
 def class_data(k):
     """Fundamental representatives of the Markoff-group orbits on the
-    level-k integer points, one per orbit: the normal forms of the points in
-    the box default_class_bound(k), which meets every orbit.  len(result)
-    is the class number."""
+    level-k integer points, one per orbit, sorted: the normal forms of the
+    orbits that meet the box default_class_bound(k), which is every orbit.
+    len(result) is the class number.
+
+    Only floor points of the box are walked, one floor closure each, and
+    the result is the set of reduce_point normal forms of the box points:
+    - descent from a box point p ends at a floor point d with
+      max|d| <= max|p| <= the box;
+    - permutations and double sign changes conjugate the Vieta moves among
+      themselves (reduce_point's docstring), so each perm/double-sign image
+      of d is a floor point, and the one with |x1| <= |x2| <= |x3| is a
+      point of search_integral;
+    - reduce_point's normal form is _normal_form of the closure
+      orbit_within(d, max|d|), which is the same set from any of its
+      members and is closed under perm/sign, so it holds that image;
+    - so each closure is walked once, from its first search point, and a
+      set of the walked points skips every later search point in it.
+
+    Raises BudgetExceeded when the box is past MAX_SEARCH_BOUND, that is
+    for |k| > 177751112."""
     if k in (0, 4):
         raise ValueError("k = %r is outside the generic range" % (k,))
-    reps = {}
-    for p in search_integral(k, default_class_bound(k)):
-        nf, _ = reduce_point(p)
-        reps.setdefault(nf.coords(), nf)
-    return [reps[c] for c in sorted(reps)]
+    b = default_class_bound(k)
+    if b > MAX_SEARCH_BOUND:
+        # isqrt(9|k|) + 4 <= B exactly when 9|k| < (B - 3)^2
+        served = ((MAX_SEARCH_BOUND - 3) ** 2 - 1) // 9
+        raise BudgetExceeded(
+            "class data at k = %d needs the box max|x| <= %d, past the integer "
+            "scan limit %d, which serves |k| <= %d" % (k, b, MAX_SEARCH_BOUND, served))
+    reps = []
+    walked = set()
+    for p in search_integral(k, b):
+        c = p.coords()
+        if c in walked or _descent_step(c) is not None:
+            continue
+        closure = orbit_within(c, _maxabs(c))
+        walked.update(closure)
+        reps.append(MarkoffPoint(*_normal_form(closure), k))
+    return sorted(reps, key=MarkoffPoint.coords)
 
 
 def same_orbit(p, q):
@@ -324,6 +362,9 @@ def _row_top(k, b, x1):
     return min(b, top)
 
 
+MAX_SEARCH_BOUND = 40000  # the largest box search_integral scans
+
+
 def search_integral(k, bound):
     """All integer points with |x1| <= |x2| <= |x3| <= bound, as a sorted
     list.  Enumerates (x1, x2) in the nonnegative quadrant (every solution
@@ -355,10 +396,10 @@ def search_integral(k, bound):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if bound > 40000 or abs(k) > 10**17:
+    if bound > MAX_SEARCH_BOUND or abs(k) > 10**17:
         # discriminants must stay inside int64 for the vectorized scan
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range "
-                             "(bound <= 40000, |k| <= 1e17)")
+                             "(bound <= %d, |k| <= 1e17)" % MAX_SEARCH_BOUND)
     base = set()
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)

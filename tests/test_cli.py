@@ -293,6 +293,7 @@ def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     ["certify", "sint", "--k", str(4 + 20 * 139**2), "--ell", "19", "--max-exp", "6"],
     ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
     ["words", "alg1", "--m", "2", "--n", "inf", "--t", "101"],
+    ["markoff", "class", "--k", "200000001"],
 ])
 def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)

@@ -157,6 +157,52 @@ def test_class_data_meets_every_orbit_of_the_doubled_box():
             assert reduce_point(p)[0].coords() in reps, (k, p)
 
 
+def reduce_every_box_point(k):
+    """The definition of class_data, kept as the oracle for its floor walk:
+    the sorted distinct reduce_point normal forms of every box point."""
+    box = search_integral(k, default_class_bound(k))
+    return sorted({reduce_point(p)[0].coords() for p in box})
+
+
+@pytest.mark.parametrize("ks", [
+    [k for k in range(-300, 601) if k not in (0, 4)],
+    [10**4 + 1, 250001, -999997, -2999995],
+])
+def test_class_data_matches_reducing_every_box_point(ks):
+    for k in ks:
+        assert [c.coords() for c in class_data(k)] == reduce_every_box_point(k), k
+
+
+@pytest.mark.parametrize("k", [329, 3780, 10**6 + 1, -2999995])
+def test_class_data_walks_one_floor_closure_per_orbit(monkeypatch, k):
+    walks = []
+
+    def counted(c, bound):
+        walks.append(c)
+        return orbit_within(c, bound)
+
+    def forbidden(point):
+        raise AssertionError("class_data reduced %r" % (point,))
+
+    monkeypatch.setattr(mksurf.markoff, "orbit_within", counted)
+    monkeypatch.setattr(mksurf.markoff, "reduce_point", forbidden)
+    classes = class_data(k)
+    assert classes and len(walks) == len(classes)
+
+
+def test_class_data_budget_edge():
+    # the box isqrt(9|k|) + 4 reaches the scan limit 40000 at |k| = 177751112
+    assert default_class_bound(177751112) == 40000 == mksurf.markoff.MAX_SEARCH_BOUND
+    assert default_class_bound(177751113) == 40001
+    assert len(class_data(-177751112)) == 2
+    for k in (177751113, -177751113, 200000001):
+        msg = (r"^class data at k = %d needs the box max\|x\| <= %d, past the integer "
+               r"scan limit 40000, which serves \|k\| <= 177751112$"
+               % (k, default_class_bound(k)))
+        with pytest.raises(BudgetExceeded, match=msg):
+            class_data(k)
+
+
 def test_class_box_bound_at_its_edge():
     # default_class_bound's docstring proves 5 m^2 <= 9 (|k| + 9) for every
     # floor point; checked on the whole cube max|c| <= 40
