@@ -83,17 +83,15 @@ def hasse_profile(point):
                 out.add(q)
         return out
 
-    all_places = set()
-    for c in usable:
-        all_places |= places_for(c)
+    place_sets = [places_for(c) for c in usable]
+    all_places = set().union(*place_sets)
     profiles = []
     for c in usable:
         profiles.append({p: hilbert(c * c - 4, km4, p) for p in sorted(all_places, key=_place_sort_key)})
     for other in profiles[1:]:
         if other != profiles[0]:
             raise ValueError("coordinate profiles disagree: %r" % (profiles,))
-    keep = places_for(usable[0])
-    entries = tuple((p, profiles[0][p]) for p in sorted(keep, key=_place_sort_key))
+    entries = tuple((p, profiles[0][p]) for p in sorted(place_sets[0], key=_place_sort_key))
     return HasseProfile(entries)
 
 

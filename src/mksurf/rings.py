@@ -68,19 +68,26 @@ def is_probable_prime(n):
     return True
 
 
-def _pollard_rho(n):
-    """One nontrivial factor of composite odd n (Brent's cycle method).
+MAX_RHO_STEPS = 500000
+
+
+def _pollard_rho(n, steps):
+    """One nontrivial factor of composite odd n (Brent's cycle method) and
+    what is left of `steps`, or (None, 0) once the steps run out.
 
     Parameters are cycled deterministically so factorizations are
     reproducible run to run.
     """
     if n % 2 == 0:
-        return 2
+        return 2, steps
     for c in range(1, 64):
         x = y = 2
         d = 1
         power = lam = 1
         while d == 1:
+            if not steps:
+                return None, 0
+            steps -= 1
             if power == lam:
                 y = x
                 power *= 2
@@ -89,14 +96,16 @@ def _pollard_rho(n):
             lam += 1
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
     raise RuntimeError("rho failed on %d" % n)
 
 
 def factorize(n):
     """Complete factorization of |n| as a sorted list of (prime, multiplicity).
 
-    Trial division up to 10^6, Pollard rho on what remains.
+    Trial division up to 10^6, Pollard rho on what remains.  One call takes
+    at most MAX_RHO_STEPS rho steps, about a second; past them it raises
+    BudgetExceeded.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -118,6 +127,7 @@ def factorize(n):
                 n //= p
         f += 6
     stack = [n] if n > 1 else []
+    steps = MAX_RHO_STEPS
     while stack:
         m = stack.pop()
         if m == 1:
@@ -125,7 +135,10 @@ def factorize(n):
         if is_probable_prime(m):
             add(m)
             continue
-        d = _pollard_rho(m)
+        d, steps = _pollard_rho(m, steps)
+        if d is None:
+            raise BudgetExceeded("factorization stopped after %d Pollard-rho steps with a "
+                                 "%d-digit cofactor unfactored" % (MAX_RHO_STEPS, len(str(m))))
         stack.append(d)
         stack.append(m // d)
     return sorted(factors.items())

@@ -373,88 +373,63 @@ def in_derived_subgroup(m, n, w):
 
 # --- the metabelian quotient --------------------------------------------------
 
+def _reduce(m, n, terms):
+    """The normal form of the sum of c x^i y^j over raw ((i, j), c) terms.
+
+    x^i becomes x^(i mod m), and x^(m-1) becomes minus the lower powers of
+    x, since psi_m(x) = 0; the same rule applies in y for finite n.
+    """
+    folded = {}
+    for (i, j), c in terms:
+        key = (i % m, j if n is None else j % n)
+        folded[key] = folded.get(key, 0) + c
+    out = {}
+    for (i, j), c in folded.items():
+        top_x, top_y = i == m - 1, n is not None and j == n - 1
+        for r in (range(i) if top_x else (i,)):
+            for s in (range(j) if top_y else (j,)):
+                out[(r, s)] = out.get((r, s), 0) + (-1) ** (top_x + top_y) * c
+    return {key: c for key, c in out.items() if c}
+
+
 class SRingElem:
     """Element of Z[x, x^-1, y, y^-1] / (psi_m(x), psi_n(y)) with
     psi_k = 1 + X + ... + X^(k-1) and psi_infinity = 0.
 
-    Coefficients live on monomials x^i y^j with 0 <= i <= m-2 and, for
-    finite n, 0 <= j <= n-2; infinite n leaves j free over Z.
+    Built from a dict {(i, j): c} or an iterable of ((i, j), c) terms, and
+    kept in the normal form of `_reduce`: coefficients live on monomials
+    x^i y^j with 0 <= i <= m-2 and, for finite n, 0 <= j <= n-2; infinite
+    n leaves j free over Z.
     """
 
     __slots__ = ("m", "n", "coeffs")
 
-    def __init__(self, m, n, coeffs=None):
+    def __init__(self, m, n, coeffs=()):
         _check_mn(m, n)
         self.m = m
         self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                self._add(i, j, c)
-
-    def _add(self, i, j, c):
-        if c == 0:
-            return
-        work = [(i, j, c)]
-        while work:
-            i, j, c = work.pop()
-            i %= self.m
-            if i == self.m - 1:
-                work.extend((r, j, -c) for r in range(self.m - 1))
-                continue
-            if self.n is not None:
-                j %= self.n
-                if j == self.n - 1:
-                    work.extend((i, r, -c) for r in range(self.n - 1))
-                    continue
-            key = (i, j)
-            v = self.coeffs.get(key, 0) + c
-            if v:
-                self.coeffs[key] = v
-            else:
-                self.coeffs.pop(key, None)
-
-    def copy(self):
-        out = SRingElem(self.m, self.n)
-        out.coeffs = dict(self.coeffs)
-        return out
+        self.coeffs = _reduce(m, n, coeffs.items() if isinstance(coeffs, dict) else coeffs)
 
     @staticmethod
     def monomial(m, n, i=0, j=0, c=1):
-        out = SRingElem(m, n)
-        out._add(i, j, c)
-        return out
+        return SRingElem(m, n, [((i, j), c)])
 
     @staticmethod
     def zero(m, n):
         return SRingElem(m, n)
 
     def __add__(self, other):
-        out = self.copy()
-        for (i, j), c in other.coeffs.items():
-            out._add(i, j, c)
-        return out
+        return SRingElem(self.m, self.n, list(self.coeffs.items()) + list(other.coeffs.items()))
 
     def __neg__(self):
-        out = SRingElem(self.m, self.n)
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
+        return SRingElem(self.m, self.n, [(key, -c) for key, c in self.coeffs.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        out = SRingElem(self.m, self.n)
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                out._add(i1 + i2, j1 + j2, c1 * c2)
-        return out
-
     def mul_monomial(self, i, j, c=1):
-        out = SRingElem(self.m, self.n)
-        for (i1, j1), c1 in self.coeffs.items():
-            out._add(i1 + i, j1 + j, c1 * c)
-        return out
+        return SRingElem(self.m, self.n, [((i1 + i, j1 + j), c1 * c)
+                                          for (i1, j1), c1 in self.coeffs.items()])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -475,16 +450,7 @@ class SRingElem:
         return " ".join(parts)
 
 
-def _geometric_y(m, n, j):
-    """1 + y + ... + y^(j-1) for j >= 0, and -(y^j + ... + y^-1) below."""
-    out = SRingElem.zero(m, n)
-    if j >= 0:
-        for r in range(j):
-            out._add(0, r, 1)
-    else:
-        for r in range(j, 0):
-            out._add(0, r, -1)
-    return out
+MAX_METAB_LENGTH = 3500
 
 
 def metabelian_image(m, n, w):
@@ -492,24 +458,30 @@ def metabelian_image(m, n, w):
 
     Scans left to right tracking the abelianized prefix (i, j); moving an
     a^(+-1) letter across the b-prefix emits a conjugated commutator whose
-    image is a monomial multiple of a geometric sum in y.
+    image is -x^i (1 + y + ... + y^(j-1)) for a, and x^(i-1) times the same
+    sum for a^-1, where the sum is -(y^j + ... + y^-1) for j < 0.  For
+    finite n the sum has period n in j, so j is kept mod n.  The terms of
+    all letters are normalized once.  For infinite n their number grows with
+    the square of the word length, so a word longer than MAX_METAB_LENGTH
+    letters raises BudgetExceeded.
     """
     _check_mn(m, n)
     if not in_derived_subgroup(m, n, w):
         raise ValueError("%r is not in the derived subgroup" % (w,))
-    acc = SRingElem.zero(m, n)
-    i = j = 0
-    for g, e in w.letters():
-        if g == "a":
-            if e == 1:
-                acc = acc - _geometric_y(m, n, j).mul_monomial(i, 0)
-                i += 1
+    if w.length() > MAX_METAB_LENGTH:
+        raise BudgetExceeded("word length %d exceeds the metabelian image budget of %d letters"
+                             % (w.length(), MAX_METAB_LENGTH))
+
+    def terms():
+        i = j = 0
+        for g, e in w.letters():
+            if g == "b":
+                j = j + e if n is None else (j + e) % n
             else:
-                i -= 1
-                acc = acc + _geometric_y(m, n, j).mul_monomial(i, 0)
-        else:
-            j += e
-    return acc
+                c = -e if j > 0 else e
+                yield from (((i + min(e, 0), r), c) for r in range(min(j, 0), max(j, 0)))
+                i += e
+    return SRingElem(m, n, terms())
 
 
 def is_unit_in_S(m, n, s):

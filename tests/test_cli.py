@@ -284,6 +284,12 @@ def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["replay_matches"] is True
 
 
+# (10^22 + 9)(3 * 10^22 + 29), and an admissible level 4 + 2 nu^2 whose
+# family check has to factor the 45-digit semiprime nu
+HARD_N = 300000000000000000000560000000000000000000261
+HARD_K = 4 + 2 * 300000000000000000000740000000000000000000423**2
+
+
 @pytest.mark.parametrize("argv", [
     ["quotient", "image", "--q", "256", "--cap", "256"],
     ["quotient", "test", "--q", "256", "--cap", "256", "--z", "1,1,0,1"],
@@ -294,6 +300,11 @@ def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
     ["words", "alg1", "--m", "2", "--n", "inf", "--t", "101"],
     ["markoff", "class", "--k", "200000001"],
+    ["words", "metab", "--m", "2", "--n", "inf", "--word", "a b4000000 a b-4000000"],
+    ["certify", "hfz", "--k", str(HARD_K)],
+    ["certify", "sint", "--k", str(HARD_K), "--ell", "7"],
+    ["lift", "universal", "--t", "7", "--ring", "z1/%d" % HARD_N],
+    ["quadform", "profile", "--point", "3,4,%d" % (HARD_N + 2)],
 ])
 def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import mksurf.quadforms
 from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move, class_data, search_integral
 from mksurf.quadforms import (
     TernaryForm,
@@ -49,6 +50,18 @@ def test_hasse_profile_329():
     prof2 = hasse_profile(MarkoffPoint.make(-4, 4, 11))
     assert prof2.nontrivial() == {}
     assert prof2.product() == 1
+
+
+def test_hasse_profile_factors_each_argument_once(monkeypatch):
+    calls = []
+    real = mksurf.quadforms.factorize
+    monkeypatch.setattr(mksurf.quadforms, "factorize", lambda n: calls.append(n) or real(n))
+    for k in (329, 10001):
+        for p in class_data(k):
+            calls.clear()
+            hasse_profile(p)
+            usable = [c for c in p.coords() if c * c != 4]
+            assert len(calls) == 1 + len(usable), (p, calls)
 
 
 def test_hasse_profile_product_formula_on_found_points():

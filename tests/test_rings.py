@@ -1,11 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from mksurf.rings import (
     INF,
+    MAX_RHO_STEPS,
+    BudgetExceeded,
     ModInt,
     SIntegerRing,
     factorize,
@@ -183,6 +186,16 @@ def test_factorize():
             assert is_probable_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_budget_stops_a_hard_semiprime():
+    # (10^22 + 9)(3 * 10^22 + 29): rho would need about 10^11 steps
+    n = 300000000000000000000560000000000000000000261
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="after %d Pollard-rho steps with a 45-digit "
+                       "cofactor unfactored" % MAX_RHO_STEPS):
+        factorize(n)
+    assert time.perf_counter() - start < 3
 
 
 def test_is_probable_prime_past_the_deterministic_limit():

@@ -5,7 +5,9 @@ import pytest
 
 from mksurf.expected_tables import RT_TABLE
 from mksurf.mat2 import Mat2, commutator, mat_mod
+from mksurf.rings import BudgetExceeded
 from mksurf.words import (
+    MAX_METAB_LENGTH,
     SRingElem,
     SUPPORTED,
     Word,
@@ -74,6 +76,59 @@ def syllable_images_by_powers(m, n, max_len):
         out[g] = tuple(sorted((p for p in imgs if 0 < len(p[1]) <= max_len),
                               key=lambda p: -len(p[1])))
     return out
+
+
+def worklist_normal_form(m, n, terms):
+    """Term-by-term normalization of raw ((i, j), c) terms: x^(m-1) and,
+    for finite n, y^(n-1) are pushed back onto the worklist as minus the
+    lower powers until every term is in range."""
+    coeffs = {}
+    work = [(i, j, c) for (i, j), c in terms if c]
+    while work:
+        i, j, c = work.pop()
+        i %= m
+        if i == m - 1:
+            work.extend((r, j, -c) for r in range(m - 1))
+            continue
+        if n is not None:
+            j %= n
+            if j == n - 1:
+                work.extend((i, r, -c) for r in range(n - 1))
+                continue
+        v = coeffs.get((i, j), 0) + c
+        if v:
+            coeffs[(i, j)] = v
+        else:
+            coeffs.pop((i, j), None)
+    return coeffs
+
+
+def metabelian_image_by_letters(m, n, w):
+    """Per-letter accumulation: a at prefix (i, j) subtracts x^i times the
+    geometric sum 1 + y + ... + y^(j-1) (or -(y^j + ... + y^-1) for j < 0),
+    a^-1 adds x^(i-1) times it, and the sum so far is normalized after
+    every letter; j is never reduced mod n."""
+    acc = {}
+    i = j = 0
+    for g, e in w.letters():
+        if g == "b":
+            j += e
+            continue
+        if e == -1:
+            i -= 1
+        geo = [((i, r), 1) for r in range(j)] if j >= 0 else [((i, r), -1) for r in range(j, 0)]
+        acc = worklist_normal_form(m, n, list(acc.items()) + [(key, -e * c) for key, c in geo])
+        if e == 1:
+            i += 1
+    return acc
+
+
+def rand_derived_word(m, n, rng):
+    """A seeded random word times the a- and b-powers that cancel its
+    exponent sums, so it lies in the derived subgroup."""
+    w = rand_word(m, n, rng, syllables=rng.randint(0, 10), span=6)
+    sa, sb = w.exponent_sums()
+    return w * Word.make((("a", -sa), ("b", -sb)), m, n)
 
 
 def sample_words(m, n, rng, count=60):
@@ -337,6 +392,29 @@ def test_metabelian_crossed_homomorphism():
             lhs = metabelian_image(m, n, g * h * g.inverse())
             rhs = metabelian_image(m, n, h).mul_monomial(sa, sb)
             assert lhs == rhs
+
+
+def test_metabelian_image_matches_the_per_letter_oracle():
+    rng = random.Random(79)
+    for (m, n) in SUPPORTED:
+        for _ in range(600):
+            w = rand_derived_word(m, n, rng)
+            assert metabelian_image(m, n, w).coeffs == metabelian_image_by_letters(m, n, w), str(w)
+            raw = [((rng.randint(-9, 9), rng.randint(-9, 9)), rng.randint(-4, 4))
+                   for _ in range(rng.randint(0, 8))]
+            assert SRingElem(m, n, raw).coeffs == worklist_normal_form(m, n, raw)
+            assert SRingElem(m, n, dict(raw)).coeffs == worklist_normal_form(m, n, dict(raw).items())
+
+
+def test_metabelian_image_length_budget_edge():
+    h = MAX_METAB_LENGTH // 2 - 1
+    at_cap = word(2, None, "a b%d a b-%d" % (h, h))
+    assert at_cap.length() == MAX_METAB_LENGTH
+    assert metabelian_image(2, None, at_cap) == SRingElem(2, None, {(0, r): 1 for r in range(h)})
+    past = word(3, None, "a b%d a2 b-%d" % (h, h))
+    assert past.length() == MAX_METAB_LENGTH + 1
+    with pytest.raises(BudgetExceeded, match="word length %d exceeds" % (MAX_METAB_LENGTH + 1)):
+        metabelian_image(3, None, past)
 
 
 def test_units_in_S23():
