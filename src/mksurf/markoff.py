@@ -121,28 +121,15 @@ def apply_path(path, point):
     return point
 
 
-def _family_canonical(c):
-    """Canonical tuple of the perm/double-sign family of integer coords c.
-
-    Sorted by absolute value; all entries nonnegative except, when the
-    negativity parity is odd and no zero is present, the first one.
-    """
-    mags = sorted(abs(v) for v in c)
-    negs = sum(1 for v in c if v < 0)
-    if negs % 2 == 1 and 0 not in mags:
-        return (-mags[0], mags[1], mags[2])
-    return tuple(mags)
-
-
 def _maxabs(c):
     return max(map(abs, c))
 
 
-_MOVES = ([VIETA1, VIETA2, VIETA3]
-          + [MarkoffMove.perm(p) for p in
-             [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-          + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-             MarkoffMove.sign_change(2, 3)])
+# the five non-trivial permutations, then the three double sign changes
+_SYMMETRIES = tuple([MarkoffMove.perm(p) for p in
+                     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
+                    + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
+                       MarkoffMove.sign_change(2, 3)])
 
 
 def orbit_within(c, bound):
@@ -151,6 +138,13 @@ def orbit_within(c, bound):
     {coords: list of moves from c}.  Depth-first: the stack pops from its
     end, and each point tries the three Vieta moves, the five non-trivial
     permutations and the three double sign changes, in that order.
+
+    The moves are applied inline.  From a point within the bound only a
+    Vieta move can leave it, and only through the one coordinate it
+    changes, since permutations and double sign changes keep max|x|; so
+    that coordinate is the only one tested.  A start above the bound
+    reaches the walk only through those of its Vieta images that lie
+    within it.
 
     Completeness: take q with max|q| <= bound, and let r be its normal
     form under reduce_point.  The path from q to r never raises max|x|:
@@ -161,12 +155,30 @@ def orbit_within(c, bound):
     """
     seen = {c: []}
     stack = [c]
+    if _maxabs(c) > bound:
+        # the walk enters the bound through the Vieta images of c within it,
+        # which are distinct: two of them agree only where both equal c
+        x, y, z = c
+        stack = []
+        for mv, cand in zip((VIETA1, VIETA2, VIETA3),
+                            ((y * z - x, y, z), (x, x * z - y, z), (x, y, x * y - z))):
+            if _maxabs(cand) <= bound:
+                seen[cand] = [mv]
+                stack.append(cand)
     while stack:
         cur = stack.pop()
-        for mv in _MOVES:
-            cand = _apply_coords(mv, cur)
-            if cand not in seen and _maxabs(cand) <= bound:
-                seen[cand] = seen[cur] + [mv]
+        x, y, z = cur
+        path = seen[cur]
+        u, v, w = y * z - x, x * z - y, x * y - z
+        for mv, new, cand in ((VIETA1, u, (u, y, z)), (VIETA2, v, (x, v, z)),
+                              (VIETA3, w, (x, y, w))):
+            if -bound <= new <= bound and cand not in seen:
+                seen[cand] = path + [mv]
+                stack.append(cand)
+        for mv, cand in zip(_SYMMETRIES, ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x),
+                                          (-x, -y, z), (-x, y, -z), (x, -y, -z))):
+            if cand not in seen:
+                seen[cand] = path + [mv]
                 stack.append(cand)
     return seen
 
@@ -178,20 +190,42 @@ def _descent_step(c):
     """(move, image) for the Vieta move that lowers max|x| of the integer
     triple c, or None when c is a floor point.  At most one does: a Vieta
     move changes one coordinate, so only the move on the unique largest
-    coordinate can lower max|x|."""
-    m = _maxabs(c)
-    for mv in (VIETA1, VIETA2, VIETA3):
-        cand = _apply_coords(mv, c)
-        if _maxabs(cand) < m:
-            return mv, cand
+    coordinate can lower max|x|, and it does when the new value is smaller
+    in absolute value."""
+    x, y, z = c
+    ax, ay, az = abs(x), abs(y), abs(z)
+    if ax > ay and ax > az:
+        u = y * z - x
+        return (VIETA1, (u, y, z)) if abs(u) < ax else None
+    if ay > ax and ay > az:
+        v = x * z - y
+        return (VIETA2, (x, v, z)) if abs(v) < ay else None
+    if az > ax and az > ay:
+        w = x * y - z
+        return (VIETA3, (x, y, w)) if abs(w) < az else None
     return None
 
 
 def _normal_form(closure):
-    """The normal form of a floor closure: its lexicographically largest
-    family-canonical tuple.  The closure is closed under the perm/sign
-    group, so that tuple is itself one of its keys."""
-    return max(_family_canonical(c) for c in closure)
+    """The normal form of a floor closure: the lexicographically largest
+    of its family-canonical tuples.  The canonical tuple of a
+    perm/double-sign family is its member sorted by absolute value with
+    every entry >= 0, except the first when the family has an odd number
+    of negative entries and no zero.
+
+    Those are exactly the keys c with |c1| <= c2 <= c3.  A canonical tuple
+    has them, its last two entries being sorted absolute values.
+    Conversely, such a c has c2, c3 >= 0 and is sorted by absolute value;
+    if c1 >= 0 it has no negative entry, and if c1 < 0 it has one and no
+    zero (c2, c3 >= |c1| > 0), so it is its own family's canonical tuple.
+    The closure orbit_within(d, max|d|) holds each family's canonical
+    tuple: it is closed under permutations and double sign changes, which
+    keep max|x| within the bound, and they carry any tuple to its
+    family's canonical one (sort by absolute value, then pair the
+    negative signs off, or move a lone one onto the first entry, or onto
+    a zero, where it vanishes).  So the maximum over these keys is the
+    maximum over the closure of the canonical tuples of its keys."""
+    return max(c for c in closure if abs(c[0]) <= c[1] <= c[2])
 
 
 def reduce_point(point):
@@ -255,10 +289,10 @@ def default_class_bound(k):
     (b) y = m.  Then k = x^2 + 2m^2 -+ x m^2 for z = +-m.  z = -m or x <= 1
         gives k >= m^2, x = 2 gives k = 4, and x >= 3 gives -k = (x - 2) m^2
         - x^2 >= m^2 - 9, as it grows with x <= m.
-    So 5 m^2 <= 9 (|k| + 9) <= 9 (|k| + 16).  With s = isqrt(9|k|) >= 3,
-    9 (|k| + 16) < (s + 1)^2 + 144 <= 5 (s + 4)^2, so m < s + 4, the box.
+    So m^2 <= 9 (|k| + 9) / 5, and as m^2 is an integer,
+    m <= isqrt(9 (|k| + 9) // 5), the box, attained at (3, 2j, 3j).
     """
-    return math.isqrt(9 * abs(k)) + 4
+    return math.isqrt(9 * (abs(k) + 9) // 5)
 
 
 def class_data(k):
@@ -280,22 +314,23 @@ def class_data(k):
       members and is closed under perm/sign, so it holds that image;
     - so each closure is walked once, from its first search point, and a
       set of the walked points skips every later search point in it.
+    The search points are read as coordinate tuples (_integral_coords), so
+    only the representatives become MarkoffPoints.
 
     Raises BudgetExceeded when the box is past MAX_SEARCH_BOUND, that is
-    for |k| > 177751112."""
+    for |k| > 888933324."""
     if k in (0, 4):
         raise ValueError("k = %r is outside the generic range" % (k,))
     b = default_class_bound(k)
     if b > MAX_SEARCH_BOUND:
-        # isqrt(9|k|) + 4 <= B exactly when 9|k| < (B - 3)^2
-        served = ((MAX_SEARCH_BOUND - 3) ** 2 - 1) // 9
+        # isqrt(9 (|k| + 9) // 5) <= B exactly when 9 (|k| + 9) < 5 (B + 1)^2
+        served = (5 * (MAX_SEARCH_BOUND + 1) ** 2 + 8) // 9 - 10
         raise BudgetExceeded(
             "class data at k = %d needs the box max|x| <= %d, past the integer "
             "scan limit %d, which serves |k| <= %d" % (k, b, MAX_SEARCH_BOUND, served))
     reps = []
     walked = set()
-    for p in search_integral(k, b):
-        c = p.coords()
+    for c in _integral_coords(k, b):
         if c in walked or _descent_step(c) is not None:
             continue
         closure = orbit_within(c, _maxabs(c))
@@ -326,24 +361,33 @@ def admissible_t(t):
     return t % 16 not in _T_OBSTRUCTED_16 and t % 9 not in _T_OBSTRUCTED_9
 
 
-def integer_roots(p, c):
-    """Integer roots of t^2 - p t + c = 0 for int64 arrays p and c.
-
-    Returns (idx, lo, hi): the indices where both roots are integers, and
-    the smaller and larger root there (lo == hi at a double root).
-    Precondition: d = p^2 - 4c fits in int64 at every index.
+def square_roots(d):
+    """Exact square test over an int64 array d: returns (idx, s), the
+    indices where d >= 0 is a perfect square and the root s there.
 
     The float root is exact where it matters: for d = r^2 < 2^63, float64(d)
     has relative error at most 2^-53, which moves its square root by less
     than r 2^-54, under half the spacing of doubles at r, so the correctly
     rounded sqrt returns r itself and s^2 == d finds every perfect square
-    with no correction step.  No parity test is needed either: s^2 =
-    p^2 - 4c forces s = p (mod 2), so p - s and p + s are even.
+    with no correction step.  Negative entries are clipped to 0 before the
+    root, so their s is 0 and s^2 != d rules them out.
     """
-    d = p * p - 4 * c
-    s = np.sqrt(d, where=d >= 0, out=np.zeros(d.shape)).astype(np.int64)
+    s = np.sqrt(np.maximum(d, 0)).astype(np.int64)
     idx = np.flatnonzero(s * s == d)
-    p, s = p[idx], s[idx]
+    return idx, s[idx]
+
+
+def integer_roots(p, c):
+    """Integer roots of t^2 - p t + c = 0 for int64 arrays p and c.
+
+    Returns (idx, lo, hi): the indices where both roots are integers, and
+    the smaller and larger root there (lo == hi at a double root).
+    Precondition: d = p^2 - 4c fits in int64 at every index.  The roots
+    are (p -+ s) / 2 where square_roots finds s^2 = d; no parity test is
+    needed, as s^2 = p^2 - 4c forces s = p (mod 2).
+    """
+    idx, s = square_roots(p * p - 4 * c)
+    p = p[idx]
     return idx, (p - s) // 2, (p + s) // 2
 
 
@@ -394,6 +438,20 @@ def search_integral(k, bound):
     O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
     the whole box.
     """
+    return [MarkoffPoint(c[0], c[1], c[2], k) for c in _integral_coords(k, bound)]
+
+
+def _integral_coords(k, bound):
+    """The points of search_integral(k, bound) as sorted coordinate tuples.
+
+    Row x1 solves t^2 - P t + C for x3, with P = x1 x2 and
+    C = x1^2 + x2^2 - k, whose discriminant P^2 - 4C is
+    (x1^2 - 4) x2^2 + 4 (k - x1^2): one multiply and one add per cell on a
+    table of the squares x2^2, and the roots (P -+ s) / 2 only at the cells
+    where square_roots finds s (s = P (mod 2), as in integer_roots).  The
+    level of each base triple is checked once; its double-sign images
+    share it.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > MAX_SEARCH_BOUND or abs(k) > 10**17:
@@ -402,20 +460,19 @@ def search_integral(k, bound):
                              "(bound <= %d, |k| <= 1e17)" % MAX_SEARCH_BOUND)
     base = set()
     b = int(bound)
-    x2s = np.arange(0, b + 1, dtype=np.int64)
+    squares = np.arange(0, b + 1, dtype=np.int64) ** 2
     for x1 in range(0, b + 1):
         top = b if x1 <= 3 else _row_top(k, b, x1)
         if top < x1:
             break
-        lo = x2s[x1:top + 1]
-        idx, r1, r2 = integer_roots(x1 * lo, x1 * x1 + lo * lo - k)
-        for x2, x3a, x3b in zip(lo[idx].tolist(), r1.tolist(), r2.tolist()):
-            for x3 in (x3a, x3b):
+        d = squares[x1:top + 1] * (x1 * x1 - 4)
+        d += 4 * (k - x1 * x1)
+        idx, roots = square_roots(d)
+        for x2, r in zip((idx + x1).tolist(), roots.tolist()):
+            for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                 if x2 <= abs(x3) <= b:
                     base.add((x1, x2, x3))
-    out = {c for p in base for c in _double_signs(*p)}
-    return [MarkoffPoint(c[0], c[1], c[2], k) for c in sorted(out)
-            if level(*c) == k]
+    return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
 
 
 def search_localized(k, ell, max_exp, bound):
@@ -451,15 +508,19 @@ def search_localized(k, ell, max_exp, bound):
     b = int(bound)
     x2s = np.arange(0, b + 1, dtype=np.int64)
     keep2 = x2s[x2s % ell != 0]
+    squares = keep2 * keep2
     found = set()
     for a in range(1, max_exp + 1):
         big = ell ** (2 * a)
         for x1 in range(0, b + 1):
             if big * abs(x1 * x1 - k) > b * b * (x1 + 2):
                 continue
-            idx, r1, r2 = integer_roots(x1 * keep2, keep2 * keep2 + (x1 * x1 - k) * big)
-            for x2, x3a, x3b in zip(keep2[idx].tolist(), r1.tolist(), r2.tolist()):
-                for x3 in (x3a, x3b):
+            # discriminant of t^2 - P t + C: (x1^2 - 4) x2^2 - 4 L (x1^2 - k)
+            d = squares * (x1 * x1 - 4)
+            d -= 4 * big * (x1 * x1 - k)
+            idx, roots = square_roots(d)
+            for x2, r in zip(keep2[idx].tolist(), roots.tolist()):
+                for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                     if abs(x3) <= b and x3 % ell != 0:
                         found.add((a, x1, x2, x3))
     seen = set()

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import MarkoffPoint, anisotropy_prime, integer_roots
+from .markoff import MarkoffPoint, anisotropy_prime, square_roots
 from .rings import (
     INF,
     BudgetExceeded,
@@ -113,7 +113,9 @@ def _witness_search(form, bound):
     Scans rows u1 = 0, 1, -1, 2, -2, ... and, in the first row holding a
     zero, takes the one with the least (|u2|, |u3|), reduced to a primitive
     vector, so small witnesses come out small.  Each row solves for u3 with
-    `integer_roots`.  Its discriminants are at most 4 B^2 (X^2 + X + 2) for
+    the `square_roots` kernel.  Its discriminants
+    (x3^2 - 4) u2^2 + (2 x2 x3 - 4 x1) u1 u2 + (x2^2 - 4) u1^2, summed term
+    by term, stay at most 4 B^2 (X^2 + X + 2) in absolute value for
     X = max|x_i| and B = bound; when that bound reaches 2^63, the int64
     scan could wrap, so this raises BudgetExceeded instead.  The check
     takes B >= 1, so it also covers the coordinates themselves, which enter
@@ -125,14 +127,21 @@ def _witness_search(form, bound):
         raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
                              "for coordinates up to %d" % (bound, big))
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
+    squares = u2s * u2s
     order = [0]
     for v in range(1, bound + 1):
         order.extend((v, -v))
     for u1 in order:
-        idx, r1, r2 = integer_roots(-(x2 * u1 + x3 * u2s), u1 * u1 + u2s * u2s + x1 * u1 * u2s)
+        # u3 solves t^2 + P t + C with P = x2 u1 + x3 u2 and
+        # C = u1^2 + u2^2 + x1 u1 u2, whose discriminant is quadratic in u2
+        d = squares * (x3 * x3 - 4)
+        d += u2s * ((2 * x2 * x3 - 4 * x1) * u1)
+        d += (x2 * x2 - 4) * u1 * u1
+        idx, roots = square_roots(d)
         row = []
-        for u2, u3a, u3b in zip(u2s[idx].tolist(), r1.tolist(), r2.tolist()):
-            for u3 in (u3a, u3b):
+        for u2, r in zip(u2s[idx].tolist(), roots.tolist()):
+            p = x2 * u1 + x3 * u2
+            for u3 in ((-p - r) // 2, (-p + r) // 2):
                 if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
                     if form.evaluate(u1, u2, u3) == 0:
                         row.append((abs(u2), abs(u3), (u1, u2, u3)))

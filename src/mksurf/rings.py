@@ -68,13 +68,19 @@ def is_probable_prime(n):
     return True
 
 
-MAX_RHO_STEPS = 500000
+MAX_RHO_STEPS = 1000000
+RHO_BATCH = 128  # differences multiplied together per gcd
 
 
 def _pollard_rho(n, steps):
     """One nontrivial factor of composite odd n (Brent's cycle method) and
     what is left of `steps`, or (None, 0) once the steps run out.
 
+    As in Brent (1980), the differences |x - y| of up to RHO_BATCH steps
+    are multiplied mod n and one gcd taken per batch; a batch whose gcd is
+    n is stepped through again one gcd at a time.  A batch never crosses a
+    reset of y, so the (x, y) pairs are those of the one-gcd-per-step walk.
+    Every iteration of the polynomial, replays included, takes one step.
     Parameters are cycled deterministically so factorizations are
     reproducible run to run.
     """
@@ -87,14 +93,28 @@ def _pollard_rho(n, steps):
         while d == 1:
             if not steps:
                 return None, 0
-            steps -= 1
             if power == lam:
                 y = x
                 power *= 2
                 lam = 0
-            x = (x * x + c) % n
-            lam += 1
-            d = math.gcd(abs(x - y), n)
+            run = min(RHO_BATCH, power - lam, steps)
+            start, prod = x, 1
+            for _ in range(run):
+                x = (x * x + c) % n
+                prod = prod * (x - y) % n
+            steps -= run
+            lam += run
+            d = math.gcd(prod, n)
+            if d == n:
+                x = start
+                for _ in range(run):
+                    if not steps:
+                        return None, 0
+                    steps -= 1
+                    x = (x * x + c) % n
+                    d = math.gcd(x - y, n)
+                    if d != 1:
+                        break
         if d != n:
             return d, steps
     raise RuntimeError("rho failed on %d" % n)

@@ -299,7 +299,7 @@ HARD_K = 4 + 2 * 300000000000000000000740000000000000000000423**2
     ["certify", "sint", "--k", str(4 + 20 * 139**2), "--ell", "19", "--max-exp", "6"],
     ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
     ["words", "alg1", "--m", "2", "--n", "inf", "--t", "101"],
-    ["markoff", "class", "--k", "200000001"],
+    ["markoff", "class", "--k", "900000001"],
     ["words", "metab", "--m", "2", "--n", "inf", "--word", "a b4000000 a b-4000000"],
     ["certify", "hfz", "--k", str(HARD_K)],
     ["certify", "sint", "--k", str(HARD_K), "--ell", "7"],

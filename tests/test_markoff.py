@@ -24,7 +24,9 @@ from mksurf.markoff import (
     same_orbit,
     search_integral,
     search_localized,
+    square_roots,
 )
+from mksurf.markoff import _apply_coords, _descent_step, _normal_form
 from mksurf.rings import BudgetExceeded, jacobi
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
@@ -159,8 +161,10 @@ def test_class_data_meets_every_orbit_of_the_doubled_box():
 
 def reduce_every_box_point(k):
     """The definition of class_data, kept as the oracle for its floor walk:
-    the sorted distinct reduce_point normal forms of every box point."""
-    box = search_integral(k, default_class_bound(k))
+    the sorted distinct reduce_point normal forms of every point of the
+    box isqrt(9|k|) + 4, which class_data searched before its proven bound
+    was tightened, so the tight box is checked against the larger one."""
+    box = search_integral(k, math.isqrt(9 * abs(k)) + 4)
     return sorted({reduce_point(p)[0].coords() for p in box})
 
 
@@ -191,13 +195,14 @@ def test_class_data_walks_one_floor_closure_per_orbit(monkeypatch, k):
 
 
 def test_class_data_budget_edge():
-    # the box isqrt(9|k|) + 4 reaches the scan limit 40000 at |k| = 177751112
-    assert default_class_bound(177751112) == 40000 == mksurf.markoff.MAX_SEARCH_BOUND
-    assert default_class_bound(177751113) == 40001
-    assert len(class_data(-177751112)) == 2
-    for k in (177751113, -177751113, 200000001):
+    # the box isqrt(9 (|k| + 9) // 5) reaches the scan limit 40000 at
+    # |k| = 888933324; -888933323 is the admissible level nearest the edge
+    assert default_class_bound(888933324) == 40000 == mksurf.markoff.MAX_SEARCH_BOUND
+    assert default_class_bound(888933325) == 40001
+    assert len(class_data(-888933323)) == 3
+    for k in (888933325, -888933325, 900000001):
         msg = (r"^class data at k = %d needs the box max\|x\| <= %d, past the integer "
-               r"scan limit 40000, which serves \|k\| <= 177751112$"
+               r"scan limit 40000, which serves \|k\| <= 888933324$"
                % (k, default_class_bound(k)))
         with pytest.raises(BudgetExceeded, match=msg):
             class_data(k)
@@ -268,6 +273,58 @@ def test_orbit_within_small_example():
     assert len(orbit) == 16 and set(orbit) == set(orbit_within((1, 1, 1), 100))
     # at bound 0 the walk cannot leave its start
     assert orbit_within((1, 1, 1), 0) == {(1, 1, 1): []}
+
+
+def walk_by_move_tags(c, bound):
+    """The walk orbit_within replaced, each move applied through its tag
+    and every image tested on all three coordinates; kept as the oracle for
+    the inline moves."""
+    seen = {c: []}
+    stack = [c]
+    while stack:
+        cur = stack.pop()
+        for mv in ALL_MOVES:
+            cand = _apply_coords(mv, cur)
+            if cand not in seen and max(map(abs, cand)) <= bound:
+                seen[cand] = seen[cur] + [mv]
+                stack.append(cand)
+    return seen
+
+
+def descent_step_by_move_tags(c):
+    """The descent step _descent_step replaced: the first Vieta move whose
+    image has a smaller max|x|."""
+    for mv in ALL_MOVES[:3]:
+        cand = _apply_coords(mv, c)
+        if max(map(abs, cand)) < max(map(abs, c)):
+            return mv, cand
+    return None
+
+
+def family_canonical(c):
+    """The canonical tuple of the perm/double-sign family of c: sorted by
+    absolute value, all entries nonnegative except, when the negativity
+    parity is odd and no zero is present, the first one."""
+    mags = sorted(abs(v) for v in c)
+    if sum(v < 0 for v in c) % 2 == 1 and 0 not in mags:
+        return (-mags[0], mags[1], mags[2])
+    return tuple(mags)
+
+
+@pytest.mark.parametrize("cube, bounds", [(6, range(9)), (2, (12, 16, 20))])
+def test_inline_moves_match_the_move_tag_walk(cube, bounds):
+    # every start of the cube max|c| <= 6 with every bound 0..8, so starts
+    # above the bound are included, and the cube max|c| <= 2 up to bound 20.
+    # Items are compared in order, since the order and the paths are what
+    # reduce_point and `markoff class` read.  _normal_form is checked on
+    # the closures it is given, those with bound = max|c|
+    for c in itertools.product(range(-cube, cube + 1), repeat=3):
+        assert _descent_step(c) == descent_step_by_move_tags(c), c
+        for bound in bounds:
+            walk = orbit_within(c, bound)
+            assert list(walk.items()) == list(walk_by_move_tags(c, bound).items()), (c, bound)
+            if max(map(abs, c)) == bound:
+                assert _normal_form(walk) == max(map(family_canonical, walk)), c
 
 
 def test_admissible_k():
@@ -512,6 +569,24 @@ def test_integer_roots_matches_isqrt():
     idx, lo, hi = integer_roots(ps, cs)
     assert list(zip(idx.tolist(), lo.tolist(), hi.tolist())) == expected
     assert 3000 < len(expected) < len(cases)
+
+
+def test_square_roots_matches_isqrt():
+    # d = 0, negative d down to the int64 minimum, and s^2 - 1, s^2, s^2 + 1
+    # around 2^62 = (2^31)^2 and up to the int64 edge isqrt(2^63 - 1)
+    rng = random.Random(72)
+    ds = [0, 1, 2, 3, 4, -1, -4, -2**62, -2**63]
+    top = math.isqrt(2**63 - 1)
+    for s in list(range(2**31 - 40, 2**31 + 41)) + list(range(top - 40, top + 1)):
+        ds += [s * s - 1, s * s, s * s + 1]
+    ds += [rng.randint(-2**62, 2**62) for _ in range(2000)]
+    ds += [rng.randint(0, top) ** 2 + rng.choice((-1, 0, 0, 1)) for _ in range(2000)]
+    assert all(-2**63 <= d < 2**63 for d in ds)
+    idx, roots = square_roots(np.array(ds, dtype=np.int64))
+    expected = [(i, math.isqrt(d)) for i, d in enumerate(ds)
+                if d >= 0 and math.isqrt(d) ** 2 == d]
+    assert list(zip(idx.tolist(), roots.tolist())) == expected
+    assert 1000 < len(expected) < len(ds)
 
 
 def test_search_integral_budget():

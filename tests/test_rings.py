@@ -11,6 +11,7 @@ from mksurf.rings import (
     BudgetExceeded,
     ModInt,
     SIntegerRing,
+    _pollard_rho,
     factorize,
     hilbert,
     is_probable_prime,
@@ -196,6 +197,23 @@ def test_factorize_budget_stops_a_hard_semiprime():
                        "cofactor unfactored" % MAX_RHO_STEPS):
         factorize(n)
     assert time.perf_counter() - start < 3
+
+
+def test_pollard_rho_batches_find_a_proper_factor():
+    # on small odd composites one batch of differences usually collects
+    # every prime of n, so its gcd is n and the batch is stepped through
+    # again one gcd at a time
+    for n in range(9, 20000, 2):
+        if not is_probable_prime(n):
+            d, steps = _pollard_rho(n, 1000)
+            assert 1 < d < n and n % d == 0 and 0 <= steps < 1000, n
+
+
+def test_factorize_reaches_an_11_digit_factor():
+    # the one-gcd-per-step walk needed 896355 steps here, past its old
+    # budget of 500000; batched, the same walk fits MAX_RHO_STEPS
+    q = 100000000000000000039
+    assert factorize(100000000003 * q) == [(100000000003, 1), (q, 1)]
 
 
 def test_is_probable_prime_past_the_deterministic_limit():
