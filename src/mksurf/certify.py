@@ -182,7 +182,8 @@ def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
 def certify_sint_failure(k, ell, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_MAX_EXP):
     """Certificate that the level-k surface has no Z[1/ell] points although
     it has no congruence obstruction (see `_failure_certificate`); the
-    search covers both denominator shapes."""
+    search covers two of the three valuation patterns, not
+    (-(b+c), -b, -c) (see `search_localized`)."""
     if ell % 2 == 0 or ell % 3 == 0 or not is_probable_prime(ell):
         raise ValueError("ell must be a prime coprime to 6")
     return _failure_certificate(k, ell, bound, max_exp)

@@ -21,7 +21,7 @@ from .markoff import (
     search_localized,
 )
 from .mat2 import Mat2, commutator
-from .lifting import find_trace_set_matrix, lift_point, universal_pair
+from .lifting import TRACE_SET_BOX, find_trace_set_matrix, lift_point, universal_pair
 from .quadforms import form_isotropic, hasse_profile
 from .quotients import commutator_test_modq, trace_commutator_image
 from .rings import BudgetExceeded, ModInt, localized_str, parse_ring
@@ -159,7 +159,7 @@ def _cmd_quadform_profile(args):
 def _cmd_quadform_isotropy(args):
     out = []
     for rep in class_data(args.k):
-        verdict, data = form_isotropic(rep, witness_bound=args.witness_bound)
+        verdict, data = form_isotropic(rep)
         out.append({"rep": list(rep.coords()), "verdict": verdict, "data": data})
     return {"k": args.k, "classes": out}
 
@@ -172,12 +172,12 @@ def _cmd_lift_point(args):
     else:
         y = None
         for x in p.coords():
-            y = find_trace_set_matrix(z, x, bound=args.y_bound)
+            y = find_trace_set_matrix(z, x)
             if y is not None:
                 break
         if y is None:
-            raise ValueError("no trace-set matrix Y found within entry bound %d; "
-                             "this does not certify that none exists" % args.y_bound)
+            raise ValueError("no trace-set matrix Y found in the entry box |a|, |b|, |c| <= %d; "
+                             "this does not certify that none exists" % TRACE_SET_BOX)
     res = lift_point(z, p, y)
     return {"z": z, "point": list(p.coords()), "x": res.x, "y": res.y,
             "orientation": res.orientation, "row": list(res.row)}
@@ -215,14 +215,14 @@ def _cmd_words_metab(args):
 
 
 def _cmd_quotient_image(args):
-    img = trace_commutator_image(args.q, cap=args.cap)
+    img = trace_commutator_image(args.q)
     return {"q": args.q, "image": sorted(img),
             "excluded": sorted(set(range(args.q)) - img)}
 
 
 def _cmd_quotient_test(args):
     z = _parse_mat(args.z)
-    ok, wit = commutator_test_modq(z, args.q, cap=args.cap)
+    ok, wit = commutator_test_modq(z, args.q)
     out = {"q": args.q, "z": z, "is_commutator": ok}
     if ok:
         out["witness"] = {"x": wit[0], "y": wit[1]}
@@ -262,80 +262,64 @@ def _word_class_key(w):
     return min(k1, k2)
 
 
+def _report(table, rows):
+    """(ok, report) for a list of (fields, match) rows: each report row is
+    its fields plus "match", and ok says that every row matches."""
+    rows = [dict(fields, match=match) for fields, match in rows]
+    return all(row["match"] for row in rows), {"table": table, "rows": rows}
+
+
 def repro(table):
     """Regenerate a table and diff it against the committed expectation.
 
     Returns (ok, report dict).
     """
+    rows = []
     if table == "t1":
-        rows = []
-        ok = True
         for (m, n), exp in expected.TABLE1.items():
             modulus, lams = second_derived_congruence(m, n)
             got = {"trace_c": embedding_matrix(m, n, "c").trace(),
                    "lambdas": sorted(lams), "modulus": modulus,
                    "traces": table1_trace_filter(m, n)}
-            match = got == exp
-            ok &= match
-            rows.append({"m": _order_str(m), "n": _order_str(n),
-                         "expected": exp, "computed": got, "match": match})
-        return ok, {"table": "t1", "rows": rows}
-    if table == "rt":
-        rows = []
-        ok = True
+            rows.append(({"m": _order_str(m), "n": _order_str(n),
+                          "expected": exp, "computed": got}, got == exp))
+    elif table == "rt":
         for (m, n, t), (exp_words, exp_derived) in expected.RT_TABLE.items():
             reps = alg1_representatives(m, n, t)
             got_keys = {_word_class_key(w) for w in reps}
             exp_keys = {_word_class_key(word(m, n, s)) for s in exp_words}
             got_der = {_word_class_key(w) for w in reps if in_derived_subgroup(m, n, w)}
             exp_der = {_word_class_key(word(m, n, s)) for s in exp_derived}
-            match = got_keys == exp_keys and got_der == exp_der
-            ok &= match
-            rows.append({"m": _order_str(m), "n": _order_str(n), "t": t,
-                         "computed": [str(w) for w in reps],
-                         "expected": exp_words, "match": match})
-        return ok, {"table": "rt", "rows": rows}
-    if table == "genus329":
+            rows.append(({"m": _order_str(m), "n": _order_str(n), "t": t,
+                          "computed": [str(w) for w in reps], "expected": exp_words},
+                         got_keys == exp_keys and got_der == exp_der))
+    elif table == "genus329":
         classes = class_data(329)
-        rows = []
-        ok = len(classes) == len(expected.GENUS_329)
         for rep, exp in zip(classes, expected.GENUS_329):
             prof = hasse_profile(rep)
             got = {str(p): v for p, v in prof.entries}
-            match = list(rep.coords()) == exp["rep"] and got == exp["profile"] \
-                and prof.product() == 1
-            ok &= match
-            rows.append({"rep": list(rep.coords()), "profile": got,
-                         "expected": exp, "match": match})
-        return ok, {"table": "genus329", "rows": rows}
-    if table == "classnumbers":
-        rows = []
-        ok = True
+            rows.append(({"rep": list(rep.coords()), "profile": got, "expected": exp},
+                         list(rep.coords()) == exp["rep"] and got == exp["profile"]
+                         and prof.product() == 1))
+        ok, report = _report(table, rows)
+        return ok and len(classes) == len(expected.GENUS_329), report
+    elif table == "classnumbers":
         for k, h in sorted(expected.CLASS_NUMBERS.items()):
             got = len(class_data(k))
-            ok &= got == h
-            rows.append({"k": k, "expected": h, "computed": got, "match": got == h})
-        return ok, {"table": "classnumbers", "rows": rows}
-    if table == "hfu2-images":
-        rows = []
-        ok = True
+            rows.append(({"k": k, "expected": h, "computed": got}, got == h))
+    elif table == "hfu2-images":
         for q, exp in sorted(expected.HFU2_IMAGES.items()):
             got = sorted(trace_commutator_image(q))
-            ok &= got == exp
-            rows.append({"q": q, "expected": exp, "computed": got, "match": got == exp})
-        return ok, {"table": "hfu2-images", "rows": rows}
-    if table == "embeddings":
-        rows = []
-        ok = True
+            rows.append(({"q": q, "expected": exp, "computed": got}, got == exp))
+    elif table == "embeddings":
         for (m, n), gens in expected.EMBEDDINGS.items():
             for g, exp_mat in gens.items():
                 got = embedding_matrix(m, n, g).rows()
-                ok &= got == exp_mat
-                rows.append({"m": _order_str(m), "n": _order_str(n), "gen": g,
-                             "expected": exp_mat, "computed": got,
-                             "match": got == exp_mat})
-        return ok, {"table": "embeddings", "rows": rows}
-    raise ValueError("unknown table %r" % (table,))
+                rows.append(({"m": _order_str(m), "n": _order_str(n), "gen": g,
+                              "expected": exp_mat, "computed": got}, got == exp_mat))
+    else:
+        raise ValueError("unknown table %r" % (table,))
+    return _report(table, rows)
 
 
 def _cmd_repro(args):
@@ -384,15 +368,13 @@ def build_parser():
     p.set_defaults(func=_cmd_quadform_profile)
     p = qf.add_parser("isotropy")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--witness-bound", type=int, default=600)
     p.set_defaults(func=_cmd_quadform_isotropy)
 
     lf = sub.add_parser("lift").add_subparsers(dest="cmd", required=True)
     p = lf.add_parser("point")
     p.add_argument("--z", required=True, help="matrix a,b,c,d")
     p.add_argument("--point", required=True)
-    p.add_argument("--y", help="matrix a,b,c,d; searched within --y-bound if omitted")
-    p.add_argument("--y-bound", type=int, default=12)
+    p.add_argument("--y", help="matrix a,b,c,d; searched for in a fixed entry box if omitted")
     p.set_defaults(func=_cmd_lift_point)
     p = lf.add_parser("universal")
     p.add_argument("--t", type=int, required=True)
@@ -415,12 +397,10 @@ def build_parser():
     qt = sub.add_parser("quotient").add_subparsers(dest="cmd", required=True)
     p = qt.add_parser("image")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_quotient_image)
     p = qt.add_parser("test")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--z", required=True, help="matrix a,b,c,d")
-    p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_quotient_test)
 
     cf = sub.add_parser("certify").add_subparsers(dest="cmd", required=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import MarkoffPoint, level
-from .rings import BudgetExceeded, ModInt
+from .rings import ModInt
 
 
 class LiftError(ValueError):
@@ -174,22 +174,17 @@ def lift_point(z, point, y):
     return LiftResult(pair[0], pair[1], z, "Z", row)
 
 
-MAX_TRACE_SET_BOUND = 50
+TRACE_SET_BOX = 12
 
 
-def find_trace_set_matrix(z, target_trace, bound=12):
+def find_trace_set_matrix(z, target_trace):
     """Bounded search for Y in the trace set of Z with Tr Y = target_trace.
 
-    Scans the entry box |a|, |b|, |c| <= bound with d forced by the trace;
-    returns the first hit or None.  Existence is not decidable this way, so
-    None only means "nothing in the box".  The scan is O(bound^3), so a
-    bound above MAX_TRACE_SET_BOUND raises BudgetExceeded."""
-    if bound < 0:
-        raise ValueError("entry bound must be nonnegative")
-    if bound > MAX_TRACE_SET_BOUND:
-        raise BudgetExceeded("entry bound %d exceeds the search budget %d"
-                             % (bound, MAX_TRACE_SET_BOUND))
-    box = [0] + [v for i in range(1, bound + 1) for v in (i, -i)]
+    Scans the entry box |a|, |b|, |c| <= TRACE_SET_BOX = 12 with d forced
+    by the trace, 25^3 candidates; returns the first hit or None.
+    Existence is not decidable this way, so None only means "nothing in
+    the box"."""
+    box = [0] + [v for i in range(1, TRACE_SET_BOX + 1) for v in (i, -i)]
     for a in box:
         d = target_trace - a
         for b in box:

@@ -377,20 +377,6 @@ def square_roots(d):
     return idx, s[idx]
 
 
-def integer_roots(p, c):
-    """Integer roots of t^2 - p t + c = 0 for int64 arrays p and c.
-
-    Returns (idx, lo, hi): the indices where both roots are integers, and
-    the smaller and larger root there (lo == hi at a double root).
-    Precondition: d = p^2 - 4c fits in int64 at every index.  The roots
-    are (p -+ s) / 2 where square_roots finds s^2 = d; no parity test is
-    needed, as s^2 = p^2 - 4c forces s = p (mod 2).
-    """
-    idx, s = square_roots(p * p - 4 * c)
-    p = p[idx]
-    return idx, (p - s) // 2, (p + s) // 2
-
-
 def _double_signs(x1, x2, x3):
     """The four images of (x1, x2, x3) under the double sign changes."""
     return ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3))
@@ -448,7 +434,8 @@ def _integral_coords(k, bound):
     C = x1^2 + x2^2 - k, whose discriminant P^2 - 4C is
     (x1^2 - 4) x2^2 + 4 (k - x1^2): one multiply and one add per cell on a
     table of the squares x2^2, and the roots (P -+ s) / 2 only at the cells
-    where square_roots finds s (s = P (mod 2), as in integer_roots).  The
+    where square_roots finds s (no parity test is needed, as
+    s^2 = P^2 - 4C forces s = P (mod 2)).  The
     level of each base triple is checked once; its double-sign images
     share it.
     """
@@ -476,9 +463,13 @@ def _integral_coords(k, bound):
 
 
 def search_localized(k, ell, max_exp, bound):
-    """Points of the level-k surface over Z[1/ell] within the two shapes an
-    l-denominator can take: integral points, and (x1, x2/l^a, x3/l^a) with
-    l coprime to x2*x3 and 1 <= a <= max_exp; numerators bounded by bound.
+    """Points of the level-k surface over Z[1/ell] in two of the three
+    valuation patterns a point can have: integral points, and
+    (x1, x2/l^a, x3/l^a) with l coprime to x2*x3 and 1 <= a <= max_exp;
+    numerators bounded by bound.  The third pattern, l-adic valuations
+    (-(b+c), -b, -c) with b >= c >= 1, is not searched: (14/25, 4/5, -9/5)
+    lies on level 5 and is not among the points of
+    search_localized(5, 5, 3, 60).
 
     Order: the integral points as search_integral returns them, with int
     coordinates, then the others, whose x2/l^a and x3/l^a are Fractions,

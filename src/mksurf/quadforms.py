@@ -152,18 +152,18 @@ def _witness_search(form, bound):
     return None
 
 
-def form_isotropic(point, witness_bound=600):
+WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
+
+
+def form_isotropic(point):
     """Isotropy of the attached form over Q, decided through the squarefree
     reduction to Legendre's theorem.
 
     Returns (verdict, data) with verdict in {"Isotropic", "Anisotropic",
     "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
-    one exists within witness_bound (None and flagged otherwise); a point
-    too large for that scan's int64 range raises BudgetExceeded.  A
-    negative witness_bound is invalid input (ValueError).
+    one exists within WITNESS_BOUND (None and flagged otherwise); a point
+    too large for that scan's int64 range raises BudgetExceeded.
     """
-    if witness_bound < 0:
-        raise ValueError("witness_bound must be nonnegative")
     k = point.k
     if not isinstance(k, int) or k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")
@@ -178,9 +178,9 @@ def form_isotropic(point, witness_bound=600):
         data = {"coordinate": j + 1, "m": m, "n": n}
         if iso:
             form = TernaryForm.from_point(point)
-            w = _witness_search(form, witness_bound)
+            w = _witness_search(form, WITNESS_BOUND)
             data["witness"] = w
-            data["witness_bound"] = witness_bound
+            data["witness_bound"] = WITNESS_BOUND
             if w is None:
                 data["flag"] = "criterion only: no zero within bound"
             return "Isotropic", data

@@ -26,20 +26,17 @@ from .mat2 import Mat2, mat_mod
 from .rings import BudgetExceeded, ModInt
 
 
-DEFAULT_MODULUS_CAP = 64
-# Ceiling whatever cap says: the table at q = 128 holds 1.6e6 elements (a
-# few seconds, about 190 MB) and the tables grow like q^3.
+# The table at q = 128 holds 1.6e6 elements (a few seconds, about 190 MB)
+# and the tables grow like q^3.
 MAX_MODULUS = 128
 
 # S, T and their inverses, row-major
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
 
 
-def _check_modulus(q, cap):
+def _check_modulus(q):
     if q < 2:
         raise ValueError("modulus must be at least 2, got %d" % q)
-    if q > cap:
-        raise BudgetExceeded("modulus %d exceeds the configured cap %d" % (q, cap))
     if q > MAX_MODULUS:
         raise BudgetExceeded("modulus %d exceeds the ceiling %d" % (q, MAX_MODULUS))
 
@@ -82,9 +79,9 @@ class GroupTable:
 
     def __init__(self, q):
         self.q = q
-        # int32 holds every code and every product below when q^4 < 2^31
-        self.itype = np.int32 if q**4 < 2**31 else np.int64
-        etype = np.min_scalar_type(q - 1)
+        # group_table keeps q <= 128: codes stay below q^4 < 2^31, entries below 256
+        self.itype = np.int32
+        etype = np.uint8
         tuples = sl2_tuples(q)
         self.entries = np.fromiter(itertools.chain.from_iterable(tuples), dtype=etype,
                                    count=4 * len(tuples)).reshape(-1, 4).T.copy()
@@ -144,6 +141,7 @@ class GroupTable:
 
 @functools.lru_cache(maxsize=16)
 def group_table(q):
+    _check_modulus(q)
     return GroupTable(q)
 
 
@@ -154,9 +152,9 @@ def _as_tuple_mod(z, q):
     return tuple(v % q for v in z)
 
 
-def commutator_test_modq(z, q, cap=DEFAULT_MODULUS_CAP):
+def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None)."""
-    _check_modulus(q, cap)
+    _check_modulus(q)
     z = _as_tuple_mod(z, q)
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
@@ -174,7 +172,7 @@ def commutator_test_modq(z, q, cap=DEFAULT_MODULUS_CAP):
     return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
 
 
-def trace_commutator_image(q, cap=DEFAULT_MODULUS_CAP):
+def trace_commutator_image(q):
     """The set { Tr W(X, Y) mod q : X, Y in SL2(Z/q) }.
 
     Uses the trace identity Tr W = M(Tr X, Tr Y, Tr XY) - 2, so only the
@@ -182,7 +180,7 @@ def trace_commutator_image(q, cap=DEFAULT_MODULUS_CAP):
     conjugation, so X runs over class representatives and Y, vectorized,
     over the whole group.
     """
-    _check_modulus(q, cap)
+    _check_modulus(q)
     table = group_table(q)
     ya, yb, yc, yd = table.elements()
     x2 = (ya + yd) % q

@@ -450,7 +450,7 @@ class SRingElem:
         return " ".join(parts)
 
 
-MAX_METAB_LENGTH = 3500
+MAX_METAB_TERMS = 3500**2 // 8
 
 
 def metabelian_image(m, n, w):
@@ -461,16 +461,32 @@ def metabelian_image(m, n, w):
     image is -x^i (1 + y + ... + y^(j-1)) for a, and x^(i-1) times the same
     sum for a^-1, where the sum is -(y^j + ... + y^-1) for j < 0.  For
     finite n the sum has period n in j, so j is kept mod n.  The terms of
-    all letters are normalized once.  For infinite n their number grows with
-    the square of the word length, so a word longer than MAX_METAB_LENGTH
-    letters raises BudgetExceeded.
+    all letters are normalized once.
+
+    Each a-letter emits |j| terms, so an a-run of exponent e emits |e| |j|;
+    one pass over the runs counts them before any is built, and more than
+    MAX_METAB_TERMS = 3500^2 / 8 = 1531250 raises BudgetExceeded.  This
+    budget accepts every word of at most 3500 letters: for infinite n, j
+    starts and ends at 0, so |j| <= B/2 for B b-letters, and the A = L - B
+    a-letters of a word of L letters emit at most A B / 2 <= L^2 / 8 terms;
+    for finite n, |j| < n <= 3 and the count is at most 2 L.  It also
+    bounds the length: an a-run has fewer than m <= 3 letters, and a b-run
+    of exponent e leaves |j| >= |e| / 2 next to an a-letter (j = 0 at the
+    word's ends, so then the inner side has |j| = |e|), which emits that
+    many terms; so an accepted word has O(terms + runs) letters.
     """
     _check_mn(m, n)
     if not in_derived_subgroup(m, n, w):
         raise ValueError("%r is not in the derived subgroup" % (w,))
-    if w.length() > MAX_METAB_LENGTH:
-        raise BudgetExceeded("word length %d exceeds the metabelian image budget of %d letters"
-                             % (w.length(), MAX_METAB_LENGTH))
+    count = j = 0
+    for g, e in w.runs:
+        if g == "b":
+            j = j + e if n is None else (j + e) % n
+        else:
+            count += abs(e * j)
+    if count > MAX_METAB_TERMS:
+        raise BudgetExceeded("metabelian image of %d terms exceeds the budget of %d terms"
+                             % (count, MAX_METAB_TERMS))
 
     def terms():
         i = j = 0
@@ -487,6 +503,8 @@ def metabelian_image(m, n, w):
 def is_unit_in_S(m, n, s):
     """True iff s is +-x^i y^j, the only invertible elements."""
     _check_mn(m, n)
+    if len(s.coeffs) > (m - 1) * (n - 1 if n else 1):
+        return False  # more terms than the normal form of any +-x^i y^j
     js = range(n) if n is not None else {j for _, j in s.coeffs}
     return any(s == SRingElem.monomial(m, n, i, j, sign)
                for sign in (1, -1) for i in range(m) for j in js)

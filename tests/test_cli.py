@@ -235,16 +235,16 @@ def test_markoff_search_rejects_composite_ell(capsys, ell):
     assert json.loads(out)["kind"] == "invalid-input"
 
 
+# explicit ids keep each case's test name when a case is deleted
 @pytest.mark.parametrize("argv", [
     ["certify", "sint", "--k", "386424", "--ell", "19", "--max-exp", "-1"],
     ["markoff", "search", "--k", "386424", "--ell", "19", "--max-exp", "-2", "--bound", "10"],
-    ["quadform", "isotropy", "--k", "3780", "--witness-bound", "-1"],
     ["markoff", "search", "--k", "5", "--bound", "3", "--limit=-1"],
-])
+], ids=["argv0", "argv1", "argv3"])
 def test_negative_search_limits_exit_2(capsys, argv):
-    # a negative exponent or witness bound searches nothing, so it cannot
-    # back a "no point" or "no zero within bound" answer; a negative limit
-    # would drop points from the end of the list while count still has them
+    # a negative exponent searches nothing, so it cannot back a "no point"
+    # answer; a negative limit would drop points from the end of the list
+    # while count still has them
     code, out = capture(capsys, argv)
     assert code == 2
     assert json.loads(out)["kind"] == "invalid-input"
@@ -290,14 +290,14 @@ HARD_N = 300000000000000000000560000000000000000000261
 HARD_K = 4 + 2 * 300000000000000000000740000000000000000000423**2
 
 
+# explicit ids keep each case's test name when a case is deleted
 @pytest.mark.parametrize("argv", [
-    ["quotient", "image", "--q", "256", "--cap", "256"],
-    ["quotient", "test", "--q", "256", "--cap", "256", "--z", "1,1,0,1"],
+    ["quotient", "image", "--q", "256"],
+    ["quotient", "test", "--q", "256", "--z", "1,1,0,1"],
     ["markoff", "search", "--k", "102", "--bound", "50000"],
     ["certify", "hfz", "--k", "102", "--bound", "50000"],
     ["markoff", "search", "--k", "224", "--bound", "1000", "--ell", "19", "--max-exp", "6"],
     ["certify", "sint", "--k", str(4 + 20 * 139**2), "--ell", "19", "--max-exp", "6"],
-    ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y-bound", "100000000"],
     ["words", "alg1", "--m", "2", "--n", "inf", "--t", "101"],
     ["markoff", "class", "--k", "900000001"],
     ["words", "metab", "--m", "2", "--n", "inf", "--word", "a b4000000 a b-4000000"],
@@ -305,7 +305,7 @@ HARD_K = 4 + 2 * 300000000000000000000740000000000000000000423**2
     ["certify", "sint", "--k", str(HARD_K), "--ell", "7"],
     ["lift", "universal", "--t", "7", "--ring", "z1/%d" % HARD_N],
     ["quadform", "profile", "--point", "3,4,%d" % (HARD_N + 2)],
-])
+], ids=["argv%d" % i for i in range(14) if i != 6])
 def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)
     assert code == 3
@@ -361,3 +361,21 @@ def test_repro_all_tables():
     for table in ("t1", "rt", "genus329", "classnumbers", "hfu2-images", "embeddings"):
         ok, report = repro(table)
         assert ok, report
+
+
+def test_repro_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mksurf.cli.expected, "CLASS_NUMBERS", {329: 2, 5: 7})
+    ok, report = repro("classnumbers")
+    assert not ok
+    assert report == {"table": "classnumbers", "rows": [
+        {"k": 5, "expected": 7, "computed": 1, "match": False},
+        {"k": 329, "expected": 2, "computed": 2, "match": True}]}
+    path = tmp_path / "classnumbers.json"
+    code, out = capture(capsys, ["repro", "classnumbers", "--out", str(path)])
+    assert code == 1
+    assert json.loads(path.read_text()) == json.loads(out) == dict(report, ok=False)
+    # every genus row matches, but a class is missing from the expectation
+    genus = mksurf.cli.expected.GENUS_329
+    monkeypatch.setattr(mksurf.cli.expected, "GENUS_329", genus[:1])
+    ok, report = repro("genus329")
+    assert not ok and [row["match"] for row in report["rows"]] == [True]

@@ -227,12 +227,12 @@ def test_lift_point_random_round_trips():
 def test_find_trace_set_matrix():
     from mksurf.lifting import find_trace_set_matrix
     z = Mat2(3, -1, 1, 0)
-    y = find_trace_set_matrix(z, 2, bound=6)
+    y = find_trace_set_matrix(z, 2)
     assert y is not None
     assert y.det() == 1 and y.trace() == 2 and (z * y).trace() == 2
     # genuinely empty: Y in S([[1,1],[0,1]]) needs c = 0 and a*d = 1 with
     # a + d = 0, which -a^2 = 1 forbids
-    assert find_trace_set_matrix(Mat2(1, 1, 0, 1), 0, bound=4) is None
+    assert find_trace_set_matrix(Mat2(1, 1, 0, 1), 0) is None
 
 
 def test_universal_pair():

@@ -17,7 +17,6 @@ from mksurf.markoff import (
     class_data,
     default_class_bound,
     e2_good_test,
-    integer_roots,
     level,
     orbit_within,
     reduce_point,
@@ -463,6 +462,20 @@ def test_search_integral_double_roots_at_x1_x2_equal_2b():
         assert got == search_integral_by_full_box(level(*point), b)
 
 
+def integer_roots(p, c):
+    """Integer roots of t^2 - p t + c = 0 for int64 arrays p and c.
+
+    Returns (idx, lo, hi): the indices where both roots are integers, and
+    the smaller and larger root there (lo == hi at a double root).
+    Precondition: d = p^2 - 4c fits in int64 at every index.  The roots
+    are (p -+ s) / 2 where square_roots finds s^2 = d; no parity test is
+    needed, as s^2 = p^2 - 4c forces s = p (mod 2).
+    """
+    idx, s = square_roots(p * p - 4 * c)
+    p = p[idx]
+    return idx, (p - s) // 2, (p + s) // 2
+
+
 def search_localized_by_full_rows(k, ell, max_exp, bound):
     """The scan search_localized replaced: every row x1 in [0, b] at every
     exponent; kept as the oracle for the row filter."""
@@ -618,6 +631,18 @@ def test_search_localized():
         assert level(*p.coords()) == 224
     # the S-integer Hasse-failure family stays empty
     assert search_localized(4 + 20 * 139**2, 19, 3, 1000) == []
+
+
+def test_search_localized_leaves_out_the_three_denominator_pattern():
+    # l-adic valuations (-(b + c), -b, -c): here (-2, -1, -1) at l = 5, a
+    # point on level 5 with three 5-power denominators; the search covers
+    # only the other two patterns, so none of its points has this shape
+    point = (Fraction(14, 25), Fraction(4, 5), Fraction(-9, 5))
+    assert level(*point) == 5
+    assert [c.denominator for c in point] == [25, 5, 5]
+    pts = search_localized(5, 5, 3, 60)
+    assert len(pts) == 1036
+    assert not any(all(Fraction(c).denominator > 1 for c in p.coords()) for p in pts)
 
 
 def qr_type(coords, p):

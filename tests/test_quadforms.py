@@ -154,7 +154,7 @@ def test_form_isotropic_verdicts_match_witness_search():
         p = random_point(rng, span=8)
         if not isinstance(p.k, int) or p.k <= 4:
             continue
-        verdict, data = form_isotropic(p, witness_bound=200)
+        verdict, data = form_isotropic(p)
         if verdict == "Inapplicable":
             continue
         w = brute_isotropy(TernaryForm.from_point(p), bound=25)
@@ -212,11 +212,6 @@ def test_witness_search_bound_0():
     assert _witness_search(TernaryForm.from_point(MarkoffPoint.make(10, -1, 14)), 0) is None
     with pytest.raises(BudgetExceeded):
         _witness_search(TernaryForm.from_point(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5)), 0)
-
-
-def test_form_isotropic_rejects_negative_witness_bound():
-    with pytest.raises(ValueError):
-        form_isotropic(MarkoffPoint.make(10, -1, 14), witness_bound=-1)
 
 
 def test_mtype_matrices():

@@ -79,25 +79,27 @@ def test_commutator_test_rejects_bad_det():
         commutator_test_modq(Mat2(1, 0, 0, 2), 5)
 
 
-def test_commutator_test_budget():
-    with pytest.raises(BudgetExceeded):
-        commutator_test_modq(Mat2(1, 0, 0, 1), 101, cap=64)
-    with pytest.raises(BudgetExceeded):
-        trace_commutator_image(101, cap=64)
+def no_table(q):
+    raise AssertionError("group table built for q = %d" % q)
 
 
 def test_modulus_ceiling_holds_whatever_the_cap(monkeypatch):
-    def no_table(q):
-        raise AssertionError("group table built for q = %d" % q)
     monkeypatch.setattr(quotients, "group_table", no_table)
     assert quotients.MAX_MODULUS == 128
     with pytest.raises(BudgetExceeded):
-        commutator_test_modq(Mat2(1, 1, 0, 1), 256, cap=256)
+        commutator_test_modq(Mat2(1, 1, 0, 1), 256)
     with pytest.raises(BudgetExceeded):
-        trace_commutator_image(256, cap=256)
+        trace_commutator_image(256)
     with pytest.raises(BudgetExceeded):
-        quotients._check_modulus(129, 129)
-    quotients._check_modulus(128, 128)  # the ceiling itself is allowed
+        quotients._check_modulus(129)
+    quotients._check_modulus(128)  # the ceiling itself is allowed
+
+
+def test_group_table_applies_the_ceiling(monkeypatch):
+    # the int32 codes and uint8 entries of GroupTable rely on q <= 128
+    monkeypatch.setattr(quotients, "GroupTable", no_table)
+    with pytest.raises(BudgetExceeded, match="modulus 129 exceeds the ceiling 128"):
+        quotients.group_table(129)
 
 
 def test_unipotent_obstructions():

@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
+import mksurf.words
 from mksurf.expected_tables import RT_TABLE
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.rings import BudgetExceeded
 from mksurf.words import (
-    MAX_METAB_LENGTH,
+    MAX_METAB_TERMS,
     SRingElem,
     SUPPORTED,
     Word,
@@ -406,15 +407,29 @@ def test_metabelian_image_matches_the_per_letter_oracle():
             assert SRingElem(m, n, dict(raw)).coeffs == worklist_normal_form(m, n, dict(raw).items())
 
 
-def test_metabelian_image_length_budget_edge():
-    h = MAX_METAB_LENGTH // 2 - 1
-    at_cap = word(2, None, "a b%d a b-%d" % (h, h))
-    assert at_cap.length() == MAX_METAB_LENGTH
-    assert metabelian_image(2, None, at_cap) == SRingElem(2, None, {(0, r): 1 for r in range(h)})
-    past = word(3, None, "a b%d a2 b-%d" % (h, h))
-    assert past.length() == MAX_METAB_LENGTH + 1
-    with pytest.raises(BudgetExceeded, match="word length %d exceeds" % (MAX_METAB_LENGTH + 1)):
-        metabelian_image(3, None, past)
+def test_metabelian_image_length_budget_edge(monkeypatch):
+    # the budget counts emitted terms: sum of |j| over the a-letters
+    assert MAX_METAB_TERMS == 3500**2 // 8
+    # the longest words that the former 3500-letter budget accepted still pass
+    h = 3500 // 2 - 1
+    at_old_cap = word(2, None, "a b%d a b-%d" % (h, h))
+    assert metabelian_image(2, None, at_old_cap) == \
+        SRingElem(2, None, {(0, r): 1 for r in range(h)})
+    dense = word(2, None, "b875 " + "a b a b-1 " * 437 + "b-875")  # 765187 terms
+    assert dense.length() == 3498
+    assert metabelian_image(2, None, dense) == SRingElem(2, None, {(0, 875): 437})
+    # a long word of few terms passes: 10002 letters, 5000 terms
+    cheap = word(2, None, "a b5000 a b-5000")
+    assert metabelian_image(2, None, cheap) == SRingElem(2, None, {(0, r): 1 for r in range(5000)})
+    monkeypatch.setattr(mksurf.words, "MAX_METAB_TERMS", 10)
+    assert metabelian_image(3, None, word(3, None, "a b5 a2 b-5")) == \
+        SRingElem(3, None, {(0, r): 1 for r in range(5)})
+    with pytest.raises(BudgetExceeded, match="image of 11 terms exceeds the budget of 10"):
+        metabelian_image(2, None, word(2, None, "a b-11 a b11"))
+    with pytest.raises(BudgetExceeded, match="of 12 terms"):
+        metabelian_image(3, None, word(3, None, "a b6 a2 b-6"))
+    with pytest.raises(BudgetExceeded, match="of 12 terms"):  # j is kept mod 3
+        metabelian_image(3, 3, word(3, 3, "a b") ** 12)
 
 
 def test_units_in_S23():
