@@ -2,9 +2,10 @@
 classes, and the set of commutator traces.
 
 `group_table(q)` enumerates SL2(Z/q) once per process and keeps, for
-every element, its sorted integer code (located with `np.searchsorted`),
-the id of its conjugacy class and a conjugator g_e with e = g_e r g_e^-1
-for the class representative r. Classes are the connected components of
+every element, the id of its conjugacy class and a conjugator g_e with
+e = g_e r g_e^-1 for the class representative r. An element is found
+from its entries in O(1), without a search (the run lemma,
+`GroupTable.index`). Classes are the connected components of
 conjugation by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate
 SL2(Z) and so every SL2(Z/q), composite q included; the conjugators are
 the paths of a breadth-first tree grown from the representatives.
@@ -14,11 +15,18 @@ commutator exactly when some W is conjugate to W Z: one vectorized
 class-id comparison over the group, with the witness X = W^-1,
 Y = g_{WZ} g_W^-1 read from the tree. Tables are cached (the 16 most
 recent moduli); the one at q = 64 keeps about 3 MB.
+
+The commutator-trace image scans one class of each pair {C, -C} against
+one element of each pair {Y, -Y}, a quarter of the pairs (the sign
+lemma, `trace_commutator_image`), and marks the trace triples that occur
+instead of sorting the traces.
 """
 
 import functools
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +37,9 @@ from .rings import BudgetExceeded, ModInt
 # The table at q = 128 holds 1.6e6 elements (a few seconds, about 190 MB)
 # and the tables grow like q^3.
 MAX_MODULUS = 128
+
+# cells of one block of the trace-image scan (reps x elements)
+_BLOCK_CELLS = 1 << 16
 
 # S, T and their inverses, row-major
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
@@ -79,7 +90,7 @@ class GroupTable:
 
     def __init__(self, q):
         self.q = q
-        # group_table keeps q <= 128: codes stay below q^4 < 2^31, entries below 256
+        # group_table keeps q <= 128: indices and q^3 stay below 2^31, entries below 256
         self.itype = np.int32
         etype = np.uint8
         tuples = sl2_tuples(q)
@@ -87,10 +98,14 @@ class GroupTable:
                                    count=4 * len(tuples)).reshape(-1, 4).T.copy()
         del tuples
         elems = self.elements()
-        self.codes = self.code(elems)  # sorted: sl2_tuples is lexicographic
-        n = len(self.codes)
-        moves = [self.index(_mul(_mul(g, elems, q), _inv(g, q), q)).astype(self.itype)
-                 for g in _GENERATORS]
+        # first index of each (a, b, c) run of elements, see index
+        runs = np.bincount((elems[0] * q + elems[1]) * q + elems[2], minlength=q ** 3)
+        self.start = np.cumsum(runs, dtype=self.itype)
+        self.start -= runs
+        del runs
+        self.step = np.array([q // math.gcd(x, q) for x in range(q)], dtype=self.itype)
+        n = self.entries.shape[1]
+        moves = [self.index(_mul(_mul(g, elems, q), _inv(g, q), q)) for g in _GENERATORS]
         del elems
         # class id = least index in the class: spread minima along the moves
         cls = np.arange(n, dtype=self.itype)
@@ -124,14 +139,23 @@ class GroupTable:
         """Entry quadruple of every element, as arithmetic arrays."""
         return tuple(self.entries.astype(self.itype))
 
-    def code(self, m):
+    def index(self, m):
+        """Position of the element(s) with entries m, which must lie in SL2(Z/q).
+
+        Run lemma: fix (a, b, c) and put g = gcd(a, q), step = q / g. The
+        congruence a d = 1 + b c (mod q) is solvable iff g divides 1 + b c,
+        and then its solutions are one class d = d0 (mod step): the g
+        residues d0 + k step, 0 <= d0 < step, k < g. `sl2_tuples` lists the
+        elements in lexicographic order, so those g elements form one run,
+        starting at `start[(a q + b) q + c]` and in increasing d, and the
+        element with entry d sits k = d // step places into it. (`start` is
+        filled from the run lengths of the table itself; at a triple with no
+        solution it holds the next run's start, and the result means
+        nothing.)
+        """
         q = self.q
         a, b, c, d = (np.asarray(v, dtype=self.itype) for v in m)
-        return ((a * q + b) * q + c) * q + d
-
-    def index(self, m):
-        """Position of the element(s) with entries m."""
-        return np.searchsorted(self.codes, self.code(m))
+        return self.start[(a * q + b) * q + c] + d // self.step[a]
 
     def conjugator(self, i, j):
         """gamma = g_j g_i^-1, so gamma e_i gamma^-1 = e_j when cls[i] == cls[j]."""
@@ -145,17 +169,24 @@ def group_table(q):
     return GroupTable(q)
 
 
-def _as_tuple_mod(z, q):
-    if isinstance(z, Mat2):
-        vals = [e.v if isinstance(e, ModInt) else e for e in z.entries()]
-        return tuple(val % q for val in vals)
-    return tuple(v % q for v in z)
+def _residue(v, q):
+    """The residue mod q of an integer, a Fraction with denominator prime to
+    q, or a ModInt whose modulus q divides."""
+    if isinstance(v, ModInt):
+        if v.q % q:
+            raise ValueError("a residue mod %d has no value mod %d" % (v.q, q))
+        return v.v % q
+    if isinstance(v, Fraction):
+        if math.gcd(v.denominator, q) != 1:
+            raise ValueError("%s has no value mod %d" % (v, q))
+        return v.numerator * pow(v.denominator, -1, q) % q
+    return operator.index(v) % q
 
 
 def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None)."""
     _check_modulus(q)
-    z = _as_tuple_mod(z, q)
+    z = tuple(_residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
     ident = (1 % q, 0, 0, 1 % q)
@@ -173,25 +204,50 @@ def commutator_test_modq(z, q):
 
 
 def trace_commutator_image(q):
-    """The set { Tr W(X, Y) mod q : X, Y in SL2(Z/q) }.
+    """The set { Tr [X, Y] mod q : X, Y in SL2(Z/q) }.
 
-    Uses the trace identity Tr W = M(Tr X, Tr Y, Tr XY) - 2, so only the
-    three traces are needed; Tr W(X, Y) is invariant under simultaneous
-    conjugation, so X runs over class representatives and Y, vectorized,
-    over the whole group.
+    Tr [X, Y] = M(Tr X, Tr Y, Tr XY) - 2 with M(x1, x2, x3) = x1^2 + x2^2
+    + x3^2 - x1 x2 x3, so only the triple of traces counts: the triples
+    that occur are marked in one boolean array of q^3 cells, and M - 2 is
+    evaluated once per marked cell. The scan stops at the first block of
+    representatives after which the image is all of Z/q.
+
+    Which pairs suffice:
+    - Tr [X, Y] is invariant under simultaneous conjugation, so X runs
+      over class representatives only.
+    - Sign lemma: -I is central, so [-X, Y] = (-X) Y (-X)^-1 Y^-1 = [X, Y]
+      and likewise [X, -Y] = [X, Y]. The class of -X is -C when X lies in
+      C, so X runs over one class of each pair {C, -C}: rep r is kept when
+      the rep of -C is not below r (if it is, that rep s is kept, since
+      the rep of -(-C) is r > s). Y runs over one element i of each pair
+      {Y, -Y}, kept when -Y is not below i (the two are one for q = 2).
     """
     _check_modulus(q)
     table = group_table(q)
-    ya, yb, yc, yd = table.elements()
-    x2 = (ya + yd) % q
-    image = set()
-    full = set(range(q))
-    for r in table.reps:
-        a, b, c, d = (int(v) for v in table.entries[:, r])
-        x1 = (a + d) % q
-        x3 = (a * ya + b * yc + c * yb + d * yd) % q
-        tr = (x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3 - 2) % q
-        image.update(np.unique(tr).tolist())
-        if len(image) == q:
-            return full
-    return image
+    elems = table.elements()
+    neg = table.index(tuple(-v % q for v in elems))
+    keep = neg >= np.arange(len(neg))
+    ya, yb, yc, yd = (v[keep] for v in elems)
+    reps = table.reps[table.cls[neg[table.reps]] >= table.reps]
+    x = table.entries[:, reps].astype(table.itype)
+    # the cell of a pair is (Tr X q + Tr Y) q + Tr XY
+    tx = (x[0] + x[3]) % q * (q * q)
+    ty = (ya + yd) % q * q
+    seen = np.zeros(q ** 3, dtype=bool)
+    image = np.zeros(q, dtype=bool)
+    rows = max(1, _BLOCK_CELLS // len(ya))
+    for lo in range(0, len(reps), rows):
+        a, b, c, d = (v[lo:lo + rows, None] for v in x)
+        cells = (a * ya + b * yc + c * yb + d * yd) % q
+        cells += tx[lo:lo + rows, None]
+        cells += ty
+        new = np.zeros_like(seen)
+        new[cells] = True
+        new &= ~seen
+        seen |= new
+        t1, t23 = np.divmod(np.flatnonzero(new), q * q)
+        t2, t3 = np.divmod(t23, q)
+        image[(t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 2) % q] = True
+        if image.all():
+            break
+    return set(np.flatnonzero(image).tolist())

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_sl2_enumeration():
     for q in (2, 3, 4, 5, 6, 8, 9, 12):
         tuples = sl2_tuples(q)
         assert len(tuples) == sl2_order(q)
-        assert tuples == sorted(tuples)  # the group table's codes rely on it
+        assert tuples == sorted(tuples)  # GroupTable.index relies on it
         assert len(set(tuples)) == len(tuples)
         for (a, b, c, d) in random.Random(q).sample(tuples, min(50, len(tuples))):
             assert (a * d - b * c) % q == 1
@@ -59,7 +60,7 @@ def test_group_table_classes_are_conjugation_orbits():
     for q in (3, 5, 7, 8, 9):
         table = quotients.group_table(q)
         group = tuple(v.astype(np.int64) for v in table.elements())
-        codes = {tuple(int(v) for v in table.entries[:, i]): i for i in range(len(table.codes))}
+        codes = {tuple(int(v) for v in table.entries[:, i]): i for i in range(table.entries.shape[1])}
         for e, i in codes.items():
             orbit = {codes[m] for m in zip(*(v.tolist() for v in _conj(group, e, q)))}
             assert set(np.flatnonzero(table.cls == table.cls[i]).tolist()) == orbit, (q, e)
@@ -67,6 +68,29 @@ def test_group_table_classes_are_conjugation_orbits():
                 g = table.conjugator(i, j)
                 assert (g[0] * g[3] - g[1] * g[2]) % q == 1, (q, i, j)
                 assert _conj(g, e, q) == tuple(table.entries[:, j]), (q, i, j)
+
+
+def test_group_table_index_is_the_position():
+    # the run lemma of GroupTable.index on every element
+    for q in list(range(2, 49)) + [64, 72, 81]:
+        table = quotients.group_table(q)
+        got = table.index(table.elements())
+        assert np.array_equal(got, np.arange(table.entries.shape[1])), q
+
+
+def test_group_table_index_matches_a_sorted_search():
+    # oracle: binary search over the sorted codes ((a q + b) q + c) q + d
+    rng = np.random.default_rng(17)
+    for q in (12, 16, 27, 36):
+        table = quotients.group_table(q)
+        elems = tuple(v.astype(np.int64) for v in table.elements())
+        codes = ((elems[0] * q + elems[1]) * q + elems[2]) * q + elems[3]
+        assert np.all(np.diff(codes) > 0), q
+        w = rng.integers(0, len(codes), 500)
+        z = rng.integers(0, len(codes), 500)
+        prod = quotients._mul(tuple(v[w] for v in elems), tuple(v[z] for v in elems), q)
+        key = ((prod[0] * q + prod[1]) * q + prod[2]) * q + prod[3]
+        assert np.array_equal(table.index(prod), np.searchsorted(codes, key)), q
 
 
 def test_commutator_test_identity():
@@ -96,7 +120,7 @@ def test_modulus_ceiling_holds_whatever_the_cap(monkeypatch):
 
 
 def test_group_table_applies_the_ceiling(monkeypatch):
-    # the int32 codes and uint8 entries of GroupTable rely on q <= 128
+    # the int32 indices and uint8 entries of GroupTable rely on q <= 128
     monkeypatch.setattr(quotients, "GroupTable", no_table)
     with pytest.raises(BudgetExceeded, match="modulus 129 exceeds the ceiling 128"):
         quotients.group_table(129)
@@ -128,6 +152,43 @@ def test_commutator_test_against_brute_force():
                 assert commutator(*wit) == z
 
 
+def test_commutator_test_reduces_fractions():
+    # 1/3 = 3 (mod 8), and diag(3, 3) is not a commutator mod 8
+    assert commutator_test_modq(Mat2(3, 0, 0, 3), 8) == (False, None)
+    assert commutator_test_modq(Mat2(Fraction(1, 3), 0, 0, 3), 8) == (False, None)
+    # 1/3 = 2 (mod 5): the same answer and witness as the integer matrix
+    assert (commutator_test_modq(Mat2(Fraction(1, 3), 1, 0, 3), 5)
+            == commutator_test_modq(Mat2(2, 1, 0, 3), 5))
+
+
+def test_commutator_test_rejects_residues_without_a_value_mod_q():
+    with pytest.raises(ValueError, match="has no value mod 8"):
+        commutator_test_modq(Mat2(Fraction(1, 2), 0, 0, 2), 8)
+    with pytest.raises(ValueError, match="has no value mod 8"):
+        commutator_test_modq(Mat2(*(ModInt(v, 4) for v in (1, 1, 0, 1))), 8)
+    with pytest.raises(TypeError):
+        commutator_test_modq(Mat2(0.5, 0, 0, 2), 3)
+    # a residue mod 16 has a value mod 8
+    z = Mat2(*(ModInt(v, 16) for v in (9, 1, 0, 9)))
+    assert commutator_test_modq(z, 8) == commutator_test_modq(Mat2(1, 1, 0, 1), 8)
+
+
+def test_commutator_witnesses_multiply_out_to_the_reduced_z():
+    rng = random.Random(91)
+    for q in (5, 7, 8, 9, 16):
+        units = [u for u in range(1, 4 * q) if u % 2 and u % 3 and u % 5 and u % 7]
+        for _ in range(40):
+            m = random_sl2z(rng, length=6)
+            u = Fraction(rng.choice(units), rng.choice(units))
+            z = Mat2(m.a * u, m.b * u, m.c / u, m.d / u)  # diag(u, 1/u) m, det 1
+            reduced = Mat2(*(ModInt(v.numerator * pow(v.denominator, -1, q), q)
+                             for v in z.entries()))
+            ok, wit = commutator_test_modq(z, q)
+            if ok:
+                assert commutator(*wit) == reduced, (q, z)
+            assert (ok, wit) == commutator_test_modq(reduced, q)
+
+
 def test_commutator_witnesses_replay():
     rng = random.Random(90)
     for q in (5, 8, 9, 16):
@@ -144,11 +205,44 @@ def test_trace_image_small_moduli():
     # no obstruction away from 2 and 3
     assert trace_commutator_image(5) == set(range(5))
     assert trace_commutator_image(7) == set(range(7))
-    # direct double-enumeration oracle at q = 3 and 4
-    for q in (3, 4):
+    # direct double-enumeration oracle
+    for q in (2, 3, 4, 5):
         pairs = [Mat2(*(ModInt(v, q) for v in t)) for t in sl2_tuples(q)]
         brute = {commutator(x, y).trace().v for x in pairs for y in pairs}
         assert trace_commutator_image(q) == brute
+
+
+def image_by_class_reps(q):
+    """Oracle: X over all class representatives, Y over all of SL2(Z/q),
+    the traces of each row sorted by np.unique."""
+    table = quotients.group_table(q)
+    ya, yb, yc, yd = table.elements()
+    x2 = (ya + yd) % q
+    image = set()
+    for r in table.reps:
+        a, b, c, d = (int(v) for v in table.entries[:, r])
+        x1 = (a + d) % q
+        x3 = (a * ya + b * yc + c * yb + d * yd) % q
+        image.update(np.unique((x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3 - 2) % q).tolist())
+    return image
+
+
+def test_trace_image_matches_the_class_rep_scan():
+    for q in list(range(2, 33)) + [36, 48]:
+        assert trace_commutator_image(q) == image_by_class_reps(q), q
+
+
+def test_sign_lemma():
+    # [-X, Y] = [X, -Y] = [X, Y] on random pairs, and -C is one class for
+    # every class C: the class of -X depends only on the class of X
+    rng = random.Random(92)
+    for q in (16, 27):
+        for _ in range(30):
+            x, y = (mat_mod(random_sl2z(rng, length=6), q) for _ in range(2))
+            assert commutator(-x, y) == commutator(x, -y) == commutator(x, y)
+        table = quotients.group_table(q)
+        neg = table.index(tuple(-v % q for v in table.elements()))
+        assert np.array_equal(table.cls[neg], table.cls[neg[table.cls]]), q
 
 
 def test_trace_image_mod_9_and_16():
