@@ -332,6 +332,9 @@ def catalogue_congruence_obstructions(z):
 
 _REQUIRED_PARAMETERS = {"E3FailureZ": ("k",), "E3FailureSInt": ("k", "ell"),
                         "E2Failure": ("nu", "ell"), "HFE1": ("nu", "ell")}
+_OPTIONAL_PARAMETERS = {"E3FailureZ": ("bound",), "E3FailureSInt": ("bound", "max_exp"),
+                        "E2Failure": ("t", "bound", "max_exp"),
+                        "HFE1": ("local_moduli", "sint_bound", "sint_max_exp")}
 
 
 def check_certificate(cert_dict):
@@ -342,8 +345,8 @@ def check_certificate(cert_dict):
     half of HFE1, which no command makes any more) still replay.  Input
     that is not a certificate of a known kind (not a JSON object, another
     schema version, an unknown kind, no `checks` list of named results, no
-    `conclusion`, a required parameter missing, or a parameter that is not
-    an integer; `local_moduli` is a list of them) raises ValueError.
+    `conclusion`, a parameter missing, unknown to the kind or not an
+    integer; `local_moduli` is a list of them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
         raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
@@ -364,6 +367,10 @@ def check_certificate(cert_dict):
     missing = [p for p in _REQUIRED_PARAMETERS[kind] if p not in params]
     if missing:
         raise ValueError("%s certificate lacks parameters %s" % (kind, ", ".join(missing)))
+    known = _REQUIRED_PARAMETERS[kind] + _OPTIONAL_PARAMETERS[kind]
+    extra = [str(p) for p in params if p not in known]
+    if extra:
+        raise ValueError("%s certificate takes no parameters %s" % (kind, ", ".join(extra)))
     for name, value in params.items():
         values = value if name == "local_moduli" and isinstance(value, list) else [value]
         if not all(type(v) is int for v in values):

@@ -1,11 +1,12 @@
 """SL2(Z/q) as a group table, a commutator test read off its conjugacy
 classes, and the set of commutator traces.
 
-`group_table(q)` enumerates SL2(Z/q) once per process and keeps, for
-every element, the id of its conjugacy class and a conjugator g_e with
-e = g_e r g_e^-1 for the class representative r. An element is found
-from its entries in O(1), without a search (the run lemma,
-`GroupTable.index`). Classes are the connected components of
+`group_table(q)` enumerates SL2(Z/q) once per process, straight into its
+arrays (the run lemma, `_elements`), and keeps, for every element, the
+id of its conjugacy class and a conjugator g_e with e = g_e r g_e^-1 for
+the class representative r; `sl2_tuples(q)` lists the elements, under
+the table's modulus checks. An element is found from its entries in
+O(1) (`GroupTable.index`). Classes are the connected components of
 conjugation by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate
 SL2(Z) and so every SL2(Z/q), composite q included; the conjugators are
 the paths of a breadth-first tree grown from the representatives.
@@ -23,7 +24,6 @@ instead of sorting the traces.
 """
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -34,8 +34,8 @@ from .mat2 import Mat2, mat_mod
 from .rings import BudgetExceeded, ModInt
 
 
-# The table at q = 128 holds 1.6e6 elements (a few seconds, about 190 MB)
-# and the tables grow like q^3.
+# The table at q = 128 holds 1.6e6 elements (about 2 s and 145 MB to build,
+# 26 MB at rest) and the tables grow like q^3.
 MAX_MODULUS = 128
 
 # cells of one block of the trace-image scan (reps x elements)
@@ -52,21 +52,36 @@ def _check_modulus(q):
         raise BudgetExceeded("modulus %d exceeds the ceiling %d" % (q, MAX_MODULUS))
 
 
+def _elements(q):
+    """The elements of SL2(Z/q) in lexicographic order, as the columns of a
+    4 x n uint8 array, with the `start` and `step` arrays of `index`.
+
+    Run lemma: fix (a, b, c), put g = gcd(a, q) and step = q / g. Then
+    a d = 1 + b c (mod q) is solvable iff g | 1 + b c, and its solutions
+    are d0 + k step, k < g, with d0 = ((1 + b c)/g) (a/g)^-1 mod step
+    (a = 0: g = q, step = 1, d0 = 0). As d0 < step, a outermost, (b, c)
+    row-major and k innermost is lexicographic order.
+    """
+    t = np.arange(q, dtype=np.int32)
+    g = np.gcd(t, q)
+    rhs = (1 + np.multiply.outer(t, t)) % q  # 1 + b c at [b, c]
+    runs = np.where(rhs % g[:, None, None] == 0, g[:, None, None], 0)
+    start = np.cumsum(runs, dtype=np.int32) - runs.ravel()
+    out = np.empty((4, int(runs.sum())), dtype=np.uint8)
+    for a, ga in enumerate(g.tolist()):
+        pos, step = start[a * q * q], q // ga
+        bc = np.nonzero(runs[a])
+        end = pos + ga * len(bc[0])
+        d0 = rhs[bc] // ga * pow(a // ga, -1, step) % step
+        out[0, pos:end] = a
+        out[1:3, pos:end] = np.repeat(bc, ga, axis=1)
+        out[3, pos:end] = (d0[:, None] + step * np.arange(ga)).ravel()
+    return out, start, q // g
+
+
 def sl2_tuples(q):
     """All (a, b, c, d) with a*d - b*c = 1 (mod q), in lexicographic order."""
-    out = []
-    for a in range(q):
-        g = math.gcd(a, q)
-        for b in range(q):
-            for c in range(q):
-                rhs = (1 + b * c) % q
-                if g == 1:
-                    out.append((a, b, c, rhs * pow(a, -1, q) % q))
-                elif rhs % g == 0:
-                    step = q // g
-                    d0 = (rhs // g) * pow(a // g, -1, step) % step
-                    out.extend((a, b, c, d0 + k * step) for k in range(g))
-    return out
+    return list(zip(*group_table(q).entries.tolist()))
 
 
 def _mul(x, y, q):
@@ -89,21 +104,12 @@ class GroupTable:
     column i of `conj` is g_i with element i = g_i rep g_i^-1."""
 
     def __init__(self, q):
+        # q <= 128: indices and q^3 stay below 2^31, entries below 256
+        _check_modulus(q)
         self.q = q
-        # group_table keeps q <= 128: indices and q^3 stay below 2^31, entries below 256
         self.itype = np.int32
-        etype = np.uint8
-        tuples = sl2_tuples(q)
-        self.entries = np.fromiter(itertools.chain.from_iterable(tuples), dtype=etype,
-                                   count=4 * len(tuples)).reshape(-1, 4).T.copy()
-        del tuples
+        self.entries, self.start, self.step = _elements(q)
         elems = self.elements()
-        # first index of each (a, b, c) run of elements, see index
-        runs = np.bincount((elems[0] * q + elems[1]) * q + elems[2], minlength=q ** 3)
-        self.start = np.cumsum(runs, dtype=self.itype)
-        self.start -= runs
-        del runs
-        self.step = np.array([q // math.gcd(x, q) for x in range(q)], dtype=self.itype)
         n = self.entries.shape[1]
         moves = [self.index(_mul(_mul(g, elems, q), _inv(g, q), q)) for g in _GENERATORS]
         del elems
@@ -119,8 +125,8 @@ class GroupTable:
         self.cls = cls
         self.reps = np.flatnonzero(cls == np.arange(n))
         # breadth-first tree from every representative at once
-        self.conj = np.zeros((4, n), dtype=etype)
-        self.conj[:, self.reps] = np.array((1 % q, 0, 0, 1 % q), dtype=etype)[:, None]
+        self.conj = np.zeros((4, n), dtype=np.uint8)
+        self.conj[:, self.reps] = np.array((1 % q, 0, 0, 1 % q), dtype=np.uint8)[:, None]
         seen = np.zeros(n, dtype=bool)
         seen[self.reps] = True
         frontier = self.reps
@@ -142,16 +148,10 @@ class GroupTable:
     def index(self, m):
         """Position of the element(s) with entries m, which must lie in SL2(Z/q).
 
-        Run lemma: fix (a, b, c) and put g = gcd(a, q), step = q / g. The
-        congruence a d = 1 + b c (mod q) is solvable iff g divides 1 + b c,
-        and then its solutions are one class d = d0 (mod step): the g
-        residues d0 + k step, 0 <= d0 < step, k < g. `sl2_tuples` lists the
-        elements in lexicographic order, so those g elements form one run,
-        starting at `start[(a q + b) q + c]` and in increasing d, and the
-        element with entry d sits k = d // step places into it. (`start` is
-        filled from the run lengths of the table itself; at a triple with no
-        solution it holds the next run's start, and the result means
-        nothing.)
+        By the run lemma (`_elements`) the element with entries (a, b, c, d)
+        sits d // step[a] places into the run that starts at
+        `start[(a q + b) q + c]`. (At a triple with no solution the result
+        means nothing.)
         """
         q = self.q
         a, b, c, d = (np.asarray(v, dtype=self.itype) for v in m)
@@ -163,10 +163,7 @@ class GroupTable:
         return _mul(gj, _inv(gi, self.q), self.q)
 
 
-@functools.lru_cache(maxsize=16)
-def group_table(q):
-    _check_modulus(q)
-    return GroupTable(q)
+group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
 
 def _residue(v, q):
@@ -222,7 +219,6 @@ def trace_commutator_image(q):
       the rep of -(-C) is r > s). Y runs over one element i of each pair
       {Y, -Y}, kept when -Y is not below i (the two are one for q = 2).
     """
-    _check_modulus(q)
     table = group_table(q)
     elems = table.elements()
     neg = table.index(tuple(-v % q for v in elems))

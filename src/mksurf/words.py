@@ -313,21 +313,23 @@ def _syllable_images(m, n, max_len):
 
 
 def factor_through_embedding(m, n, uv_word):
-    """Express a u,v-word as an alternating product of a- and b-powers of
-    the embedded free product, or None.
+    """Express a reduced u,v-word as an alternating product of a- and
+    b-powers of the embedded free product, or None.
 
     Longest-prefix matching with backtracking; junction letters make the
-    factorization unique, so backtracking rarely fires.
+    factorization unique, so backtracking rarely fires. A parse needs no
+    re-expansion check: its syllables, the letters of reduced generator
+    powers, spell the letters of uv_word, so `modular_word` of the parse
+    normalizes the element uv_word spells, whose normal form in <u> * <v>
+    is unique: the reduced uv_word itself.
     """
     _check_mn(m, n)
     letters = uv_word.letters()
-    if not letters:
-        return Word.identity(m, n)
     syll = _syllable_images(m, n, len(letters))
 
     def dfs(pos, expect, acc):
         if pos == len(letters):
-            return acc
+            return Word.make(tuple(acc), m, n)
         for g in expect:
             for e, img in syll[g]:
                 if letters[pos:pos + len(img)] == img:
@@ -337,13 +339,7 @@ def factor_through_embedding(m, n, uv_word):
                         return res
         return None
 
-    runs = dfs(0, ("a", "b"), [])
-    if runs is None:
-        return None
-    w = Word.make(tuple(runs), m, n)
-    if modular_word(m, n, w).runs != uv_word.runs:
-        return None
-    return w
+    return dfs(0, ("a", "b"), [])
 
 
 def alg1_representatives(m, n, t):

@@ -132,6 +132,16 @@ def test_verify_hfe1_rejects_moduli_below_2():
             verify_hfe1(139, 19, local_moduli=moduli, sint_bound=50)
 
 
+def test_verify_hfe1_records_a_non_commutator_without_a_witness():
+    # I + E12 is not a commutator mod 2 or mod 3
+    c = verify_hfe1(139, 19, local_moduli=(2, 3), sint_bound=50, matrix=Mat2(1, 1, 0, 1))
+    checks = {ch.name: ch for ch in c.checks}
+    for q in (2, 3):
+        assert checks["commutator-mod-%d" % q].result is False
+        assert checks["commutator-mod-%d" % q].data is None
+    assert not c.conclusion
+
+
 def test_negative_max_exp_is_invalid_input():
     with pytest.raises(ValueError):
         certify_sint_failure(4 + 20 * 139**2, 19, max_exp=-1)
@@ -156,6 +166,17 @@ def test_check_certificate_rejects_malformed_input():
         with pytest.raises(ValueError):
             check_certificate(blob)
     assert check_certificate(good)[0]
+
+
+def test_check_certificate_rejects_parameters_its_kind_does_not_take():
+    # before, the unknown keys were ignored and these replayed true with the
+    # default bound
+    good = json.loads(certify_hfz(1062).to_json())
+    for params, extra in (({"k": 1062, "bund": 10**9}, "bund"),
+                          ({"k": 1062, "bound": 200, "max_exp": 7}, "max_exp")):
+        with pytest.raises(ValueError, match="E3FailureZ certificate takes no parameters %s" % extra):
+            check_certificate(dict(good, parameters=params))
+    assert check_certificate(dict(good, parameters={"k": 1062, "bound": 200}))[0]
 
 
 def test_certify_sint_found_spelling():

@@ -137,6 +137,20 @@ def test_lift_commands(capsys):
     assert d["trace"] == 7
 
 
+def test_lift_point_searches_for_y(capsys):
+    # without --y the trace-set box is scanned at each coordinate in turn
+    code, out = capture(capsys, ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3"])
+    assert code == 0
+    d = json.loads(out)
+    x, y = (Mat2(*sum(d[k]["entries"], [])) for k in ("x", "y"))
+    assert commutator(x, y) == Mat2(3, -1, 1, 0)
+    assert d["orientation"] == "Z"
+    code = run(["lift", "point", "--z", "7,-1,1,0", "--point=0,0,-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no trace-set matrix Y found in the entry box" in captured.out + captured.err
+
+
 def test_markoff_search_spells_integral_points(capsys):
     code, out = capture(capsys, ["markoff", "search", "--k", "5", "--bound", "10"])
     assert code == 0

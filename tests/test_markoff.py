@@ -26,6 +26,7 @@ from mksurf.markoff import (
     square_roots,
 )
 from mksurf.markoff import _apply_coords, _descent_step, _normal_form
+from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
@@ -324,6 +325,12 @@ def test_inline_moves_match_the_move_tag_walk(cube, bounds):
             assert list(walk.items()) == list(walk_by_move_tags(c, bound).items()), (c, bound)
             if max(map(abs, c)) == bound:
                 assert _normal_form(walk) == max(map(family_canonical, walk)), c
+
+
+def test_obstructed_traces_are_the_complements_of_the_commutator_trace_images():
+    # the hand-copied lists behind admissible_t against the computed images
+    assert mksurf.markoff._T_OBSTRUCTED_16 == set(range(16)) - trace_commutator_image(16)
+    assert mksurf.markoff._T_OBSTRUCTED_9 == set(range(9)) - trace_commutator_image(9)
 
 
 def test_admissible_k():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -34,14 +35,41 @@ def sl2_order(q):
     return order
 
 
+def sl2_by_loop(q):
+    """Oracle: all (a, b, c, d) with a*d - b*c = 1 (mod q), solving for d
+    in a triple loop over (a, b, c)."""
+    out = []
+    for a in range(q):
+        g = math.gcd(a, q)
+        for b in range(q):
+            for c in range(q):
+                rhs = (1 + b * c) % q
+                if g == 1:
+                    out.append((a, b, c, rhs * pow(a, -1, q) % q))
+                elif rhs % g == 0:
+                    step = q // g
+                    d0 = (rhs // g) * pow(a // g, -1, step) % step
+                    out.extend((a, b, c, d0 + k * step) for k in range(g))
+    return out
+
+
 def test_sl2_enumeration():
-    for q in (2, 3, 4, 5, 6, 8, 9, 12):
-        tuples = sl2_tuples(q)
+    # the table's elements against the loop, and its run starts against
+    # the run lengths of the loop's elements
+    for q in list(range(2, 49)) + [64, 72, 81]:
+        tuples = sl2_by_loop(q)
         assert len(tuples) == sl2_order(q)
         assert tuples == sorted(tuples)  # GroupTable.index relies on it
         assert len(set(tuples)) == len(tuples)
         for (a, b, c, d) in random.Random(q).sample(tuples, min(50, len(tuples))):
             assert (a * d - b * c) % q == 1
+        table = quotients.group_table(q)
+        elems = np.array(tuples, dtype=np.int64).T
+        assert np.array_equal(table.entries, elems), q
+        runs = np.bincount((elems[0] * q + elems[1]) * q + elems[2], minlength=q ** 3)
+        assert np.array_equal(table.start, np.cumsum(runs) - runs), q
+        if q <= 16:
+            assert sl2_tuples(q) == tuples, q
 
 
 def _conj(g, e, q):
@@ -108,7 +136,7 @@ def no_table(q):
 
 
 def test_modulus_ceiling_holds_whatever_the_cap(monkeypatch):
-    monkeypatch.setattr(quotients, "group_table", no_table)
+    monkeypatch.setattr(quotients, "_elements", no_table)
     assert quotients.MAX_MODULUS == 128
     with pytest.raises(BudgetExceeded):
         commutator_test_modq(Mat2(1, 1, 0, 1), 256)
@@ -121,9 +149,19 @@ def test_modulus_ceiling_holds_whatever_the_cap(monkeypatch):
 
 def test_group_table_applies_the_ceiling(monkeypatch):
     # the int32 indices and uint8 entries of GroupTable rely on q <= 128
-    monkeypatch.setattr(quotients, "GroupTable", no_table)
+    monkeypatch.setattr(quotients, "_elements", no_table)
     with pytest.raises(BudgetExceeded, match="modulus 129 exceeds the ceiling 128"):
         quotients.group_table(129)
+
+
+def test_group_table_class_checks_the_modulus(monkeypatch):
+    # a direct GroupTable, and sl2_tuples through the table
+    monkeypatch.setattr(quotients, "_elements", no_table)
+    for build in (quotients.GroupTable, sl2_tuples):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            build(1)
+        with pytest.raises(BudgetExceeded, match="modulus 129 exceeds the ceiling 128"):
+            build(129)
 
 
 def test_unipotent_obstructions():

@@ -312,6 +312,21 @@ def test_factor_through_embedding_round_trip():
             assert back is not None and back.runs == w.runs, (m, n, str(w))
 
 
+def test_factor_through_embedding_parses_map_back_to_the_input():
+    # the docstring's proof that a parse needs no re-expansion check, on
+    # every rotation that Algorithm 1 tries up to trace 30
+    parses = 0
+    for (m, n) in SUPPORTED:
+        for t in range(3, 31):
+            for rep in psl2_class_reps(t):
+                for rot in rep.rotations():
+                    g = factor_through_embedding(m, n, rot)
+                    if g is not None:
+                        assert modular_word(m, n, g) == rot, (m, n, str(rot))
+                        parses += 1
+    assert parses > 1000
+
+
 def test_factor_through_embedding_rejects_outsiders():
     # v alone is not in the (2, inf) subgroup generated by u and vuv
     assert factor_through_embedding(2, None, word(2, 3, "v")) is None
