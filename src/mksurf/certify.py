@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import admissible_k, admissible_t, search_integral, search_localized
 from .quotients import commutator_test_modq
-from .rings import factorize, is_probable_prime, localized_str
+from .rings import factorize, is_probable_prime, localized_str, residue
 
 SCHEMA_VERSION = "1"
 DEFAULT_HFZ_BOUND = 10**4
@@ -229,7 +229,7 @@ def _local_commutator_check(a, q):
     """One modulus of the local verification: (replayed ok, witness data).
     A matrix of determinant other than 1 mod q (an audited claim) is not a
     commutator there."""
-    if (a.det() - 1) % q:
+    if residue(a.det() - 1, q):
         return False, {"error": "Z must have determinant 1 mod %d" % q}
     ok, wit = commutator_test_modq(mat_mod(a, q), q)
     if not ok:
@@ -341,7 +341,8 @@ def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
     Deterministic: regenerating with the stored parameters must reproduce
-    every check result and the conclusion.  E2Failure files (the global
+    every check result, the conclusion and each stored parameter (E2Failure
+    stores t, which replay derives from nu).  E2Failure files (the global
     half of HFE1, which no command makes any more) still replay.  Input
     that is not a certificate of a known kind (not a JSON object, another
     schema version, an unknown kind, no `checks` list of named results, no
@@ -401,5 +402,6 @@ def check_certificate(cert_dict):
         # E3FailureZ files made before the congruence check was added to it
         # replay as they did whenever that check holds
         old.setdefault("no-congruence-obstruction", True)
-    ok = old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
+    ok = (old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
+          and all(fresh_dict["parameters"].get(p) == v for p, v in params.items()))
     return ok, fresh_dict

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import MarkoffPoint, level
-from .rings import ModInt
+from .rings import ModInt, residue
 
 
 class LiftError(ValueError):
@@ -105,8 +105,8 @@ def lift2(z, y, x1, x3):
         x = num.map(lambda v: ModInt((v.v // g) * dinv, q2))
         z = mat_mod(z, q2)
         y = mat_mod(y, q2)
-        x1 = ModInt(x1.v if isinstance(x1, ModInt) else x1, q2)
-        x3 = ModInt(x3.v if isinstance(x3, ModInt) else x3, q2)
+        x1 = ModInt(residue(x1, q2), q2)
+        x3 = ModInt(residue(x3, q2), q2)
     else:
         if delta == 0:
             raise LiftError("Delta = 0: no unique lift exists")
@@ -142,7 +142,8 @@ def lift_point(z, point, y):
     pair for Z, permuting the matched coordinate into the middle slot.
 
     Returns a LiftResult whose pair projects onto the point's coordinates
-    exactly; the middle coordinate must equal Tr Y.
+    exactly; the middle coordinate must equal Tr Y. Whether Delta divides
+    out is `lift2`'s to decide; over Z/q a Delta not prime to q is refused.
     """
     t = z.trace()
     if t == 2 or t == -2:
@@ -150,22 +151,15 @@ def lift_point(z, point, y):
     if point.k != t + 2:
         raise LiftError("point level %s != Tr Z + 2" % (point.k,))
     x2 = y.trace()
-    if (z * y).trace() != x2:
-        raise LiftError("Y is not in the trace set of Z")
     coords = point.coords()
     js = [j for j in (1, 2, 3) if coords[j - 1] == x2]
     if not js:
         raise LiftError("no coordinate of (%s) matches Tr Y = %s"
                         % (", ".join(map(str, coords)), x2))
     delta = t + 2 - x2 * x2
-    if isinstance(delta, ModInt):
-        unit = math.gcd(delta.v, delta.q) == 1
-    else:
-        unit = delta != 0 if isinstance(delta, Fraction) else delta in (1, -1)
-    if not unit:
-        # Delta depends only on Tr Y and t, so no Vieta fix-up can repair it
-        # once Y is fixed.
-        raise LiftError("Delta = %s degenerate for this Y" % (delta,))
+    if isinstance(delta, ModInt) and math.gcd(delta.v, delta.q) != 1:
+        # lift2 would return X over q / gcd(Delta, q), not over Z/q
+        raise LiftError("Delta = %s is not prime to q = %d" % (delta, delta.q))
 
     (i1, i3), row = _LIFT_ROWS[2 if 2 in js else js[0]]
     pair = _PERM_PAIR[row][0](lift2(z, y, coords[i1], coords[i3]), y)

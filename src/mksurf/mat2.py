@@ -3,7 +3,7 @@ trace sets, and conic point counts."""
 
 from dataclasses import dataclass
 
-from .rings import ModInt, is_probable_prime, legendre
+from .rings import ModInt, is_probable_prime, legendre, residue
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,8 @@ class Mat2:
 
 
 def mat_mod(m, q):
-    """Reduce an integer (or ModInt) matrix modulo q."""
-    def red(x):
-        if isinstance(x, ModInt):
-            return ModInt(x.v, q)
-        return ModInt(x, q)
-
-    return m.map(red)
+    """Reduce a matrix modulo q, entry by entry through `rings.residue`."""
+    return m.map(lambda v: ModInt(residue(v, q), q))
 
 
 def commutator(x, y):

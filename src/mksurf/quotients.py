@@ -24,14 +24,11 @@ instead of sorting the traces.
 """
 
 import functools
-import math
-import operator
-from fractions import Fraction
 
 import numpy as np
 
 from .mat2 import Mat2, mat_mod
-from .rings import BudgetExceeded, ModInt
+from .rings import BudgetExceeded, residue
 
 
 # The table at q = 128 holds 1.6e6 elements (about 2 s and 145 MB to build,
@@ -166,24 +163,11 @@ class GroupTable:
 group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
 
-def _residue(v, q):
-    """The residue mod q of an integer, a Fraction with denominator prime to
-    q, or a ModInt whose modulus q divides."""
-    if isinstance(v, ModInt):
-        if v.q % q:
-            raise ValueError("a residue mod %d has no value mod %d" % (v.q, q))
-        return v.v % q
-    if isinstance(v, Fraction):
-        if math.gcd(v.denominator, q) != 1:
-            raise ValueError("%s has no value mod %d" % (v, q))
-        return v.numerator * pow(v.denominator, -1, q) % q
-    return operator.index(v) % q
-
-
 def commutator_test_modq(z, q):
-    """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None)."""
+    """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None).
+    Z's entries are reduced by `rings.residue`."""
     _check_modulus(q)
-    z = tuple(_residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
+    z = tuple(residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
     ident = (1 % q, 0, 0, 1 % q)

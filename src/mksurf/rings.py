@@ -2,6 +2,7 @@
 and the quadratic-symbol calculus (Legendre/Jacobi/Hilbert)."""
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,6 +322,21 @@ class ModInt:
         return "%d(mod %d)" % (self.v, self.q)
 
 
+def residue(v, q):
+    """The residue mod q of an int, a Fraction with denominator prime to q,
+    or a ModInt whose modulus q divides: the one map into Z/q. Anything
+    else has no value mod q (ValueError; TypeError for a non-integer type)."""
+    if isinstance(v, ModInt):
+        if v.q % q:
+            raise ValueError("a residue mod %d has no value mod %d" % (v.q, q))
+        return v.v % q
+    if isinstance(v, Fraction):
+        if math.gcd(v.denominator, q) != 1:
+            raise ValueError("%s has no value mod %d" % (v, q))
+        return v.numerator * pow(v.denominator, -1, q) % q
+    return operator.index(v) % q
+
+
 # --- ring descriptors (used by the CLI and the universality constructions) ---
 
 def _egcd(a, b):
@@ -423,13 +439,7 @@ class ResidueRing:
         return self.name
 
     def elem(self, x):
-        if isinstance(x, ModInt):
-            if x.q != self.q:
-                raise ValueError("wrong modulus")
-            return x
-        f = Fraction(x)
-        inv = pow(f.denominator, -1, self.q)
-        return ModInt(f.numerator * inv, self.q)
+        return ModInt(residue(x, self.q), self.q)
 
     def is_unit(self, e):
         return math.gcd(e.v, self.q) == 1

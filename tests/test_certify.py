@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,13 @@ def test_verify_hfe1_tampered_matrix():
     assert not c.checks[0].result  # matrix shape check catches it
 
 
+def test_verify_hfe1_refuses_an_entry_without_a_value_mod_q():
+    # det = 1, but 1/3 has no value mod 3: invalid input, not a failed check
+    with pytest.raises(ValueError, match="^1/3 has no value mod 3$"):
+        verify_hfe1(139, 19, local_moduli=(2, 3), sint_bound=50,
+                    matrix=Mat2(Fraction(1, 3), 0, 0, 3))
+
+
 def test_verify_hfe1_rejects_moduli_below_2():
     for moduli in ((1,), (0,), (-3,), (2, 1)):
         with pytest.raises(ValueError):
@@ -196,6 +204,21 @@ def test_e2_failure_certificate_replays():
     blob["checks"][1]["result"] = not blob["checks"][1]["result"]
     ok, _ = check_certificate(blob)
     assert not ok
+
+
+def test_replay_fails_on_a_stored_parameter_it_regenerates():
+    # E2Failure stores t = 2 + 20 nu^2, which replay derives from nu
+    blob = stored_v1("v1_e2failure_139_19.json")
+    blob["parameters"]["t"] = 12345
+    ok, fresh = check_certificate(blob)
+    assert not ok and fresh["parameters"]["t"] == 386422
+    # E3FailureZ regenerates with the stored bound, so a tampered bound is
+    # the one the replayed search ran with
+    blob = json.loads(certify_hfz(1062, bound=300).to_json())
+    blob["parameters"]["bound"] = 200
+    ok, fresh = check_certificate(blob)
+    assert ok and fresh["parameters"]["bound"] == 200
+    assert {c["name"]: c.get("bound") for c in fresh["checks"]}["integral-search-empty"] == 200
 
 
 def test_v1_hfz_files_replay_by_admissibility():

@@ -137,6 +137,14 @@ def test_lift_commands(capsys):
     assert d["trace"] == 7
 
 
+def test_lift_point_divides_out_a_non_unit_delta(capsys):
+    # Delta = 3 + 2 - (-4)^2 = -11 divides every entry of the numerator
+    code, out = capture(capsys, ["lift", "point", "--z", "0,-1,1,3", "--point=-5,-4,2",
+                                 "--y=-3,-2,-1,-1"])
+    assert code == 0
+    assert json.loads(out)["x"]["entries"] == [[-1, 3], [1, -4]]
+
+
 def test_lift_point_searches_for_y(capsys):
     # without --y the trace-set box is scanned at each coordinate in turn
     code, out = capture(capsys, ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mksurf.mat2 import Mat2, commutator, in_trace_set, mat_mod
-from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move
+from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move, level
 from mksurf.lifting import (
     LiftError,
     lift2,
@@ -222,6 +223,69 @@ def test_lift_point_random_round_trips():
         assert commutator(res.x, res.y) == zq
         assert trace_triple(res.x, res.y) == coords
         done += 1
+
+
+def test_lift_point_divides_out_a_non_unit_delta():
+    # Delta = 3 + 2 - 16 = -11 divides every entry of lift2's numerator
+    z, y = Mat2(0, -1, 1, 3), Mat2(-3, -2, -1, -1)
+    res = lift_point(z, MarkoffPoint.make(-5, -4, 2), y)
+    assert res.x == lift2(z, y, -5, 2) == Mat2(-1, 3, 1, -4)
+    assert commutator(res.x, res.y) == z and res.row == (1, 2, 3)
+
+
+def test_lift_point_random_round_trips_over_z():
+    # the cyclic permutations keep the orientation, so x0 itself is lift2's
+    # X and is integral whatever Delta is (a transposition's point lifts to
+    # another X, which need not be); a Tr Y that two coordinates equal
+    # leaves the choice of slot to lift_point, so such points are skipped
+    rng = random.Random(64)
+    done = 0
+    while done < 200:
+        x0 = random_sl2z(rng, length=5)
+        y0 = random_sl2z(rng, length=5)
+        z = commutator(x0, y0)
+        t = z.trace()
+        trip = trace_triple(x0, y0)
+        if t in (2, -2) or t + 2 - trip[1] ** 2 == 0 or trip.count(trip[1]) > 1:
+            continue
+        perm = rng.choice([(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+        coords = tuple(trip[p - 1] for p in perm)
+        res = lift_point(z, MarkoffPoint.make(*coords), y0)
+        assert commutator(res.x, res.y) == z
+        assert trace_triple(res.x, res.y) == coords
+        done += 1
+
+
+def test_lift_point_lifts_wherever_lift2_does():
+    box = range(-3, 4)
+    non_unit = 0
+    for z in (Mat2(0, -1, 1, 3), Mat2(3, -1, 1, 0), Mat2(2, 3, 1, 2)):
+        t = z.trace()
+        for a, b, c, d in itertools.product(box, repeat=4):
+            y = Mat2(a, b, c, d)
+            if not in_trace_set(z, y):
+                continue
+            x2 = y.trace()
+            for x1, x3 in itertools.product(range(-8, 9), repeat=2):
+                if level(x1, x2, x3) != t + 2:
+                    continue
+                try:
+                    x = lift2(z, y, x1, x3)
+                except LiftError:
+                    continue
+                res = lift_point(z, MarkoffPoint.make(x1, x2, x3), y)
+                assert (res.x, res.row) == (x, (1, 2, 3))
+                non_unit += t + 2 - x2 * x2 not in (1, -1)
+    assert non_unit > 100
+
+
+def test_lift_point_refuses_delta_not_prime_to_q():
+    # the data of test_lift2_modulus_shrink: Delta = 9 (mod 27)
+    x0, y0, q = Mat2(1, 1, 0, 1), Mat2(1, 0, 3, 1), 27
+    z = commutator(x0, y0)
+    point = MarkoffPoint.make(*(ModInt(v, q) for v in trace_triple(x0, y0)))
+    with pytest.raises(LiftError, match=r"^Delta = 9\(mod 27\) is not prime to q = 27$"):
+        lift_point(mat_mod(z, q), point, mat_mod(y0, q))
 
 
 def test_find_trace_set_matrix():

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from mksurf.mat2 import Mat2, commutator, mat_mod
+from mksurf.quotients import commutator_test_modq
 from mksurf.rings import (
     INF,
     MAX_RHO_STEPS,
     BudgetExceeded,
     ModInt,
+    ResidueRing,
     SIntegerRing,
     _pollard_rho,
     factorize,
@@ -19,6 +22,7 @@ from mksurf.rings import (
     jacobi,
     localized_str,
     parse_ring,
+    residue,
     squarefree_part,
 )
 
@@ -255,6 +259,39 @@ def test_modint():
         ModInt(4, 12).inverse()
     with pytest.raises(ValueError):
         a + ModInt(1, 5)
+
+
+def test_residue_is_the_one_map_into_z_mod_q():
+    # mat_mod, ResidueRing.elem and commutator_test_modq reduce as residue does
+    for q in (5, 8, 9, 12):
+        values = (list(range(-30, 31))
+                  + [Fraction(n, d) for n in range(-7, 8) for d in range(1, 12)
+                     if math.gcd(d, q) == 1]
+                  + [ModInt(v, m) for m in (q, 2 * q, 3 * q) for v in range(m)])
+        for v in values:
+            r = residue(v, q)
+            f = Fraction(v.v if isinstance(v, ModInt) else v)
+            assert 0 <= r < q and type(r) is int and (r * f.denominator - f.numerator) % q == 0
+            assert mat_mod(Mat2(v, v, v, v), q).entries() == (ModInt(r, q),) * 4
+            assert ResidueRing(q).elem(v) == ModInt(r, q)
+            for z in (Mat2(1, v, 0, 1), Mat2(1, 0, v, 1)):
+                ok, wit = commutator_test_modq(z, q)
+                assert (ok, wit) == commutator_test_modq(z.map(lambda e: residue(e, q)), q)
+                if ok:
+                    assert commutator(*wit) == mat_mod(z, q)
+    assert residue(Fraction(1, 3), 8) == 3 and residue(ModInt(9, 16), 8) == 1
+
+
+@pytest.mark.parametrize("reduce", [residue, lambda v, q: mat_mod(Mat2(v, 0, 0, 1), q),
+                                    lambda v, q: ResidueRing(q).elem(v)],
+                         ids=["residue", "mat_mod", "ResidueRing.elem"])
+def test_residue_refusals(reduce):
+    with pytest.raises(ValueError, match="^1/2 has no value mod 8$"):
+        reduce(Fraction(1, 2), 8)
+    with pytest.raises(ValueError, match="^a residue mod 4 has no value mod 8$"):
+        reduce(ModInt(1, 4), 8)
+    with pytest.raises(TypeError):
+        reduce(2.5, 8)
 
 
 def test_sinteger_ring():
