@@ -17,8 +17,6 @@ from .rings import (
 from .mat2 import (
     Mat2,
     commutator,
-    count_conic_modp,
-    fricke_level,
     in_trace_set,
     mat_mod,
 )
@@ -30,11 +28,9 @@ from .markoff import (
     apply_move,
     apply_path,
     class_data,
-    e2_good_test,
     level,
     orbit_within,
     reduce_point,
-    same_orbit,
     search_integral,
     search_localized,
 )
@@ -43,26 +39,19 @@ from .quadforms import (
     TernaryForm,
     form_isotropic,
     hasse_profile,
-    legendre_isotropic,
-    mtype_conjugate,
-    mtype_matrix,
 )
 from .lifting import (
     LiftError,
     LiftResult,
     lift2,
     lift_point,
-    minus_identity_commutator,
     pair_move,
-    pid_commutator_via_trace_set,
     universal_pair,
-    universal_point,
 )
 from .words import (
     SRingElem,
     Word,
     alg1_representatives,
-    cyclic_conjugacy_equal,
     embedding_matrix,
     in_derived_subgroup,
     is_unit_in_S,
@@ -80,7 +69,6 @@ from .quotients import (
 from .certify import (
     Certificate,
     build_hfe1_matrix,
-    catalogue_congruence_obstructions,
     certify_hfz,
     certify_sint_failure,
     check_certificate,

@@ -1,6 +1,5 @@
 """Machine-checkable certificates for the Hasse-failure families over Z and
-Z[1/l], the explicit locally-but-not-globally commutator matrices, and the
-closed-form congruence obstruction catalogue."""
+Z[1/l], and the explicit locally-but-not-globally commutator matrices."""
 
 import json
 import math
@@ -289,47 +288,6 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
     return _timed(build)
 
 
-def _unipotent_shape_obstruction(z, q):
-    """Small-modulus shape test at q in {2, 3, 4}: Z or its transpose is
-    +-(I + s*E12) mod q with s coprime to q."""
-    for m in (z, z.transpose()):
-        r = mat_mod(m, q)
-        for eps in (1, q - 1):
-            if r.a.v == eps and r.d.v == eps and r.c.v == 0:
-                s = r.b.v
-                if s and math.gcd(s, q) == 1:
-                    return eps if eps == 1 else -1, s
-    return None
-
-
-def catalogue_congruence_obstructions(z):
-    """Closed-form congruence obstructions to Z being a commutator over Z,
-    each confirmed by the exhaustive finite-quotient oracle.
-
-    Returns a list of dicts {q, reason, confirmed}.
-    """
-    if z.det() != 1:
-        raise ValueError("Z must have determinant 1")
-    t = z.trace()
-    out = []
-    if t % 4 == 0:
-        ok, _ = commutator_test_modq(mat_mod(z, 4), 4)
-        out.append({"q": 4, "reason": "trace divisible by 4", "confirmed": not ok})
-    if t % 9 in (1, 4, 5, 8):
-        ok, _ = commutator_test_modq(mat_mod(z, 9), 9)
-        out.append({"q": 9, "reason": "trace = +-1 or +-4 (mod 9)", "confirmed": not ok})
-    for q in (2, 3, 4):
-        shape = _unipotent_shape_obstruction(z, q)
-        if shape is not None:
-            eps, s = shape
-            ok, _ = commutator_test_modq(mat_mod(z, q), q)
-            out.append({"q": q,
-                        "reason": "unipotent shape %s(I + %d*E12) mod %d" %
-                                  ("" if eps == 1 else "-", s, q),
-                        "confirmed": not ok})
-    return out
-
-
 _REQUIRED_PARAMETERS = {"E3FailureZ": ("k",), "E3FailureSInt": ("k", "ell"),
                         "E2Failure": ("nu", "ell"), "HFE1": ("nu", "ell")}
 _OPTIONAL_PARAMETERS = {"E3FailureZ": ("bound",), "E3FailureSInt": ("bound", "max_exp"),
@@ -341,9 +299,10 @@ def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
     Deterministic: regenerating with the stored parameters must reproduce
-    every check result, the conclusion and each stored parameter (E2Failure
-    stores t, which replay derives from nu).  E2Failure files (the global
-    half of HFE1, which no command makes any more) still replay.  Input
+    every check result, the bound of every check that stores one, the
+    conclusion and each stored parameter (E2Failure stores t, which replay
+    derives from nu).  E2Failure files (the global half of HFE1, which no
+    command makes any more) still replay.  Input
     that is not a certificate of a known kind (not a JSON object, another
     schema version, an unknown kind, no `checks` list of named results, no
     `conclusion`, a parameter missing, unknown to the kind or not an
@@ -398,10 +357,12 @@ def check_certificate(cert_dict):
     fresh_dict = fresh.to_dict()
     old = {c["name"]: c["result"] for c in checks}
     new = {c["name"]: c["result"] for c in fresh_dict["checks"]}
+    new_bounds = {c["name"]: c.get("bound") for c in fresh_dict["checks"]}
     if kind == "E3FailureZ":
         # E3FailureZ files made before the congruence check was added to it
         # replay as they did whenever that check holds
         old.setdefault("no-congruence-obstruction", True)
     ok = (old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
+          and all(c["bound"] == new_bounds.get(c["name"]) for c in checks if "bound" in c)
           and all(fresh_dict["parameters"].get(p) == v for p, v in params.items()))
     return ok, fresh_dict

@@ -1,13 +1,13 @@
 """Lifting between the commutator equation, its trace form, and the Markoff
 surface: the explicit unique lift, the Nielsen/permutation pair moves with
-orientation tracking, and the universality constructions."""
+orientation tracking, and the universal pair."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mat2 import Mat2, commutator, mat_mod
-from .markoff import MarkoffPoint, level
+from .mat2 import Mat2, commutator, in_trace_set, mat_mod
+from .markoff import level
 from .rings import ModInt, residue
 
 
@@ -139,11 +139,14 @@ _LIFT_ROWS = {2: ((0, 2), (1, 2, 3)), 1: ((2, 1), (2, 3, 1)), 3: ((1, 0), (3, 1,
 
 def lift_point(z, point, y):
     """Package a Markoff point and a trace-set matrix Y into a commutator
-    pair for Z, permuting the matched coordinate into the middle slot.
+    pair for Z, permuting a coordinate equal to Tr Y into the middle slot.
 
     Returns a LiftResult whose pair projects onto the point's coordinates
-    exactly; the middle coordinate must equal Tr Y. Whether Delta divides
-    out is `lift2`'s to decide; over Z/q a Delta not prime to q is refused.
+    exactly. Whether Delta divides out is `lift2`'s to decide, and it can
+    differ between two coordinates equal to Tr Y, as the other two
+    coordinates enter the numerator: each such coordinate is tried in
+    turn, the middle one first, and the last LiftError is raised only when
+    every one fails. Over Z/q a Delta not prime to q is refused.
     """
     t = z.trace()
     if t == 2 or t == -2:
@@ -152,7 +155,7 @@ def lift_point(z, point, y):
         raise LiftError("point level %s != Tr Z + 2" % (point.k,))
     x2 = y.trace()
     coords = point.coords()
-    js = [j for j in (1, 2, 3) if coords[j - 1] == x2]
+    js = [j for j in (2, 1, 3) if coords[j - 1] == x2]  # the middle slot first
     if not js:
         raise LiftError("no coordinate of (%s) matches Tr Y = %s"
                         % (", ".join(map(str, coords)), x2))
@@ -161,11 +164,18 @@ def lift_point(z, point, y):
         # lift2 would return X over q / gcd(Delta, q), not over Z/q
         raise LiftError("Delta = %s is not prime to q = %d" % (delta, delta.q))
 
-    (i1, i3), row = _LIFT_ROWS[2 if 2 in js else js[0]]
-    pair = _PERM_PAIR[row][0](lift2(z, y, coords[i1], coords[i3]), y)
-    if trace_triple(*pair) != coords or commutator(*pair) != z:
-        raise LiftError("permutation bookkeeping broke the lift contract")
-    return LiftResult(pair[0], pair[1], z, "Z", row)
+    for j in js:
+        (i1, i3), row = _LIFT_ROWS[j]
+        try:
+            x = lift2(z, y, coords[i1], coords[i3])
+        except LiftError as exc:
+            err = exc
+            continue
+        pair = _PERM_PAIR[row][0](x, y)
+        if trace_triple(*pair) != coords or commutator(*pair) != z:
+            raise LiftError("permutation bookkeeping broke the lift contract")
+        return LiftResult(pair[0], pair[1], z, "Z", row)
+    raise err
 
 
 TRACE_SET_BOX = 12
@@ -184,7 +194,7 @@ def find_trace_set_matrix(z, target_trace):
         for b in box:
             for c in box:
                 y = Mat2(a, b, c, d)
-                if y.det() == 1 and (z * y).trace() == target_trace:
+                if in_trace_set(z, y):
                     return y
     return None
 
@@ -208,117 +218,4 @@ def universal_pair(t, eps, ring):
     if commutator(x, y).trace() != t:
         raise AssertionError("universal pair construction failed")
     return x, y
-
-
-def universal_point(k, z, w, ring):
-    """A point on the level-k surface from z, w with z^2 - 4 = w^2 and w a
-    unit; needs 2 invertible (characteristic != 2)."""
-    if ring.char_two:
-        raise ValueError("characteristic-2 quotients are not supported here")
-    k = ring.elem(k)
-    z = ring.elem(z)
-    w = ring.elem(w)
-    four = ring.elem(4)
-    if z * z - four != w * w:
-        raise ValueError("z^2 - 4 = %s differs from w^2 = %s" % (z * z - four, w * w))
-    if not ring.is_unit(w):
-        raise ValueError("w = %s is not a unit" % (w,))
-    half = ring.inv(ring.elem(2))
-    zeta = (z + w) * half
-    zetainv = (z - w) * half  # zeta * zetainv = (z^2 - w^2)/4 = 1
-    winv = ring.inv(w)
-    one = ring.elem(1)
-    x1 = winv * (one - k + z * z)
-    x2 = winv * (zeta - (k - z * z) * zetainv)
-    x3 = z
-    if level(x1, x2, x3) != k:
-        raise AssertionError("universal point construction failed")
-    return MarkoffPoint(x1, x2, x3, k)
-
-
-def minus_identity_commutator(ring, r1, r2, r3):
-    """A pair (X, Y) with W(X, Y) = -I from a nontrivial zero of
-    r1^2 + r2^2 + r3^2 over a PID; over Z this reports insolvability."""
-    r1, r2, r3 = (ring.elem(r) for r in (r1, r2, r3))
-    zero = ring.elem(0)
-    if r1 * r1 + r2 * r2 + r3 * r3 != zero:
-        raise ValueError("r1^2 + r2^2 + r3^2 = %s is nonzero in %s"
-                         % (r1 * r1 + r2 * r2 + r3 * r3, ring))
-    if r1 == zero and r2 == zero and r3 == zero:
-        raise ValueError("the all-zero triple is excluded")
-    u, v = ring.bezout(r1, r2)  # r1*u - r2*v = 1
-    one = ring.elem(1)
-    x = Mat2(u * r3, u * u * r2 + v * (r1 * u + one), r2, -(u * r3))
-    y = Mat2(v * r3, v * v * r1 + u * (r2 * v - one), r1, -(v * r3))
-    ident = x.identity_like()
-    if x.det() != one or y.det() != one or commutator(x, y) != -ident:
-        raise AssertionError("minus-identity construction failed")
-    return x, y
-
-
-def _solve_intertwiner(b, eps, epsinv, eta, ring):
-    """X in SL2 with B X = X diag(eps, eps^-1), following the gcd
-    construction; B has trace eps + eps^-1 and determinant 1."""
-    b1, b2, b3, b4 = b.entries()
-    zero = ring.elem(0)
-    one = ring.elem(1)
-    etainv = ring.inv(eta)
-    if b2 != zero:
-        delta = ring.gcd(b1 - eps, b2)
-        r = ring.div(b2, delta)
-        x = Mat2(r, -delta * etainv,
-                 ring.div(eps - b1, delta), -ring.div(b4 - eps, r) * etainv)
-        return x
-    if b3 != zero:
-        xt = _solve_intertwiner(b.transpose(), eps, epsinv, eta, ring)
-        return xt.adjugate().transpose()
-    if b1 == eps:
-        return Mat2(one, zero, zero, one)
-    return Mat2(zero, -one, one, zero)
-
-
-def pid_commutator_via_trace_set(z, u, eps, ring):
-    """Exhibit Z as a commutator given U in its trace set with
-    Tr U = eps + eps^-1, over a PID where eps and eps - eps^-1 are units.
-
-    Returns (X, Y) with W(X, Y) = Z exactly.
-    """
-    eps = ring.elem(eps)
-    if not ring.is_unit(eps):
-        raise ValueError("eps must be a unit")
-    epsinv = ring.inv(eps)
-    eta = eps - epsinv
-    if not ring.is_unit(eta):
-        raise ValueError("eps - eps^-1 must be a unit")
-    one = ring.elem(1)
-    zero = ring.elem(0)
-    if u.det() != one or (z * u).trace() != u.trace():
-        raise ValueError("U is not in the trace set of Z")
-    if u.trace() != eps + epsinv:
-        raise ValueError("Tr U = %s differs from eps + eps^-1" % (u.trace(),))
-
-    # eigenvector of U for eps, made primitive, completed to SL2
-    v = (u.b, eps - u.a)
-    if v[0] == zero and v[1] == zero:
-        v = (eps - u.d, u.c)
-    g = ring.gcd(v[0], v[1])
-    v = (ring.div(v[0], g), ring.div(v[1], g))
-    tt, ss = ring.bezout(v[0], v[1])  # v0*tt - v1*ss = 1
-    m = Mat2(v[0], ss, v[1], tt)
-    u0 = m.inverse() * u * m
-    assert u0.c == zero
-    shear = Mat2(one, -u0.b * ring.inv(eta), zero, one)
-    sigma = m * shear
-    sigmainv = sigma.inverse()
-    u1 = sigmainv * u * sigma
-    z1 = sigmainv * z * sigma
-    x1 = _solve_intertwiner(z1 * u1, eps, epsinv, eta, ring)
-    if x1.det() != one or (z1 * u1) * x1 != x1 * u1:
-        raise AssertionError("intertwiner construction failed")
-    xf = sigma * x1 * sigmainv
-    yf = sigma * u1 * sigmainv
-    if commutator(xf, yf) != z:
-        raise AssertionError("trace-set commutator construction failed")
-    return xf, yf
-
 

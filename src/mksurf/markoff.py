@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rings import BudgetExceeded, factorize, is_probable_prime, jacobi, squarefree_part
+from .rings import BudgetExceeded, factorize, is_probable_prime, jacobi
 
 
 def level(x1, x2, x3):
@@ -339,12 +339,6 @@ def class_data(k):
     return sorted(reps, key=MarkoffPoint.coords)
 
 
-def same_orbit(p, q):
-    if p.k != q.k:
-        return False
-    return reduce_point(p)[0].coords() == reduce_point(q)[0].coords()
-
-
 def admissible_k(k):
     """No congruence obstruction for integer points at level k:
     k != 3 (mod 4) and k != +-3 (mod 9)."""
@@ -524,13 +518,6 @@ def search_localized(k, ell, max_exp, bound):
     return pts
 
 
-def odd_part(n):
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n
-
-
 def anisotropy_prime(point):
     """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
     nonresidue mod p, or None."""
@@ -541,19 +528,3 @@ def anisotropy_prime(point):
             if jacobi(x * x - 4, p) == -1:
                 return (p, x)
     return None
-
-
-def e2_good_test(k):
-    """Quadratic-residue scan deciding whether every orbit at level k fails
-    to carry trace data of a matrix pair.
-
-    Requires the odd part of k-4 squarefree.  For each fundamental class,
-    looks for an odd prime p | k-4 and a coordinate x with x^2-4 a
-    nonresidue mod p.  Returns ("AllBad" | "Inconclusive", per-class data).
-    """
-    m = odd_part(k - 4)
-    if m != abs(squarefree_part(m)):
-        raise ValueError("odd part of k-4 = %d is not squarefree" % (k - 4))
-    data = [{"rep": rep.coords(), "witness": anisotropy_prime(rep)} for rep in class_data(k)]
-    all_bad = all(d["witness"] is not None for d in data)
-    return ("AllBad" if all_bad else "Inconclusive"), data

@@ -1,9 +1,9 @@
-"""2x2 matrix algebra over the supported rings, adjugate/trace identities,
-trace sets, and conic point counts."""
+"""2x2 matrix algebra over the supported rings, adjugate/trace identities
+and trace sets."""
 
 from dataclasses import dataclass
 
-from .rings import ModInt, is_probable_prime, legendre, residue
+from .rings import ModInt, residue
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class Mat2:
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self):
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def inverse(self):
         """The SL2 inverse: the adjugate of a determinant-1 matrix."""
         det = self.det()
@@ -96,34 +93,7 @@ def commutator(x, y):
     return x * y * x.inverse() * y.inverse()
 
 
-def fricke_level(x, y):
-    """M(Tr X, Tr Y, Tr XY); equals Tr W(X,Y) + 2 when det X = det Y = 1."""
-    if x.det() != 1 or y.det() != 1:
-        raise ValueError("fricke_level needs determinant-1 matrices")
-    x1 = x.trace()
-    x2 = y.trace()
-    x3 = (x * y).trace()
-    return x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3
-
-
 def in_trace_set(z, x):
     """X in S(Z): det X = 1 and Tr(ZX) = Tr(X)."""
     return x.det() == 1 and (z * x).trace() == x.trace()
 
-
-def count_conic_modp(delta, n, p):
-    """Number of (x, y) mod p with x^2 - delta*y^2 = n, by the closed form.
-
-    Three cases by divisibility; cross-checked elsewhere against exhaustive
-    counting.
-    """
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError("p must be an odd prime")
-    delta %= p
-    n %= p
-    if n != 0 and delta == 0:
-        return (1 + legendre(n, p)) * p
-    if n != 0:
-        return p - legendre(delta, p)
-    chi = legendre(delta, p) if delta else 0
-    return p * (1 + chi) - chi

@@ -1,6 +1,5 @@
 """Ternary quadratic forms attached to Markoff points, their local invariant
-profiles, isotropy via Legendre's theorem, and the unimodular 3x3 matrices
-realizing the Markoff moves on Gram matrices."""
+profiles, and isotropy via Legendre's theorem."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import MarkoffPoint, anisotropy_prime, square_roots
+from .markoff import anisotropy_prime, square_roots
 from .rings import (
     INF,
     BudgetExceeded,
@@ -95,18 +94,6 @@ def hasse_profile(point):
     return HasseProfile(entries)
 
 
-def legendre_isotropic(a, b, c):
-    """Legendre's criterion for a*x^2 + b*y^2 + c*z^2 with a > 0 > b, c and
-    abc squarefree."""
-    if not (a > 0 and b < 0 and c < 0):
-        raise ValueError("need a > 0 and b, c < 0")
-    if abs(squarefree_part(a * b * c)) != abs(a * b * c):
-        raise ValueError("abc must be squarefree")
-    return (is_square_mod(-a * b, abs(c))
-            and is_square_mod(-a * c, abs(b))
-            and is_square_mod(-b * c, abs(a)))
-
-
 def _witness_search(form, bound):
     """Nontrivial integer zero of the form with |u_i| <= bound, or None.
 
@@ -188,54 +175,3 @@ def form_isotropic(point):
         return "Anisotropic", data
     return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
 
-
-# --- 3x3 integer matrix helpers ----------------------------------------------
-
-def mat3_mul(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-
-
-def mat3_transpose(a):
-    return [[a[j][i] for j in range(3)] for i in range(3)]
-
-
-_COMPLEMENT = {1: 3, 2: 2, 3: 1}
-
-
-def mtype_matrix(move, point):
-    """The unimodular gamma with gamma^T X(p) gamma = X(move applied to p).
-
-    Sign changes and permutations are coordinate-free; the Vieta matrices
-    depend on the point's coordinates.
-    """
-    x1, x2, x3 = point.coords()
-    if move.tag == "sign":
-        i, j = move.data
-        missing = ({1, 2, 3} - {i, j}).pop()
-        pos = _COMPLEMENT[missing]
-        g = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-        g[pos - 1][pos - 1] = -1
-        return g
-    if move.tag == "perm":
-        sigma = move.data
-
-        def pi(i):
-            return _COMPLEMENT[sigma[_COMPLEMENT[i] - 1]]
-
-        return [[1 if r + 1 == pi(c + 1) else 0 for c in range(3)] for r in range(3)]
-    j = move.data[0]
-    if j == 1:
-        return [[1, 0, 0], [0, -1, 0], [0, x3, 1]]
-    if j == 2:
-        return [[-1, 0, 0], [x1, 1, 0], [0, 0, 1]]
-    return [[1, 0, x2], [0, 1, 0], [0, 0, -1]]
-
-
-def mtype_conjugate(gamma, point):
-    """gamma^T X(point) gamma, returned as the Markoff point it represents."""
-    x = TernaryForm.from_point(point).gram()
-    y = mat3_mul(mat3_transpose(gamma), mat3_mul(x, gamma))
-    if [y[i][i] for i in range(3)] != [2, 2, 2] or y[0][1] != y[1][0] \
-            or y[0][2] != y[2][0] or y[1][2] != y[2][1]:
-        raise ValueError("conjugate is not a Markoff Gram matrix")
-    return MarkoffPoint.make(y[0][1], y[0][2], y[1][2])

@@ -337,22 +337,7 @@ def residue(v, q):
     return operator.index(v) % q
 
 
-# --- ring descriptors (used by the CLI and the universality constructions) ---
-
-def _egcd(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
+# --- ring descriptors (used by the CLI and universal_pair) ---
 
 class SIntegerRing:
     """S^-1 Z: the integers with a set S of primes inverted.  A finite S
@@ -360,11 +345,8 @@ class SIntegerRing:
     prime and gives Q.
 
     Elements are Fractions whose denominators factor over S; membership is
-    enforced on conversion.  bezout(a, b) returns (u, v) with
-    a*u - b*v = 1 when it exists.
+    enforced on conversion.
     """
-
-    char_two = False
 
     def __init__(self, primes):
         if primes is None:
@@ -405,35 +387,15 @@ class SIntegerRing:
             raise ValueError("%s is not a unit in %s" % (e, self.name))
         return 1 / Fraction(e)
 
-    def gcd(self, a, b):
-        return Fraction(math.gcd(self._unit_free(a), self._unit_free(b)))
-
-    def div(self, a, b):
-        return self.elem(Fraction(a) / Fraction(b))
-
-    def bezout(self, a, b):
-        na, nb = self._unit_free(a), self._unit_free(b)
-        if na == 0:
-            return Fraction(0), -self.inv(b)
-        if nb == 0:
-            return self.inv(a), Fraction(0)
-        g, x, y = _egcd(na, nb)
-        if g != 1:
-            raise ValueError("no Bezout pair for %s, %s" % (a, b))
-        ua = Fraction(a) / na  # unit
-        ub = Fraction(b) / nb
-        return Fraction(x) / ua, -Fraction(y) / ub
-
 
 class ResidueRing:
-    """Z/qZ with canonical residues; gcd/div/bezout assume q prime."""
+    """Z/qZ with canonical residues."""
 
     def __init__(self, q):
         if q < 2:
             raise ValueError("modulus must be >= 2")
         self.q = q
         self.name = "Z/%d" % q
-        self.char_two = q % 2 == 0
 
     def __repr__(self):
         return self.name
@@ -446,19 +408,6 @@ class ResidueRing:
 
     def inv(self, e):
         return e.inverse()
-
-    def gcd(self, a, b):
-        return a if a.v else b
-
-    def div(self, a, b):
-        return a * b.inverse()
-
-    def bezout(self, a, b):
-        g, x, y = _egcd(a.v, b.v)
-        if g == 0 or math.gcd(g, self.q) != 1:
-            raise ValueError("no Bezout pair for %r, %r mod %d" % (a, b, self.q))
-        ginv = pow(g, -1, self.q)
-        return ModInt(x * ginv, self.q), ModInt(-y * ginv, self.q)
 
 
 def parse_ring(spec):

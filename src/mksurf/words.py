@@ -142,16 +142,6 @@ def word(m, n, text):
     return Word.make(tuple(runs), m, n)
 
 
-def cyclic_conjugacy_equal(w1, w2):
-    """True iff the cyclically reduced words are rotations of one another."""
-    for w in (w1, w2):
-        if not w.is_cyclically_reduced():
-            raise ValueError("%r is not cyclically reduced" % (w,))
-    if (w1.m, w1.n) != (w2.m, w2.n):
-        return False
-    return any(w2.runs == r.runs for r in w1.rotations())
-
-
 def conjugacy_class_key(w):
     """Canonical key of the cyclic class of a cyclically reduced word."""
     return min(r.runs for r in w.rotations())
@@ -250,7 +240,7 @@ def psl2_class_reps(t):
     above MAX_ALG1_TRACE raises BudgetExceeded.
     """
     if t < 3:
-        raise ValueError("use psl2_small_trace_classes for |trace| <= 2")
+        raise ValueError("class representatives need trace >= 3, got %r" % (t,))
     if t > MAX_ALG1_TRACE:
         raise BudgetExceeded("trace %d exceeds the search budget %d" % (t, MAX_ALG1_TRACE))
     reps = []
@@ -273,18 +263,6 @@ def psl2_class_reps(t):
 
     dfs((), Mat2(1, 0, 0, 1))
     return sorted(reps, key=lambda w: (w.length(), w.runs))
-
-
-def psl2_small_trace_classes(t):
-    """Class data for |trace| <= 2: trace 0 is the order-2 class, trace 1
-    splits in two order-3 classes, trace 2 is the parabolic family."""
-    if t == 0:
-        return [Word.gen("u", 2, 3)]
-    if t == 1:
-        return [Word.gen("v", 2, 3), Word.gen("v", 2, 3, 2)]
-    if t == 2:
-        raise ValueError("trace 2 is the infinite parabolic family (uv)^r")
-    raise ValueError("no class of trace %r" % (t,))
 
 
 # --- membership filtering (factorization through the embedding) --------------

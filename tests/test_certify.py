@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 from mksurf.certify import (
     DEFAULT_HFE1_MODULI,
     build_hfe1_matrix,
-    catalogue_congruence_obstructions,
     certify_hfz,
     certify_sint_failure,
     check_certificate,
@@ -184,7 +184,9 @@ def test_check_certificate_rejects_parameters_its_kind_does_not_take():
                           ({"k": 1062, "bound": 200, "max_exp": 7}, "max_exp")):
         with pytest.raises(ValueError, match="E3FailureZ certificate takes no parameters %s" % extra):
             check_certificate(dict(good, parameters=params))
-    assert check_certificate(dict(good, parameters={"k": 1062, "bound": 200}))[0]
+    # a known parameter replays with that value, and the checks stored at
+    # the default bound 10^4 then disagree with the bound-200 search
+    assert not check_certificate(dict(good, parameters={"k": 1062, "bound": 200}))[0]
 
 
 def test_certify_sint_found_spelling():
@@ -213,12 +215,23 @@ def test_replay_fails_on_a_stored_parameter_it_regenerates():
     ok, fresh = check_certificate(blob)
     assert not ok and fresh["parameters"]["t"] == 386422
     # E3FailureZ regenerates with the stored bound, so a tampered bound is
-    # the one the replayed search ran with
+    # the one the replayed search ran with, and the stored check's bound 300
+    # no longer matches it
     blob = json.loads(certify_hfz(1062, bound=300).to_json())
     blob["parameters"]["bound"] = 200
     ok, fresh = check_certificate(blob)
-    assert ok and fresh["parameters"]["bound"] == 200
+    assert not ok and fresh["parameters"]["bound"] == 200
     assert {c["name"]: c.get("bound") for c in fresh["checks"]}["integral-search-empty"] == 200
+
+
+def test_replay_fails_on_a_tampered_check_bound():
+    # a check claiming a larger search than the parameters ran
+    blob = json.loads(certify_hfz(1062, bound=300).to_json())
+    assert check_certificate(blob)[0]
+    check = next(c for c in blob["checks"] if c["name"] == "integral-search-empty")
+    check["bound"] = 10**9
+    ok, fresh = check_certificate(blob)
+    assert not ok and fresh["conclusion"] is True
 
 
 def test_v1_hfz_files_replay_by_admissibility():
@@ -238,18 +251,20 @@ def random_with_trace(rng, t):
 
 
 def test_catalogue_matches_brute_force():
-    rng = random.Random(91)
-    for _ in range(100):
-        t = 4 * rng.choice([-3, -2, -1, 1, 2, 3])
-        z = random_with_trace(rng, t)
-        obs = catalogue_congruence_obstructions(z)
-        assert any(o["q"] == 4 and o["confirmed"] for o in obs), (t, z)
-    for _ in range(100):
-        t = rng.choice([1, 4, 5, 8]) + 9 * rng.randint(-3, 3)
-        z = random_with_trace(rng, t)
-        obs = catalogue_congruence_obstructions(z)
-        assert any(o["q"] == 9 and o["confirmed"] for o in obs), (t, z)
+    # the congruence obstruction catalogue, over the whole of each quotient:
+    # no Z with Tr Z = 0 (mod 4) is a commutator mod 4, and none with
+    # Tr Z = +-1, +-4 (mod 9) is one mod 9
+    for q, obstructed in ((4, {0}), (9, {1, 4, 5, 8})):
+        hit = 0
+        for a, b, c, d in itertools.product(range(q), repeat=4):
+            if (a * d - b * c) % q != 1 or (a + d) % q not in obstructed:
+                continue
+            z = mat_mod(Mat2(a, b, c, d), q)
+            assert not commutator_test_modq(z, q)[0], (q, z)
+            hit += 1
+        assert hit > 0
     # spot-check the mod-16 exhaustive view on the 4|t family
+    rng = random.Random(91)
     for _ in range(4):
         t = 4 * rng.choice([1, 2, 3, 4])
         z = random_with_trace(rng, t)
@@ -260,7 +275,8 @@ def test_catalogue_matches_brute_force():
 def test_catalogue_trace_15_clean():
     z = Mat2(2, 5, 5, 13)  # a genuine commutator representative
     assert z.det() == 1 and z.trace() == 15
-    assert catalogue_congruence_obstructions(z) == []
+    for q in (4, 9, 16):
+        assert commutator_test_modq(mat_mod(z, q), q)[0], q
 
 
 def test_certificates_replay_deterministically():

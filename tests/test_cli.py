@@ -6,9 +6,11 @@ import pytest
 import mksurf.cli
 import mksurf.markoff
 from mksurf.cli import run, repro
-from mksurf.markoff import MarkoffPoint, same_orbit, search_integral
+from mksurf.markoff import MarkoffPoint, search_integral
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.rings import ModInt
+
+from _util import same_orbit
 
 
 def capture(capsys, argv):
@@ -143,6 +145,17 @@ def test_lift_point_divides_out_a_non_unit_delta(capsys):
                                  "--y=-3,-2,-1,-1"])
     assert code == 0
     assert json.loads(out)["x"]["entries"] == [[-1, 3], [1, -4]]
+
+
+def test_lift_point_tries_every_matching_slot(capsys):
+    # Tr Y = 10 is coordinates 1 and 3, and only slot 3 lifts over Z
+    code, out = capture(capsys, ["lift", "point", "--z=-53,126,204,-485", "--point", "10,8,10",
+                                 "--y", "5,12,2,5"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["row"] == [3, 1, 2]
+    assert d["x"]["entries"] == [[-1, -3], [4, 11]]
+    assert d["y"]["entries"] == [[7, 3], [2, 1]]
 
 
 def test_lift_point_searches_for_y(capsys):

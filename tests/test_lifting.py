@@ -11,12 +11,9 @@ from mksurf.lifting import (
     LiftError,
     lift2,
     lift_point,
-    minus_identity_commutator,
     pair_move,
-    pid_commutator_via_trace_set,
     trace_triple,
     universal_pair,
-    universal_point,
 )
 from mksurf.rings import ModInt, ResidueRing, SIntegerRing, parse_ring
 
@@ -236,8 +233,8 @@ def test_lift_point_divides_out_a_non_unit_delta():
 def test_lift_point_random_round_trips_over_z():
     # the cyclic permutations keep the orientation, so x0 itself is lift2's
     # X and is integral whatever Delta is (a transposition's point lifts to
-    # another X, which need not be); a Tr Y that two coordinates equal
-    # leaves the choice of slot to lift_point, so such points are skipped
+    # another X, which need not be); where two coordinates equal Tr Y,
+    # lift_point tries both slots, so one of them lifts
     rng = random.Random(64)
     done = 0
     while done < 200:
@@ -246,7 +243,7 @@ def test_lift_point_random_round_trips_over_z():
         z = commutator(x0, y0)
         t = z.trace()
         trip = trace_triple(x0, y0)
-        if t in (2, -2) or t + 2 - trip[1] ** 2 == 0 or trip.count(trip[1]) > 1:
+        if t in (2, -2) or t + 2 - trip[1] ** 2 == 0:
             continue
         perm = rng.choice([(1, 2, 3), (2, 3, 1), (3, 1, 2)])
         coords = tuple(trip[p - 1] for p in perm)
@@ -254,6 +251,22 @@ def test_lift_point_random_round_trips_over_z():
         assert commutator(res.x, res.y) == z
         assert trace_triple(res.x, res.y) == coords
         done += 1
+
+
+def test_lift_point_tries_every_matching_slot():
+    # Tr Y = 10 is coordinates 1 and 3; Delta = Tr Z + 2 - 10^2 = -636
+    # divides out in slot 3 only
+    z, y = Mat2(-53, 126, 204, -485), Mat2(5, 12, 2, 5)
+    with pytest.raises(LiftError, match="not divisible by Delta = -636"):
+        lift2(z, y, 10, 8)  # slot 1
+    res = lift_point(z, MarkoffPoint.make(10, 8, 10), y)
+    assert res.row == (3, 1, 2)
+    assert (res.x, res.y) == (Mat2(-1, -3, 4, 11), Mat2(7, 3, 2, 1))
+    assert trace_triple(res.x, res.y) == (10, 8, 10) and commutator(res.x, res.y) == z
+    # both slots fail: the last one's error is reported
+    z, y = Mat2(1, 4, 1, 5), Mat2(-1, 0, 1, -1)
+    with pytest.raises(LiftError, match=r"^entries \[10\] not divisible by Delta = 4$"):
+        lift_point(z, MarkoffPoint.make(-2, 0, -2), y)
 
 
 def test_lift_point_lifts_wherever_lift2_does():
@@ -314,62 +327,3 @@ def test_universal_pair():
             assert commutator(x, y).trace() == ModInt(t, q)
     with pytest.raises(ValueError):
         universal_pair(5, 2, SIntegerRing(()))  # 2 is not a unit in Z
-
-
-def test_universal_point():
-    r6 = SIntegerRing([2, 3])
-    p = universal_point(10, Fraction(5, 2), Fraction(3, 2), r6)
-    assert p.k == 10 and p.coords()[2] == Fraction(5, 2)
-    p2 = universal_point(Fraction(25, 4), Fraction(5, 2), Fraction(3, 2), r6)
-    assert p2.k == Fraction(25, 4)
-    with pytest.raises(ValueError):
-        universal_point(10, 3, 2, ResidueRing(7))  # 3^2 - 4 = 5 != 2^2
-    with pytest.raises(ValueError):
-        universal_point(10, 3, 1, SIntegerRing(()))
-
-
-def test_minus_identity_commutator():
-    r5 = ResidueRing(5)
-    x, y = minus_identity_commutator(r5, 1, 2, 0)
-    assert x == Mat2(ModInt(0, 5), ModInt(2, 5), ModInt(2, 5), ModInt(0, 5))
-    assert y == Mat2(ModInt(0, 5), ModInt(4, 5), ModInt(1, 5), ModInt(0, 5))
-    ident = x.identity_like()
-    assert commutator(x, y) == -ident
-    with pytest.raises(ValueError):
-        minus_identity_commutator(SIntegerRing(()), 1, 2, 2)
-    # a denser field case
-    r13 = ResidueRing(13)
-    x, y = minus_identity_commutator(r13, 2, 3, 0)
-    assert commutator(x, y) == -x.identity_like()
-
-
-def test_pid_commutator_via_trace_set():
-    r6 = SIntegerRing([2, 3])
-    # identity branch: Z = I with U diagonal
-    ident = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    u1 = Mat2(Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2))
-    x, y = pid_commutator_via_trace_set(ident, u1, 2, r6)
-    assert commutator(x, y) == ident
-    # generic branch: Z from the universal construction, U its Y matrix
-    for t in (7, 5, -1, 11):
-        xu, yu = universal_pair(t, 2, r6)
-        z = commutator(xu, yu)
-        assert in_trace_set(z, yu)
-        x, y = pid_commutator_via_trace_set(z, yu, 2, r6)
-        assert commutator(x, y) == z
-    # over Q every nonzero element is a unit: gcd is 1, Bezout is trivial
-    rq = parse_ring("q")
-    for t in (7, 5, -1, 11):
-        xu, yu = universal_pair(t, 2, rq)
-        z = commutator(xu, yu)
-        x, y = pid_commutator_via_trace_set(z, yu, 2, rq)
-        assert x.det() == 1 and y.det() == 1 and commutator(x, y) == z
-    # conjugated trace-set witness exercises the eigenvector reduction
-    xu, yu = universal_pair(7, 2, r6)
-    z = commutator(xu, yu)
-    g = Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1))
-    z2 = g * z * g.inverse()
-    u2 = g * yu * g.inverse()
-    assert in_trace_set(z2, u2)
-    x, y = pid_commutator_via_trace_set(z2, u2, 2, r6)
-    assert commutator(x, y) == z2

@@ -16,11 +16,9 @@ from mksurf.markoff import (
     apply_path,
     class_data,
     default_class_bound,
-    e2_good_test,
     level,
     orbit_within,
     reduce_point,
-    same_orbit,
     search_integral,
     search_localized,
     square_roots,
@@ -28,6 +26,8 @@ from mksurf.markoff import (
 from mksurf.markoff import _apply_coords, _descent_step, _normal_form
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
+
+from _util import same_orbit
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
@@ -667,18 +667,3 @@ def test_qr_type_invariant_under_moves():
                 t0 = qr_type(pt.coords(), p)
                 for m in ALL_MOVES:
                     assert qr_type(apply_move(m, pt).coords(), p) == t0
-
-
-def test_e2_good_test():
-    verdict, data = e2_good_test(108)
-    assert verdict == "AllBad"
-    assert data[0]["witness"][0] == 13
-    verdict, data = e2_good_test(70)
-    assert verdict == "AllBad"
-    assert data[0]["witness"][0] == 3
-    with pytest.raises(ValueError):
-        e2_good_test(4 + 9)  # k-4 = 9 has a square odd part
-    # k - 4 = 5 and the residue criterion cannot fire on the orbit of (0,0,3)
-    verdict, data = e2_good_test(9)
-    assert verdict == "Inconclusive"
-    assert any(d["witness"] is None for d in data)

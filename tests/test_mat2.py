@@ -6,11 +6,11 @@ import pytest
 from mksurf.mat2 import (
     Mat2,
     commutator,
-    count_conic_modp,
-    fricke_level,
     in_trace_set,
     mat_mod,
 )
+from mksurf.lifting import trace_triple
+from mksurf.markoff import level
 from mksurf.rings import ModInt, SIntegerRing
 
 from _util import random_sl2z
@@ -103,19 +103,18 @@ def test_commutator_expansion_identity():
 
 
 def test_fricke_level():
+    # M(Tr X, Tr Y, Tr XY) = Tr W(X, Y) + 2 on SL2(Z)
     x, y = Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)
-    assert fricke_level(x, y) == 5
+    assert level(*trace_triple(x, y)) == 5
     assert commutator(x, y).trace() == 3
     ident = x.identity_like()
-    assert fricke_level(x, ident) == 4
-    assert fricke_level(x, x) == 4
+    assert level(*trace_triple(x, ident)) == 4
+    assert level(*trace_triple(x, x)) == 4
     rng = random.Random(77)
     for _ in range(2000):
         a = random_sl2z(rng, length=6)
         b = random_sl2z(rng, length=6)
-        assert fricke_level(a, b) == commutator(a, b).trace() + 2
-    with pytest.raises(ValueError):
-        fricke_level(Mat2(2, 0, 0, 1), ident)
+        assert level(*trace_triple(a, b)) == commutator(a, b).trace() + 2
 
 
 def test_trace_set():
@@ -148,22 +147,3 @@ def test_trace_set_characterizes_commutators():
         assert lhs == rhs
         checked_pos += lhs
         checked_neg += not lhs
-
-
-def brute_conic_count(delta, n, p):
-    return sum((x * x - delta * y * y - n) % p == 0
-               for x in range(p) for y in range(p))
-
-
-def test_count_conic_examples():
-    assert count_conic_modp(1, 1, 5) == 4
-    assert count_conic_modp(0, 1, 5) == 10
-    assert count_conic_modp(2, 0, 5) == 1
-
-
-def test_count_conic_matches_brute_force():
-    for p in (3, 5, 7, 11, 13):
-        for delta in range(p):
-            for n in range(p):
-                assert count_conic_modp(delta, n, p) == brute_conic_count(delta, n, p), \
-                    (delta, n, p)

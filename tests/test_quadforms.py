@@ -4,17 +4,19 @@ import random
 import pytest
 
 import mksurf.quadforms
-from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move, class_data, search_integral
+from mksurf.markoff import (
+    MarkoffMove,
+    MarkoffPoint,
+    anisotropy_prime,
+    apply_move,
+    class_data,
+    search_integral,
+)
 from mksurf.quadforms import (
     TernaryForm,
     _witness_search,
     form_isotropic,
     hasse_profile,
-    legendre_isotropic,
-    mat3_mul,
-    mat3_transpose,
-    mtype_conjugate,
-    mtype_matrix,
 )
 from mksurf.rings import BudgetExceeded
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
@@ -98,16 +100,6 @@ def test_hasse_profile_rejects_low_level():
         hasse_profile(MarkoffPoint.make(1, 1, 1))  # k = 2 < 4
 
 
-def test_legendre_isotropic():
-    assert legendre_isotropic(1, -1, -1)
-    assert legendre_isotropic(1, -5, -59)
-    assert not legendre_isotropic(1, -5, -13)
-    with pytest.raises(ValueError):
-        legendre_isotropic(-1, -1, -1)
-    with pytest.raises(ValueError):
-        legendre_isotropic(4, -1, -1)
-
-
 def brute_isotropy(form, bound=40):
     for u1 in range(-bound, bound + 1):
         for u2 in range(-bound, bound + 1):
@@ -133,10 +125,13 @@ def test_form_isotropic_examples():
     f2 = TernaryForm.from_point(p2)
     assert f2.evaluate(*data["witness"]) == 0
     assert f2.evaluate(9, 1, -1) == 0
-    # anisotropic examples
-    for coords in ((-3, 3, 4), (-3, 3, 17), (-3, 9, 10), (-3, 8, 8)):
+    # anisotropic examples, each with the first odd p || k-4 at which a
+    # coordinate x has x^2-4 a nonresidue
+    for coords, p in (((-3, 3, 4), 3), ((-3, 3, 6), 13), ((-3, 3, 17), 3), ((-3, 9, 10), 3),
+                      ((-3, 8, 8), 13)):
         verdict, data = form_isotropic(MarkoffPoint.make(*coords))
         assert verdict == "Anisotropic", coords
+        assert data["anisotropy_prime"][0] == p, coords
         assert brute_isotropy(TernaryForm.from_point(MarkoffPoint.make(*coords))) is None
 
 
@@ -145,6 +140,10 @@ def test_form_isotropic_inapplicable():
     verdict, data = form_isotropic(MarkoffPoint.make(-2, 2, 2))
     assert verdict == "Inapplicable"
     assert "reason" in data
+    # at k = 9, k-4 = 5 and no coordinate of (0, 0, 3) has x^2-4 a
+    # nonresidue mod 5
+    assert form_isotropic(MarkoffPoint.make(0, 0, 3))[0] == "Inapplicable"
+    assert anisotropy_prime(MarkoffPoint.make(0, 0, 3)) is None
 
 
 def test_form_isotropic_verdicts_match_witness_search():
@@ -214,25 +213,16 @@ def test_witness_search_bound_0():
         _witness_search(TernaryForm.from_point(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5)), 0)
 
 
-def test_mtype_matrices():
-    p = MarkoffPoint.make(-3, 3, 6)
-    v1 = mtype_matrix(MarkoffMove.vieta(1), p)
-    assert v1[2] == [0, 6, 1]  # third row carries x3
-    d = mtype_matrix(MarkoffMove.sign_change(2, 3), p)
-    assert d == [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
-    rng = random.Random(44)
-    for _ in range(10**3):
-        p = random_point(rng)
-        for mv in ALL_MOVES:
-            g = mtype_matrix(mv, p)
-            assert mat3_det(g) in (1, -1)
-            assert mtype_conjugate(g, p).coords() == apply_move(mv, p).coords()
-
-
 def test_k460_nonmtype_equivalence():
     # the two level-460 classes become equivalent through an involution that
     # the move group does not contain, found by solving the shape constraints
     g = [[1, 0, -21], [0, 1, -18], [0, 0, -1]]
+    def mat3_mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+
+    def mat3_transpose(a):
+        return [[a[j][i] for j in range(3)] for i in range(3)]
+
     x1 = TernaryForm.from_point(MarkoffPoint.make(-3, 3, 17)).gram()
     x2 = TernaryForm.from_point(MarkoffPoint.make(-3, 9, 10)).gram()
     assert mat3_mul(mat3_transpose(g), mat3_mul(x1, g)) == x2

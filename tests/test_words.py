@@ -15,7 +15,6 @@ from mksurf.words import (
     _EMBED_WORDS,
     _syllable_images,
     alg1_representatives,
-    cyclic_conjugacy_equal,
     conjugacy_class_key,
     embedding_matrix,
     factor_through_embedding,
@@ -24,13 +23,14 @@ from mksurf.words import (
     metabelian_image,
     modular_word,
     psl2_class_reps,
-    psl2_small_trace_classes,
     second_derived_congruence,
     table1_trace_filter,
     uv_matrix,
     word,
     word_trace,
 )
+
+from _util import cyclic_conjugacy_equal
 
 
 def rand_word(m, n, rng, syllables=6, span=3):
@@ -294,12 +294,11 @@ def test_psl2_class_reps_have_the_trace():
 
 
 def test_psl2_small_trace_classes():
-    assert [str(w) for w in psl2_small_trace_classes(0)] == ["u"]
-    assert [str(w) for w in psl2_small_trace_classes(1)] == ["v", "v2"]
-    with pytest.raises(ValueError):
-        psl2_small_trace_classes(2)
-    with pytest.raises(ValueError):
-        psl2_class_reps(2)
+    # traces 0 and 1 are the finite-order classes u, v and v^2, and trace 2
+    # is the infinite parabolic family (uv)^r: class reps start at trace 3
+    for t in (0, 1, 2):
+        with pytest.raises(ValueError, match="need trace >= 3"):
+            psl2_class_reps(t)
 
 
 def test_factor_through_embedding_round_trip():
