@@ -2,6 +2,7 @@
 descent to fundamental representatives, class data, solution searches over
 Z and Z[1/l], and congruence admissibility."""
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,13 +372,34 @@ def square_roots(d):
     return idx, s[idx]
 
 
+SCAN_CELLS = 1 << 15  # the most cells a scan rectangle holds, unless one row alone is wider
+
+
+def _square_cells(a, b, c, xs):
+    """The perfect squares of the rectangle a_r x^2 + b_r x + c_r, with row r
+    from the int64 coefficient arrays a, b and c and column x from the
+    int64 vector xs.  Returns int64 arrays (rows, cols, roots): the row and
+    column index of every cell holding a square, in row-major order, and
+    its root.  One square_roots call scans the whole rectangle; the caller
+    keeps every cell inside int64.
+    """
+    d = a[:, None] * (xs * xs)
+    d += b[:, None] * xs
+    d += c[:, None]
+    idx, roots = square_roots(d.ravel())
+    return idx // len(xs), idx % len(xs), roots
+
+
 def _double_signs(x1, x2, x3):
     """The four images of (x1, x2, x3) under the double sign changes."""
     return ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3))
 
 
 def _row_top(k, b, x1):
-    """Largest x2 that row x1 >= 4 of the search_integral scan can hold."""
+    """Largest x2 that row x1 of the search_integral scan can hold: b for
+    x1 <= 3, whose rows are scanned in full."""
+    if x1 <= 3:
+        return b
     top = (b - 1) // (x1 - 1)
     if k > 0:
         top = max(top, math.isqrt(k // (x1 + 2)))
@@ -416,7 +438,8 @@ def search_integral(k, bound):
     scanned in full.  top is non-increasing in x1 >= 4, so the scan stops
     at the first row with top < x1: O(b log b + |k|^(2/3)) cells in
     O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
-    the whole box.
+    the whole box.  _integral_coords scans those rows a rectangle of them
+    at a time.
     """
     return [MarkoffPoint(c[0], c[1], c[2], k) for c in _integral_coords(k, bound)]
 
@@ -426,12 +449,24 @@ def _integral_coords(k, bound):
 
     Row x1 solves t^2 - P t + C for x3, with P = x1 x2 and
     C = x1^2 + x2^2 - k, whose discriminant P^2 - 4C is
-    (x1^2 - 4) x2^2 + 4 (k - x1^2): one multiply and one add per cell on a
-    table of the squares x2^2, and the roots (P -+ s) / 2 only at the cells
-    where square_roots finds s (no parity test is needed, as
-    s^2 = P^2 - 4C forces s = P (mod 2)).  The
-    level of each base triple is checked once; its double-sign images
-    share it.
+    (x1^2 - 4) x2^2 + 4 (k - x1^2), and the roots (P -+ s) / 2 come only
+    at the cells where _square_cells finds s (no parity test is needed, as
+    s^2 = P^2 - 4C forces s = P (mod 2)).  The level of each base triple
+    is checked once; its double-sign images share it.
+
+    Consecutive rows x1_i..x1_j are scanned as one rectangle
+    [x1_i, x1_j] x [x1_i, top(x1_i)] of at most SCAN_CELLS cells (one row
+    if it alone is wider).  top is b on rows x1 <= 3 and non-increasing
+    from there, so the rectangle holds each of its rows' ranges
+    [x1, top(x1)]; a hit there gives the points that row gives alone.
+    The extra cells are harmless:
+    - every cell has 0 <= x1, x2 <= b, where |d| <= b^4 + 8 b^2 + 4 |k|
+      < 3 * 10^18 < 2^63 for b <= MAX_SEARCH_BOUND and |k| <= 10^17, the
+      range the guard below admits, so no cell wraps around in int64;
+    - a hit with x2 < x1 fails the filter x1 <= x2 <= |x3| <= b, and so
+      does a hit with x2 > top(x1): an x3 passing it would make
+      (x1, x2, x3) a point of the box beyond its row's limit, which
+      search_integral's proof rules out.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -439,20 +474,23 @@ def _integral_coords(k, bound):
         # discriminants must stay inside int64 for the vectorized scan
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range "
                              "(bound <= %d, |k| <= 1e17)" % MAX_SEARCH_BOUND)
-    base = set()
     b = int(bound)
-    squares = np.arange(0, b + 1, dtype=np.int64) ** 2
-    for x1 in range(0, b + 1):
-        top = b if x1 <= 3 else _row_top(k, b, x1)
-        if top < x1:
-            break
-        d = squares[x1:top + 1] * (x1 * x1 - 4)
-        d += 4 * (k - x1 * x1)
-        idx, roots = square_roots(d)
-        for x2, r in zip((idx + x1).tolist(), roots.tolist()):
+    # the scan stops at the first row with top < x1; the test is monotone
+    # in x1, as top is b >= x1 up to x1 = 3 and non-increasing from there
+    end = bisect.bisect_left(range(b + 1), True, key=lambda x1: _row_top(k, b, x1) < x1)
+    xs = np.arange(0, b + 1, dtype=np.int64)
+    base = set()
+    i = 0
+    while i < end:
+        cols = xs[i:_row_top(k, b, i) + 1]
+        j = min(end, i + max(1, SCAN_CELLS // len(cols)))
+        sq = xs[i:j] * xs[i:j]
+        rows, idx, roots = _square_cells(sq - 4, np.zeros_like(sq), 4 * (k - sq), cols)
+        for x1, x2, r in zip((rows + i).tolist(), (idx + i).tolist(), roots.tolist()):
             for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
-                if x2 <= abs(x3) <= b:
+                if x1 <= x2 <= abs(x3) <= b:
                     base.add((x1, x2, x3))
+        i = j
     return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
 
 
@@ -481,6 +519,12 @@ def search_localized(k, ell, max_exp, bound):
     attained: (7, 7/3, -7/3) at k = 98, l = 3, b = 7 gives 441 = 441.
     So for k > 0 the rows kept have x1^2 within b^2 (x1 + 2) / L of k,
     and for k < 0 none is kept once L |k| > b^2 (b + 2).
+
+    The kept rows of each exponent are scanned SCAN_CELLS // |columns| at
+    a time, as rectangles of whole rows over the columns x2 in [0, b]
+    prime to l, so they scan exactly the cells a row-at-a-time scan
+    would.  The guard below keeps every cell, and the row test
+    L |x1^2 - k| <= L (b^2 + |k|), inside int64.
     """
     if ell == 2 or not is_probable_prime(ell):
         raise ValueError("ell must be an odd prime")
@@ -491,20 +535,19 @@ def search_localized(k, ell, max_exp, bound):
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
     pts = search_integral(k, bound)
     b = int(bound)
-    x2s = np.arange(0, b + 1, dtype=np.int64)
-    keep2 = x2s[x2s % ell != 0]
-    squares = keep2 * keep2
+    xs = np.arange(0, b + 1, dtype=np.int64)
+    keep2 = xs[xs % ell != 0]
+    step = max(1, SCAN_CELLS // max(1, len(keep2)))  # rows per rectangle
     found = set()
     for a in range(1, max_exp + 1):
         big = ell ** (2 * a)
-        for x1 in range(0, b + 1):
-            if big * abs(x1 * x1 - k) > b * b * (x1 + 2):
-                continue
+        x1s = xs[big * np.abs(xs * xs - k) <= b * b * (xs + 2)]
+        for i in range(0, len(x1s), step):
             # discriminant of t^2 - P t + C: (x1^2 - 4) x2^2 - 4 L (x1^2 - k)
-            d = squares * (x1 * x1 - 4)
-            d -= 4 * big * (x1 * x1 - k)
-            idx, roots = square_roots(d)
-            for x2, r in zip(keep2[idx].tolist(), roots.tolist()):
+            sq = x1s[i:i + step] * x1s[i:i + step]
+            rows, idx, roots = _square_cells(sq - 4, np.zeros_like(sq), -4 * big * (sq - k),
+                                             keep2)
+            for x1, x2, r in zip(x1s[i + rows].tolist(), keep2[idx].tolist(), roots.tolist()):
                 for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                     if abs(x3) <= b and x3 % ell != 0:
                         found.add((a, x1, x2, x3))

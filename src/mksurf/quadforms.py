@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import anisotropy_prime, square_roots
+from .markoff import SCAN_CELLS, _square_cells, anisotropy_prime
 from .rings import (
     INF,
     BudgetExceeded,
@@ -32,9 +32,6 @@ class TernaryForm:
     def from_point(p):
         x1, x2, x3 = p.coords()
         return TernaryForm(x1, x2, x3, p.k)
-
-    def gram(self):
-        return [[2, self.x1, self.x2], [self.x1, 2, self.x3], [self.x2, self.x3, 2]]
 
     def evaluate(self, u1, u2, u3):
         return (u1 * u1 + u2 * u2 + u3 * u3
@@ -97,16 +94,23 @@ def hasse_profile(point):
 def _witness_search(form, bound):
     """Nontrivial integer zero of the form with |u_i| <= bound, or None.
 
-    Scans rows u1 = 0, 1, -1, 2, -2, ... and, in the first row holding a
-    zero, takes the one with the least (|u2|, |u3|), reduced to a primitive
-    vector, so small witnesses come out small.  Each row solves for u3 with
-    the `square_roots` kernel.  Its discriminants
-    (x3^2 - 4) u2^2 + (2 x2 x3 - 4 x1) u1 u2 + (x2^2 - 4) u1^2, summed term
-    by term, stay at most 4 B^2 (X^2 + X + 2) in absolute value for
-    X = max|x_i| and B = bound; when that bound reaches 2^63, the int64
-    scan could wrap, so this raises BudgetExceeded instead.  The check
-    takes B >= 1, so it also covers the coordinates themselves, which enter
-    the int64 arithmetic even at bound 0.
+    Takes the rows u1 = 0, 1, -1, 2, -2, ... in that order and, in the
+    first row holding a zero, the zero with the least (|u2|, |u3|),
+    reduced to a primitive vector, so small witnesses come out small.
+    The form is even, so the zeros of row -v are the negatives of those of
+    row v, which comes first: the first row holding a zero is some v >= 0,
+    and only the rows 0, 1, 2, ... are scanned.  They go to
+    `_square_cells` in blocks of 1, 2, 4, ... rows of at most SCAN_CELLS
+    cells (one row if it alone is wider), and the scan stops at the first
+    block holding a zero; its rows after the first such row are scanned
+    and ignored.  Each row solves for u3, whose discriminant is
+    (x3^2 - 4) u2^2 + (2 x2 x3 - 4 x1) u1 u2 + (x2^2 - 4) u1^2; every cell
+    scanned lies in the box, where, summed term by term, it stays at most
+    4 B^2 (X^2 + X + 2) in absolute value for X = max|x_i| and B = bound.
+    When that bound reaches 2^63, the int64 scan could wrap, so this
+    raises BudgetExceeded instead.  The check takes B >= 1, so it also
+    covers the coordinates themselves, which enter the int64 arithmetic
+    even at bound 0.
     """
     x1, x2, x3 = form.x1, form.x2, form.x3
     big = max(abs(x1), abs(x2), abs(x3))
@@ -114,28 +118,30 @@ def _witness_search(form, bound):
         raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
                              "for coordinates up to %d" % (bound, big))
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
-    squares = u2s * u2s
-    order = [0]
-    for v in range(1, bound + 1):
-        order.extend((v, -v))
-    for u1 in order:
+    cap = max(1, SCAN_CELLS // len(u2s))
+    start, size = 0, 1
+    while start <= bound:
         # u3 solves t^2 + P t + C with P = x2 u1 + x3 u2 and
         # C = u1^2 + u2^2 + x1 u1 u2, whose discriminant is quadratic in u2
-        d = squares * (x3 * x3 - 4)
-        d += u2s * ((2 * x2 * x3 - 4 * x1) * u1)
-        d += (x2 * x2 - 4) * u1 * u1
-        idx, roots = square_roots(d)
-        row = []
-        for u2, r in zip(u2s[idx].tolist(), roots.tolist()):
+        u1s = np.arange(start, min(start + min(size, cap), bound + 1), dtype=np.int64)
+        rows, idx, roots = _square_cells(np.full(len(u1s), x3 * x3 - 4, dtype=np.int64),
+                                         (2 * x2 * x3 - 4 * x1) * u1s, (x2 * x2 - 4) * u1s * u1s,
+                                         u2s)
+        zeros = []
+        for u1, u2, r in zip((rows + start).tolist(), u2s[idx].tolist(), roots.tolist()):
+            if zeros and u1 != zeros[0][2][0]:
+                break
             p = x2 * u1 + x3 * u2
             for u3 in ((-p - r) // 2, (-p + r) // 2):
                 if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
                     if form.evaluate(u1, u2, u3) == 0:
-                        row.append((abs(u2), abs(u3), (u1, u2, u3)))
-        if row:
-            w = min(row)[2]
+                        zeros.append((abs(u2), abs(u3), (u1, u2, u3)))
+        if zeros:
+            w = min(zeros)[2]
             g = math.gcd(math.gcd(abs(w[0]), abs(w[1])), abs(w[2]))
             return (w[0] // g, w[1] // g, w[2] // g)
+        start += len(u1s)
+        size *= 2
     return None
 
 

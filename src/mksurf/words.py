@@ -401,10 +401,6 @@ class SRingElem:
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_monomial(self, i, j, c=1):
-        return SRingElem(self.m, self.n, [((i1 + i, j1 + j), c1 * c)
-                                          for (i1, j1), c1 in self.coeffs.items()])
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = SRingElem.monomial(self.m, self.n, 0, 0, other)

@@ -1,8 +1,13 @@
 """Helpers shared by the test files."""
 
-from mksurf.markoff import reduce_point
+import math
+
+import numpy as np
+
+from mksurf.markoff import _double_signs, _row_top, level, reduce_point, square_roots
 from mksurf.mat2 import Mat2
 from mksurf.rings import INF, factorize, square_class_int
+from mksurf.words import SRingElem
 
 
 def random_sl2z(rng, length=8, entry=3):
@@ -48,3 +53,59 @@ def cyclic_conjugacy_equal(w1, w2):
     if (w1.m, w1.n) != (w2.m, w2.n):
         return False
     return any(w2.runs == r.runs for r in w1.rotations())
+
+
+def gram(form):
+    """The Gram matrix of a TernaryForm: twice the form is u^T G u."""
+    return [[2, form.x1, form.x2], [form.x1, 2, form.x3], [form.x2, form.x3, 2]]
+
+
+def mul_monomial(elem, i, j, c=1):
+    """The SRingElem elem times c x^i y^j, term by term."""
+    return SRingElem(elem.m, elem.n, [((i1 + i, j1 + j), c1 * c)
+                                      for (i1, j1), c1 in elem.coeffs.items()])
+
+
+def integral_coords_by_rows(k, b):
+    """markoff._integral_coords one row at a time: row x1 scans x2 in
+    [x1, top(x1)] with its own square_roots call, and the scan stops at the
+    first row with top < x1."""
+    base = set()
+    squares = np.arange(0, b + 1, dtype=np.int64) ** 2
+    for x1 in range(0, b + 1):
+        top = b if x1 <= 3 else _row_top(k, b, x1)
+        if top < x1:
+            break
+        d = squares[x1:top + 1] * (x1 * x1 - 4)
+        d += 4 * (k - x1 * x1)
+        idx, roots = square_roots(d)
+        for x2, r in zip((idx + x1).tolist(), roots.tolist()):
+            for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
+                if x2 <= abs(x3) <= b:
+                    base.add((x1, x2, x3))
+    return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
+
+
+def witness_search_by_rows(form, bound):
+    """quadforms._witness_search one row at a time, in the order
+    u1 = 0, 1, -1, 2, -2, ..., each row with its own square_roots call."""
+    x1, x2, x3 = form.x1, form.x2, form.x3
+    u2s = np.arange(-bound, bound + 1, dtype=np.int64)
+    squares = u2s * u2s
+    for u1 in [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]:
+        d = squares * (x3 * x3 - 4)
+        d += u2s * ((2 * x2 * x3 - 4 * x1) * u1)
+        d += (x2 * x2 - 4) * u1 * u1
+        idx, roots = square_roots(d)
+        row = []
+        for u2, r in zip(u2s[idx].tolist(), roots.tolist()):
+            p = x2 * u1 + x3 * u2
+            for u3 in ((-p - r) // 2, (-p + r) // 2):
+                if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
+                    if form.evaluate(u1, u2, u3) == 0:
+                        row.append((abs(u2), abs(u3), (u1, u2, u3)))
+        if row:
+            w = min(row)[2]
+            g = math.gcd(math.gcd(abs(w[0]), abs(w[1])), abs(w[2]))
+            return (w[0] // g, w[1] // g, w[2] // g)
+    return None

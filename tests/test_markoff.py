@@ -23,11 +23,11 @@ from mksurf.markoff import (
     search_localized,
     square_roots,
 )
-from mksurf.markoff import _apply_coords, _descent_step, _normal_form
+from mksurf.markoff import SCAN_CELLS, _apply_coords, _descent_step, _integral_coords, _normal_form
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
-from _util import same_orbit
+from _util import integral_coords_by_rows, same_orbit
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
@@ -416,6 +416,43 @@ def test_search_integral_matches_full_box_large_k():
     cases += [(k, default_class_bound(k)) for k in (3 * 10**6, -3 * 10**6, 2 * 10**6 + 1)]
     for k, b in cases:
         assert search_integral(k, b) == search_integral_by_full_box(k, b), (k, b)
+
+
+def test_integral_coords_match_the_row_scan():
+    rng = random.Random(23)
+    cases = [(rng.randint(-10**4, 10**4), b) for b in range(6) for _ in range(40)]
+    cases += [(rng.randint(-10**7, 10**7), rng.randint(6, 3000)) for _ in range(80)]
+    cases += [(rng.randint(-300, 300), rng.randint(6, 3000)) for _ in range(20)]
+    for k, b in cases:
+        assert _integral_coords(k, b) == integral_coords_by_rows(k, b), (k, b)
+
+
+@pytest.mark.parametrize("b", [2**14 - 1, 2**14, 2**15 - 1, 2**15])
+def test_integral_coords_rectangles_at_the_cell_cap(monkeypatch, b):
+    # rows 0..3 are b + 1 cells wide: two of them fill SCAN_CELLS exactly at
+    # b = 2^14 - 1, one row does at b = 2^15 - 1, and at b = 2^15 one row
+    # alone is wider than the cap
+    shapes = []
+    scan = mksurf.markoff._square_cells
+
+    def recording(a, lin, c, xs):
+        shapes.append((len(a), len(xs)))
+        return scan(a, lin, c, xs)
+
+    monkeypatch.setattr(mksurf.markoff, "_square_cells", recording)
+    for k in (102, -5000, level(4, 5, 16), 10**8 + 1):
+        assert _integral_coords(k, b) == integral_coords_by_rows(k, b), k
+    assert all(rows * width <= SCAN_CELLS or rows == 1 for rows, width in shapes)
+    assert (b + 1 <= SCAN_CELLS // 2) == ((2, b + 1) in shapes)
+    assert (1, b + 1) in shapes or (2, b + 1) in shapes
+
+
+@pytest.mark.parametrize("k", [888933323, -888933323])
+def test_integral_coords_rows_wider_than_the_cap(k):
+    # the largest class_data box: its first rows hold 40001 > SCAN_CELLS cells
+    b = default_class_bound(k)
+    assert b == 40000 > SCAN_CELLS
+    assert _integral_coords(k, b) == integral_coords_by_rows(k, b)
 
 
 def row_limits(k, b, x1):

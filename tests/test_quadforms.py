@@ -5,20 +5,26 @@ import pytest
 
 import mksurf.quadforms
 from mksurf.markoff import (
+    SCAN_CELLS,
     MarkoffMove,
     MarkoffPoint,
+    admissible_k,
     anisotropy_prime,
     apply_move,
     class_data,
     search_integral,
 )
 from mksurf.quadforms import (
+    WITNESS_BOUND,
     TernaryForm,
     _witness_search,
     form_isotropic,
     hasse_profile,
 )
 from mksurf.rings import BudgetExceeded
+
+from _util import gram, witness_search_by_rows
+
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
                 [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
@@ -42,7 +48,7 @@ def test_gram_determinant():
     for _ in range(10**4):
         p = random_point(rng)
         f = TernaryForm.from_point(p)
-        assert mat3_det(f.gram()) == -2 * (p.k - 4)
+        assert mat3_det(gram(f)) == -2 * (p.k - 4)
 
 
 def test_hasse_profile_329():
@@ -190,6 +196,46 @@ def test_witness_search_matches_brute_force():
     assert 20 < found < len(points)
 
 
+def test_witness_search_matches_the_row_scan_on_every_class_form():
+    reps = [r for k in range(5, 3001) if admissible_k(k) for r in class_data(k)]
+    scanned = 0
+    for r in reps:
+        form = TernaryForm.from_point(r)
+        assert _witness_search(form, 12) == witness_search_by_rows(form, 12), r
+        verdict, data = form_isotropic(r)
+        if verdict == "Isotropic":
+            assert data["witness"] == witness_search_by_rows(form, WITNESS_BOUND), r
+            scanned += data["witness"] is not None
+    assert scanned > 1500
+
+
+def test_witness_search_blocks_at_and_past_the_cell_cap(monkeypatch):
+    shapes = []
+    scan = mksurf.quadforms._square_cells
+
+    def recording(a, lin, c, xs):
+        shapes.append((len(a), len(xs)))
+        return scan(a, lin, c, xs)
+
+    monkeypatch.setattr(mksurf.quadforms, "_square_cells", recording)
+    # no zero at all: the whole box, in blocks of 1, 2, 4, 8, 16 rows and
+    # then 27, the most rows of 1201 cells that fit in SCAN_CELLS
+    for point in ((1, 3, 3), (0, 3, 4)):
+        form = TernaryForm.from_point(MarkoffPoint.make(*point))
+        assert _witness_search(form, WITNESS_BOUND) is None
+        assert witness_search_by_rows(form, WITNESS_BOUND) is None
+    rows = [r for r, _ in shapes[:len(shapes) // 2]]
+    width = 2 * WITNESS_BOUND + 1
+    assert rows[:6] == [1, 2, 4, 8, 16, SCAN_CELLS // width] and sum(rows) == WITNESS_BOUND + 1
+    assert 27 * width <= SCAN_CELLS < 28 * width
+    # rows of 2^15 + 1 cells, each a block of its own: rows 0..3, the zero
+    # being in row 3
+    shapes.clear()
+    form = TernaryForm.from_point(MarkoffPoint.make(0, 6, 7))
+    assert _witness_search(form, 2**14) == witness_search_by_rows(form, 2**14) == (3, -1, -1)
+    assert shapes == [(1, 2**15 + 1)] * 4
+
+
 def test_witness_search_int64_edge():
     # (X - 4, -1, X) has the zero (1, 1, -1); with B = 600 the scan's
     # discriminants fit in int64 while 4 B^2 (X^2 + X + 2) < 2^63
@@ -223,8 +269,8 @@ def test_k460_nonmtype_equivalence():
     def mat3_transpose(a):
         return [[a[j][i] for j in range(3)] for i in range(3)]
 
-    x1 = TernaryForm.from_point(MarkoffPoint.make(-3, 3, 17)).gram()
-    x2 = TernaryForm.from_point(MarkoffPoint.make(-3, 9, 10)).gram()
+    x1 = gram(TernaryForm.from_point(MarkoffPoint.make(-3, 3, 17)))
+    x2 = gram(TernaryForm.from_point(MarkoffPoint.make(-3, 9, 10)))
     assert mat3_mul(mat3_transpose(g), mat3_mul(x1, g)) == x2
     assert mat3_mul(g, g) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert mat3_det(g) == -1

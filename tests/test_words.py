@@ -30,7 +30,7 @@ from mksurf.words import (
     word_trace,
 )
 
-from _util import cyclic_conjugacy_equal
+from _util import cyclic_conjugacy_equal, mul_monomial
 
 
 def rand_word(m, n, rng, syllables=6, span=3):
@@ -405,7 +405,7 @@ def test_metabelian_crossed_homomorphism():
             h = h0 * word(m, n, "a b a-1 b-1") * h0.inverse()
             sa, sb = g.exponent_sums()
             lhs = metabelian_image(m, n, g * h * g.inverse())
-            rhs = metabelian_image(m, n, h).mul_monomial(sa, sb)
+            rhs = mul_monomial(metabelian_image(m, n, h), sa, sb)
             assert lhs == rhs
 
 
