@@ -3,6 +3,7 @@ table reproduction targets."""
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -64,11 +65,18 @@ def _encode(obj):
 
 def _emit(payload, fmt):
     payload = _encode(payload)
-    if fmt == "text":
-        for k, v in payload.items():
-            print("%s: %s" % (k, v))
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        if fmt == "text":
+            for k, v in payload.items():
+                print("%s: %s" % (k, v))
+        else:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`); devnull keeps the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_ints(text, n=None):

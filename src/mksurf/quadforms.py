@@ -50,9 +50,6 @@ class HasseProfile:
             out *= v
         return out
 
-    def nontrivial(self):
-        return {p: v for p, v in self.entries if v == -1}
-
 
 def _place_sort_key(p):
     return (1, 0) if p == INF else (0, p)

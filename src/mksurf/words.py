@@ -38,10 +38,6 @@ class Word:
     def identity(m, n):
         return Word((), m, n)
 
-    @staticmethod
-    def gen(letter, m, n, exp=1):
-        return Word.make(((letter, exp),), m, n)
-
     def __mul__(self, other):
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("words from different groups")
@@ -80,11 +76,8 @@ class Word:
         """A cyclically reduced conjugate."""
         w = self
         while not w.is_cyclically_reduced():
-            (g, e) = w.runs[0]
-            conj = Word.make(((g, -e),), w.m, w.n)
-            w = conj * w * conj.inverse()
-            if w.length() == 0:
-                break
+            # conjugating by the first run moves it onto the last
+            w = Word.make(w.runs[1:] + w.runs[:1], w.m, w.n)
         return w
 
     def rotations(self):
@@ -188,17 +181,6 @@ def embedding_matrix(m, n, gen):
     raise ValueError("generator must be a, b or c")
 
 
-def modular_word(m, n, w):
-    """The u,v-word of an element of the embedded free product: the image
-    runs of its letters, concatenated and normalized once."""
-    images = _EMBED_WORDS[(m, n)]
-    runs = []
-    for g, e in w.runs:
-        img = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
-        runs.extend(img * abs(e))
-    return Word.make(tuple(runs), 2, 3)
-
-
 def uv_matrix(w):
     """Evaluate a u,v-word in SL2(Z)."""
     return _evaluate(w.runs, _UV_MATS)
@@ -217,14 +199,33 @@ def word_trace(m, n, w):
 
 # --- conjugacy representatives of a given trace ------------------------------
 
-_R = Mat2(1, 1, 0, 1)   # -UV
-_S = Mat2(1, 0, 1, 1)   # -UV^2
-
-
 def _min_rotation(seq):
     return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
+def _rs_word(a, b, c, d):
+    """The word in R = [[1, 1], [0, 1]] (as 1) and S = [[1, 0], [1, 1]]
+    (as 2) of a nonnegative determinant-1 matrix [[a, b], [c, d]].
+
+    Such a matrix other than I is R M' when its first row dominates its
+    second entrywise and S M' when the second dominates, M' nonnegative:
+    not both, as equal rows have determinant 0, and one, as a > c, d > b
+    forces ad - bc >= b + c + 1 (so M = I) and a < c, d < b forces
+    ad < bc.  Each step lowers the entry sum, so the loop ends at I.
+    """
+    seq = []
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= c and b >= d:
+            seq.append(1)
+            a, b = a - c, b - d
+        else:
+            seq.append(2)
+            c, d = c - a, d - b
+    return tuple(seq)
+
+
+# bounds alg1's rotation factoring, 0.6-3.9 s per embedding through the CLI
+# at t = 100, where the class enumeration below takes about 60 ms
 MAX_ALG1_TRACE = 100
 
 
@@ -233,35 +234,24 @@ def psl2_class_reps(t):
     """One cyclically reduced word u v^{s_1} ... u v^{s_k} per conjugacy
     class of trace t >= 3 in the modular group.
 
-    Every class of trace >= 3 has such a representative, the syllable
-    length is bounded by the trace, and appending syllables only grows the
-    trace of the positivized product, which prunes the search.  The search
-    recurses as deep as t and its time grows faster than t^2, so a trace
-    above MAX_ALG1_TRACE raises BudgetExceeded.
+    Up to sign u v is R and u v^2 is S, and every class of trace >= 3
+    holds a positive R/S word, unique up to rotation.  The positive words
+    of trace t are those of the nonnegative matrices [[a, b], [c, t - a]]
+    of determinant 1: 1 <= a < t, as bc = a (t - a) - 1 >= 0, and b runs
+    over the divisors of bc.  Each class is keyed by its least rotation.  A
+    trace above MAX_ALG1_TRACE raises BudgetExceeded.
     """
     if t < 3:
         raise ValueError("class representatives need trace >= 3, got %r" % (t,))
     if t > MAX_ALG1_TRACE:
         raise BudgetExceeded("trace %d exceeds the search budget %d" % (t, MAX_ALG1_TRACE))
-    reps = []
-    seen = set()
-
-    def dfs(seq, mat):
-        tr = mat.a + mat.d
-        if tr > t or len(seq) > t:
-            return
-        if tr == t and seq:
-            key = _min_rotation(seq)
-            if key not in seen:
-                seen.add(key)
-                runs = []
-                for s in seq:
-                    runs.extend((("u", 1), ("v", s)))
-                reps.append(Word.make(tuple(runs), 2, 3))
-        for s, f in ((1, _R), (2, _S)):
-            dfs(seq + (s,), mat * f)
-
-    dfs((), Mat2(1, 0, 0, 1))
+    keys = set()
+    for a in range(1, t):
+        bc = a * (t - a) - 1
+        keys.update(_min_rotation(_rs_word(a, b, bc // b, t - a))
+                    for b in range(1, bc + 1) if bc % b == 0)
+    reps = [Word.make(tuple(r for s in key for r in (("u", 1), ("v", s))), 2, 3)
+            for key in keys]
     return sorted(reps, key=lambda w: (w.length(), w.runs))
 
 
@@ -297,9 +287,10 @@ def factor_through_embedding(m, n, uv_word):
     Longest-prefix matching with backtracking; junction letters make the
     factorization unique, so backtracking rarely fires. A parse needs no
     re-expansion check: its syllables, the letters of reduced generator
-    powers, spell the letters of uv_word, so `modular_word` of the parse
-    normalizes the element uv_word spells, whose normal form in <u> * <v>
-    is unique: the reduced uv_word itself.
+    powers, spell the letters of uv_word, so the parse's image, its
+    syllables' images concatenated and normalized, is the element uv_word
+    spells, whose normal form in <u> * <v> is unique: the reduced uv_word
+    itself.
     """
     _check_mn(m, n)
     letters = uv_word.letters()
@@ -351,18 +342,20 @@ def _reduce(m, n, terms):
     """The normal form of the sum of c x^i y^j over raw ((i, j), c) terms.
 
     x^i becomes x^(i mod m), and x^(m-1) becomes minus the lower powers of
-    x, since psi_m(x) = 0; the same rule applies in y for finite n.
+    x, since psi_m(x) = 0; the same rule applies in y for finite n.  The
+    rule is linear, so each term goes straight into the one output dict.
     """
-    folded = {}
-    for (i, j), c in terms:
-        key = (i % m, j if n is None else j % n)
-        folded[key] = folded.get(key, 0) + c
     out = {}
-    for (i, j), c in folded.items():
-        top_x, top_y = i == m - 1, n is not None and j == n - 1
-        for r in (range(i) if top_x else (i,)):
-            for s in (range(j) if top_y else (j,)):
-                out[(r, s)] = out.get((r, s), 0) + (-1) ** (top_x + top_y) * c
+    for (i, j), c in terms:
+        i, j = i % m, j if n is None else j % n
+        xs, ys = (i,), (j,)
+        if i == m - 1:
+            xs, c = range(i), -c
+        if n is not None and j == n - 1:
+            ys, c = range(j), -c
+        for r in xs:
+            for s in ys:
+                out[(r, s)] = out.get((r, s), 0) + c
     return {key: c for key, c in out.items() if c}
 
 
@@ -387,10 +380,6 @@ class SRingElem:
     @staticmethod
     def monomial(m, n, i=0, j=0, c=1):
         return SRingElem(m, n, [((i, j), c)])
-
-    @staticmethod
-    def zero(m, n):
-        return SRingElem(m, n)
 
     def __add__(self, other):
         return SRingElem(self.m, self.n, list(self.coeffs.items()) + list(other.coeffs.items()))

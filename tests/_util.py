@@ -7,7 +7,7 @@ import numpy as np
 from mksurf.markoff import _double_signs, _row_top, level, reduce_point, square_roots
 from mksurf.mat2 import Mat2
 from mksurf.rings import INF, factorize, square_class_int
-from mksurf.words import SRingElem
+from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
 
 
 def random_sl2z(rng, length=8, entry=3):
@@ -109,3 +109,41 @@ def witness_search_by_rows(form, bound):
             g = math.gcd(math.gcd(abs(w[0]), abs(w[1])), abs(w[2]))
             return (w[0] // g, w[1] // g, w[2] // g)
     return None
+
+
+def modular_word(m, n, w):
+    """The u,v-word of an element of the embedded free product: the image
+    runs of its letters, concatenated and normalized once."""
+    images = _EMBED_WORDS[(m, n)]
+    runs = []
+    for g, e in w.runs:
+        img = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
+        runs.extend(img * abs(e))
+    return Word.make(tuple(runs), 2, 3)
+
+
+def psl2_class_reps_by_search(t):
+    """words.psl2_class_reps by a depth-first search over positive words in
+    R = -UV and S = -UV^2: appending R or S to a nonnegative matrix never
+    lowers its trace, so a prefix of trace above t is pruned."""
+    r, s = Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)
+    reps = []
+    seen = set()
+
+    def dfs(seq, mat):
+        tr = mat.a + mat.d
+        if tr > t or len(seq) > t:
+            return
+        if tr == t and seq:
+            key = _min_rotation(seq)
+            if key not in seen:
+                seen.add(key)
+                runs = []
+                for e in seq:
+                    runs.extend((("u", 1), ("v", e)))
+                reps.append(Word.make(tuple(runs), 2, 3))
+        for e, f in ((1, r), (2, s)):
+            dfs(seq + (e,), mat * f)
+
+    dfs((), Mat2(1, 0, 0, 1))
+    return sorted(reps, key=lambda w: (w.length(), w.runs))

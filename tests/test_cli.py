@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -242,6 +245,23 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = capture(capsys, ["certify", "hfz", "--k", "20", "--bound", "50"])
     assert code == 0  # computed: the answer is no, but it is an answer
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes the pipe before the command writes, as `| head`
+    # can: no traceback, and the exit code of an open stdout
+    src = os.path.dirname(os.path.dirname(mksurf.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mksurf.cli", "markoff", "class", "--k", "329"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])

@@ -195,12 +195,13 @@ def test_hasse_profile_on_localized_points():
     for p in pts[:6]:
         prof = hasse_profile(p)
         assert prof.product() == 1
+        base = {place for place, v in prof.entries if v == -1}
         q = p
         for _ in range(8):
             q = apply_move(rng.choice(ALL_MOVES), q)
             if max(abs(Fraction(c).numerator) for c in q.coords()) > 10**6:
                 break
-            assert hasse_profile(q).nontrivial() == prof.nontrivial()
+            assert {place for place, v in hasse_profile(q).entries if v == -1} == base
 
 
 def test_alg1_small_trace_rows_for_full_modular_group():

@@ -13,6 +13,7 @@ from mksurf.words import (
     SUPPORTED,
     Word,
     _EMBED_WORDS,
+    _rs_word,
     _syllable_images,
     alg1_representatives,
     conjugacy_class_key,
@@ -21,7 +22,6 @@ from mksurf.words import (
     in_derived_subgroup,
     is_unit_in_S,
     metabelian_image,
-    modular_word,
     psl2_class_reps,
     second_derived_congruence,
     table1_trace_filter,
@@ -30,7 +30,12 @@ from mksurf.words import (
     word_trace,
 )
 
-from _util import cyclic_conjugacy_equal, mul_monomial
+from _util import (
+    cyclic_conjugacy_equal,
+    modular_word,
+    mul_monomial,
+    psl2_class_reps_by_search,
+)
 
 
 def rand_word(m, n, rng, syllables=6, span=3):
@@ -65,6 +70,14 @@ def modular_word_by_powers(m, n, w):
     for g, e in w.runs:
         uv = uv * power_by_products(uv_gens[g], e)
     return uv
+
+
+def cyclic_reduction_by_conjugation(w):
+    while not w.is_cyclically_reduced():
+        g, e = w.runs[0]
+        conj = Word.make(((g, -e),), w.m, w.n)
+        w = conj * w * conj.inverse()
+    return w
 
 
 def syllable_images_by_powers(m, n, max_len):
@@ -136,7 +149,7 @@ def sample_words(m, n, rng, count=60):
     """Seeded random words with negative exponents, plus the empty word and
     single runs."""
     out = [Word.identity(m, n)]
-    out += [Word.gen(g, m, n, e) for g in "ab" for e in (1, -1, 2, -2, 5, -5)]
+    out += [Word.make(((g, e),), m, n) for g in "ab" for e in (1, -1, 2, -2, 5, -5)]
     out += [rand_word(m, n, rng, syllables=rng.randint(1, 7), span=4)
             for _ in range(count)]
     return out
@@ -152,15 +165,15 @@ def test_pow_matches_repeated_products():
 
 def test_rotations_match_letter_rotations():
     rng = random.Random(77)
-    uv_singles = [Word.gen("v", 2, 3, 2), Word.gen("u", 2, 3)]
+    uv_singles = [Word.make((("v", 2),), 2, 3), Word.make((("u", 1),), 2, 3)]
     for (m, n) in SUPPORTED + ((None, None),):
         words = sample_words(m, n, rng)
         if (m, n) != (None, None):
             words += [modular_word(m, n, w) for w in words[:30]]
         for w in [w.cyclic_reduction() for w in words] + uv_singles:
             assert w.rotations() == rotations_by_letters(w), str(w)
-    assert Word.gen("b", 2, None, 5).rotations() == [Word.gen("b", 2, None, 5)] * 5
-    assert Word.gen("b", 2, None, -3).rotations() == [Word.gen("b", 2, None, -3)] * 3
+    assert Word.make((("b", 5),), 2, None).rotations() == [Word.make((("b", 5),), 2, None)] * 5
+    assert Word.make((("b", -3),), 2, None).rotations() == [Word.make((("b", -3),), 2, None)] * 3
     assert Word.identity(2, 3).rotations() == [Word.identity(2, 3)]
 
 
@@ -208,6 +221,15 @@ def test_cyclic_conjugacy():
     assert cyclic_conjugacy_equal(c, rot)
     with pytest.raises(ValueError):
         cyclic_conjugacy_equal(word(None, None, "a b a-1"), w1)
+
+
+def test_cyclic_reduction_matches_conjugation():
+    rng = random.Random(80)
+    for (m, n) in SUPPORTED + ((None, None),):
+        for w in sample_words(m, n, rng, count=500):
+            x = rand_word(m, n, rng, syllables=rng.randint(0, 4))
+            for v in (w, x * w * x.inverse()):
+                assert v.cyclic_reduction() == cyclic_reduction_by_conjugation(v), str(v)
 
 
 def test_embedding_table():
@@ -291,6 +313,23 @@ def test_psl2_class_reps_have_the_trace():
         for w in psl2_class_reps(t):
             assert word_trace(2, 3, w) == t
             assert w.is_cyclically_reduced()
+
+
+def test_psl2_class_reps_match_the_search():
+    for t in range(3, 61):
+        assert psl2_class_reps(t) == psl2_class_reps_by_search(t), t
+
+
+def test_rs_word_recovers_positive_words():
+    rng = random.Random(81)
+    letters = {1: Mat2(1, 1, 0, 1), 2: Mat2(1, 0, 1, 1)}
+    assert _rs_word(1, 0, 0, 1) == ()
+    for _ in range(500):
+        seq = tuple(rng.choice((1, 2)) for _ in range(rng.randint(1, 40)))
+        mat = Mat2(1, 0, 0, 1)
+        for e in seq:
+            mat = mat * letters[e]
+        assert _rs_word(mat.a, mat.b, mat.c, mat.d) == seq
 
 
 def test_psl2_small_trace_classes():
@@ -469,7 +508,7 @@ def test_units_in_S_infinite_n():
     assert is_unit_in_S(2, None, SRingElem.monomial(2, None, 1, -7, -1))
     bad = SRingElem(2, None, {(0, 0): 1, (0, 3): 1})
     assert not is_unit_in_S(2, None, bad)
-    assert not is_unit_in_S(2, None, SRingElem.zero(2, None))
+    assert not is_unit_in_S(2, None, SRingElem(2, None))
 
 
 def test_second_derived_congruence_generators():
