@@ -288,25 +288,41 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
     return _timed(build)
 
 
-_REQUIRED_PARAMETERS = {"E3FailureZ": ("k",), "E3FailureSInt": ("k", "ell"),
-                        "E2Failure": ("nu", "ell"), "HFE1": ("nu", "ell")}
-_OPTIONAL_PARAMETERS = {"E3FailureZ": ("bound",), "E3FailureSInt": ("bound", "max_exp"),
-                        "E2Failure": ("t", "bound", "max_exp"),
-                        "HFE1": ("local_moduli", "sint_bound", "sint_max_exp")}
+def _e2_failure(nu, ell, t=None, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_MAX_EXP):
+    """The global half of HFE1 as E2Failure files (which no command makes
+    any more) record it, checks in their order.  A stored t is not used:
+    the certificate records 2 + 20*nu^2, and replay compares the two."""
+    t = 2 + 20 * nu * nu
+    return Certificate("E2Failure", {"nu": nu, "ell": ell, "t": t, "bound": bound,
+                                     "max_exp": max_exp},
+                       _trace_failure_checks(t, ell, bound, max_exp, "surface-failure")[::-1])
+
+
+# The certificate kinds replay knows, one row each: the generator's name in
+# this module (looked up per call, so a wrapper bound to that name sees the
+# replay), the required and the optional parameters, each passed to it by
+# name, and the checks an older file of the kind may lack, each with the
+# result it stands for.  E3FailureZ files made before the congruence check
+# was added to it replay as they did whenever that check holds.
+_KINDS = {
+    "E3FailureZ": ("certify_hfz", ("k",), ("bound",), {"no-congruence-obstruction": True}),
+    "E3FailureSInt": ("certify_sint_failure", ("k", "ell"), ("bound", "max_exp"), {}),
+    "E2Failure": ("_e2_failure", ("nu", "ell"), ("t", "bound", "max_exp"), {}),
+    "HFE1": ("verify_hfe1", ("nu", "ell"), ("local_moduli", "sint_bound", "sint_max_exp"), {}),
+}
 
 
 def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
-    Deterministic: regenerating with the stored parameters must reproduce
-    every check result, the bound of every check that stores one, the
-    conclusion and each stored parameter (E2Failure stores t, which replay
-    derives from nu).  E2Failure files (the global half of HFE1, which no
-    command makes any more) still replay.  Input
-    that is not a certificate of a known kind (not a JSON object, another
-    schema version, an unknown kind, no `checks` list of named results, no
-    `conclusion`, a parameter missing, unknown to the kind or not an
-    integer; `local_moduli` is a list of them) raises ValueError.
+    Deterministic: calling the kind's generator with the stored parameters
+    (the generator's defaults for those not stored) must reproduce every
+    check result, the bound of every check that stores one, the conclusion
+    and each stored parameter.  Input that is not a certificate of a known
+    kind (not a JSON object, another schema version, an unknown kind, no
+    `checks` list of named results, no `conclusion`, a parameter missing,
+    unknown to the kind or not an integer; `local_moduli` is a list of
+    them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
         raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
@@ -314,8 +330,9 @@ def check_certificate(cert_dict):
     params = cert_dict.get("parameters", {})
     if cert_dict.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unknown schema version %r" % (cert_dict.get("schema_version"),))
-    if kind not in _REQUIRED_PARAMETERS:
+    if kind not in _KINDS:
         raise ValueError("unknown certificate kind %r" % (kind,))
+    generator, required, optional, absent = _KINDS[kind]
     checks = cert_dict.get("checks")
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and "name" in c and "result" in c for c in checks):
@@ -324,44 +341,20 @@ def check_certificate(cert_dict):
         raise ValueError("certificate has no conclusion")
     if not isinstance(params, dict):
         raise ValueError("certificate parameters must be a JSON object")
-    missing = [p for p in _REQUIRED_PARAMETERS[kind] if p not in params]
+    missing = [p for p in required if p not in params]
     if missing:
         raise ValueError("%s certificate lacks parameters %s" % (kind, ", ".join(missing)))
-    known = _REQUIRED_PARAMETERS[kind] + _OPTIONAL_PARAMETERS[kind]
-    extra = [str(p) for p in params if p not in known]
+    extra = [str(p) for p in params if p not in required + optional]
     if extra:
         raise ValueError("%s certificate takes no parameters %s" % (kind, ", ".join(extra)))
     for name, value in params.items():
         values = value if name == "local_moduli" and isinstance(value, list) else [value]
         if not all(type(v) is int for v in values):
             raise ValueError("certificate parameter %s must be an integer, got %r" % (name, value))
-    if kind == "E3FailureZ":
-        fresh = certify_hfz(params["k"], bound=params.get("bound", DEFAULT_HFZ_BOUND))
-    elif kind == "E3FailureSInt":
-        fresh = certify_sint_failure(params["k"], params["ell"],
-                                     bound=params.get("bound", DEFAULT_SINT_BOUND),
-                                     max_exp=params.get("max_exp", DEFAULT_SINT_MAX_EXP))
-    elif kind == "E2Failure":
-        nu, ell = params["nu"], params["ell"]
-        t = 2 + 20 * nu * nu
-        bound = params.get("bound", DEFAULT_SINT_BOUND)
-        max_exp = params.get("max_exp", DEFAULT_SINT_MAX_EXP)
-        fresh = Certificate(  # checks in the order E2Failure files list them
-            "E2Failure", {"nu": nu, "ell": ell, "t": t, "bound": bound, "max_exp": max_exp},
-            _trace_failure_checks(t, ell, bound, max_exp, "surface-failure")[::-1])
-    else:
-        fresh = verify_hfe1(params["nu"], params["ell"],
-                            local_moduli=tuple(params.get("local_moduli", DEFAULT_HFE1_MODULI)),
-                            sint_bound=params.get("sint_bound", DEFAULT_SINT_BOUND),
-                            sint_max_exp=params.get("sint_max_exp", DEFAULT_SINT_MAX_EXP))
-    fresh_dict = fresh.to_dict()
-    old = {c["name"]: c["result"] for c in checks}
+    fresh_dict = globals()[generator](**params).to_dict()
+    old = {**absent, **{c["name"]: c["result"] for c in checks}}
     new = {c["name"]: c["result"] for c in fresh_dict["checks"]}
     new_bounds = {c["name"]: c.get("bound") for c in fresh_dict["checks"]}
-    if kind == "E3FailureZ":
-        # E3FailureZ files made before the congruence check was added to it
-        # replay as they did whenever that check holds
-        old.setdefault("no-congruence-obstruction", True)
     ok = (old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
           and all(c["bound"] == new_bounds.get(c["name"]) for c in checks if "bound" in c)
           and all(fresh_dict["parameters"].get(p) == v for p, v in params.items()))

@@ -40,8 +40,9 @@ GENUS_329 = [
     {"rep": [-3, 8, 8], "profile": {"2": 1, "5": -1, "13": -1, "inf": 1}},
 ]
 
-# commutator-trace images in Z/9 and Z/16; the mod-16 set records the
-# computed data behind the expected-complete obstruction list
+# commutator-trace images in Z/9 and Z/16, the one copy of the trace
+# obstruction that markoff.admissible_t reads; `repro hfu2-images` checks
+# them against quotients.trace_commutator_image
 HFU2_IMAGES = {
     9: [0, 2, 3, 6, 7],
     16: [2, 3, 6, 7, 11, 14, 15],

@@ -12,9 +12,7 @@ from .rings import ModInt, residue
 
 
 class LiftError(ValueError):
-    def __init__(self, message, failed_entries=None):
-        super().__init__(message)
-        self.failed_entries = failed_entries or []
+    pass
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,8 @@ def lift2(z, y, x1, x3):
         q2 = delta.q // g
         if q2 < 2:
             raise LiftError("Delta = %s annihilates the quotient" % (delta,))
-        bad = [v for v in num.entries() if v.v % g]
-        if bad:
-            raise LiftError("entries not divisible by gcd(Delta, q) = %d" % g,
-                            failed_entries=bad)
+        if any(v.v % g for v in num.entries()):
+            raise LiftError("entries not divisible by gcd(Delta, q) = %d" % g)
         dinv = pow(delta.v // g, -1, q2)
         x = num.map(lambda v: ModInt((v.v // g) * dinv, q2))
         z = mat_mod(z, q2)
@@ -122,8 +118,7 @@ def lift2(z, y, x1, x3):
                 bad.append(v)
         if bad:
             raise LiftError("entries [%s] not divisible by Delta = %s"
-                            % (", ".join(map(str, bad)), delta),
-                            failed_entries=bad)
+                            % (", ".join(map(str, bad)), delta))
         x = Mat2(*entries)
 
     if x.det() != 1 or x.trace() != x1 or (x * y).trace() != x3 \

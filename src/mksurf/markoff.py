@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .expected_tables import HFU2_IMAGES
 from .rings import BudgetExceeded, factorize, is_probable_prime, jacobi
 
 
@@ -346,14 +347,10 @@ def admissible_k(k):
     return k % 4 != 3 and k % 9 not in (3, 6)
 
 
-_T_OBSTRUCTED_16 = frozenset({0, 1, 4, 5, 8, 9, 10, 12, 13})
-_T_OBSTRUCTED_9 = frozenset({1, 4, 5, 8})
-
-
 def admissible_t(t):
-    """No congruence obstruction for commutator traces t: avoids the
-    obstructed classes mod 16 and mod 9."""
-    return t % 16 not in _T_OBSTRUCTED_16 and t % 9 not in _T_OBSTRUCTED_9
+    """No congruence obstruction for commutator traces t: t lies in the
+    commutator-trace image mod 16 and mod 9 (`HFU2_IMAGES`)."""
+    return t % 16 in HFU2_IMAGES[16] and t % 9 in HFU2_IMAGES[9]
 
 
 def square_roots(d):
@@ -530,8 +527,10 @@ def search_localized(k, ell, max_exp, bound):
         raise ValueError("ell must be an odd prime")
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
-    worst = ell ** (2 * max_exp)
-    if bound**4 + worst * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
+    # ell^(2 max_exp) >= 2^(2 max_exp (bits - 1)), so the first test refuses
+    # what the second would, before ell^(2 max_exp) is computed
+    if 2 * max_exp * (ell.bit_length() - 1) > 62 \
+            or bound**4 + ell ** (2 * max_exp) * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
     pts = search_integral(k, bound)
     b = int(bound)

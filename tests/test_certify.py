@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import mksurf.certify
 from mksurf.certify import (
     DEFAULT_HFE1_MODULI,
+    _KINDS,
     build_hfe1_matrix,
     certify_hfz,
     certify_sint_failure,
@@ -222,6 +224,51 @@ def test_replay_fails_on_a_stored_parameter_it_regenerates():
     ok, fresh = check_certificate(blob)
     assert not ok and fresh["parameters"]["bound"] == 200
     assert {c["name"]: c.get("bound") for c in fresh["checks"]}["integral-search-empty"] == 200
+
+
+# one small certificate per kind, every optional parameter at a value other
+# than its default
+NON_DEFAULT = {
+    "E3FailureZ": {"k": 1062, "bound": 40},
+    "E3FailureSInt": {"k": 4 + 20 * 139**2, "ell": 19, "bound": 40, "max_exp": 1},
+    "E2Failure": {"nu": 139, "ell": 19, "t": 2 + 20 * 139**2, "bound": 40, "max_exp": 1},
+    "HFE1": {"nu": 139, "ell": 19, "local_moduli": [2, 3, 9], "sint_bound": 40,
+             "sint_max_exp": 1},
+}
+
+
+def test_each_kind_row_names_the_parameters_its_generator_records():
+    assert set(_KINDS) == set(NON_DEFAULT)
+    for kind, (generator, required, optional, _) in _KINDS.items():
+        params = NON_DEFAULT[kind]
+        assert list(params) == list(required + optional), kind
+        cert = getattr(mksurf.certify, generator)(**params)
+        assert cert.kind == kind and cert.parameters == params, kind
+        assert check_certificate(json.loads(cert.to_json()))[0], kind
+
+
+def test_non_default_certificates_replay_and_detect_an_edited_parameter():
+    # each edit changes a recorded result or bound: the family clause
+    # "ell = +-1 (mod 5)" fails at 7, and each local modulus names a check.
+    # max_exp, sint_bound and sint_max_exp are not edited: the searches they
+    # set are empty either way, and replay does not compare check data
+    edits = {"E3FailureSInt": [("k", 4 + 20 * 139**2 + 1), ("ell", 7), ("bound", 41),
+                               ("bound", 39)],
+             "HFE1": [("local_moduli", [2, 3, 27]), ("local_moduli", [2, 3])]}
+    for kind, changes in edits.items():
+        cert = getattr(mksurf.certify, _KINDS[kind][0])(**NON_DEFAULT[kind])
+        assert check_certificate(json.loads(cert.to_json()))[0], kind
+        for name, value in changes:
+            blob = json.loads(cert.to_json())
+            blob["parameters"][name] = value
+            ok, fresh = check_certificate(blob)
+            assert not ok and fresh["parameters"][name] == value, (kind, name, value)
+    # the HFE1 matrix rests on nu and ell, and values it cannot be built
+    # from are refused
+    blob = json.loads(verify_hfe1(**NON_DEFAULT["HFE1"]).to_json())
+    for name, value in (("nu", 140), ("ell", 7)):
+        with pytest.raises(ValueError):
+            check_certificate(dict(blob, parameters=dict(blob["parameters"], **{name: value})))
 
 
 def test_replay_fails_on_a_tampered_check_bound():

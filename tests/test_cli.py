@@ -3,15 +3,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import mksurf.cli
 import mksurf.markoff
 from mksurf.cli import run, repro
-from mksurf.markoff import MarkoffPoint, search_integral
+from mksurf.markoff import MarkoffPoint, search_integral, search_localized
 from mksurf.mat2 import Mat2, commutator, mat_mod
-from mksurf.rings import ModInt
+from mksurf.rings import BudgetExceeded, ModInt
 
 from _util import same_orbit
 
@@ -319,6 +320,9 @@ GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 106
     json.dumps(dict(GOOD_HFZ, checks=[{"name": "family-membership"}])),
     json.dumps({k: v for k, v in GOOD_HFZ.items() if k != "conclusion"}),
     json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139})),
+    # verify_hfe1(matrix=) audits a claimed matrix, but a file cannot name one
+    json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139, "ell": 19,
+                                                       "matrix": [[1, 0], [0, 1]]})),
     json.dumps(dict(GOOD_HFZ, parameters={"k": "abc"})),
     json.dumps(dict(GOOD_HFZ, schema_version="2")),
     json.dumps(dict(GOOD_HFZ, kind="Nope")),
@@ -365,6 +369,27 @@ def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)
     assert code == 3
     assert json.loads(out)["kind"] == "budget"
+
+
+def test_huge_max_exp_exits_3_at_once(tmp_path, capsys):
+    # ell^(2 max_exp) >= 2^63 is refused before the power is computed, which
+    # at max_exp = 10^9 would take far longer than the search it guards
+    big = 10**9
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "E3FailureSInt",
+                                "parameters": {"k": 386424, "ell": 19, "max_exp": big},
+                                "checks": [], "conclusion": True}))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        search_localized(56, 5, big, 30)
+    assert time.perf_counter() - start < 1
+    for argv in (["markoff", "search", "--k", "56", "--bound", "30", "--ell", "5",
+                  "--max-exp", str(big)],
+                 ["certify", "check", "--file", str(path)]):
+        start = time.perf_counter()
+        code, out = capture(capsys, argv)
+        assert code == 3 and json.loads(out)["kind"] == "budget", argv
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_long_descent_exits_3(capsys, monkeypatch):
