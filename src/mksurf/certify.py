@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import admissible_k, admissible_t, search_integral, search_localized
 from .quotients import commutator_test_modq
-from .rings import factorize, is_probable_prime, localized_str, residue
+from .rings import factorize, is_probable_prime, localized_str
 
 SCHEMA_VERSION = "1"
 DEFAULT_HFZ_BOUND = 10**4
@@ -225,11 +225,7 @@ def _trace_failure_checks(t, ell, bound, max_exp, name):
 
 
 def _local_commutator_check(a, q):
-    """One modulus of the local verification: (replayed ok, witness data).
-    A matrix of determinant other than 1 mod q (an audited claim) is not a
-    commutator there."""
-    if residue(a.det() - 1, q):
-        return False, {"error": "Z must have determinant 1 mod %d" % q}
+    """One modulus of the local verification: (replayed ok, witness data)."""
     ok, wit = commutator_test_modq(mat_mod(a, q), q)
     if not ok:
         return False, None
@@ -240,15 +236,13 @@ def _local_commutator_check(a, q):
 
 
 def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
-                sint_bound=DEFAULT_SINT_BOUND, sint_max_exp=DEFAULT_SINT_MAX_EXP,
-                matrix=None):
-    """End-to-end certificate: the matrix is a commutator in every listed
-    finite quotient (with recorded witnesses) yet the trace surface has no
-    S-integer points, so it cannot be a commutator globally.
+                sint_bound=DEFAULT_SINT_BOUND, sint_max_exp=DEFAULT_SINT_MAX_EXP):
+    """End-to-end certificate: `build_hfe1_matrix(nu, ell)` is a commutator
+    in every listed finite quotient (with recorded witnesses) yet the trace
+    surface has no S-integer points, so it cannot be a commutator globally.
 
     The local verification necessarily truncates at the listed moduli; the
     certificate records them rather than claiming all prime powers.
-    Passing matrix= audits a claimed matrix instead of the built one.
     A modulus below 2 is invalid input (ValueError), not a failed check.
     """
     bad = [q for q in local_moduli if q < 2]
@@ -257,7 +251,7 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
 
     def build():
         checks = []
-        a = build_hfe1_matrix(nu, ell) if matrix is None else matrix
+        a = build_hfe1_matrix(nu, ell)
         t = 2 + 20 * nu * nu
         red2 = all(v.v == w for v, w in zip(mat_mod(a, 2).entries(), (1, 0, 0, 1)))
         red3 = all(v.v == w % 3 for v, w in zip(mat_mod(a, 3).entries(), (-1, 0, 0, -1)))
@@ -320,9 +314,9 @@ def check_certificate(cert_dict):
     check result, the bound of every check that stores one, the conclusion
     and each stored parameter.  Input that is not a certificate of a known
     kind (not a JSON object, another schema version, an unknown kind, no
-    `checks` list of named results, no `conclusion`, a parameter missing,
-    unknown to the kind or not an integer; `local_moduli` is a list of
-    them) raises ValueError.
+    `checks` list of results each named by a string, no `conclusion`, a
+    parameter missing, unknown to the kind or not an integer;
+    `local_moduli` is a list of them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
         raise ValueError("a certificate is a JSON object, got %s" % type(cert_dict).__name__)
@@ -335,7 +329,8 @@ def check_certificate(cert_dict):
     generator, required, optional, absent = _KINDS[kind]
     checks = cert_dict.get("checks")
     if not isinstance(checks, list) or not all(
-            isinstance(c, dict) and "name" in c and "result" in c for c in checks):
+            isinstance(c, dict) and isinstance(c.get("name"), str) and "result" in c
+            for c in checks):
         raise ValueError("certificate needs a list of checks, each with a name and a result")
     if "conclusion" not in cert_dict:
         raise ValueError("certificate has no conclusion")
@@ -348,9 +343,10 @@ def check_certificate(cert_dict):
     if extra:
         raise ValueError("%s certificate takes no parameters %s" % (kind, ", ".join(extra)))
     for name, value in params.items():
-        values = value if name == "local_moduli" and isinstance(value, list) else [value]
-        if not all(type(v) is int for v in values):
-            raise ValueError("certificate parameter %s must be an integer, got %r" % (name, value))
+        values = value if name == "local_moduli" else [value]
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
+            raise ValueError("certificate parameter %s must be %s, got %r" % (
+                name, "a list of integers" if name == "local_moduli" else "an integer", value))
     fresh_dict = globals()[generator](**params).to_dict()
     old = {**absent, **{c["name"]: c["result"] for c in checks}}
     new = {c["name"]: c["result"] for c in fresh_dict["checks"]}

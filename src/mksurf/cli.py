@@ -1,4 +1,4 @@
-"""Command-line surface: JSON-first subcommands over the library, plus the
+"""Command-line surface: JSON subcommands over the library, plus the
 table reproduction targets."""
 
 import argparse
@@ -63,14 +63,9 @@ def _encode(obj):
     return obj
 
 
-def _emit(payload, fmt):
-    payload = _encode(payload)
+def _emit(payload):
     try:
-        if fmt == "text":
-            for k, v in payload.items():
-                print("%s: %s" % (k, v))
-        else:
-            print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(_encode(payload), sort_keys=True, indent=2))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left (`| head`); devnull keeps the exit flush quiet
@@ -105,8 +100,6 @@ def _order_str(o):
 
 def _cmd_markoff_reduce(args):
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
-    if args.k is not None and p.k != args.k:
-        raise ValueError("point has level %d, not %d" % (p.k, args.k))
     nf, path = reduce_point(p)
     assert apply_path(path, nf).coords() == p.coords()
     return {"k": p.k, "point": list(p.coords()), "normal_form": list(nf.coords()),
@@ -156,8 +149,6 @@ def _cmd_markoff_admissible(args):
 
 def _cmd_quadform_profile(args):
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
-    if args.k is not None and p.k != args.k:
-        raise ValueError("point has level %d, not %d" % (p.k, args.k))
     prof = hasse_profile(p)
     return {"k": p.k, "point": list(p.coords()),
             "profile": dict(prof.entries),
@@ -237,21 +228,26 @@ def _cmd_quotient_test(args):
     return out
 
 
+def _given(args):
+    """The flags given to a certify command (its parser suppresses defaults,
+    so the generator's own stand for the rest)."""
+    return {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "func")}
+
+
 def _cmd_certify_hfz(args):
-    c = cert.certify_hfz(args.k, bound=args.bound)
-    return c.to_dict()
+    return cert.certify_hfz(**_given(args)).to_dict()
 
 
 def _cmd_certify_sint(args):
-    c = cert.certify_sint_failure(args.k, args.ell, bound=args.bound,
-                                  max_exp=args.max_exp)
-    return c.to_dict()
+    return cert.certify_sint_failure(**_given(args)).to_dict()
 
 
 def _cmd_certify_hfe1(args):
-    moduli = tuple(_parse_ints(args.moduli)) if args.moduli else cert.DEFAULT_HFE1_MODULI
-    c = cert.verify_hfe1(args.nu, args.ell, local_moduli=moduli)
-    return c.to_dict()
+    kw = _given(args)
+    moduli = kw.pop("moduli", "")
+    if moduli:
+        kw["local_moduli"] = _parse_ints(moduli)
+    return cert.verify_hfe1(**kw).to_dict()
 
 
 def _cmd_certify_check(args):
@@ -333,9 +329,6 @@ def repro(table):
 def _cmd_repro(args):
     ok, report = repro(args.table)
     report["ok"] = ok
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(_encode(report), fh, sort_keys=True, indent=2)
     return report
 
 
@@ -345,12 +338,10 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="mksurf",
                                  description="Markoff surfaces, commutator lifting, "
                                              "and Hasse-failure certificates")
-    ap.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="group", required=True)
 
     mk = sub.add_parser("markoff").add_subparsers(dest="cmd", required=True)
     p = mk.add_parser("reduce")
-    p.add_argument("--k", type=int)
     p.add_argument("--point", required=True)
     p.set_defaults(func=_cmd_markoff_reduce)
     p = mk.add_parser("class")
@@ -371,7 +362,6 @@ def build_parser():
 
     qf = sub.add_parser("quadform").add_subparsers(dest="cmd", required=True)
     p = qf.add_parser("profile")
-    p.add_argument("--k", type=int)
     p.add_argument("--point", required=True)
     p.set_defaults(func=_cmd_quadform_profile)
     p = qf.add_parser("isotropy")
@@ -412,21 +402,21 @@ def build_parser():
     p.set_defaults(func=_cmd_quotient_test)
 
     cf = sub.add_parser("certify").add_subparsers(dest="cmd", required=True)
-    p = cf.add_parser("hfz")
+    p = cf.add_parser("hfz", argument_default=argparse.SUPPRESS)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bound", type=int, default=cert.DEFAULT_HFZ_BOUND)
+    p.add_argument("--bound", type=int)
     p.set_defaults(func=_cmd_certify_hfz)
-    p = cf.add_parser("sint")
+    p = cf.add_parser("sint", argument_default=argparse.SUPPRESS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--bound", type=int, default=cert.DEFAULT_SINT_BOUND)
-    p.add_argument("--max-exp", type=int, default=cert.DEFAULT_SINT_MAX_EXP)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--max-exp", type=int)
     p.set_defaults(func=_cmd_certify_sint)
-    p = cf.add_parser("hfe1")
+    p = cf.add_parser("hfe1", argument_default=argparse.SUPPRESS)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--moduli", help="comma-separated moduli, default %s"
-                                    % (cert.DEFAULT_HFE1_MODULI,))
+    p.add_argument("--moduli", help="comma-separated moduli; verify_hfe1's own list "
+                                    "if omitted or empty")
     p.set_defaults(func=_cmd_certify_hfe1)
     p = cf.add_parser("check")
     p.add_argument("--file", required=True)
@@ -435,7 +425,6 @@ def build_parser():
     p = sub.add_parser("repro")
     p.add_argument("table", choices=("t1", "rt", "genus329", "classnumbers",
                                      "hfu2-images", "embeddings"))
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_repro)
     return ap
 
@@ -449,12 +438,12 @@ def run(argv):
     try:
         payload = args.func(args)
     except BudgetExceeded as exc:
-        _emit({"error": str(exc), "kind": "budget"}, args.format)
+        _emit({"error": str(exc), "kind": "budget"})
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
-        _emit({"error": str(exc), "kind": "invalid-input"}, args.format)
+        _emit({"error": str(exc), "kind": "invalid-input"})
         return EXIT_BAD_INPUT
-    _emit(payload, args.format)
+    _emit(payload)
     if args.group == "repro" and not payload.get("ok", True):
         return 1
     return EXIT_OK

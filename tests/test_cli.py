@@ -9,6 +9,7 @@ import pytest
 
 import mksurf.cli
 import mksurf.markoff
+from mksurf.certify import certify_hfz, certify_sint_failure, verify_hfe1
 from mksurf.cli import run, repro
 from mksurf.markoff import MarkoffPoint, search_integral, search_localized
 from mksurf.mat2 import Mat2, commutator, mat_mod
@@ -66,8 +67,7 @@ def test_markoff_class_past_the_box_search_range(capsys):
 
 
 def test_markoff_reduce(capsys):
-    code, out = capture(capsys, ["markoff", "reduce", "--k", "108",
-                                 "--point", "21,3,6"])
+    code, out = capture(capsys, ["markoff", "reduce", "--point", "21,3,6"])
     assert code == 0
     d = json.loads(out)
     assert d["normal_form"] == [-3, 3, 6]
@@ -104,8 +104,7 @@ def test_markoff_search_spells_localized_coordinates(capsys):
 
 
 def test_quadform_commands(capsys):
-    code, out = capture(capsys, ["quadform", "profile", "--k", "329",
-                                 "--point=-3,8,8"])
+    code, out = capture(capsys, ["quadform", "profile", "--point=-3,8,8"])
     assert code == 0
     d = json.loads(out)
     assert d["profile"]["5"] == -1 and d["profile"]["13"] == -1
@@ -238,9 +237,30 @@ def test_certify_commands(tmp_path, capsys):
     assert json.loads(out)["replay_matches"] is True
 
 
+def _without_runtime(obj):
+    if isinstance(obj, dict):
+        return {k: _without_runtime(v) for k, v in obj.items() if k != "runtime_ms"}
+    if isinstance(obj, list):
+        return [_without_runtime(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["certify", "hfz", "--k", "1062"], lambda: certify_hfz(1062)),
+    (["certify", "sint", "--k", "386424", "--ell", "19"],
+     lambda: certify_sint_failure(386424, 19)),
+    (["certify", "hfe1", "--nu", "139", "--ell", "19"], lambda: verify_hfe1(139, 19)),
+], ids=["hfz", "sint", "hfe1"])
+def test_certify_commands_leave_defaults_to_the_generator(capsys, argv, make):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    expected = json.loads(json.dumps(make().to_dict()))
+    assert _without_runtime(json.loads(out)) == _without_runtime(expected)
+
+
 def test_exit_codes(capsys):
     code, out = capture(capsys, ["markoff", "reduce", "--k", "7",
-                                 "--point", "1,1,1"])  # level mismatch
+                                 "--point", "1,1,1"])  # no --k flag: the point gives the level
     assert code == 2
     code, out = capture(capsys, ["quotient", "image", "--q", "999"])
     assert code == 3
@@ -326,6 +346,9 @@ GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 106
     json.dumps(dict(GOOD_HFZ, parameters={"k": "abc"})),
     json.dumps(dict(GOOD_HFZ, schema_version="2")),
     json.dumps(dict(GOOD_HFZ, kind="Nope")),
+    json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139, "ell": 19,
+                                                       "local_moduli": 5}, checks=[])),
+    json.dumps(dict(GOOD_HFZ, checks=[{"name": ["x"], "result": True}])),
     "{",
 ])
 def test_certify_check_rejects_malformed_files(tmp_path, capsys, text):
@@ -430,30 +453,22 @@ def test_byte_identical_reruns(capsys):
     assert d1 == d2
 
 
-def test_text_format(capsys):
-    code, out = capture(capsys, ["--format", "text", "markoff", "admissible",
-                                 "--k", "108"])
-    assert code == 0
-    assert "admissible_k: True" in out
-
-
 def test_repro_all_tables():
     for table in ("t1", "rt", "genus329", "classnumbers", "hfu2-images", "embeddings"):
         ok, report = repro(table)
         assert ok, report
 
 
-def test_repro_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+def test_repro_reports_a_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(mksurf.cli.expected, "CLASS_NUMBERS", {329: 2, 5: 7})
     ok, report = repro("classnumbers")
     assert not ok
     assert report == {"table": "classnumbers", "rows": [
         {"k": 5, "expected": 7, "computed": 1, "match": False},
         {"k": 329, "expected": 2, "computed": 2, "match": True}]}
-    path = tmp_path / "classnumbers.json"
-    code, out = capture(capsys, ["repro", "classnumbers", "--out", str(path)])
+    code, out = capture(capsys, ["repro", "classnumbers"])
     assert code == 1
-    assert json.loads(path.read_text()) == json.loads(out) == dict(report, ok=False)
+    assert json.loads(out) == dict(report, ok=False)
     # every genus row matches, but a class is missing from the expectation
     genus = mksurf.cli.expected.GENUS_329
     monkeypatch.setattr(mksurf.cli.expected, "GENUS_329", genus[:1])
