@@ -243,8 +243,11 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
 
     The local verification necessarily truncates at the listed moduli; the
     certificate records them rather than claiming all prime powers.
-    A modulus below 2 is invalid input (ValueError), not a failed check.
+    An empty list, or a modulus below 2, is invalid input (ValueError), not
+    a failed check: with no modulus the local half would hold vacuously.
     """
+    if not local_moduli:
+        raise ValueError("local moduli must not be empty")
     bad = [q for q in local_moduli if q < 2]
     if bad:
         raise ValueError("local moduli must be at least 2, got %r" % (bad,))

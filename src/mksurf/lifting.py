@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mat2 import Mat2, commutator, in_trace_set, mat_mod
+from .mat2 import Mat2, commutator, in_trace_set
 from .markoff import level
-from .rings import ModInt, residue
+from .rings import ModInt
 
 
 class LiftError(ValueError):
@@ -74,8 +74,8 @@ def lift2(z, y, x1, x3):
 
     Entries lie in Z, Q or Z/q.  Over Z a non-unit Delta is allowed when
     it divides every entry of the numerator matrix; failures are reported
-    entry by entry.  Over Z/q a non-unit Delta shrinks the modulus to
-    q / gcd(Delta, q) and the returned matrix lives there.
+    entry by entry.  Over Z/q, Delta must be prime to q, so X lies in
+    SL2(Z/q) itself; any other Delta raises LiftError.
     """
     if z.det() != 1 or y.det() != 1:
         raise LiftError("lift2 needs determinant-1 inputs")
@@ -91,18 +91,9 @@ def lift2(z, y, x1, x3):
     num = (z - yinv * yinv) * (ident.scale(x1) - y.scale(x3))
 
     if isinstance(delta, ModInt):
-        g = math.gcd(delta.v, delta.q)
-        q2 = delta.q // g
-        if q2 < 2:
-            raise LiftError("Delta = %s annihilates the quotient" % (delta,))
-        if any(v.v % g for v in num.entries()):
-            raise LiftError("entries not divisible by gcd(Delta, q) = %d" % g)
-        dinv = pow(delta.v // g, -1, q2)
-        x = num.map(lambda v: ModInt((v.v // g) * dinv, q2))
-        z = mat_mod(z, q2)
-        y = mat_mod(y, q2)
-        x1 = ModInt(residue(x1, q2), q2)
-        x3 = ModInt(residue(x3, q2), q2)
+        if math.gcd(delta.v, delta.q) != 1:
+            raise LiftError("Delta = %s is not prime to q = %d" % (delta, delta.q))
+        x = num.scale(delta.inverse())
     else:
         if delta == 0:
             raise LiftError("Delta = 0: no unique lift exists")
@@ -141,7 +132,7 @@ def lift_point(z, point, y):
     differ between two coordinates equal to Tr Y, as the other two
     coordinates enter the numerator: each such coordinate is tried in
     turn, the middle one first, and the last LiftError is raised only when
-    every one fails. Over Z/q a Delta not prime to q is refused.
+    every one fails.
     """
     t = z.trace()
     if t == 2 or t == -2:
@@ -154,11 +145,6 @@ def lift_point(z, point, y):
     if not js:
         raise LiftError("no coordinate of (%s) matches Tr Y = %s"
                         % (", ".join(map(str, coords)), x2))
-    delta = t + 2 - x2 * x2
-    if isinstance(delta, ModInt) and math.gcd(delta.v, delta.q) != 1:
-        # lift2 would return X over q / gcd(Delta, q), not over Z/q
-        raise LiftError("Delta = %s is not prime to q = %d" % (delta, delta.q))
-
     for j in js:
         (i1, i3), row = _LIFT_ROWS[j]
         try:

@@ -141,12 +141,11 @@ def orbit_within(c, bound):
     end, and each point tries the three Vieta moves, the five non-trivial
     permutations and the three double sign changes, in that order.
 
-    The moves are applied inline.  From a point within the bound only a
-    Vieta move can leave it, and only through the one coordinate it
-    changes, since permutations and double sign changes keep max|x|; so
-    that coordinate is the only one tested.  A start above the bound
-    reaches the walk only through those of its Vieta images that lie
-    within it.
+    The start must lie within the bound (ValueError otherwise).  The moves
+    are applied inline.  From a point within the bound only a Vieta move
+    can leave it, and only through the one coordinate it changes, since
+    permutations and double sign changes keep max|x|; so that coordinate
+    is the only one tested.
 
     Completeness: take q with max|q| <= bound, and let r be its normal
     form under reduce_point.  The path from q to r never raises max|x|:
@@ -155,18 +154,10 @@ def orbit_within(c, bound):
     orbit_within(r, bound) holds every point of max|x| <= bound that
     descends to r.
     """
+    if _maxabs(c) > bound:
+        raise ValueError("start %r lies outside the bound %s" % (c, bound))
     seen = {c: []}
     stack = [c]
-    if _maxabs(c) > bound:
-        # the walk enters the bound through the Vieta images of c within it,
-        # which are distinct: two of them agree only where both equal c
-        x, y, z = c
-        stack = []
-        for mv, cand in zip((VIETA1, VIETA2, VIETA3),
-                            ((y * z - x, y, z), (x, x * z - y, z), (x, y, x * y - z))):
-            if _maxabs(cand) <= bound:
-                seen[cand] = [mv]
-                stack.append(cand)
     while stack:
         cur = stack.pop()
         x, y, z = cur

@@ -58,14 +58,17 @@ def _place_sort_key(p):
 def hasse_profile(point):
     """Invariant profile c_p = (x^2-4, k-4)_p of the form attached to a
     Markoff point, computed from a coordinate with x^2 != 4 and
-    cross-checked against every other usable coordinate."""
+    cross-checked against every other usable coordinate.  The points with
+    every coordinate +-2 lie only on levels 4 and 20; at level 20 no
+    coordinate is usable, and the profile is refused (ValueError)."""
     k = Fraction(point.k)
     if k <= 4:
         raise ValueError("profiles need k > 4, got %s" % k)
     coords = [Fraction(c) for c in point.coords()]
     usable = [c for c in coords if c * c != 4]
     if not usable:
-        raise ValueError("all coordinates are +-2: corrupt data for k > 4")
+        raise ValueError("all coordinates are +-2, so x^2 - 4 = 0 at each and "
+                         "(x^2 - 4, k - 4)_p is undefined")
     km4 = k - 4
     km4_primes = {q for q, _ in factorize(square_class_int(km4)) if q > 2}
 

@@ -112,6 +112,11 @@ def test_quadform_commands(capsys):
     code, out = capture(capsys, ["quadform", "isotropy", "--k", "70"])
     d = json.loads(out)
     assert d["classes"][0]["verdict"] == "Anisotropic"
+    # (-2, 2, 2) is the first class representative `markoff class --k 20` prints
+    code, out = capture(capsys, ["quadform", "profile", "--point=-2,2,2"])
+    d = json.loads(out)
+    assert code == 2 and d["kind"] == "invalid-input"
+    assert d["error"].endswith("(x^2 - 4, k - 4)_p is undefined"), d
 
 
 def test_words_and_quotient_commands(capsys):
@@ -294,7 +299,8 @@ def test_quotient_rejects_modulus_below_2(capsys, q):
         assert json.loads(out)["kind"] == "invalid-input"
 
 
-@pytest.mark.parametrize("moduli", ["1", "0", "-3", "2,1"])
+# "," parses to no modulus at all ("" keeps verify_hfe1's default list)
+@pytest.mark.parametrize("moduli", ["1", "0", "-3", "2,1", ","])
 def test_certify_hfe1_rejects_moduli_below_2(capsys, moduli):
     code, out = capture(capsys, ["certify", "hfe1", "--nu", "139", "--ell", "19",
                                  "--moduli=" + moduli])
@@ -349,6 +355,8 @@ GOOD_HFZ = {"schema_version": "1", "kind": "E3FailureZ", "parameters": {"k": 106
     json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139, "ell": 19,
                                                        "local_moduli": 5}, checks=[])),
     json.dumps(dict(GOOD_HFZ, checks=[{"name": ["x"], "result": True}])),
+    json.dumps(dict(GOOD_HFZ, kind="HFE1", parameters={"nu": 139, "ell": 19,
+                                                       "local_moduli": []}, checks=[])),
     "{",
 ])
 def test_certify_check_rejects_malformed_files(tmp_path, capsys, text):

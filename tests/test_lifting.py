@@ -96,7 +96,8 @@ def test_lift2_divisibility_reporting():
 
 
 def test_lift2_modulus_shrink():
-    # over Z/q with g = gcd(Delta, q) > 1 the lift lands in Z/(q/g)
+    # over Z/q with gcd(Delta, q) > 1, lift2 refuses rather than return X
+    # over the smaller ring Z/(q / gcd(Delta, q))
     x0 = Mat2(1, 1, 0, 1)
     y0 = Mat2(1, 0, 3, 1)
     z = commutator(x0, y0)
@@ -104,9 +105,8 @@ def test_lift2_modulus_shrink():
     zq, yq = mat_mod(z, q), mat_mod(y0, q)
     delta = (z.trace() + 2 - y0.trace() ** 2) % q
     assert delta == 9  # exactly divisible by 9
-    x = lift2(zq, yq, ModInt(x0.trace(), q), ModInt((x0 * y0).trace(), q))
-    assert x.a.q == 3
-    assert commutator(x, mat_mod(y0, x.a.q)) == mat_mod(z, x.a.q)
+    with pytest.raises(LiftError, match=r"^Delta = 9\(mod 27\) is not prime to q = 27$"):
+        lift2(zq, yq, ModInt(x0.trace(), q), ModInt((x0 * y0).trace(), q))
 
 
 def test_lift2_unit_delta_mod_q():

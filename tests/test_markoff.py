@@ -271,8 +271,9 @@ def test_orbit_within_small_example():
     # and the twelve signed permutations of (0, 1, 1)
     orbit = orbit_within((1, 1, 1), 1)
     assert len(orbit) == 16 and set(orbit) == set(orbit_within((1, 1, 1), 100))
-    # at bound 0 the walk cannot leave its start
-    assert orbit_within((1, 1, 1), 0) == {(1, 1, 1): []}
+    # a start outside the bound is refused
+    with pytest.raises(ValueError, match="outside the bound 0"):
+        orbit_within((1, 1, 1), 0)
 
 
 def walk_by_move_tags(c, bound):
@@ -313,14 +314,18 @@ def family_canonical(c):
 
 @pytest.mark.parametrize("cube, bounds", [(6, range(9)), (2, (12, 16, 20))])
 def test_inline_moves_match_the_move_tag_walk(cube, bounds):
-    # every start of the cube max|c| <= 6 with every bound 0..8, so starts
-    # above the bound are included, and the cube max|c| <= 2 up to bound 20.
+    # every start of the cube max|c| <= 6 with every bound 0..8, and the
+    # cube max|c| <= 2 up to bound 20; a start above the bound is refused.
     # Items are compared in order, since the order and the paths are what
     # reduce_point and `markoff class` read.  _normal_form is checked on
     # the closures it is given, those with bound = max|c|
     for c in itertools.product(range(-cube, cube + 1), repeat=3):
         assert _descent_step(c) == descent_step_by_move_tags(c), c
         for bound in bounds:
+            if max(map(abs, c)) > bound:
+                with pytest.raises(ValueError):
+                    orbit_within(c, bound)
+                continue
             walk = orbit_within(c, bound)
             assert list(walk.items()) == list(walk_by_move_tags(c, bound).items()), (c, bound)
             if max(map(abs, c)) == bound:

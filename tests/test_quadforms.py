@@ -106,6 +106,14 @@ def test_hasse_profile_rejects_low_level():
         hasse_profile(MarkoffPoint.make(1, 1, 1))  # k = 2 < 4
 
 
+def test_hasse_profile_refuses_the_all_two_points_of_level_20():
+    # (-2, 2, 2) is the first class representative at k = 20, a valid point
+    # whose every coordinate has x^2 - 4 = 0
+    for c in ((-2, 2, 2), (-2, -2, -2), (2, -2, 2)):
+        with pytest.raises(ValueError, match=r"\(x\^2 - 4, k - 4\)_p is undefined$"):
+            hasse_profile(MarkoffPoint.make(*c))
+
+
 def brute_isotropy(form, bound=40):
     for u1 in range(-bound, bound + 1):
         for u2 in range(-bound, bound + 1):
