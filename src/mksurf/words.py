@@ -31,8 +31,7 @@ class Word:
 
     @staticmethod
     def make(runs, m, n):
-        # a/u carry the first order, b/v the second
-        return Word(_normalize(runs, {"a": m, "b": n, "u": m, "v": n}), m, n)
+        return Word(_normalize(runs, _orders(m, n)), m, n)
 
     @staticmethod
     def identity(m, n):
@@ -74,29 +73,16 @@ class Word:
 
     def cyclic_reduction(self):
         """A cyclically reduced conjugate."""
-        w = self
-        while not w.is_cyclically_reduced():
-            # conjugating by the first run moves it onto the last
-            w = Word.make(w.runs[1:] + w.runs[:1], w.m, w.n)
-        return w
+        return Word(_cyclic_reduction(self.runs, _orders(self.m, self.n)), self.m, self.n)
 
     def rotations(self):
         """All letter-granularity rotations (requires cyclically reduced), one
-        per starting letter. A cut inside a run splits it into tail ... head,
-        which never meet since the first and last runs differ."""
+        per starting letter."""
         if not self.is_cyclically_reduced():
             raise ValueError("rotations need a cyclically reduced word")
-        runs = self.runs
-        if len(runs) <= 1:
+        if len(self.runs) <= 1:
             return [self] * max(1, self.length())
-        out = []
-        for j, (g, e) in enumerate(runs):
-            rest = runs[j + 1:] + runs[:j]
-            out.append(Word(((g, e),) + rest, self.m, self.n))
-            step = 1 if e > 0 else -1
-            for r in range(step, e, step):
-                out.append(Word(((g, e - r),) + rest + ((g, r),), self.m, self.n))
-        return out
+        return [Word(r, self.m, self.n) for r in _rotations(self.runs)]
 
     def __str__(self):
         if not self.runs:
@@ -108,6 +94,36 @@ class Word:
 
     def __repr__(self):
         return "<%s | %r,%r>" % (self, self.m, self.n)
+
+
+def _orders(m, n):
+    # a/u carry the first order, b/v the second
+    return {"a": m, "b": n, "u": m, "v": n}
+
+
+def _cyclic_reduction(runs, orders):
+    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        # conjugating by the first run moves it onto the last
+        runs = _normalize(runs[1:] + runs[:1], orders)
+    return runs
+
+
+def _rotations(runs):
+    """The runs of each letter rotation of cyclically reduced runs, at least
+    two of them, in letter order. A cut inside a run splits it into
+    tail ... head, which never meet since the first and last runs differ."""
+    for j, (g, e) in enumerate(runs):
+        rest = runs[j + 1:] + runs[:j]
+        yield ((g, e),) + rest
+        step = 1 if e > 0 else -1
+        for r in range(step, e, step):
+            yield ((g, e - r),) + rest + ((g, r),)
+
+
+def _class_key(runs):
+    """The least run tuple among the letter rotations of cyclically reduced
+    runs."""
+    return runs if len(runs) <= 1 else min(_rotations(runs))
 
 
 def _normalize(runs, orders):
@@ -136,8 +152,11 @@ def word(m, n, text):
 
 
 def conjugacy_class_key(w):
-    """Canonical key of the cyclic class of a cyclically reduced word."""
-    return min(r.runs for r in w.rotations())
+    """Canonical key of the cyclic class of a cyclically reduced word: its
+    least rotation's runs."""
+    if not w.is_cyclically_reduced():
+        raise ValueError("rotations need a cyclically reduced word")
+    return _class_key(w.runs)
 
 
 # --- the modular-group embeddings --------------------------------------------
@@ -224,8 +243,9 @@ def _rs_word(a, b, c, d):
     return tuple(seq)
 
 
-# bounds alg1's rotation factoring, 0.6-3.9 s per embedding through the CLI
-# at t = 100, where the class enumeration below takes about 60 ms
+# bounds alg1's rotation factoring, 0.35-0.55 s per embedding through the
+# CLI at t = 100 (2 vCPU, Python 3.11), where the class enumeration below
+# takes about 60 ms
 MAX_ALG1_TRACE = 100
 
 
@@ -280,56 +300,113 @@ def _syllable_images(m, n, max_len):
     return out
 
 
+def _parser(m, n, letters):
+    """parse(start): the alternating syllables (letter, exponent, image
+    length) that spell the rotation of the cyclic word `letters` starting
+    at letter `start`, or None.
+
+    Longest syllable first, with backtracking; junction letters make the
+    factorization unique, so backtracking rarely fires. The rotations share
+    one ring, letters + letters, and one memo: the syllables that match at
+    a letter of the cyclic word, as (exponent, length) in `_syllable_images`
+    order, are found once for all the rotations that reach it.
+    """
+    size = len(letters)
+    ring = letters + letters
+    syll = _syllable_images(m, n, size)
+    memo = {g: [None] * size for g in syll}
+
+    def matches(pos, g):
+        p = pos % size
+        row = memo[g]
+        if row[p] is None:
+            row[p] = tuple((e, len(img)) for e, img in syll[g] if ring[p:p + len(img)] == img)
+        return row[p]
+
+    def parse(start):
+        end = start + size
+        acc = []
+
+        def dfs(pos, expect):
+            if pos == end:
+                return True
+            for g in expect:
+                for e, k in matches(pos, g):
+                    if pos + k <= end:
+                        acc.append((g, e, k))
+                        if dfs(pos + k, ("b",) if g == "a" else ("a",)):
+                            return True
+                        acc.pop()
+            return False
+
+        return acc if dfs(start, ("a", "b")) else None
+
+    return parse
+
+
 def factor_through_embedding(m, n, uv_word):
     """Express a reduced u,v-word as an alternating product of a- and
-    b-powers of the embedded free product, or None.
+    b-powers of the embedded free product, or None: the `_parser` parse
+    from its first letter.
 
-    Longest-prefix matching with backtracking; junction letters make the
-    factorization unique, so backtracking rarely fires. A parse needs no
-    re-expansion check: its syllables, the letters of reduced generator
-    powers, spell the letters of uv_word, so the parse's image, its
-    syllables' images concatenated and normalized, is the element uv_word
-    spells, whose normal form in <u> * <v> is unique: the reduced uv_word
-    itself.
+    A parse needs no re-expansion check: its syllables, the letters of
+    reduced generator powers, spell the letters of uv_word, so the parse's
+    image, its syllables' images concatenated and normalized, is the element
+    uv_word spells, whose normal form in <u> * <v> is unique: the reduced
+    uv_word itself.
     """
     _check_mn(m, n)
-    letters = uv_word.letters()
-    syll = _syllable_images(m, n, len(letters))
-
-    def dfs(pos, expect, acc):
-        if pos == len(letters):
-            return Word.make(tuple(acc), m, n)
-        for g in expect:
-            for e, img in syll[g]:
-                if letters[pos:pos + len(img)] == img:
-                    res = dfs(pos + len(img), ("b",) if g == "a" else ("a",),
-                              acc + [(g, e)])
-                    if res is not None:
-                        return res
-        return None
-
-    return dfs(0, ("a", "b"), [])
+    syllables = _parser(m, n, uv_word.letters())(0)
+    return None if syllables is None else Word.make(tuple((g, e) for g, e, _ in syllables), m, n)
 
 
 def alg1_representatives(m, n, t):
     """A finite set of words meeting every conjugacy class of trace t in the
     embedded free product: modular-group class representatives, rotated,
-    and filtered through the embedding."""
+    and filtered through the embedding.
+
+    Each representative is flattened once and its rotations, starting at
+    letters 0, 1, ..., are parsed on one ring; a class keeps the first word
+    found. A parse alternates its letters and carries the syllable table's
+    exponents, so it is already normalized.
+
+    A start at a syllable boundary of an earlier parse is skipped, as it
+    adds no class. The embedding is injective, so the parse of given
+    letters is unique: from that boundary it can only be the earlier
+    syllables rotated there and normalized. That word is conjugate to the
+    earlier parse, and conjugate cyclically reduced words of a free product
+    are rotations of one another, so the class key is the same.
+    """
     _check_mn(m, n)
+    orders = _orders(m, n)
     found = {}
     for rep in psl2_class_reps(t):
-        for rot in rep.rotations():
-            g = factor_through_embedding(m, n, rot)
-            if g is None or g.length() == 0:
+        letters = rep.letters()
+        parse = _parser(m, n, letters)
+        covered = [False] * len(letters)
+        for start in range(len(letters)):
+            if covered[start]:
                 continue
-            g = g.cyclic_reduction()
-            found.setdefault(conjugacy_class_key(g), g)
+            syllables = parse(start)
+            if not syllables:
+                continue
+            pos = start
+            for _, _, k in syllables:
+                covered[pos % len(letters)] = True
+                pos += k
+            runs = _cyclic_reduction(tuple((g, e) for g, e, _ in syllables), orders)
+            key = _class_key(runs)
+            if key not in found:
+                found[key] = Word(runs, m, n)
     return [found[k] for k in sorted(found)]
 
 
 def in_derived_subgroup(m, n, w):
-    """Exponent-sum test against the abelianization Z_m x Z_n."""
+    """Exponent-sum test against the abelianization Z_m x Z_n. A u,v-word
+    is invalid input."""
     _check_mn(m, n)
+    if any(g not in ("a", "b") for g, _ in w.runs):
+        raise ValueError("%s is not a word in a and b" % (w,))
     sa, sb = w.exponent_sums()
     ok_a = sa % m == 0 if m is not None else sa == 0
     ok_b = sb % n == 0 if n is not None else sb == 0

@@ -367,6 +367,16 @@ def test_certify_check_rejects_malformed_files(tmp_path, capsys, text):
     assert json.loads(out)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("text", ["u v", "a u"])
+def test_words_metab_rejects_uv_letters(capsys, text):
+    # word() also parses the modular-group letters u and v, which have no
+    # exponent sums in <a> * <b>
+    code, out = capture(capsys, ["words", "metab", "--m", "3", "--n", "inf", "--word", text])
+    assert code == 2
+    assert json.loads(out) == {"error": "%s is not a word in a and b" % text,
+                               "kind": "invalid-input"}
+
+
 def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(GOOD_HFZ))

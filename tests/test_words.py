@@ -64,6 +64,21 @@ def rotations_by_letters(w):
             for i in range(max(1, len(letters)))]
 
 
+def alg1_by_rotating_words(m, n, t):
+    """Algorithm 1 one rotation at a time: each rotation of each class
+    representative built as a Word and factored on its own, every class
+    keeping its first word, keyed by letter rotation."""
+    found = {}
+    for rep in psl2_class_reps(t):
+        for rot in rep.rotations():
+            g = factor_through_embedding(m, n, rot)
+            if g is None or g.length() == 0:
+                continue
+            g = g.cyclic_reduction()
+            found.setdefault(min(r.runs for r in rotations_by_letters(g)), g)
+    return [found[k] for k in sorted(found)]
+
+
 def modular_word_by_powers(m, n, w):
     uv = Word.identity(2, 3)
     uv_gens = {g: Word.make(r, 2, 3) for g, r in _EMBED_WORDS[(m, n)].items()}
@@ -175,6 +190,16 @@ def test_rotations_match_letter_rotations():
     assert Word.make((("b", 5),), 2, None).rotations() == [Word.make((("b", 5),), 2, None)] * 5
     assert Word.make((("b", -3),), 2, None).rotations() == [Word.make((("b", -3),), 2, None)] * 3
     assert Word.identity(2, 3).rotations() == [Word.identity(2, 3)]
+
+
+def test_class_key_matches_least_letter_rotation():
+    rng = random.Random(79)
+    for (m, n) in SUPPORTED + ((None, None),):
+        words = sample_words(m, n, rng, count=120)
+        if (m, n) != (None, None):
+            words += [modular_word(m, n, w) for w in words[:40]]
+        for w in (w.cyclic_reduction() for w in words):
+            assert conjugacy_class_key(w) == min(r.runs for r in rotations_by_letters(w)), str(w)
 
 
 def test_modular_word_matches_powers_of_images():
@@ -409,11 +434,21 @@ def test_alg1_invariants_up_to_trace_24():
                 assert len(reps) == len(psl2_class_reps(t)), t
 
 
+@pytest.mark.parametrize("m, n", SUPPORTED)
+def test_alg1_matches_rotating_words(m, n):
+    # the same words in the same order, so the first word of each class too
+    traces = list(range(3, 25)) + ([30, 40] if n is None else [])
+    for t in traces:
+        assert alg1_representatives(m, n, t) == alg1_by_rotating_words(m, n, t), (m, n, t)
+
+
 def test_in_derived_subgroup():
     assert in_derived_subgroup(2, 3, word(2, 3, "a b a-1 b-1"))
     assert not in_derived_subgroup(2, 3, word(2, 3, "a"))
     assert in_derived_subgroup(3, 3, word(3, 3, "a b") ** 3)
     assert not in_derived_subgroup(2, None, word(2, None, "a b2"))
+    with pytest.raises(ValueError, match="not a word in a and b"):
+        in_derived_subgroup(3, None, word(3, None, "u v"))
 
 
 def test_metabelian_images():
