@@ -2,8 +2,8 @@
 descent to fundamental representatives, class data, solution searches over
 Z and Z[1/l], and congruence admissibility."""
 
-import bisect
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -344,38 +344,68 @@ def admissible_t(t):
     return t % 16 in HFU2_IMAGES[16] and t % 9 in HFU2_IMAGES[9]
 
 
-def square_roots(d):
-    """Exact square test over an int64 array d: returns (idx, s), the
-    indices where d >= 0 is a perfect square and the root s there.
-
-    The float root is exact where it matters: for d = r^2 < 2^63, float64(d)
-    has relative error at most 2^-53, which moves its square root by less
-    than r 2^-54, under half the spacing of doubles at r, so the correctly
-    rounded sqrt returns r itself and s^2 == d finds every perfect square
-    with no correction step.  Negative entries are clipped to 0 before the
-    root, so their s is 0 and s^2 != d rules them out.
-    """
-    s = np.sqrt(np.maximum(d, 0)).astype(np.int64)
-    idx = np.flatnonzero(s * s == d)
-    return idx, s[idx]
-
-
 SCAN_CELLS = 1 << 15  # the most cells a scan rectangle holds, unless one row alone is wider
+
+_workspace = threading.local()
+
+
+def _scan_buffers(n):
+    """The int64 d and s, float64 root and bool hit buffers of an n-cell scan.
+
+    Up to SCAN_CELLS cells they are views of this thread's workspace,
+    allocated on its first scan (25 bytes a cell, 800 KiB in all) and
+    reused by every later one, so a scan allocates nothing per rectangle
+    and faults no fresh pages in; one per thread, so threads scanning at
+    once never share a buffer.  A row wider than SCAN_CELLS gets buffers
+    of its own.
+    """
+    if n > SCAN_CELLS:
+        return np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n, bool)
+    ws = getattr(_workspace, "buffers", None)
+    if ws is None:
+        ws = _workspace.buffers = (np.empty(SCAN_CELLS, np.int64), np.empty(SCAN_CELLS, np.int64),
+                                   np.empty(SCAN_CELLS), np.empty(SCAN_CELLS, bool))
+    return tuple(buf[:n] for buf in ws)
 
 
 def _square_cells(a, b, c, xs):
     """The perfect squares of the rectangle a_r x^2 + b_r x + c_r, with row r
     from the int64 coefficient arrays a, b and c and column x from the
-    int64 vector xs.  Returns int64 arrays (rows, cols, roots): the row and
-    column index of every cell holding a square, in row-major order, and
-    its root.  One square_roots call scans the whole rectangle; the caller
-    keeps every cell inside int64.
+    int64 vector xs; b is None for a zero middle coefficient.  Returns
+    int64 arrays (rows, cols, roots): the row and column index of every
+    cell holding a square, in row-major order, and its root.
+
+    The rectangle d is evaluated by Horner's rule, (a_r x + b_r) x + c_r,
+    with out= ufuncs into the workspace of `_scan_buffers`; the arrays
+    returned are fresh, never views of the workspace, so they survive the
+    next call.  The caller keeps every cell inside int64; int64 arithmetic
+    is exact modulo 2^64, so a partial sum that wraps on the way does not
+    change a cell that ends inside int64.
+
+    The float root is exact where it matters: for d = r^2 < 2^63, float64(d)
+    has relative error at most 2^-53, which moves its square root by less
+    than r 2^-54, under half the spacing of doubles at r, so the correctly
+    rounded sqrt returns r itself and s^2 == d finds every perfect square
+    with no correction step.  Negative cells are clipped to 0 before the
+    root, so their s is 0 and s^2 != d rules them out.  s is squared in
+    place, so the roots are read back from the float roots, exact at every
+    hit.
     """
-    d = a[:, None] * (xs * xs)
-    d += b[:, None] * xs
-    d += c[:, None]
-    idx, roots = square_roots(d.ravel())
-    return idx // len(xs), idx % len(xs), roots
+    width = len(xs)
+    d, s, root, hit = (buf.reshape(len(a), width) for buf in _scan_buffers(len(a) * width))
+    np.multiply(a[:, None], xs, out=d)
+    if b is not None:
+        np.add(d, b[:, None], out=d)
+    np.multiply(d, xs, out=d)
+    np.add(d, c[:, None], out=d)
+    np.maximum(d, 0, out=s)
+    np.sqrt(s, out=root)
+    np.copyto(s, root, casting="unsafe")
+    np.multiply(s, s, out=s)
+    np.equal(s, d, out=hit)
+    idx = np.flatnonzero(hit)
+    rows, cols = np.divmod(idx, width)
+    return rows, cols, root.ravel()[idx].astype(np.int64)
 
 
 def _double_signs(x1, x2, x3):
@@ -383,17 +413,60 @@ def _double_signs(x1, x2, x3):
     return ((x1, x2, x3), (x1, -x2, -x3), (-x1, -x2, x3), (-x1, x2, -x3))
 
 
-def _row_top(k, b, x1):
-    """Largest x2 that row x1 of the search_integral scan can hold: b for
-    x1 <= 3, whose rows are scanned in full."""
-    if x1 <= 3:
-        return b
-    top = (b - 1) // (x1 - 1)
+def _isqrt(v):
+    """isqrt of each entry of an int64 array v with 0 <= v < 2^62.  float64(v)
+    has relative error at most 2^-53, so its root is off by far less than
+    1, its integer part is isqrt(v) or one off it, and one step each way
+    fixes that.
+    """
+    s = np.sqrt(v).astype(np.int64)
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s
+
+
+def _row_ranges(k, b):
+    """int64 arrays (lo, hi) over the rows x1 = 0, 1, ..., end - 1 of the
+    search_integral scan: row x1 holds no point outside
+    [lo, hi] = [max(x1, bottom(x1)), top(x1)] (lo > hi: none at all), and
+    the rows from end on hold none.  The limits are proved in
+    search_integral; `end` is max(isqrt(b) + 2, c + 4) with
+    c = round(|k|^(1/3)) + 1 >= |k|^(1/3), past which all three limits of
+    a row x1 >= 4 lie below x1: x1 - 1 > sqrt(b) gives x1 (x1 - 1) > b - 1,
+    x1^3 > |k| gives x1^2 (x1 + 2) > k, and (x1 - 3)^3 > |k| gives
+    x1^2 (x1 - 3) > -k.  Every entry stays far inside int64 for
+    b <= MAX_SEARCH_BOUND and |k| <= 10^17.
+    """
+    end = min(b + 1, max(math.isqrt(b) + 2, round(abs(k) ** (1 / 3)) + 5))
+    x1 = np.arange(end, dtype=np.int64)
+    hi = np.full(end, -1, dtype=np.int64)
+    # rows 0, 1 and 2
+    if k >= 0:
+        hi[:1] = math.isqrt(k // 2)
+    if k >= 1:
+        hi[1:2] = math.isqrt(k - 1)
+    if k >= 4 and math.isqrt(k - 4) ** 2 == k - 4:
+        hi[2:3] = b
+    # rows 3 and up: (a), (b), and (c), unweakened at x1 = 3
+    r = x1[3:]
+    top = (b - 1) // (r - 1)
     if k > 0:
-        top = max(top, math.isqrt(k // (x1 + 2)))
-    elif k < 0:
-        top = max(top, math.isqrt(-k // (x1 - 3)))
-    return min(b, top)
+        np.maximum(top, _isqrt(k // (r + 2)), out=top)
+    if k <= 9 and end > 3:
+        top[0] = max(top[0], math.isqrt(9 - k))
+    if k < 0:
+        np.maximum(top[1:], _isqrt(-k // (r[1:] - 3)), out=top[1:])
+    hi[3:] = top
+    np.minimum(hi, b, out=hi)
+    # bottom: the least x2 >= 0 with x2^2 + b x1 x2 + c >= 0.  For c < 0,
+    # with u = isqrt(D) - b x1 and D = b^2 x1^2 - 4c, the root is
+    # r = (sqrt(D) - b x1) / 2 in [u/2, (u + 1)/2), so u // 2 lies in
+    # (r - 1, r] and one step up reaches ceil(r); for c >= 0 it is 0.
+    c = x1 * x1 + (b * b - k)
+    lo = np.maximum((_isqrt(np.maximum(b * b * x1 * x1 - 4 * c, 0)) - b * x1) // 2, 0)
+    lo += lo * lo + b * x1 * lo + c < 0
+    np.maximum(lo, x1, out=lo)
+    return lo, hi
 
 
 MAX_SEARCH_BOUND = 40000  # the largest box search_integral scans
@@ -405,29 +478,48 @@ def search_integral(k, bound):
     is a double-sign image of one with x1, x2 >= 0) and solves the
     quadratic in x3.
 
-    Row x1 only scans x2 in [x1, top(x1)].  Proof that no point is lost:
-    take 0 <= x1 <= x2 <= |x3| <= b with x1 >= 4.  x3 is a root of
-    t^2 - P t + C with P = x1 x2 and C = x1^2 + x2^2 - k.  Let r be the
-    smaller root; it is an integer, as the roots sum to P, the larger one
-    is P - r >= P/2, and C = r (P - r).
+    Nothing is scanned unless -b^3 <= k <= b^3 + 3 b^2: in the box
+    |x1 x2 x3| <= b^3 and each x_i^2 <= b^2, and (b, b, -b) attains the top.
+    Row x1 only scans x2 in [max(x1, bottom(x1)), top(x1)].  Proof that no
+    point is lost: take 0 <= x1 <= x2 <= |x3| <= b at level k.
+
+    bottom: t^2 - x1 x2 t is convex and x1 x2 >= 0, so over |t| <= b it
+    is largest at t = -b, and k <= x1^2 + x2^2 + b^2 + b x1 x2, which
+    grows with x2 >= 0: x2 >= bottom(x1), the least x2 >= 0 where it
+    reaches k.  Every point (x1, x2, -b) attains it.
+
+    top, rows 0..2:
+    (0) k = x2^2 + x3^2 >= 2 x2^2, so top(0) = isqrt(k // 2), attained
+        by (0, n, n) at k = 2 n^2.
+    (1) x3^2 - x2 x3 >= |x3| (|x3| - x2) >= 0, so k - 1 >= x2^2 and
+        top(1) = isqrt(k - 1), attained by (1, n, n) at k = n^2 + 1.
+    (2) k = 4 + (x2 - x3)^2: the row is empty unless k - 4 is a square,
+        and then top(2) = b, attained by (2, b, b) at k = 4.
+
+    top, rows x1 >= 3: x3 is a root of t^2 - P t + C with P = x1 x2 and
+    C = x1^2 + x2^2 - k.  Let r be the smaller root; it is an integer, as
+    the roots sum to P, the larger one is P - r >= P/2, and C = r (P - r).
 
     (a) |r| < x2: x3 != r, so x3 = P - r >= P - x2 + 1, and x3 <= b gives
         x2 (x1 - 1) <= b - 1.
     (b) r <= -x2: P - r >= P + x2 > 0, so C <= -x2 (P + x2), that is
         k >= x1^2 + x2^2 (x1 + 2); so k > 0 and x2^2 <= k / (x1 + 2).
     (c) r >= x2: r lies in [x2, P/2], where t (P - t) increases, so
-        C >= x2 (P - x2), that is -k >= x2^2 (x1 - 2) - x1^2 >= x2^2 (x1 - 3)
-        (as x1 <= x2); so k < 0 and x2^2 <= -k / (x1 - 3).
+        C >= x2 (P - x2), that is -k >= x2^2 (x1 - 2) - x1^2.  At x1 = 3
+        this is x2^2 <= 9 - k; for x1 >= 4 it gives -k >= x2^2 (x1 - 3)
+        (as x1 <= x2), so k < 0 and x2^2 <= -k / (x1 - 3).
 
     Hence top(x1) = min(b, max((b - 1) // (x1 - 1), isqrt(k // (x1 + 2))
-    if k > 0, isqrt(-k // (x1 - 3)) if k < 0)), and each of the three
-    limits is attained, e.g. by (4, 5, 16) at k = -23, b = 16, by
-    (4, 4, -4) at k = 112 and by (4, 4, 4) at k = -16.  Rows x1 <= 3 are
-    scanned in full.  top is non-increasing in x1 >= 4, so the scan stops
-    at the first row with top < x1: O(b log b + |k|^(2/3)) cells in
+    if k > 0, and isqrt(9 - k) if x1 = 3 and k <= 9, or
+    isqrt(-k // (x1 - 3)) if x1 >= 4 and k < 0)).  Each limit is
+    attained: (a) by (4, 5, 16) at k = -23, b = 16 and (3, 5, 11) at
+    k = -10, b = 11, (b) by (4, 4, -4) at k = 112 and (3, n, -n) at
+    k = 5 n^2 + 9, and (c) by (4, 4, 4) at k = -16 and (3, 10, 10) at
+    k = -91.  Past max(sqrt(b), |k|^(1/3)) + O(1) every row has
+    top < x1 (_row_ranges): O(b log b + |k|^(2/3)) cells in
     O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
-    the whole box.  _integral_coords scans those rows a rectangle of them
-    at a time.
+    the whole box, and none when k lies outside the box's levels.
+    _integral_coords scans those rows a rectangle of them at a time.
     """
     return [MarkoffPoint(c[0], c[1], c[2], k) for c in _integral_coords(k, bound)]
 
@@ -442,19 +534,19 @@ def _integral_coords(k, bound):
     s^2 = P^2 - 4C forces s = P (mod 2)).  The level of each base triple
     is checked once; its double-sign images share it.
 
-    Consecutive rows x1_i..x1_j are scanned as one rectangle
-    [x1_i, x1_j] x [x1_i, top(x1_i)] of at most SCAN_CELLS cells (one row
-    if it alone is wider).  top is b on rows x1 <= 3 and non-increasing
-    from there, so the rectangle holds each of its rows' ranges
-    [x1, top(x1)]; a hit there gives the points that row gives alone.
-    The extra cells are harmless:
+    A level outside [-b^3, b^3 + 3 b^2] returns [] before any row is
+    built.  Otherwise the rows with a nonempty range
+    [max(x1, bottom(x1)), top(x1)] (_row_ranges) are packed in order into
+    rectangles over the union of their rows' ranges (_rectangles), each of
+    at most SCAN_CELLS cells or one row, so a hit in a row's range gives
+    the points that row gives alone.  The extra cells are harmless:
     - every cell has 0 <= x1, x2 <= b, where |d| <= b^4 + 8 b^2 + 4 |k|
       < 3 * 10^18 < 2^63 for b <= MAX_SEARCH_BOUND and |k| <= 10^17, the
-      range the guard below admits, so no cell wraps around in int64;
+      range the guard below admits, so no cell leaves int64;
     - a hit with x2 < x1 fails the filter x1 <= x2 <= |x3| <= b, and so
-      does a hit with x2 > top(x1): an x3 passing it would make
-      (x1, x2, x3) a point of the box beyond its row's limit, which
-      search_integral's proof rules out.
+      does a hit with x2 outside [bottom(x1), top(x1)]: an x3 passing it
+      would make (x1, x2, x3) a point of the box outside its row's range,
+      which search_integral's proof rules out.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -463,23 +555,45 @@ def _integral_coords(k, bound):
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range "
                              "(bound <= %d, |k| <= 1e17)" % MAX_SEARCH_BOUND)
     b = int(bound)
-    # the scan stops at the first row with top < x1; the test is monotone
-    # in x1, as top is b >= x1 up to x1 = 3 and non-increasing from there
-    end = bisect.bisect_left(range(b + 1), True, key=lambda x1: _row_top(k, b, x1) < x1)
+    if not -b**3 <= k <= b**3 + 3 * b * b:
+        return []
+    lo, hi = _row_ranges(k, b)
+    kept = np.flatnonzero(lo <= hi)
     xs = np.arange(0, b + 1, dtype=np.int64)
     base = set()
-    i = 0
-    while i < end:
-        cols = xs[i:_row_top(k, b, i) + 1]
-        j = min(end, i + max(1, SCAN_CELLS // len(cols)))
-        sq = xs[i:j] * xs[i:j]
-        rows, idx, roots = _square_cells(sq - 4, np.zeros_like(sq), 4 * (k - sq), cols)
-        for x1, x2, r in zip((rows + i).tolist(), (idx + i).tolist(), roots.tolist()):
+    for x1s, bot, top in _rectangles(kept, lo[kept].tolist(), hi[kept].tolist()):
+        sq = x1s * x1s
+        rows, idx, roots = _square_cells(sq - 4, None, 4 * (k - sq), xs[bot:top + 1])
+        for x1, x2, r in zip(x1s[rows].tolist(), (idx + bot).tolist(), roots.tolist()):
             for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                 if x1 <= x2 <= abs(x3) <= b:
                     base.add((x1, x2, x3))
-        i = j
     return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
+
+
+def _rectangles(x1s, los, his):
+    """Pack the rows x1s (an array), whose ranges [lo, hi] are the lists
+    los and his, in order into rectangles (x1s[i:j], lo, hi) over the
+    union [lo, hi] of their rows' ranges.  A rectangle takes the next row
+    unless that would put it past SCAN_CELLS cells, or past
+    SCAN_CELLS // 8 cells outside its rows' ranges: a cell costs a few
+    nanoseconds and a rectangle tens of microseconds, so a little waste
+    saves calls, and much of it costs more than it saves."""
+    i, n = 0, len(los)
+    while i < n:
+        lo, hi = los[i], his[i]
+        need = hi - lo + 1
+        j = i + 1
+        while j < n:
+            lo2, hi2 = min(lo, los[j]), max(hi, his[j])
+            need2 = need + his[j] - los[j] + 1
+            cells = (j + 1 - i) * (hi2 - lo2 + 1)
+            if cells > SCAN_CELLS or cells - need2 > SCAN_CELLS // 8:
+                break
+            lo, hi, need = lo2, hi2, need2
+            j += 1
+        yield x1s[i:j], lo, hi
+        i = j
 
 
 def search_localized(k, ell, max_exp, bound):
@@ -535,8 +649,7 @@ def search_localized(k, ell, max_exp, bound):
         for i in range(0, len(x1s), step):
             # discriminant of t^2 - P t + C: (x1^2 - 4) x2^2 - 4 L (x1^2 - k)
             sq = x1s[i:i + step] * x1s[i:i + step]
-            rows, idx, roots = _square_cells(sq - 4, np.zeros_like(sq), -4 * big * (sq - k),
-                                             keep2)
+            rows, idx, roots = _square_cells(sq - 4, None, -4 * big * (sq - k), keep2)
             for x1, x2, r in zip(x1s[i + rows].tolist(), keep2[idx].tolist(), roots.tolist()):
                 for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                     if abs(x3) <= b and x3 % ell != 0:

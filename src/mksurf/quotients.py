@@ -8,14 +8,17 @@ the class representative r; `sl2_tuples(q)` lists the elements, under
 the table's modulus checks. An element is found from its entries in
 O(1) (`GroupTable.index`). Classes are the connected components of
 conjugation by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate
-SL2(Z) and so every SL2(Z/q), composite q included; the conjugators are
-the paths of a breadth-first tree grown from the representatives.
+SL2(Z) and so every SL2(Z/q), composite q included; the conjugates are
+read off closed entry formulas, and the conjugators are the paths of a
+breadth-first tree grown from the representatives.
 
 Z = [X, Y] = X Y X^-1 Y^-1 says Y W Y^-1 = W Z for W = X^-1, so Z is a
-commutator exactly when some W is conjugate to W Z: one vectorized
-class-id comparison over the group, with the witness X = W^-1,
-Y = g_{WZ} g_W^-1 read from the tree. Tables are cached (the 16 most
-recent moduli); the one at q = 64 keeps about 3 MB.
+commutator exactly when some W is conjugate to W Z: a vectorized
+class-id comparison over the group, in blocks of `_TEST_BLOCK` elements
+in index order up to the first block that holds a W, with the witness
+X = W^-1, Y = g_{WZ} g_W^-1 read from the tree for the least such W.
+Tables are cached (the 16 most recent moduli); the one at q = 64 keeps
+about 3 MB.
 
 The commutator-trace image scans one class of each pair {C, -C} against
 one element of each pair {Y, -Y}, a quarter of the pairs (the sign
@@ -38,8 +41,13 @@ MAX_MODULUS = 128
 # cells of one block of the trace-image scan (reps x elements)
 _BLOCK_CELLS = 1 << 16
 
-# S, T and their inverses, row-major
-_GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
+# S, T and T^-1, row-major: the moves of the class search.  S^-1 = -S and
+# -I is central, so conjugating by S^-1 is conjugating by S, and S runs
+# first at every level of the breadth-first tree, so S^-1 would add no node.
+_GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
+
+# the commutator test scans W in blocks of this many elements
+_TEST_BLOCK = 4096
 
 
 def _check_modulus(q):
@@ -106,10 +114,14 @@ class GroupTable:
         self.q = q
         self.itype = np.int32
         self.entries, self.start, self.step = _elements(q)
-        elems = self.elements()
+        a, b, c, d = self.elements()
         n = self.entries.shape[1]
-        moves = [self.index(_mul(_mul(g, elems, q), _inv(g, q), q)) for g in _GENERATORS]
-        del elems
+        # g X g^-1 for g = S, T, T^-1 and X = [[a, b], [c, d]]
+        moves = [self.index(x) for x in (
+            (d, -c % q, -b % q, a),
+            ((a + c) % q, (b + d - a - c) % q, c, (d - c) % q),
+            ((a - c) % q, (b - d + a - c) % q, c, (d + c) % q))]
+        del a, b, c, d
         # class id = least index in the class: spread minima along the moves
         cls = np.arange(n, dtype=self.itype)
         while True:
@@ -165,7 +177,10 @@ group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
 def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None).
-    Z's entries are reduced by `rings.residue`."""
+    Z's entries are reduced by `rings.residue`.  The witness comes from the
+    least index W with W conjugate to W Z; the scan stops at the block
+    holding it, so a "yes" costs one block when some W lies early, and a
+    "no" scans the whole group."""
     _check_modulus(q)
     z = tuple(residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
@@ -174,14 +189,16 @@ def commutator_test_modq(z, q):
     if z == ident:
         return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
     table = group_table(q)
-    wz = table.index(_mul(table.elements(), z, q))
-    hits = np.flatnonzero(table.cls[wz] == table.cls)
-    if not hits.size:
-        return False, None
-    w = int(hits[0])
-    x = _inv(tuple(int(v) for v in table.entries[:, w]), q)
-    y = table.conjugator(w, int(wz[w]))
-    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+    for lo in range(0, table.entries.shape[1], _TEST_BLOCK):
+        w = table.entries[:, lo:lo + _TEST_BLOCK].astype(table.itype)
+        wz = table.index(_mul(w, z, q))
+        hits = np.flatnonzero(table.cls[wz] == table.cls[lo:lo + _TEST_BLOCK])
+        if hits.size:
+            h = int(hits[0])
+            x = _inv(tuple(int(v) for v in w[:, h]), q)
+            y = table.conjugator(lo + h, int(wz[h]))
+            return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+    return False, None
 
 
 def trace_commutator_image(q):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mksurf.markoff import _double_signs, _row_top, level, reduce_point, square_roots
+from mksurf.markoff import _double_signs, level, reduce_point
 from mksurf.mat2 import Mat2
 from mksurf.rings import INF, factorize, square_class_int
 from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
@@ -66,14 +66,39 @@ def mul_monomial(elem, i, j, c=1):
                                       for (i1, j1), c1 in elem.coeffs.items()])
 
 
+def square_roots(d):
+    """Exact square test over an int64 array d on fresh arrays: the indices
+    where d >= 0 is a perfect square and the root there (the float root is
+    exact there, as markoff._square_cells proves)."""
+    s = np.sqrt(np.maximum(d, 0)).astype(np.int64)
+    idx = np.flatnonzero(s * s == d)
+    return idx, s[idx]
+
+
+def square_cells_fresh(a, b, c, xs):
+    """markoff._square_cells on fresh arrays: the rectangle
+    a_r x^2 + b_r x + c_r (b None for zero) built as one new int64 array
+    and tested by square_roots."""
+    d = a[:, None] * (xs * xs)
+    if b is not None:
+        d += b[:, None] * xs
+    d += c[:, None]
+    idx, roots = square_roots(d.ravel())
+    return idx // len(xs), idx % len(xs), roots
+
+
 def integral_coords_by_rows(k, b):
-    """markoff._integral_coords one row at a time: row x1 scans x2 in
-    [x1, top(x1)] with its own square_roots call, and the scan stops at the
-    first row with top < x1."""
+    """markoff._integral_coords one row at a time, over a superset of its
+    rows: row x1 scans x2 in [x1, top(x1)] with its own square_roots call,
+    top(x1) being b for x1 <= 3 and the (a), (b), (c) limit of
+    search_integral for x1 >= 4, and the scan stops at the first row with
+    top < x1.  No bottom, and no row limits below x1 = 4."""
     base = set()
     squares = np.arange(0, b + 1, dtype=np.int64) ** 2
     for x1 in range(0, b + 1):
-        top = b if x1 <= 3 else _row_top(k, b, x1)
+        top = b if x1 <= 3 else min(b, max((b - 1) // (x1 - 1),
+                                         math.isqrt(k // (x1 + 2)) if k > 0 else -1,
+                                         math.isqrt(-k // (x1 - 3)) if k < 0 else -1))
         if top < x1:
             break
         d = squares[x1:top + 1] * (x1 * x1 - 4)

@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,13 +23,12 @@ from mksurf.markoff import (
     reduce_point,
     search_integral,
     search_localized,
-    square_roots,
 )
 from mksurf.markoff import SCAN_CELLS, _apply_coords, _descent_step, _integral_coords, _normal_form
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
-from _util import integral_coords_by_rows, same_orbit
+from _util import integral_coords_by_rows, same_orbit, square_cells_fresh, square_roots
 
 ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
              + [MarkoffMove.perm(p) for p in
@@ -433,11 +434,13 @@ def test_integral_coords_match_the_row_scan():
         assert _integral_coords(k, b) == integral_coords_by_rows(k, b), (k, b)
 
 
-@pytest.mark.parametrize("b", [2**14 - 1, 2**14, 2**15 - 1, 2**15])
+@pytest.mark.parametrize("b", [2**14 + 2, 2**14 + 3, 2**15 + 1, 2**15 + 2])
 def test_integral_coords_rectangles_at_the_cell_cap(monkeypatch, b):
-    # rows 0..3 are b + 1 cells wide: two of them fill SCAN_CELLS exactly at
-    # b = 2^14 - 1, one row does at b = 2^15 - 1, and at b = 2^15 one row
-    # alone is wider than the cap
+    # at k = -b^2 rows 3 and 4 span [3, b] and [4, b], and no row below 3
+    # holds a point: the two fill SCAN_CELLS exactly at b = 2^14 + 2 and
+    # cannot share a rectangle at b = 2^14 + 3; at k = 4 + m^2 row 2 spans
+    # [2, b] in a rectangle of its own, which fills SCAN_CELLS at
+    # b = 2^15 + 1 and is wider than the cap at b = 2^15 + 2
     shapes = []
     scan = mksurf.markoff._square_cells
 
@@ -446,11 +449,41 @@ def test_integral_coords_rectangles_at_the_cell_cap(monkeypatch, b):
         return scan(a, lin, c, xs)
 
     monkeypatch.setattr(mksurf.markoff, "_square_cells", recording)
-    for k in (102, -5000, level(4, 5, 16), 10**8 + 1):
+    for k in (102, -5000, level(4, 5, 16), 10**8 + 1, -b * b, 5, 4 + b * b):
         assert _integral_coords(k, b) == integral_coords_by_rows(k, b), k
     assert all(rows * width <= SCAN_CELLS or rows == 1 for rows, width in shapes)
-    assert (b + 1 <= SCAN_CELLS // 2) == ((2, b + 1) in shapes)
-    assert (1, b + 1) in shapes or (2, b + 1) in shapes
+    assert (2 * (b - 2) <= SCAN_CELLS) == ((2, b - 2) in shapes)
+    assert (1, b - 1) in shapes
+
+
+def test_rectangles_pack_rows_under_both_caps():
+    # every row lands once, in order, in a rectangle holding its range;
+    # a rectangle keeps to SCAN_CELLS cells and SCAN_CELLS // 8 cells
+    # outside its rows' ranges unless it is one row, and the next row
+    # would break one of the two
+    rng = random.Random(28)
+    for _ in range(300):
+        x1s = sorted(rng.sample(range(5000), rng.randint(1, 60)))
+        width = rng.choice((40, 400, 4000, 40000))
+        ranges = []
+        for x1 in x1s:
+            lo = rng.randint(0, width)
+            ranges.append((x1, lo, lo + rng.randint(0, width)))
+        rects = list(mksurf.markoff._rectangles(np.array(x1s), [r[1] for r in ranges],
+                                                [r[2] for r in ranges]))
+        assert [x1 for rows, _, _ in rects for x1 in rows.tolist()] == x1s
+        spans = dict((x1, (lo, hi)) for x1, lo, hi in ranges)
+        for i, (rows, lo, hi) in enumerate(rects):
+            need = sum(spans[x1][1] - spans[x1][0] + 1 for x1 in rows.tolist())
+            assert all(lo <= spans[x1][0] and spans[x1][1] <= hi for x1 in rows.tolist())
+            cells = len(rows) * (hi - lo + 1)
+            assert len(rows) == 1 or (cells <= SCAN_CELLS and cells - need <= SCAN_CELLS // 8)
+            if i + 1 < len(rects):
+                nxt = int(rects[i + 1][0][0])
+                lo2, hi2 = min(lo, spans[nxt][0]), max(hi, spans[nxt][1])
+                cells2 = (len(rows) + 1) * (hi2 - lo2 + 1)
+                need2 = need + spans[nxt][1] - spans[nxt][0] + 1
+                assert cells2 > SCAN_CELLS or cells2 - need2 > SCAN_CELLS // 8
 
 
 @pytest.mark.parametrize("k", [888933323, -888933323])
@@ -493,13 +526,113 @@ def test_search_integral_row_limit_edges(limit, k, b, point):
 
 
 def test_search_integral_full_rows_up_to_x1_3():
-    # row x1 = 3 has no limit: (3, 10, 10) at k = -91 and (3, 3, 3) at k = 0
-    # lie above the (a) limit (b - 1) // 2, and (c) would divide by x1 - 3 = 0
+    # row x1 = 3 keeps (c) unweakened, x2^2 <= 9 - k: (3, 10, 10) at
+    # k = -91 and (3, 3, 3) at k = 0 lie above the (a) limit (b - 1) // 2,
+    # and the weakened (c) would divide by x1 - 3 = 0
     for k, b, point in ((-91, 10, (3, 10, 10)), (0, 3, (3, 3, 3))):
         assert level(*point) == k and point[1] > (b - 1) // 2
         got = search_integral(k, b)
         assert point in {p.coords() for p in got}
         assert got == search_integral_by_full_box(k, b)
+
+
+# (kind, k, b, point): a point whose x2 is exactly that limit of its row.
+# top rows 0..2; row 3's (a), (b) and unweakened (c), each with the other
+# two below it; bottom(x1) at x3 = -b, in rows 0 and 5
+NEW_ROW_LIMITS = [("top", 50, 7, (0, 5, 5)), ("top", 37, 9, (1, 6, 6)),
+                  ("top", 4, 9, (2, 9, 9)),
+                  ("top", -10, 11, (3, 5, 11)), ("top", 89, 6, (3, 4, -4)),
+                  ("top", -91, 12, (3, 10, 10)), ("top", 0, 5, (3, 3, 3)),
+                  ("bottom", 34, 5, (0, 3, -5)), ("bottom", level(5, 7, -20), 20, (5, 7, -20))]
+
+
+@pytest.mark.parametrize("kind, k, b, point", NEW_ROW_LIMITS)
+def test_search_integral_new_row_limit_edges(kind, k, b, point):
+    x1, x2, _ = point
+    assert level(*point) == k
+    lo, hi = (v.tolist() for v in mksurf.markoff._row_ranges(k, b))
+    if kind == "top":
+        # below the box's own limit b, except row 2's, which is b
+        assert x2 == hi[x1]
+        assert (x2 == b) == (x1 == 2)
+    else:
+        assert x2 == lo[x1] > x1
+    if x1 == 3:
+        # (a), (b) and the unweakened (c): the one attained, the others below
+        lims = sorted(((b - 1) // 2, math.isqrt(k // 5) if k > 0 else -1,
+                       math.isqrt(9 - k) if k <= 9 else -1))
+        assert lims[2] == x2 > lims[1]
+    got = search_integral(k, b)
+    assert point in {p.coords() for p in got}
+    assert got == search_integral_by_full_box(k, b)
+
+
+def row_range_by_formula(k, b, x1):
+    """(lo, hi) of row x1 from search_integral's limits in Python ints, the
+    bottom by bisection on x1^2 + x2^2 + b^2 + b x1 x2 >= k."""
+    if x1 == 0:
+        top = math.isqrt(k // 2) if k >= 0 else -1
+    elif x1 == 1:
+        top = math.isqrt(k - 1) if k >= 1 else -1
+    elif x1 == 2:
+        top = b if k >= 4 and math.isqrt(k - 4) ** 2 == k - 4 else -1
+    else:
+        lims = [(b - 1) // (x1 - 1)]
+        if k > 0:
+            lims.append(math.isqrt(k // (x1 + 2)))
+        if x1 == 3 and k <= 9:
+            lims.append(math.isqrt(9 - k))
+        if x1 > 3 and k < 0:
+            lims.append(math.isqrt(-k // (x1 - 3)))
+        top = max(lims)
+    bottom = bisect.bisect_left(range(2 * 10**9), True,
+                                key=lambda x2: x1 * x1 + x2 * x2 + b * b + b * x1 * x2 >= k)
+    return max(x1, bottom), min(b, top)
+
+
+def test_row_ranges_match_the_formulas():
+    # every row before `end`, and rows past it hold nothing; random levels,
+    # levels near the box's top, and the extremes of the int64 guard
+    rng = random.Random(30)
+    cases = [(rng.randint(-10**6, 10**6), rng.randint(0, 300)) for _ in range(150)]
+    cases += [(rng.randint(-10**17, 10**17), rng.randint(0, 40000)) for _ in range(30)]
+    for b in (3, 17, 1000, 40000):
+        top = b**3 + 3 * b * b
+        cases += [(top - rng.randint(0, b**3 // 50), b) for _ in range(5)]
+        cases += [(k, b) for k in (-b**3, 4 + b * b, 9 - b * b, -b * b, 10**17, -10**17)]
+    for k, b in cases:
+        lo, hi = mksurf.markoff._row_ranges(k, b)
+        end = len(lo)
+        rows = range(end) if end <= 300 else sorted(
+            {*range(100), *range(end - 100, end), *rng.sample(range(end), 100)})
+        for x1 in rows:
+            assert (lo[x1], hi[x1]) == row_range_by_formula(k, b, x1), (k, b, x1)
+        for x1 in sorted({*range(end, min(b, end + 20) + 1), b} - set(range(end))):
+            assert row_range_by_formula(k, b, x1)[1] < x1, (k, b, x1)
+
+
+def test_search_integral_row_2_needs_a_square():
+    # row 2 holds points only when k - 4 is a square, and then up to b
+    for k in (5, 6, 8, 13, 29, 40):
+        top = mksurf.markoff._row_ranges(k, 30)[1][2]
+        assert top == (30 if math.isqrt(k - 4) ** 2 == k - 4 else -1)
+        got = search_integral(k, 30)
+        assert (top == 30) == any(abs(p.x1) == 2 for p in got)
+        assert got == search_integral_by_full_box(k, 30), k
+
+
+def test_search_integral_level_range_edge():
+    # the box's levels run over [-b^3, b^3 + 3 b^2], and (b, b, -b) is at
+    # its top: found there, and nothing one above
+    b = 1000
+    top = b**3 + 3 * b * b
+    assert top == 1003000000 == level(b, b, -b)
+    got = search_integral(top, b)
+    assert [p.coords() for p in got] == sorted(mksurf.markoff._double_signs(b, b, -b))
+    assert search_integral(top + 1, b) == []
+    for b in (0, 1, 2, 5, 9):
+        for k in (-b**3 - 1, b**3 + 3 * b * b, b**3 + 3 * b * b + 1):
+            assert search_integral(k, b) == search_integral_by_full_box(k, b), (k, b)
 
 
 def test_search_integral_double_roots_at_x1_x2_equal_2b():
@@ -645,11 +778,95 @@ def test_square_roots_matches_isqrt():
     ds += [rng.randint(-2**62, 2**62) for _ in range(2000)]
     ds += [rng.randint(0, top) ** 2 + rng.choice((-1, 0, 0, 1)) for _ in range(2000)]
     assert all(-2**63 <= d < 2**63 for d in ds)
-    idx, roots = square_roots(np.array(ds, dtype=np.int64))
     expected = [(i, math.isqrt(d)) for i, d in enumerate(ds)
                 if d >= 0 and math.isqrt(d) ** 2 == d]
-    assert list(zip(idx.tolist(), roots.tolist())) == expected
+    d = np.array(ds, dtype=np.int64)
+    # the kernel as a one-column rectangle 0 x^2 + d, and the fresh-array
+    # reference
+    zero = np.zeros(1, dtype=np.int64)
+    rows, _, roots = mksurf.markoff._square_cells(np.zeros_like(d), None, d, zero)
+    assert len(d) <= SCAN_CELLS
+    for idx, roots in ((rows, roots), square_roots(d)):
+        assert list(zip(idx.tolist(), roots.tolist())) == expected
     assert 1000 < len(expected) < len(ds)
+
+
+def _scan_cases():
+    """Seeded rectangles (a, b, c, xs) for _square_cells: integral-scan
+    rows (zero middle coefficient), random rows with a middle coefficient,
+    the witness scan's rows of a form with zeros, and one row wider than
+    SCAN_CELLS; every cell stays inside int64."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(60):
+        x1s = np.array(sorted(rng.sample(range(3000), rng.randint(1, 50))), dtype=np.int64)
+        lo = rng.randint(0, 2000)
+        xs = np.arange(lo, lo + rng.randint(1, SCAN_CELLS // len(x1s)), dtype=np.int64)
+        # the level of a point in one of the rows
+        k = level(rng.choice(x1s.tolist()), rng.choice(xs.tolist()), rng.randint(-10**4, 10**4))
+        cases.append((x1s * x1s - 4, None, 4 * (k - x1s * x1s), xs))
+    for _ in range(60):
+        rows = rng.randint(1, 30)
+        xs = np.arange(-rng.randint(0, 500), rng.randint(1, 500), dtype=np.int64)
+        a, b, c = (np.array([rng.randint(-10**4, 10**4) for _ in range(rows)], dtype=np.int64)
+                   for _ in range(3))
+        cases.append((a * a, 2 * a * b, b * b + c % 3, xs))  # (a x + b)^2 where c % 3 == 0
+    x1, x2, x3 = 4, 5, 16  # level -23: x3^2 - 4 > 0 and zeros in the box
+    u1s = np.arange(0, 27, dtype=np.int64)
+    cases.append((np.full(len(u1s), x3 * x3 - 4, dtype=np.int64), (2 * x2 * x3 - 4 * x1) * u1s,
+                  (x2 * x2 - 4) * u1s * u1s, np.arange(-600, 601, dtype=np.int64)))
+    # rows 0 and 5 of the box b = 40000: a sum of two squares in many ways,
+    # and the level of (5, 30000, 1)
+    xs = np.arange(0, 40001, dtype=np.int64)
+    for x1, k in ((0, 5 * 13 * 17 * 29 * 37 * 41), (5, level(5, 30000, 1))):
+        cases.append((np.array([x1 * x1 - 4], dtype=np.int64), None,
+                      np.array([4 * (k - x1 * x1)], dtype=np.int64), xs))
+    return cases
+
+
+def _listed(cells):
+    return [v.tolist() for v in cells]
+
+
+def test_square_cells_matches_fresh_arrays():
+    hits = 0
+    for a, b, c, xs in _scan_cases():
+        got = mksurf.markoff._square_cells(a, b, c, xs)
+        assert all(v.dtype == np.int64 for v in got)
+        assert _listed(got) == _listed(square_cells_fresh(a, b, c, xs))
+        hits += len(got[0])
+    assert len(_scan_cases()[-1][3]) > SCAN_CELLS and hits > 500
+
+
+def test_square_cells_results_survive_the_next_call():
+    cases = _scan_cases()
+    first = mksurf.markoff._square_cells(*cases[-3])  # the witness rows
+    kept = _listed(first)
+    assert kept[0]
+    for case in cases:
+        mksurf.markoff._square_cells(*case)
+    assert _listed(first) == kept
+    for buf in mksurf.markoff._workspace.buffers:
+        assert not any(np.shares_memory(v, buf) for v in first)
+
+
+def test_square_cells_two_threads_at_once():
+    cases = _scan_cases()
+    want = [_listed(mksurf.markoff._square_cells(*case)) for case in cases]
+    start = threading.Barrier(2)
+    got = {}
+
+    def scan(name):
+        start.wait()
+        got[name] = [[_listed(mksurf.markoff._square_cells(*case)) for case in cases]
+                     for _ in range(3)]
+
+    threads = [threading.Thread(target=scan, args=(n,)) for n in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == {n: [want] * 3 for n in range(2)}
 
 
 def test_search_integral_budget():

@@ -121,6 +121,85 @@ def test_group_table_index_matches_a_sorted_search():
         assert np.array_equal(table.index(prod), np.searchsorted(codes, key)), q
 
 
+def classes_by_products(q):
+    """Oracle: the (cls, reps, conj) arrays of a group table built with two
+    products per conjugation g X g^-1 and all four of S, T, S^-1, T^-1 as
+    moves, the construction the closed-form moves replaced."""
+    table = quotients.group_table(q)
+    elems = table.elements()
+    n = table.entries.shape[1]
+    gens = ((0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1))
+    moves = [table.index(quotients._mul(quotients._mul(g, elems, q), quotients._inv(g, q), q))
+             for g in gens]
+    cls = np.arange(n, dtype=np.int32)
+    while True:
+        new = cls[cls]
+        for mv in moves:
+            new = np.minimum(new, new[mv])
+        if np.array_equal(new, cls):
+            break
+        cls = new
+    reps = np.flatnonzero(cls == np.arange(n))
+    conj = np.zeros((4, n), dtype=np.uint8)
+    conj[:, reps] = np.array((1 % q, 0, 0, 1 % q), dtype=np.uint8)[:, None]
+    seen = np.zeros(n, dtype=bool)
+    seen[reps] = True
+    frontier = reps
+    while frontier.size:
+        grown = []
+        for g, mv in zip(gens, moves):
+            nxt = mv[frontier]
+            fresh = ~seen[nxt]
+            nxt, src = nxt[fresh], frontier[fresh]
+            seen[nxt] = True
+            conj[:, nxt] = quotients._mul(g, conj[:, src].astype(np.int32), q)
+            grown.append(nxt)
+        frontier = np.concatenate(grown)
+    return cls, reps, conj
+
+
+def test_group_table_matches_the_product_construction():
+    # closed-form conjugates by S, T and T^-1 give the arrays that two
+    # products per conjugation by S, T, S^-1 and T^-1 gave
+    for q in range(2, 33):
+        table = quotients.GroupTable(q)
+        cls, reps, conj = classes_by_products(q)
+        assert table.cls.dtype == cls.dtype and np.array_equal(table.cls, cls), q
+        assert np.array_equal(table.reps, reps), q
+        assert table.conj.dtype == conj.dtype and np.array_equal(table.conj, conj), q
+
+
+def commutator_test_by_full_scan(z, q):
+    """Oracle: commutator_test_modq comparing every W of the group at once."""
+    if z == (1, 0, 0, 1):
+        return True, (mat_mod(Mat2(*z), q), mat_mod(Mat2(*z), q))
+    table = quotients.group_table(q)
+    wz = table.index(quotients._mul(table.elements(), z, q))
+    hits = np.flatnonzero(table.cls[wz] == table.cls)
+    if not hits.size:
+        return False, None
+    w = int(hits[0])
+    x = quotients._inv(tuple(int(v) for v in table.entries[:, w]), q)
+    y = table.conjugator(w, int(wz[w]))
+    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+
+
+def test_commutator_test_matches_the_full_scan():
+    # every Z mod 16 (one block), and seeded samples mod 27 and 32, where
+    # the scan stops at the first block of 4096 holding a W
+    assert len(sl2_tuples(16)) <= quotients._TEST_BLOCK < len(sl2_tuples(27))
+    rng = random.Random(28)
+    cases = [(z, 16) for z in sl2_tuples(16)]
+    cases += [(z, q) for q in (27, 32) for z in rng.sample(sl2_tuples(q), 300)]
+    seen = set()
+    for z, q in cases:
+        got = commutator_test_modq(z, q)
+        assert got == commutator_test_by_full_scan(z, q), (z, q)
+        seen.add((q, got[0]))
+    # a "no" scans every block, a "yes" stops at the first holding a W
+    assert seen == {(q, ok) for q in (16, 27, 32) for ok in (False, True)}
+
+
 def test_commutator_test_identity():
     ok, wit = commutator_test_modq(Mat2(1, 0, 0, 1), 9)
     assert ok and wit[0] == wit[0].identity_like()
