@@ -10,7 +10,6 @@ from .rings import (
     factorize,
     hilbert,
     jacobi,
-    legendre,
     parse_ring,
     squarefree_part,
 )

@@ -28,8 +28,10 @@ from .quotients import commutator_test_modq, trace_commutator_image
 from .rings import BudgetExceeded, ModInt, localized_str, parse_ring
 from .words import (
     alg1_representatives,
+    conjugacy_class_key,
     embedding_matrix,
     in_derived_subgroup,
+    is_unit_in_S,
     metabelian_image,
     second_derived_congruence,
     table1_trace_filter,
@@ -184,7 +186,11 @@ def _cmd_lift_point(args):
 
 def _cmd_lift_universal(args):
     ring = parse_ring(args.ring)
-    x, y = universal_pair(args.t, Fraction(args.eps), ring)
+    try:
+        eps = Fraction(args.eps)
+    except ZeroDivisionError:
+        raise ValueError("eps = %s has a zero denominator" % args.eps) from None
+    x, y = universal_pair(args.t, eps, ring)
     w = commutator(x, y)
     return {"t": args.t, "ring": str(ring), "eps": args.eps,
             "x": x, "y": y, "commutator": w, "trace": w.trace()}
@@ -206,7 +212,6 @@ def _cmd_words_metab(args):
            "in_derived_subgroup": in_g}
     if in_g:
         img = metabelian_image(m, n, w)
-        from .words import is_unit_in_S
         out["image"] = {("x%d y%d" % (i, j)): c for (i, j), c in sorted(img.coeffs.items())}
         out["image_str"] = repr(img)
         out["is_unit"] = is_unit_in_S(m, n, img)
@@ -260,7 +265,6 @@ def _cmd_certify_check(args):
 # --- reproduction targets -----------------------------------------------------
 
 def _word_class_key(w):
-    from .words import conjugacy_class_key
     k1 = conjugacy_class_key(w.cyclic_reduction())
     k2 = conjugacy_class_key(w.inverse().cyclic_reduction())
     return min(k1, k2)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mat2 import Mat2, commutator, in_trace_set
-from .markoff import level
+from .markoff import MarkoffMove, level
 from .rings import ModInt
 
 
@@ -27,41 +27,32 @@ class LiftResult:
     row: tuple
 
 
-# Pair transformations lifting coordinate permutations; the bool records
-# whether the commutator flips to its inverse.
-_PERM_PAIR = {
-    (1, 2, 3): (lambda x, y: (x, y), False),
-    (1, 3, 2): (lambda x, y: (y * x * y.inverse(), x.inverse() * y.inverse()), True),
-    (2, 1, 3): (lambda x, y: (y, x), True),
-    (2, 3, 1): (lambda x, y: (x * y * x.inverse(), y.inverse() * x.inverse()), False),
-    (3, 1, 2): (lambda x, y: (x * y, x.inverse()), False),
-    (3, 2, 1): (lambda x, y: (y * x, y.inverse()), True),
-}
-
-# Nielsen moves lifting the three Vieta involutions.
-_VIETA_PAIR = {
-    1: (lambda x, y: (y * x * y, y.inverse()), True),
-    2: (lambda x, y: (x.inverse(), x * y * x), True),
-    3: (lambda x, y: (x.inverse(), x * y * x.inverse()), True),
-}
-
-_SIGN_PAIR = {
-    (1, 3): (lambda x, y: (-x, y), False),
-    (2, 3): (lambda x, y: (x, -y), False),
-    (1, 2): (lambda x, y: (-x, -y), False),
+# The lifts of the Markoff moves to matrix pairs, one row for each of the
+# twelve moves the MarkoffMove constructors make: Nielsen moves for the Vieta
+# involutions, and pair maps for the permutations and double sign changes.
+# The bool records whether the commutator flips to its inverse.
+_PAIR_LIFTS = {
+    MarkoffMove.vieta(1): (lambda x, y: (y * x * y, y.inverse()), True),
+    MarkoffMove.vieta(2): (lambda x, y: (x.inverse(), x * y * x), True),
+    MarkoffMove.vieta(3): (lambda x, y: (x.inverse(), x * y * x.inverse()), True),
+    MarkoffMove.perm((1, 2, 3)): (lambda x, y: (x, y), False),
+    MarkoffMove.perm((1, 3, 2)):
+        (lambda x, y: (y * x * y.inverse(), x.inverse() * y.inverse()), True),
+    MarkoffMove.perm((2, 1, 3)): (lambda x, y: (y, x), True),
+    MarkoffMove.perm((2, 3, 1)):
+        (lambda x, y: (x * y * x.inverse(), y.inverse() * x.inverse()), False),
+    MarkoffMove.perm((3, 1, 2)): (lambda x, y: (x * y, x.inverse()), False),
+    MarkoffMove.perm((3, 2, 1)): (lambda x, y: (y * x, y.inverse()), True),
+    MarkoffMove.sign_change(1, 2): (lambda x, y: (-x, -y), False),
+    MarkoffMove.sign_change(1, 3): (lambda x, y: (-x, y), False),
+    MarkoffMove.sign_change(2, 3): (lambda x, y: (x, -y), False),
 }
 
 
 def pair_move(move, x, y):
     """Apply a Markoff move to a matrix pair; returns (X', Y', flipped)."""
-    if move.tag == "perm":
-        f, flip = _PERM_PAIR[move.data]
-    elif move.tag == "vieta":
-        f, flip = _VIETA_PAIR[move.data[0]]
-    else:
-        f, flip = _SIGN_PAIR[move.data]
-    nx, ny = f(x, y)
-    return nx, ny, flip
+    f, flip = _PAIR_LIFTS[move]
+    return (*f(x, y), flip)
 
 
 def trace_triple(x, y):
@@ -119,7 +110,7 @@ def lift2(z, y, x1, x3):
 
 
 # lift_point: coordinate j = Tr Y -> (the two coordinates lift2 takes, the
-# _PERM_PAIR row that maps the lifted pair back onto the point)
+# permutation whose _PAIR_LIFTS row maps the lifted pair back onto the point)
 _LIFT_ROWS = {2: ((0, 2), (1, 2, 3)), 1: ((2, 1), (2, 3, 1)), 3: ((1, 0), (3, 1, 2))}
 
 
@@ -152,7 +143,7 @@ def lift_point(z, point, y):
         except LiftError as exc:
             err = exc
             continue
-        pair = _PERM_PAIR[row][0](x, y)
+        pair = _PAIR_LIFTS[MarkoffMove.perm(row)][0](x, y)
         if trace_triple(*pair) != coords or commutator(*pair) != z:
             raise LiftError("permutation bookkeeping broke the lift contract")
         return LiftResult(pair[0], pair[1], z, "Z", row)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expected_tables import HFU2_IMAGES
-from .rings import BudgetExceeded, factorize, is_probable_prime, jacobi
+from .rings import BudgetExceeded, is_probable_prime
 
 
 def level(x1, x2, x3):
@@ -92,6 +92,15 @@ VIETA1 = MarkoffMove.vieta(1)
 VIETA2 = MarkoffMove.vieta(2)
 VIETA3 = MarkoffMove.vieta(3)
 
+# The generators of the Markoff group, in the order orbit_within tries them:
+# the three Vieta involutions, the five non-trivial permutations, then the
+# three double sign changes.
+GENERATORS = ((VIETA1, VIETA2, VIETA3)
+              + tuple(MarkoffMove.perm(p) for p in
+                      [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)])
+              + (MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
+                 MarkoffMove.sign_change(2, 3)))
+
 
 def _apply_coords(move, c):
     x1, x2, x3 = c
@@ -127,19 +136,14 @@ def _maxabs(c):
     return max(map(abs, c))
 
 
-# the five non-trivial permutations, then the three double sign changes
-_SYMMETRIES = tuple([MarkoffMove.perm(p) for p in
-                     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-                    + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                       MarkoffMove.sign_change(2, 3)])
+_SYMMETRY_MOVES = GENERATORS[3:]  # orbit_within's images of a point follow this order
 
 
 def orbit_within(c, bound):
     """Every point reachable from the integer triple c by the Markoff moves
     without max|x| going above bound, as an insertion-ordered dict
     {coords: list of moves from c}.  Depth-first: the stack pops from its
-    end, and each point tries the three Vieta moves, the five non-trivial
-    permutations and the three double sign changes, in that order.
+    end, and each point tries the moves of GENERATORS in order.
 
     The start must lie within the bound (ValueError otherwise).  The moves
     are applied inline.  From a point within the bound only a Vieta move
@@ -168,8 +172,8 @@ def orbit_within(c, bound):
             if -bound <= new <= bound and cand not in seen:
                 seen[cand] = path + [mv]
                 stack.append(cand)
-        for mv, cand in zip(_SYMMETRIES, ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x),
-                                          (-x, -y, z), (-x, y, -z), (x, -y, -z))):
+        for mv, cand in zip(_SYMMETRY_MOVES, ((x, z, y), (y, x, z), (y, z, x), (z, x, y),
+                                              (z, y, x), (-x, -y, z), (-x, y, -z), (x, -y, -z))):
             if cand not in seen:
                 seen[cand] = path + [mv]
                 stack.append(cand)
@@ -662,15 +666,3 @@ def search_localized(k, ell, max_exp, bound):
             seen.add((a, v1, v2, v3))
             pts.append(MarkoffPoint(v1, Fraction(v2, ell**a), Fraction(v3, ell**a), k))
     return pts
-
-
-def anisotropy_prime(point):
-    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
-    nonresidue mod p, or None."""
-    for p, e in factorize(point.k - 4):
-        if p == 2 or e != 1:
-            continue
-        for x in point.coords():
-            if jacobi(x * x - 4, p) == -1:
-                return (p, x)
-    return None

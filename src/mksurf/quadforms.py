@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markoff import SCAN_CELLS, _square_cells, anisotropy_prime
+from .markoff import SCAN_CELLS, _square_cells
 from .rings import (
     INF,
     BudgetExceeded,
     factorize,
     hilbert,
     is_square_mod,
+    jacobi,
     square_class_int,
     squarefree_part,
 )
@@ -146,6 +147,18 @@ def _witness_search(form, bound):
 
 
 WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
+
+
+def anisotropy_prime(point):
+    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
+    nonresidue mod p, or None."""
+    for p, e in factorize(point.k - 4):
+        if p == 2 or e != 1:
+            continue
+        for x in point.coords():
+            if jacobi(x * x - 4, p) == -1:
+                return (p, x)
+    return None
 
 
 def form_isotropic(point):

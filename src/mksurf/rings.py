@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: big integers, S-integers Z[1/l], residue rings,
-and the quadratic-symbol calculus (Legendre/Jacobi/Hilbert)."""
+and the quadratic-symbol calculus (Jacobi and Hilbert symbols)."""
 
 import math
 import operator
@@ -35,11 +35,6 @@ def jacobi(a, n):
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def legendre(a, p):
-    """Legendre symbol modulo an odd prime p."""
-    return jacobi(a % p, p)
 
 
 def is_probable_prime(n):
@@ -219,11 +214,11 @@ def hilbert(a, b, p):
     be, n = _split_prime(b, p)
     s = 1
     if (al * be) % 2:
-        s *= legendre(-1, p)
+        s *= jacobi(-1, p)
     if be % 2:
-        s *= legendre(m, p)
+        s *= jacobi(m, p)
     if al % 2:
-        s *= legendre(n, p)
+        s *= jacobi(n, p)
     return s
 
 

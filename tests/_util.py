@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mksurf.markoff import _double_signs, level, reduce_point
+from mksurf.markoff import MarkoffPoint, _double_signs, level, reduce_point
 from mksurf.mat2 import Mat2
 from mksurf.rings import INF, factorize, square_class_int
 from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
@@ -22,6 +22,13 @@ def random_sl2z(rng, length=8, entry=3):
     if rng.random() < 0.5:
         m = -m
     return m
+
+
+def random_point(rng, span):
+    """A random integer point with every coordinate in [-span, span], at
+    the level it lies on."""
+    return MarkoffPoint.make(rng.randint(-span, span), rng.randint(-span, span),
+                             rng.randint(-span, span))
 
 
 def hilbert_product_places(a, b):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from mksurf.certify import certify_hfz, certify_sint_failure, verify_hfe1
 from mksurf.mat2 import Mat2, commutator, mat_mod
 from mksurf.markoff import (
+    GENERATORS,
     MarkoffMove,
     MarkoffPoint,
     admissible_t,
@@ -33,13 +34,6 @@ from mksurf.words import (
 from mksurf.cli import repro
 
 from _util import hilbert_product_places, random_sl2z, same_orbit
-
-ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
-             + [MarkoffMove.perm(p) for p in
-                [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-             + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                MarkoffMove.sign_change(2, 3)])
-
 
 def report(num, ok, text):
     print("criterion %-2s %s  %s" % (num, "PASS" if ok else "FAIL", text))
@@ -66,7 +60,7 @@ def sample_orbit(start, count, rng, cap=10**7):
     seen = {start.coords()}
     p = start
     while len(pts) < count:
-        q = apply_move(rng.choice(ALL_MOVES), p)
+        q = apply_move(rng.choice(GENERATORS), p)
         if q.maxabs() > cap:
             p = start
             continue
@@ -244,7 +238,7 @@ def test_criterion_10_property_suites():
         y = random_sl2z(rng, length=4)
         z = commutator(x, y)
         k = z.trace() + 2
-        for mv in ALL_MOVES + [MarkoffMove.perm((1, 2, 3))]:
+        for mv in (MarkoffMove.perm((1, 2, 3)),) + GENERATORS:
             a, b, flip = pair_move(mv, x, y)
             ok &= commutator(a, b) == (z.inverse() if flip else z)
             want = apply_move(mv, MarkoffPoint(*trace_triple(x, y), k=k)).coords()

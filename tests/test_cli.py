@@ -223,6 +223,9 @@ def test_lift_universal_over_q_matches_z1_6(capsys):
     ("z", "1/2", "1/2 is not in Z"),
     ("z1/1", "2", "eps = 2 is not a unit in Z"),
     ("z1/5", "5", "eps - eps^-1 = 24/5 is not a unit in Z[1/5]"),
+    ("z1/6", "1/0", "eps = 1/0 has a zero denominator"),
+    ("z1/6", "0/0", "eps = 0/0 has a zero denominator"),
+    ("mod97", "1/0", "eps = 1/0 has a zero denominator"),
 ])
 def test_lift_universal_errors_spell_rationals(capsys, ring, eps, error):
     code, out = capture(capsys, ["lift", "universal", "--t", "7", "--ring", ring, "--eps", eps])

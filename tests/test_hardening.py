@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mksurf.markoff import (
-    MarkoffMove,
+    GENERATORS,
     MarkoffPoint,
     apply_move,
     apply_path,
@@ -24,13 +24,6 @@ from mksurf.quotients import commutator_test_modq, sl2_tuples
 from mksurf.rings import ModInt
 from mksurf.words import alg1_representatives, psl2_class_reps, word_trace
 
-ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
-             + [MarkoffMove.perm(p) for p in
-                [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-             + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                MarkoffMove.sign_change(2, 3)])
-
-
 def test_reduce_orbit_consistency_stress():
     # two walks from the same point always meet at the same normal form,
     # including negative and small positive levels
@@ -44,7 +37,7 @@ def test_reduce_orbit_consistency_stress():
         assert apply_path(path0, nf0).coords() == p.coords()
         q = p
         for _ in range(rng.randint(1, 8)):
-            q = apply_move(rng.choice(ALL_MOVES), q)
+            q = apply_move(rng.choice(GENERATORS), q)
             if q.maxabs() > 10**6:
                 break
         nf1, path1 = reduce_point(q)
@@ -198,7 +191,7 @@ def test_hasse_profile_on_localized_points():
         base = {place for place, v in prof.entries if v == -1}
         q = p
         for _ in range(8):
-            q = apply_move(rng.choice(ALL_MOVES), q)
+            q = apply_move(rng.choice(GENERATORS), q)
             if max(abs(Fraction(c).numerator) for c in q.coords()) > 10**6:
                 break
             assert {place for place, v in hasse_profile(q).entries if v == -1} == base

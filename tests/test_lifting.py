@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mksurf.mat2 import Mat2, commutator, in_trace_set, mat_mod
-from mksurf.markoff import MarkoffMove, MarkoffPoint, apply_move, level
+from mksurf.markoff import GENERATORS, MarkoffMove, MarkoffPoint, apply_move, level
+from mksurf.markoff import _apply_coords
 from mksurf.lifting import (
     LiftError,
     lift2,
@@ -15,15 +16,13 @@ from mksurf.lifting import (
     trace_triple,
     universal_pair,
 )
+from mksurf.lifting import _PAIR_LIFTS
 from mksurf.rings import ModInt, ResidueRing, SIntegerRing, parse_ring
 
 from _util import random_sl2z
 
-ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
-             + [MarkoffMove.perm(p) for p in
-                [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-             + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                MarkoffMove.sign_change(2, 3)])
+# the twelve moves with a pair lift: the identity permutation and the generators
+ALL_MOVES = (MarkoffMove.perm((1, 2, 3)),) + GENERATORS
 
 
 def to_q(m):
@@ -139,9 +138,17 @@ def test_pair_moves_match_tables():
         trip = trace_triple(x, y)
         for mv in ALL_MOVES:
             a, b, flip = pair_move(mv, x, y)
-            from mksurf.markoff import _apply_coords
             assert trace_triple(a, b) == _apply_coords(mv, trip)
             assert commutator(a, b) == (z.inverse() if flip else z)
+
+
+def test_pair_lifts_one_row_per_move():
+    # every move the MarkoffMove constructors can make has exactly one lift
+    moves = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
+             + [MarkoffMove.perm(p) for p in itertools.permutations((1, 2, 3))]
+             + [MarkoffMove.sign_change(i, j) for i, j in itertools.permutations((1, 2, 3), 2)])
+    assert len(set(moves)) == 12
+    assert set(_PAIR_LIFTS) == set(moves) and len(_PAIR_LIFTS) == 12
 
 
 def test_pair_move_orientation_flags():

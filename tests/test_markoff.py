@@ -10,6 +10,7 @@ import pytest
 
 import mksurf.markoff
 from mksurf.markoff import (
+    GENERATORS,
     MarkoffMove,
     MarkoffPoint,
     admissible_k,
@@ -28,20 +29,19 @@ from mksurf.markoff import SCAN_CELLS, _apply_coords, _descent_step, _integral_c
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
-from _util import integral_coords_by_rows, same_orbit, square_cells_fresh, square_roots
+from _util import integral_coords_by_rows, random_point, same_orbit, square_cells_fresh, square_roots
 
-ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
-             + [MarkoffMove.perm(p) for p in
-                [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-             + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                MarkoffMove.sign_change(2, 3)])
+# the generators in the order orbit_within tries them, stated here apart
+# from markoff.GENERATORS; walk_by_move_tags walks in this order
+WALK_ORDER = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
+              + [MarkoffMove.perm(p) for p in
+                 [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
+              + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
+                 MarkoffMove.sign_change(2, 3)])
 
 
-def random_point(rng, span=20):
-    x1 = rng.randint(-span, span)
-    x2 = rng.randint(-span, span)
-    x3 = rng.randint(-span, span)
-    return MarkoffPoint.make(x1, x2, x3)
+def test_generators_in_walk_order():
+    assert list(GENERATORS) == WALK_ORDER
 
 
 def test_apply_move_examples():
@@ -57,8 +57,8 @@ def test_apply_move_examples():
 def test_level_invariance():
     rng = random.Random(12)
     for _ in range(10**4):
-        p = random_point(rng)
-        m = rng.choice(ALL_MOVES)
+        p = random_point(rng, 20)
+        m = rng.choice(GENERATORS)
         assert apply_move(m, p).k == p.k
 
 
@@ -70,8 +70,8 @@ def test_off_surface_message_spells_rationals():
 def test_move_inverses():
     rng = random.Random(13)
     for _ in range(500):
-        p = random_point(rng)
-        m = rng.choice(ALL_MOVES)
+        p = random_point(rng, 20)
+        m = rng.choice(GENERATORS)
         assert apply_move(m.inverse(), apply_move(m, p)).coords() == p.coords()
 
 
@@ -92,13 +92,13 @@ def test_reduce_examples():
 def test_reduce_idempotent_and_replay():
     rng = random.Random(14)
     for _ in range(300):
-        p = random_point(rng, span=12)
+        p = random_point(rng, 12)
         if p.k in (0, 4):
             continue
         # drive the point up the orbit, then back down
         q = p
         for _ in range(rng.randint(0, 6)):
-            q = apply_move(rng.choice(ALL_MOVES), q)
+            q = apply_move(rng.choice(GENERATORS), q)
         nf, path = reduce_point(q)
         assert apply_path(path, nf).coords() == q.coords()
         nf2, path2 = reduce_point(nf)
@@ -262,7 +262,7 @@ def test_orbit_within_paths_replay_and_walk_is_closed():
             assert next(iter(orbit.items())) == (rep.coords(), [])
             for c, path in orbit.items():
                 assert apply_path(path, rep).coords() == c
-                for m in ALL_MOVES:
+                for m in GENERATORS:
                     d = apply_move(m, MarkoffPoint(*c, k)).coords()
                     assert d in orbit or max(map(abs, d)) > b
 
@@ -285,7 +285,7 @@ def walk_by_move_tags(c, bound):
     stack = [c]
     while stack:
         cur = stack.pop()
-        for mv in ALL_MOVES:
+        for mv in WALK_ORDER:
             cand = _apply_coords(mv, cur)
             if cand not in seen and max(map(abs, cand)) <= bound:
                 seen[cand] = seen[cur] + [mv]
@@ -296,7 +296,7 @@ def walk_by_move_tags(c, bound):
 def descent_step_by_move_tags(c):
     """The descent step _descent_step replaced: the first Vieta move whose
     image has a smaller max|x|."""
-    for mv in ALL_MOVES[:3]:
+    for mv in WALK_ORDER[:3]:
         cand = _apply_coords(mv, c)
         if max(map(abs, cand)) < max(map(abs, c)):
             return mv, cand
@@ -925,5 +925,5 @@ def test_qr_type_invariant_under_moves():
         for pt in pts:
             for p in primes:
                 t0 = qr_type(pt.coords(), p)
-                for m in ALL_MOVES:
+                for m in GENERATORS:
                     assert qr_type(apply_move(m, pt).coords(), p) == t0

@@ -5,11 +5,10 @@ import pytest
 
 import mksurf.quadforms
 from mksurf.markoff import (
+    GENERATORS,
     SCAN_CELLS,
-    MarkoffMove,
     MarkoffPoint,
     admissible_k,
-    anisotropy_prime,
     apply_move,
     class_data,
     search_integral,
@@ -18,19 +17,13 @@ from mksurf.quadforms import (
     WITNESS_BOUND,
     TernaryForm,
     _witness_search,
+    anisotropy_prime,
     form_isotropic,
     hasse_profile,
 )
 from mksurf.rings import BudgetExceeded
 
-from _util import gram, witness_search_by_rows
-
-ALL_MOVES = ([MarkoffMove.vieta(j) for j in (1, 2, 3)]
-             + [MarkoffMove.perm(p) for p in
-                [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
-             + [MarkoffMove.sign_change(1, 2), MarkoffMove.sign_change(1, 3),
-                MarkoffMove.sign_change(2, 3)])
-
+from _util import gram, random_point, witness_search_by_rows
 
 def mat3_det(a):
     return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -38,15 +31,10 @@ def mat3_det(a):
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
-def random_point(rng, span=25):
-    return MarkoffPoint.make(rng.randint(-span, span), rng.randint(-span, span),
-                             rng.randint(-span, span))
-
-
 def test_gram_determinant():
     rng = random.Random(21)
     for _ in range(10**4):
-        p = random_point(rng)
+        p = random_point(rng, 25)
         f = TernaryForm.from_point(p)
         assert mat3_det(gram(f)) == -2 * (p.k - 4)
 
@@ -86,7 +74,7 @@ def bounded_orbit_walk(start, rng, steps, cap=10**6):
     p = start
     out = [p]
     for _ in range(steps):
-        q = apply_move(rng.choice(ALL_MOVES), p)
+        q = apply_move(rng.choice(GENERATORS), p)
         if q.maxabs() <= cap:
             p = q
         out.append(p)
@@ -164,7 +152,7 @@ def test_form_isotropic_verdicts_match_witness_search():
     rng = random.Random(33)
     done = 0
     while done < 40:
-        p = random_point(rng, span=8)
+        p = random_point(rng, 8)
         if not isinstance(p.k, int) or p.k <= 4:
             continue
         verdict, data = form_isotropic(p)
@@ -194,7 +182,7 @@ def brute_witness(form, bound):
 def test_witness_search_matches_brute_force():
     points = [rep for k in (329, 460, 3780, 10**4 + 1) for rep in class_data(k)]
     rng = random.Random(55)
-    points += [random_point(rng, span=12) for _ in range(60)]
+    points += [random_point(rng, 12) for _ in range(60)]
     found = 0
     for p in points:
         form = TernaryForm.from_point(p)
