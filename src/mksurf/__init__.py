@@ -35,7 +35,6 @@ from .markoff import (
 )
 from .quadforms import (
     HasseProfile,
-    TernaryForm,
     form_isotropic,
     hasse_profile,
 )

@@ -439,7 +439,7 @@ def _row_ranges(k, b):
     a row x1 >= 4 lie below x1: x1 - 1 > sqrt(b) gives x1 (x1 - 1) > b - 1,
     x1^3 > |k| gives x1^2 (x1 + 2) > k, and (x1 - 3)^3 > |k| gives
     x1^2 (x1 - 3) > -k.  Every entry stays far inside int64 for
-    b <= MAX_SEARCH_BOUND and |k| <= 10^17.
+    b <= MAX_SEARCH_BOUND and k in the box's levels [-b^3, b^3 + 3 b^2].
     """
     end = min(b + 1, max(math.isqrt(b) + 2, round(abs(k) ** (1 / 3)) + 5))
     x1 = np.arange(end, dtype=np.int64)
@@ -544,9 +544,10 @@ def _integral_coords(k, bound):
     rectangles over the union of their rows' ranges (_rectangles), each of
     at most SCAN_CELLS cells or one row, so a hit in a row's range gives
     the points that row gives alone.  The extra cells are harmless:
-    - every cell has 0 <= x1, x2 <= b, where |d| <= b^4 + 8 b^2 + 4 |k|
-      < 3 * 10^18 < 2^63 for b <= MAX_SEARCH_BOUND and |k| <= 10^17, the
-      range the guard below admits, so no cell leaves int64;
+    - every cell has 0 <= x1, x2 <= b and, past the level test,
+      |k| <= b^3 + 3 b^2, where |d| <= b^4 + 8 b^2 + 4 (b^3 + 3 b^2)
+      < 2.6 * 10^18 < 2^63 for b <= MAX_SEARCH_BOUND, the bound the guard
+      below admits, so no cell leaves int64;
     - a hit with x2 < x1 fails the filter x1 <= x2 <= |x3| <= b, and so
       does a hit with x2 outside [bottom(x1), top(x1)]: an x3 passing it
       would make (x1, x2, x3) a point of the box outside its row's range,
@@ -554,10 +555,10 @@ def _integral_coords(k, bound):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if bound > MAX_SEARCH_BOUND or abs(k) > 10**17:
+    if bound > MAX_SEARCH_BOUND:
         # discriminants must stay inside int64 for the vectorized scan
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range "
-                             "(bound <= %d, |k| <= 1e17)" % MAX_SEARCH_BOUND)
+                             "(bound <= %d)" % MAX_SEARCH_BOUND)
     b = int(bound)
     if not -b**3 <= k <= b**3 + 3 * b * b:
         return []

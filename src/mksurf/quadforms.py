@@ -1,4 +1,5 @@
-"""Ternary quadratic forms attached to Markoff points, their local invariant
+"""The ternary form u1^2 + u2^2 + u3^2 + x1 u1 u2 + x2 u1 u3 + x3 u2 u3
+attached to a Markoff point (x1, x2, x3) of level k, its local invariant
 profiles, and isotropy via Legendre's theorem."""
 
 import math
@@ -18,25 +19,6 @@ from .rings import (
     square_class_int,
     squarefree_part,
 )
-
-
-@dataclass(frozen=True)
-class TernaryForm:
-    """u1^2 + u2^2 + u3^2 + x1*u1*u2 + x2*u1*u3 + x3*u2*u3 with level k."""
-
-    x1: int
-    x2: int
-    x3: int
-    k: int
-
-    @staticmethod
-    def from_point(p):
-        x1, x2, x3 = p.coords()
-        return TernaryForm(x1, x2, x3, p.k)
-
-    def evaluate(self, u1, u2, u3):
-        return (u1 * u1 + u2 * u2 + u3 * u3
-                + self.x1 * u1 * u2 + self.x2 * u1 * u3 + self.x3 * u2 * u3)
 
 
 @dataclass(frozen=True)
@@ -92,8 +74,9 @@ def hasse_profile(point):
     return HasseProfile(entries)
 
 
-def _witness_search(form, bound):
-    """Nontrivial integer zero of the form with |u_i| <= bound, or None.
+def _witness_search(point, bound):
+    """Nontrivial integer zero of the form attached to point with
+    |u_i| <= bound, or None.
 
     Takes the rows u1 = 0, 1, -1, 2, -2, ... in that order and, in the
     first row holding a zero, the zero with the least (|u2|, |u3|),
@@ -113,7 +96,7 @@ def _witness_search(form, bound):
     covers the coordinates themselves, which enter the int64 arithmetic
     even at bound 0.
     """
-    x1, x2, x3 = form.x1, form.x2, form.x3
+    x1, x2, x3 = point.coords()
     big = max(abs(x1), abs(x2), abs(x3))
     if 4 * max(bound, 1) ** 2 * (big * big + big + 2) >= 2**63:
         raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
@@ -135,7 +118,8 @@ def _witness_search(form, bound):
             p = x2 * u1 + x3 * u2
             for u3 in ((-p - r) // 2, (-p + r) // 2):
                 if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
-                    if form.evaluate(u1, u2, u3) == 0:
+                    if (u1 * u1 + u2 * u2 + u3 * u3
+                            + x1 * u1 * u2 + x2 * u1 * u3 + x3 * u2 * u3) == 0:
                         zeros.append((abs(u2), abs(u3), (u1, u2, u3)))
         if zeros:
             w = min(zeros)[2]
@@ -183,8 +167,7 @@ def form_isotropic(point):
         iso = is_square_mod(m, n) and is_square_mod(n, m)
         data = {"coordinate": j + 1, "m": m, "n": n}
         if iso:
-            form = TernaryForm.from_point(point)
-            w = _witness_search(form, WITNESS_BOUND)
+            w = _witness_search(point, WITNESS_BOUND)
             data["witness"] = w
             data["witness_bound"] = WITNESS_BOUND
             if w is None:

@@ -146,8 +146,6 @@ def factorize(n):
     steps = MAX_RHO_STEPS
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             add(m)
             continue

@@ -458,18 +458,7 @@ class SRingElem:
     def monomial(m, n, i=0, j=0, c=1):
         return SRingElem(m, n, [((i, j), c)])
 
-    def __add__(self, other):
-        return SRingElem(self.m, self.n, list(self.coeffs.items()) + list(other.coeffs.items()))
-
-    def __neg__(self):
-        return SRingElem(self.m, self.n, [(key, -c) for key, c in self.coeffs.items()])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = SRingElem.monomial(self.m, self.n, 0, 0, other)
         return (self.m, self.n) == (other.m, other.n) and self.coeffs == other.coeffs
 
     def __hash__(self):

@@ -62,9 +62,18 @@ def cyclic_conjugacy_equal(w1, w2):
     return any(w2.runs == r.runs for r in w1.rotations())
 
 
-def gram(form):
-    """The Gram matrix of a TernaryForm: twice the form is u^T G u."""
-    return [[2, form.x1, form.x2], [form.x1, 2, form.x3], [form.x2, form.x3, 2]]
+def form_value(point, u1, u2, u3):
+    """The form attached to a point, u1^2 + u2^2 + u3^2 + x1 u1 u2
+    + x2 u1 u3 + x3 u2 u3, at (u1, u2, u3)."""
+    x1, x2, x3 = point.coords()
+    return u1 * u1 + u2 * u2 + u3 * u3 + x1 * u1 * u2 + x2 * u1 * u3 + x3 * u2 * u3
+
+
+def gram(point):
+    """The Gram matrix of the form attached to a point: twice the form is
+    u^T G u."""
+    x1, x2, x3 = point.coords()
+    return [[2, x1, x2], [x1, 2, x3], [x2, x3, 2]]
 
 
 def mul_monomial(elem, i, j, c=1):
@@ -118,10 +127,10 @@ def integral_coords_by_rows(k, b):
     return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
 
 
-def witness_search_by_rows(form, bound):
+def witness_search_by_rows(point, bound):
     """quadforms._witness_search one row at a time, in the order
     u1 = 0, 1, -1, 2, -2, ..., each row with its own square_roots call."""
-    x1, x2, x3 = form.x1, form.x2, form.x3
+    x1, x2, x3 = point.coords()
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
     squares = u2s * u2s
     for u1 in [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]:
@@ -134,7 +143,7 @@ def witness_search_by_rows(form, bound):
             p = x2 * u1 + x3 * u2
             for u3 in ((-p - r) // 2, (-p + r) // 2):
                 if abs(u3) <= bound and (u1, u2, u3) != (0, 0, 0):
-                    if form.evaluate(u1, u2, u3) == 0:
+                    if form_value(point, u1, u2, u3) == 0:
                         row.append((abs(u2), abs(u3), (u1, u2, u3)))
         if row:
             w = min(row)[2]

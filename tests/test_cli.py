@@ -272,6 +272,11 @@ def test_exit_codes(capsys):
     assert code == 2
     code, out = capture(capsys, ["quotient", "image", "--q", "999"])
     assert code == 3
+    code, out = capture(capsys, ["quotient", "test", "--q", "8", "--z", "1,0,0"])
+    assert code == 2 and json.loads(out) == {
+        "error": "expected 4 comma-separated integers, got '1,0,0'", "kind": "invalid-input"}
+    code, out = capture(capsys, ["lift", "point", "--z", "1,0,0,1", "--point", "2,2,0"])
+    assert code == 2 and json.loads(out) == {"error": "need Tr Z != +-2", "kind": "invalid-input"}
     code, _ = capture(capsys, ["certify", "hfz", "--k", "20", "--bound", "50"])
     assert code == 0  # computed: the answer is no, but it is an answer
 

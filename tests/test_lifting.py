@@ -92,6 +92,10 @@ def test_lift2_divisibility_reporting():
             lift2(z, y0, x0.trace() + delta, (x0 * y0).trace())
         except LiftError:
             seen_fail += 1
+    # Tr Z = 7, Tr Y = Tr ZY = 3 and (0, 3, 0) lies on level 9, but
+    # Delta = 7 + 2 - 3^2 = 0
+    with pytest.raises(LiftError, match=r"^Delta = 0: no unique lift exists$"):
+        lift2(Mat2(-1, 3, -3, 8), Mat2(3, -1, 1, 0), 0, 0)
 
 
 def test_lift2_modulus_shrink():

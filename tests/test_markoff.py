@@ -112,6 +112,11 @@ def test_reduce_rejects_nongeneric_levels():
         reduce_point(MarkoffPoint.make(0, 0, 2))  # k = 4
     with pytest.raises(ValueError):
         reduce_point(MarkoffPoint.make(0, 0, 0))  # k = 0
+    with pytest.raises(ValueError, match="^descent needs integer coordinates$"):
+        reduce_point(MarkoffPoint.make(Fraction(1, 2), 1, 1))
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="is outside the generic range$"):
+            class_data(k)
 
 
 def test_reduce_point_step_budget(monkeypatch):
@@ -592,7 +597,7 @@ def row_range_by_formula(k, b, x1):
 
 def test_row_ranges_match_the_formulas():
     # every row before `end`, and rows past it hold nothing; random levels,
-    # levels near the box's top, and the extremes of the int64 guard
+    # levels near the box's top, and |k| = 10^17, past the levels of every box
     rng = random.Random(30)
     cases = [(rng.randint(-10**6, 10**6), rng.randint(0, 300)) for _ in range(150)]
     cases += [(rng.randint(-10**17, 10**17), rng.randint(0, 40000)) for _ in range(30)]
@@ -872,10 +877,15 @@ def test_square_cells_two_threads_at_once():
 def test_search_integral_budget():
     with pytest.raises(BudgetExceeded):
         search_integral(102, 40001)
-    with pytest.raises(BudgetExceeded):
-        search_integral(10**17 + 1, 10)
+    # a level outside the box's levels [-b^3, b^3 + 3 b^2] has no point,
+    # however large |k| is
+    assert search_integral(10**17 + 1, 10) == []
+    assert search_integral(-10**30, 40000) == []
     with pytest.raises(BudgetExceeded):
         search_localized(224, 19, 6, 1000)
+    # the Z[1/l] row filter forms l^(2a) |x1^2 - k| in int64 whatever the box
+    with pytest.raises(BudgetExceeded):
+        search_localized(10**20, 5, 1, 5)
     with pytest.raises(ValueError):
         search_integral(102, -1)
 

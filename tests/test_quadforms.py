@@ -15,7 +15,6 @@ from mksurf.markoff import (
 )
 from mksurf.quadforms import (
     WITNESS_BOUND,
-    TernaryForm,
     _witness_search,
     anisotropy_prime,
     form_isotropic,
@@ -23,7 +22,7 @@ from mksurf.quadforms import (
 )
 from mksurf.rings import BudgetExceeded
 
-from _util import gram, random_point, witness_search_by_rows
+from _util import form_value, gram, random_point, witness_search_by_rows
 
 def mat3_det(a):
     return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -35,8 +34,7 @@ def test_gram_determinant():
     rng = random.Random(21)
     for _ in range(10**4):
         p = random_point(rng, 25)
-        f = TernaryForm.from_point(p)
-        assert mat3_det(gram(f)) == -2 * (p.k - 4)
+        assert mat3_det(gram(p)) == -2 * (p.k - 4)
 
 
 def test_hasse_profile_329():
@@ -102,11 +100,11 @@ def test_hasse_profile_refuses_the_all_two_points_of_level_20():
             hasse_profile(MarkoffPoint.make(*c))
 
 
-def brute_isotropy(form, bound=40):
+def brute_isotropy(point, bound=40):
     for u1 in range(-bound, bound + 1):
         for u2 in range(-bound, bound + 1):
             for u3 in range(-bound, bound + 1):
-                if (u1, u2, u3) != (0, 0, 0) and form.evaluate(u1, u2, u3) == 0:
+                if (u1, u2, u3) != (0, 0, 0) and form_value(point, u1, u2, u3) == 0:
                     return (u1, u2, u3)
     return None
 
@@ -117,16 +115,14 @@ def test_form_isotropic_examples():
     assert p.k == 3780
     verdict, data = form_isotropic(p)
     assert verdict == "Isotropic"
-    f = TernaryForm.from_point(p)
-    assert f.evaluate(*data["witness"]) == 0
-    assert f.evaluate(409, 251, 5) == 0
+    assert form_value(p, *data["witness"]) == 0
+    assert form_value(p, 409, 251, 5) == 0
     # k = 329 second class: isotropic, (9, 1, -1) is a zero
     p2 = MarkoffPoint.make(-4, 4, 11)
     verdict, data = form_isotropic(p2)
     assert verdict == "Isotropic"
-    f2 = TernaryForm.from_point(p2)
-    assert f2.evaluate(*data["witness"]) == 0
-    assert f2.evaluate(9, 1, -1) == 0
+    assert form_value(p2, *data["witness"]) == 0
+    assert form_value(p2, 9, 1, -1) == 0
     # anisotropic examples, each with the first odd p || k-4 at which a
     # coordinate x has x^2-4 a nonresidue
     for coords, p in (((-3, 3, 4), 3), ((-3, 3, 6), 13), ((-3, 3, 17), 3), ((-3, 9, 10), 3),
@@ -134,7 +130,7 @@ def test_form_isotropic_examples():
         verdict, data = form_isotropic(MarkoffPoint.make(*coords))
         assert verdict == "Anisotropic", coords
         assert data["anisotropy_prime"][0] == p, coords
-        assert brute_isotropy(TernaryForm.from_point(MarkoffPoint.make(*coords))) is None
+        assert brute_isotropy(MarkoffPoint.make(*coords)) is None
 
 
 def test_form_isotropic_inapplicable():
@@ -158,20 +154,20 @@ def test_form_isotropic_verdicts_match_witness_search():
         verdict, data = form_isotropic(p)
         if verdict == "Inapplicable":
             continue
-        w = brute_isotropy(TernaryForm.from_point(p), bound=25)
+        w = brute_isotropy(p, bound=25)
         if verdict == "Anisotropic":
             assert w is None, (p, w)
         done += 1
 
 
-def brute_witness(form, bound):
+def brute_witness(point, bound):
     """_witness_search's documented answer by plain enumeration: rows
     u1 = 0, 1, -1, 2, -2, ...; in the first row holding a nontrivial zero,
     the least (|u2|, |u3|), made primitive."""
     for u1 in [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]:
         row = [(abs(u2), abs(u3), (u1, u2, u3))
                for u2 in range(-bound, bound + 1) for u3 in range(-bound, bound + 1)
-               if (u1, u2, u3) != (0, 0, 0) and form.evaluate(u1, u2, u3) == 0]
+               if (u1, u2, u3) != (0, 0, 0) and form_value(point, u1, u2, u3) == 0]
         if row:
             w = min(row)[2]
             g = math.gcd(*w)
@@ -185,9 +181,8 @@ def test_witness_search_matches_brute_force():
     points += [random_point(rng, 12) for _ in range(60)]
     found = 0
     for p in points:
-        form = TernaryForm.from_point(p)
-        w = _witness_search(form, 9)
-        assert w == brute_witness(form, 9), p
+        w = _witness_search(p, 9)
+        assert w == brute_witness(p, 9), p
         found += w is not None
     assert 20 < found < len(points)
 
@@ -196,11 +191,10 @@ def test_witness_search_matches_the_row_scan_on_every_class_form():
     reps = [r for k in range(5, 3001) if admissible_k(k) for r in class_data(k)]
     scanned = 0
     for r in reps:
-        form = TernaryForm.from_point(r)
-        assert _witness_search(form, 12) == witness_search_by_rows(form, 12), r
+        assert _witness_search(r, 12) == witness_search_by_rows(r, 12), r
         verdict, data = form_isotropic(r)
         if verdict == "Isotropic":
-            assert data["witness"] == witness_search_by_rows(form, WITNESS_BOUND), r
+            assert data["witness"] == witness_search_by_rows(r, WITNESS_BOUND), r
             scanned += data["witness"] is not None
     assert scanned > 1500
 
@@ -217,9 +211,9 @@ def test_witness_search_blocks_at_and_past_the_cell_cap(monkeypatch):
     # no zero at all: the whole box, in blocks of 1, 2, 4, 8, 16 rows and
     # then 27, the most rows of 1201 cells that fit in SCAN_CELLS
     for point in ((1, 3, 3), (0, 3, 4)):
-        form = TernaryForm.from_point(MarkoffPoint.make(*point))
-        assert _witness_search(form, WITNESS_BOUND) is None
-        assert witness_search_by_rows(form, WITNESS_BOUND) is None
+        p = MarkoffPoint.make(*point)
+        assert _witness_search(p, WITNESS_BOUND) is None
+        assert witness_search_by_rows(p, WITNESS_BOUND) is None
     rows = [r for r, _ in shapes[:len(shapes) // 2]]
     width = 2 * WITNESS_BOUND + 1
     assert rows[:6] == [1, 2, 4, 8, 16, SCAN_CELLS // width] and sum(rows) == WITNESS_BOUND + 1
@@ -227,8 +221,8 @@ def test_witness_search_blocks_at_and_past_the_cell_cap(monkeypatch):
     # rows of 2^15 + 1 cells, each a block of its own: rows 0..3, the zero
     # being in row 3
     shapes.clear()
-    form = TernaryForm.from_point(MarkoffPoint.make(0, 6, 7))
-    assert _witness_search(form, 2**14) == witness_search_by_rows(form, 2**14) == (3, -1, -1)
+    p = MarkoffPoint.make(0, 6, 7)
+    assert _witness_search(p, 2**14) == witness_search_by_rows(p, 2**14) == (3, -1, -1)
     assert shapes == [(1, 2**15 + 1)] * 4
 
 
@@ -238,10 +232,9 @@ def test_witness_search_int64_edge():
     top = math.isqrt(2**63 // (4 * 600 * 600))
     while 4 * 600 * 600 * (top * top + top + 2) >= 2**63:
         top -= 1
-    form = TernaryForm.from_point(MarkoffPoint.make(top - 4, -1, top))
-    assert _witness_search(form, 600) == (1, 1, -1)
+    assert _witness_search(MarkoffPoint.make(top - 4, -1, top), 600) == (1, 1, -1)
     with pytest.raises(BudgetExceeded):
-        _witness_search(TernaryForm.from_point(MarkoffPoint.make(top - 3, -1, top + 1)), 600)
+        _witness_search(MarkoffPoint.make(top - 3, -1, top + 1), 600)
     # (1, 1, -1) is a zero here too, but the scan's int64 rows would wrap
     with pytest.raises(BudgetExceeded):
         form_isotropic(MarkoffPoint.make(10**10 + 1, -1, 10**10 + 5))
@@ -250,9 +243,9 @@ def test_witness_search_int64_edge():
 def test_witness_search_bound_0():
     # bound 0 holds only the trivial vector; coordinates >= 2^63 would
     # still reach numpy's int64 conversion, so the range check covers them
-    assert _witness_search(TernaryForm.from_point(MarkoffPoint.make(10, -1, 14)), 0) is None
+    assert _witness_search(MarkoffPoint.make(10, -1, 14), 0) is None
     with pytest.raises(BudgetExceeded):
-        _witness_search(TernaryForm.from_point(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5)), 0)
+        _witness_search(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5), 0)
 
 
 def test_k460_nonmtype_equivalence():
@@ -265,8 +258,8 @@ def test_k460_nonmtype_equivalence():
     def mat3_transpose(a):
         return [[a[j][i] for j in range(3)] for i in range(3)]
 
-    x1 = gram(TernaryForm.from_point(MarkoffPoint.make(-3, 3, 17)))
-    x2 = gram(TernaryForm.from_point(MarkoffPoint.make(-3, 9, 10)))
+    x1 = gram(MarkoffPoint.make(-3, 3, 17))
+    x2 = gram(MarkoffPoint.make(-3, 9, 10))
     assert mat3_mul(mat3_transpose(g), mat3_mul(x1, g)) == x2
     assert mat3_mul(g, g) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert mat3_det(g) == -1
