@@ -1,5 +1,8 @@
 """Command-line surface: JSON subcommands over the library, plus the
-table reproduction targets."""
+table reproduction targets.
+
+Each handler imports the layers it runs, so a command started from a
+shell loads only those: `words` commands, for one, never import numpy."""
 
 import argparse
 import json
@@ -7,36 +10,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import certify as cert
 from . import expected_tables as expected
-from .markoff import (
-    MarkoffPoint,
-    admissible_k,
-    admissible_t,
-    apply_path,
-    class_data,
-    default_class_bound,
-    orbit_within,
-    reduce_point,
-    search_integral,
-    search_localized,
-)
 from .mat2 import Mat2, commutator
-from .lifting import TRACE_SET_BOX, find_trace_set_matrix, lift_point, universal_pair
-from .quadforms import form_isotropic, hasse_profile
-from .quotients import commutator_test_modq, trace_commutator_image
 from .rings import BudgetExceeded, ModInt, localized_str, parse_ring
-from .words import (
-    alg1_representatives,
-    conjugacy_class_key,
-    embedding_matrix,
-    in_derived_subgroup,
-    is_unit_in_S,
-    metabelian_image,
-    second_derived_congruence,
-    table1_trace_filter,
-    word,
-)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -52,8 +28,6 @@ def _encode(obj):
         if isinstance(first, Fraction):
             return {"ring": "Q", "entries": entries}
         return {"ring": "Z", "entries": entries}
-    if isinstance(obj, MarkoffPoint):
-        return {"coords": [_encode(c) for c in obj.coords()], "k": _encode(obj.k)}
     if isinstance(obj, ModInt):
         return obj.v
     if isinstance(obj, Fraction):
@@ -101,6 +75,7 @@ def _order_str(o):
 # --- subcommand handlers ------------------------------------------------------
 
 def _cmd_markoff_reduce(args):
+    from .markoff import MarkoffPoint, apply_path, reduce_point
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
     nf, path = reduce_point(p)
     assert apply_path(path, nf).coords() == p.coords()
@@ -110,17 +85,20 @@ def _cmd_markoff_reduce(args):
 
 
 def _cmd_markoff_class(args):
+    from .markoff import class_data, default_class_bound, orbit_within
     classes = class_data(args.k)
+    bound = default_class_bound(args.k)
     out = []
     for rep in classes:
         orbit = orbit_within(rep.coords(), max(10, rep.maxabs() * 3))
         sample = sorted(c for c in orbit if abs(c[0]) <= abs(c[1]) <= abs(c[2]))
         out.append({"rep": list(rep.coords()), "orbit_sample": sample[:5],
-                    "bound": default_class_bound(args.k)})
+                    "bound": bound})
     return {"k": args.k, "classes": out, "hhat": len(classes)}
 
 
 def _cmd_markoff_search(args):
+    from .markoff import search_integral, search_localized
     if args.limit < 0:
         raise ValueError("limit must be nonnegative, got %d" % args.limit)
     if args.ell is not None:
@@ -129,12 +107,13 @@ def _cmd_markoff_search(args):
                  for p in pts[:args.limit]]
     else:
         pts = search_integral(args.k, args.bound)
-        shown = pts[:args.limit]
+        shown = [{"coords": list(p.coords()), "k": p.k} for p in pts[:args.limit]]
     return {"k": args.k, "bound": args.bound, "ell": args.ell,
             "count": len(pts), "points": shown}
 
 
 def _cmd_markoff_admissible(args):
+    from .markoff import admissible_k, admissible_t
     if args.k is not None:
         return {"k": args.k, "admissible_k": admissible_k(args.k),
                 "k_mod_4": args.k % 4, "k_mod_9": args.k % 9}
@@ -150,6 +129,8 @@ def _cmd_markoff_admissible(args):
 
 
 def _cmd_quadform_profile(args):
+    from .markoff import MarkoffPoint
+    from .quadforms import hasse_profile
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
     prof = hasse_profile(p)
     return {"k": p.k, "point": list(p.coords()),
@@ -158,6 +139,8 @@ def _cmd_quadform_profile(args):
 
 
 def _cmd_quadform_isotropy(args):
+    from .markoff import class_data
+    from .quadforms import form_isotropic
     out = []
     for rep in class_data(args.k):
         verdict, data = form_isotropic(rep)
@@ -166,6 +149,8 @@ def _cmd_quadform_isotropy(args):
 
 
 def _cmd_lift_point(args):
+    from .lifting import TRACE_SET_BOX, find_trace_set_matrix, lift_point
+    from .markoff import MarkoffPoint
     z = _parse_mat(args.z)
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
     if args.y:
@@ -185,6 +170,7 @@ def _cmd_lift_point(args):
 
 
 def _cmd_lift_universal(args):
+    from .lifting import universal_pair
     ring = parse_ring(args.ring)
     try:
         eps = Fraction(args.eps)
@@ -197,6 +183,7 @@ def _cmd_lift_universal(args):
 
 
 def _cmd_words_alg1(args):
+    from .words import alg1_representatives, in_derived_subgroup
     m, n = _parse_order(args.m), _parse_order(args.n)
     reps = alg1_representatives(m, n, args.t)
     return {"m": _order_str(m), "n": _order_str(n), "t": args.t,
@@ -205,6 +192,7 @@ def _cmd_words_alg1(args):
 
 
 def _cmd_words_metab(args):
+    from .words import in_derived_subgroup, is_unit_in_S, metabelian_image, word
     m, n = _parse_order(args.m), _parse_order(args.n)
     w = word(m, n, args.word)
     in_g = in_derived_subgroup(m, n, w)
@@ -219,12 +207,14 @@ def _cmd_words_metab(args):
 
 
 def _cmd_quotient_image(args):
+    from .quotients import trace_commutator_image
     img = trace_commutator_image(args.q)
     return {"q": args.q, "image": sorted(img),
             "excluded": sorted(set(range(args.q)) - img)}
 
 
 def _cmd_quotient_test(args):
+    from .quotients import commutator_test_modq
     z = _parse_mat(args.z)
     ok, wit = commutator_test_modq(z, args.q)
     out = {"q": args.q, "z": z, "is_commutator": ok}
@@ -240,31 +230,36 @@ def _given(args):
 
 
 def _cmd_certify_hfz(args):
-    return cert.certify_hfz(**_given(args)).to_dict()
+    from .certify import certify_hfz
+    return certify_hfz(**_given(args)).to_dict()
 
 
 def _cmd_certify_sint(args):
-    return cert.certify_sint_failure(**_given(args)).to_dict()
+    from .certify import certify_sint_failure
+    return certify_sint_failure(**_given(args)).to_dict()
 
 
 def _cmd_certify_hfe1(args):
+    from .certify import verify_hfe1
     kw = _given(args)
     moduli = kw.pop("moduli", "")
     if moduli:
         kw["local_moduli"] = _parse_ints(moduli)
-    return cert.verify_hfe1(**kw).to_dict()
+    return verify_hfe1(**kw).to_dict()
 
 
 def _cmd_certify_check(args):
+    from .certify import check_certificate
     with open(args.file) as fh:
         d = json.load(fh)
-    ok, fresh = cert.check_certificate(d)
+    ok, fresh = check_certificate(d)
     return {"file": args.file, "replay_matches": ok, "conclusion": fresh["conclusion"]}
 
 
 # --- reproduction targets -----------------------------------------------------
 
 def _word_class_key(w):
+    from .words import conjugacy_class_key
     k1 = conjugacy_class_key(w.cyclic_reduction())
     k2 = conjugacy_class_key(w.inverse().cyclic_reduction())
     return min(k1, k2)
@@ -284,6 +279,7 @@ def repro(table):
     """
     rows = []
     if table == "t1":
+        from .words import embedding_matrix, second_derived_congruence, table1_trace_filter
         for (m, n), exp in expected.TABLE1.items():
             modulus, lams = second_derived_congruence(m, n)
             got = {"trace_c": embedding_matrix(m, n, "c").trace(),
@@ -292,6 +288,7 @@ def repro(table):
             rows.append(({"m": _order_str(m), "n": _order_str(n),
                           "expected": exp, "computed": got}, got == exp))
     elif table == "rt":
+        from .words import alg1_representatives, in_derived_subgroup, word
         for (m, n, t), (exp_words, exp_derived) in expected.RT_TABLE.items():
             reps = alg1_representatives(m, n, t)
             got_keys = {_word_class_key(w) for w in reps}
@@ -302,6 +299,8 @@ def repro(table):
                           "computed": [str(w) for w in reps], "expected": exp_words},
                          got_keys == exp_keys and got_der == exp_der))
     elif table == "genus329":
+        from .markoff import class_data
+        from .quadforms import hasse_profile
         classes = class_data(329)
         for rep, exp in zip(classes, expected.GENUS_329):
             prof = hasse_profile(rep)
@@ -312,14 +311,17 @@ def repro(table):
         ok, report = _report(table, rows)
         return ok and len(classes) == len(expected.GENUS_329), report
     elif table == "classnumbers":
+        from .markoff import class_data
         for k, h in sorted(expected.CLASS_NUMBERS.items()):
             got = len(class_data(k))
             rows.append(({"k": k, "expected": h, "computed": got}, got == h))
     elif table == "hfu2-images":
+        from .quotients import trace_commutator_image
         for q, exp in sorted(expected.HFU2_IMAGES.items()):
             got = sorted(trace_commutator_image(q))
             rows.append(({"q": q, "expected": exp, "computed": got}, got == exp))
     elif table == "embeddings":
+        from .words import embedding_matrix
         for (m, n), gens in expected.EMBEDDINGS.items():
             for g, exp_mat in gens.items():
                 got = embedding_matrix(m, n, g).rows()

@@ -281,21 +281,104 @@ def test_exit_codes(capsys):
     assert code == 0  # computed: the answer is no, but it is an answer
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports this mksurf."""
+    src = os.path.dirname(os.path.dirname(mksurf.cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes the pipe before the command writes, as `| head`
     # can: no traceback, and the exit code of an open stdout
-    src = os.path.dirname(os.path.dirname(mksurf.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "mksurf.cli", "markoff", "class", "--k", "329"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+                              stdout=write_end, stderr=subprocess.PIPE, env=source_env(),
+                              timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+
+
+def fresh_interpreter(code, *args):
+    """Run code in a new interpreter (this suite has long since imported
+    every module and numpy) and return what it prints."""
+    proc = subprocess.run([sys.executable, "-c", code] + list(args), capture_output=True,
+                          text=True, env=source_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+RUN_AND_LIST_MODULES = """
+import contextlib, io, json, sys
+import mksurf.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mksurf.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_loaded_by(*argv):
+    code, modules = json.loads(fresh_interpreter(RUN_AND_LIST_MODULES, *argv))
+    assert code == 0, argv
+    return set(modules)
+
+
+def test_each_command_loads_only_its_modules():
+    loaded = modules_loaded_by("words", "alg1", "--m", "2", "--n", "3", "--t", "7")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("mksurf.")} == {
+        "mksurf." + m for m in ("cli", "expected_tables", "mat2", "rings", "words")}
+    loaded = modules_loaded_by("markoff", "class", "--k", "329")
+    assert not loaded & {"mksurf." + m for m in ("certify", "lifting", "quadforms",
+                                                 "quotients", "words")}
+
+
+# every name `import mksurf` offers, by the submodule that defines it
+PACKAGE_NAMES = {
+    "rings": ["INF", "BudgetExceeded", "ModInt", "ResidueRing", "SIntegerRing", "factorize",
+              "hilbert", "jacobi", "parse_ring", "squarefree_part"],
+    "mat2": ["Mat2", "commutator", "in_trace_set", "mat_mod"],
+    "markoff": ["MarkoffMove", "MarkoffPoint", "admissible_k", "admissible_t", "apply_move",
+                "apply_path", "class_data", "level", "orbit_within", "reduce_point",
+                "search_integral", "search_localized"],
+    "quadforms": ["HasseProfile", "form_isotropic", "hasse_profile"],
+    "lifting": ["LiftError", "LiftResult", "lift2", "lift_point", "pair_move", "universal_pair"],
+    "words": ["SRingElem", "Word", "alg1_representatives", "embedding_matrix",
+              "in_derived_subgroup", "is_unit_in_S", "metabelian_image", "psl2_class_reps",
+              "table1_trace_filter", "word", "word_trace"],
+    "quotients": ["commutator_test_modq", "sl2_tuples", "trace_commutator_image"],
+    "certify": ["Certificate", "build_hfe1_matrix", "certify_hfz", "certify_sint_failure",
+                "check_certificate", "verify_hfe1"],
+}
+
+CHECK_PACKAGE_NAMES = """
+import importlib, json, sys
+import mksurf
+assert not [m for m in sys.modules if m.startswith("mksurf.")] and "numpy" not in sys.modules
+assert mksurf.markoff.class_data(329)[0].coords() == (-4, 4, 11)
+names = json.loads(sys.argv[1])
+assert sorted(mksurf.__all__) == sorted(n for ns in names.values() for n in ns)
+for module, ns in names.items():
+    for n in ns:
+        assert getattr(mksurf, n) is getattr(importlib.import_module("mksurf." + module), n), n
+for n in ("no_such_name", "default_class_bound"):
+    assert not hasattr(mksurf, n), n
+star = {}
+exec("from mksurf import *", star)
+assert set(star) - {"__builtins__"} == set(mksurf.__all__)
+assert set(mksurf.__all__) <= set(dir(mksurf))
+print("ok")
+"""
+
+
+def test_package_names_load_on_first_use():
+    assert fresh_interpreter(CHECK_PACKAGE_NAMES, json.dumps(PACKAGE_NAMES)) == "ok\n"
+    assert sum(map(len, PACKAGE_NAMES.values())) == 55
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])
