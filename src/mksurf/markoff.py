@@ -203,26 +203,60 @@ def _descent_step(c):
     return None
 
 
-def _normal_form(closure):
-    """The normal form of a floor closure: the lexicographically largest
-    of its family-canonical tuples.  The canonical tuple of a
-    perm/double-sign family is its member sorted by absolute value with
-    every entry >= 0, except the first when the family has an odd number
-    of negative entries and no zero.
+def _family_canonical(c):
+    """The canonical tuple of the perm/double-sign family of the integer
+    triple c: its member sorted by absolute value with every entry >= 0,
+    except the first when the family has an odd number of negative entries
+    and no zero, that is when x1 x2 x3 < 0.
 
-    Those are exactly the keys c with |c1| <= c2 <= c3.  A canonical tuple
-    has them, its last two entries being sorted absolute values.
-    Conversely, such a c has c2, c3 >= 0 and is sorted by absolute value;
-    if c1 >= 0 it has no negative entry, and if c1 < 0 it has one and no
-    zero (c2, c3 >= |c1| > 0), so it is its own family's canonical tuple.
-    The closure orbit_within(d, max|d|) holds each family's canonical
-    tuple: it is closed under permutations and double sign changes, which
-    keep max|x| within the bound, and they carry any tuple to its
-    family's canonical one (sort by absolute value, then pair the
-    negative signs off, or move a lone one onto the first entry, or onto
-    a zero, where it vanishes).  So the maximum over these keys is the
-    maximum over the closure of the canonical tuples of its keys."""
-    return max(c for c in closure if abs(c[0]) <= c[1] <= c[2])
+    The permutations and double sign changes carry c to it: sort by
+    absolute value, then pair the negative signs off, or move a lone one
+    onto the first entry, or onto a zero, where it vanishes.  They keep
+    the absolute values as a multiset and the sign of x1 x2 x3, so two
+    triples of one family share the tuple, which is the family's member
+    with |c1| <= c2 <= c3: such a c has c2, c3 >= 0 and is sorted by
+    absolute value, and if c1 < 0 it has one negative entry and no zero."""
+    x, y, z = c
+    a, b, m = sorted((abs(x), abs(y), abs(z)))
+    return (-a, b, m) if x * y * z < 0 else (a, b, m)
+
+
+def _floor_families(c):
+    """The families of the floor closure orbit_within(c, max|c|) of the
+    floor point c, as the set of their _family_canonical tuples.  Its
+    maximum is the normal form of every point that descends into it.
+
+    The walk visits one canonical tuple per family and tries only the
+    three Vieta moves on it.  That finds the closure's families:
+    - the closure is a union of families, since permutations and double
+      sign changes keep max|x|;
+    - they conjugate the Vieta moves among themselves: a permutation
+      turns a Vieta move into the one on the coordinate it moves there,
+      and a double sign change s commutes with each, V_j(s c) = s V_j(c)
+      (e.g. V_1(-x, -y, z) = (x - yz, -y, z)), so each Vieta image of a
+      member of a family is a member of the family of a Vieta image of
+      its canonical tuple, and has the same max|x|;
+    - so from the start's family the walk reaches, within max|c|,
+      exactly the families of the points orbit_within reaches, and each
+      walked family holds only points orbit_within reaches (its
+      perm/double-sign moves keep max|x|).
+    As for orbit_within, only the coordinate a Vieta move changes can
+    leave the bound, and it alone is tested.
+    """
+    bound = _maxabs(c)
+    start = _family_canonical(c)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x, y, z = stack.pop()
+        u, v, w = y * z - x, x * z - y, x * y - z
+        for new, cand in ((u, (u, y, z)), (v, (x, v, z)), (w, (x, y, w))):
+            if -bound <= new <= bound:
+                f = _family_canonical(cand)
+                if f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+    return seen
 
 
 def reduce_point(point):
@@ -231,10 +265,15 @@ def reduce_point(point):
 
     Descent repeatedly applies the Vieta move that strictly decreases the
     max-norm (_descent_step); more than MAX_DESCENT_STEPS of them raise
-    BudgetExceeded.  At the floor m, orbit_within closes over the orbit
-    reachable without increasing the max-norm, and the normal form is the
-    lexicographically largest family-canonical tuple in it, which keeps
-    e.g. (1,1,1) fixed rather than drifting to a zero coordinate.
+    BudgetExceeded.  At the floor point d, with m = max|d|, the closure
+    orbit_within(d, m) is the orbit reachable without increasing the
+    max-norm, and the normal form is the lexicographically largest
+    family-canonical tuple in it (_floor_families), which keeps e.g.
+    (1,1,1) fixed rather than drifting to a zero coordinate.  The path
+    from d to the normal form is the closure's path to it, and the
+    closure is walked only when descent ends elsewhere: orbit_within
+    records its start first, with the path [], and never rewrites a
+    recorded path, so when d is the normal form the path is [].
 
     Every point of that closure has max-norm m.  Call d a floor point if
     max|d| = m and no Vieta move takes it below m; descent stops at one.
@@ -263,10 +302,11 @@ def reduce_point(point):
         if len(path) > MAX_DESCENT_STEPS:
             raise BudgetExceeded("descent exceeded %d steps" % MAX_DESCENT_STEPS)
 
-    closure = orbit_within(cur, _maxabs(cur))
-    target = _normal_form(closure)
+    target = max(_floor_families(cur))
+    if target != cur:
+        path += orbit_within(cur, _maxabs(cur))[target]
     normal = MarkoffPoint(target[0], target[1], target[2], point.k)
-    return normal, [m.inverse() for m in reversed(path + closure[target])]
+    return normal, [m.inverse() for m in reversed(path)]
 
 
 def default_class_bound(k):
@@ -306,11 +346,12 @@ def class_data(k):
       themselves (reduce_point's docstring), so each perm/double-sign image
       of d is a floor point, and the one with |x1| <= |x2| <= |x3| is a
       point of search_integral;
-    - reduce_point's normal form is _normal_form of the closure
-      orbit_within(d, max|d|), which is the same set from any of its
-      members and is closed under perm/sign, so it holds that image;
+    - reduce_point's normal form is the largest tuple of _floor_families
+      of the closure orbit_within(d, max|d|), which is the same set from
+      any of its members and is closed under perm/sign, so it holds that
+      image;
     - so each closure is walked once, from its first search point, and a
-      set of the walked points skips every later search point in it.
+      set of the walked families skips every later search point in one.
     The search points are read as coordinate tuples (_integral_coords), so
     only the representatives become MarkoffPoints.
 
@@ -328,11 +369,11 @@ def class_data(k):
     reps = []
     walked = set()
     for c in _integral_coords(k, b):
-        if c in walked or _descent_step(c) is not None:
+        if _family_canonical(c) in walked or _descent_step(c) is not None:
             continue
-        closure = orbit_within(c, _maxabs(c))
-        walked.update(closure)
-        reps.append(MarkoffPoint(*_normal_form(closure), k))
+        families = _floor_families(c)
+        walked.update(families)
+        reps.append(MarkoffPoint(*max(families), k))
     return sorted(reps, key=MarkoffPoint.coords)
 
 

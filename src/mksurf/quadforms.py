@@ -4,7 +4,6 @@ profiles, and isotropy via Legendre's theorem."""
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -13,11 +12,9 @@ from .rings import (
     INF,
     BudgetExceeded,
     factorize,
-    hilbert,
-    is_square_mod,
+    hilbert_int,
     jacobi,
     square_class_int,
-    squarefree_part,
 )
 
 
@@ -43,34 +40,27 @@ def hasse_profile(point):
     Markoff point, computed from a coordinate with x^2 != 4 and
     cross-checked against every other usable coordinate.  The points with
     every coordinate +-2 lie only on levels 4 and 20; at level 20 no
-    coordinate is usable, and the profile is refused (ValueError)."""
-    k = Fraction(point.k)
-    if k <= 4:
-        raise ValueError("profiles need k > 4, got %s" % k)
-    coords = [Fraction(c) for c in point.coords()]
-    usable = [c for c in coords if c * c != 4]
+    coordinate is usable, and the profile is refused (ValueError).
+
+    Each x^2 - 4 and k - 4 enters as its square_class_int, factored once,
+    and each symbol is hilbert_int at 2, INF or an odd prime of one of
+    those factorizations."""
+    if point.k <= 4:
+        raise ValueError("profiles need k > 4, got %s" % point.k)
+    usable = [c for c in point.coords() if c * c != 4]
     if not usable:
         raise ValueError("all coordinates are +-2, so x^2 - 4 = 0 at each and "
                          "(x^2 - 4, k - 4)_p is undefined")
-    km4 = k - 4
-    km4_primes = {q for q, _ in factorize(square_class_int(km4)) if q > 2}
-
-    def places_for(c):
-        out = {2, INF} | km4_primes
-        for q, _ in factorize(square_class_int(c * c - 4)):
-            if q > 2:
-                out.add(q)
-        return out
-
-    place_sets = [places_for(c) for c in usable]
-    all_places = set().union(*place_sets)
-    profiles = []
-    for c in usable:
-        profiles.append({p: hilbert(c * c - 4, km4, p) for p in sorted(all_places, key=_place_sort_key)})
+    km4 = square_class_int(point.k - 4)
+    km4_places = {2, INF} | {q for q, _ in factorize(km4) if q > 2}
+    classes = [square_class_int(c * c - 4) for c in usable]
+    place_sets = [km4_places | {q for q, _ in factorize(a) if q > 2} for a in classes]
+    places = sorted(set().union(*place_sets), key=_place_sort_key)
+    profiles = [{p: hilbert_int(a, km4, p) for p in places} for a in classes]
     for other in profiles[1:]:
         if other != profiles[0]:
             raise ValueError("coordinate profiles disagree: %r" % (profiles,))
-    entries = tuple((p, profiles[0][p]) for p in sorted(place_sets[0], key=_place_sort_key))
+    entries = tuple((p, profiles[0][p]) for p in places if p in place_sets[0])
     return HasseProfile(entries)
 
 
@@ -136,13 +126,25 @@ WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness sc
 def anisotropy_prime(point):
     """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
     nonresidue mod p, or None."""
-    for p, e in factorize(point.k - 4):
+    return _anisotropy_prime(point.coords(), factorize(point.k - 4))
+
+
+def _anisotropy_prime(coords, km4_factors):
+    """anisotropy_prime from the factorization of k - 4."""
+    for p, e in km4_factors:
         if p == 2 or e != 1:
             continue
-        for x in point.coords():
+        for x in coords:
             if jacobi(x * x - 4, p) == -1:
                 return (p, x)
     return None
+
+
+def _odd_part(factors):
+    """The odd-multiplicity primes of a factorization, and their product:
+    the squarefree part of a positive number."""
+    odd = [p for p, e in factors if e % 2]
+    return odd, math.prod(odd)
 
 
 def form_isotropic(point):
@@ -153,18 +155,29 @@ def form_isotropic(point):
     "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
     one exists within WITNESS_BOUND (None and flagged otherwise); a point
     too large for that scan's int64 range raises BudgetExceeded.
+
+    With m and n the squarefree parts of x^2 - 4 and k - 4, both > 0,
+    Legendre's criterion asks whether m is a square mod n and n one mod m;
+    for squarefree moduli that is a Jacobi test at each odd prime of the
+    modulus, and the primes of a squarefree part are the odd-multiplicity
+    primes of its number.  So each of k - 4 and the x^2 - 4 examined is
+    factored once, a number shared by two of them once in all.
     """
     k = point.k
     if not isinstance(k, int) or k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")
-    n = squarefree_part(k - 4)
+    factored = {k - 4: factorize(k - 4)}
+    n_primes, n = _odd_part(factored[k - 4])
     for j, x in enumerate(point.coords()):
         if x * x <= 4:
             continue
-        m = squarefree_part(x * x - 4)
+        if x * x - 4 not in factored:
+            factored[x * x - 4] = factorize(x * x - 4)
+        m_primes, m = _odd_part(factored[x * x - 4])
         if math.gcd(m, n) != 1:
             continue
-        iso = is_square_mod(m, n) and is_square_mod(n, m)
+        iso = (all(jacobi(m, p) != -1 for p in n_primes if p != 2)
+               and all(jacobi(n, p) != -1 for p in m_primes if p != 2))
         data = {"coordinate": j + 1, "m": m, "n": n}
         if iso:
             w = _witness_search(point, WITNESS_BOUND)
@@ -173,7 +186,6 @@ def form_isotropic(point):
             if w is None:
                 data["flag"] = "criterion only: no zero within bound"
             return "Isotropic", data
-        data["anisotropy_prime"] = anisotropy_prime(point)
+        data["anisotropy_prime"] = _anisotropy_prime(point.coords(), factored[k - 4])
         return "Anisotropic", data
     return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
-

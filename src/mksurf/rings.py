@@ -191,10 +191,19 @@ def hilbert(a, b, p):
 
     p is a prime or INF.  Computed from the closed formulas: the odd-prime
     and dyadic product expansions in Jacobi symbols, and the sign rule at
-    the infinite place.  Depends only on square classes.
+    the infinite place.  Depends only on square classes, so a and b enter
+    hilbert_int as their square_class_int.
     """
     a = square_class_int(a)
     b = square_class_int(b)
+    if p != INF and p != 2 and (p < 3 or not is_probable_prime(p)):
+        raise ValueError("not a prime: %r" % (p,))
+    return hilbert_int(a, b, p)
+
+
+def hilbert_int(a, b, p):
+    """(a,b)_p for nonzero ints a, b and p a prime or INF, unchecked:
+    hilbert's kernel, for callers that hold ints and proven primes."""
     if p == INF:
         return -1 if (a < 0 and b < 0) else 1
     if p == 2:
@@ -206,8 +215,6 @@ def hilbert(a, b, p):
         if be % 2:
             s += (m * m - 1) // 8
         return -1 if s % 2 else 1
-    if p < 3 or not is_probable_prime(p):
-        raise ValueError("not a prime: %r" % (p,))
     al, m = _split_prime(a, p)
     be, n = _split_prime(b, p)
     s = 1
@@ -218,20 +225,6 @@ def hilbert(a, b, p):
     if al % 2:
         s *= jacobi(n, p)
     return s
-
-
-def is_square_mod(r, m):
-    """True iff x**2 = r (mod m) is solvable, for squarefree m >= 1."""
-    if m < 0:
-        m = -m
-    if m <= 2:
-        return True
-    for p, _ in factorize(m):
-        if p == 2:
-            continue
-        if jacobi(r % p, p) == -1:
-            return False
-    return True
 
 
 def localized_str(x, ell):

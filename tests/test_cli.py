@@ -73,6 +73,22 @@ def test_markoff_reduce(capsys):
     assert d["normal_form"] == [-3, 3, 6]
 
 
+@pytest.mark.parametrize("point, normal, path", [
+    # descent ends at (-2, -1, 2), off the normal form: the path goes on
+    # through the floor closure
+    ("-4,-5,18", [1, 2, 2], ["sign(2, 3)", "perm(2, 1, 3)", "sign(2, 3)", "vieta(2,)",
+                             "vieta(1,)", "vieta(2,)", "vieta(3,)"]),
+    # descent ends at the normal form
+    ("21,3,6", [-3, 3, 6], ["vieta(1,)"]),
+])
+def test_markoff_reduce_json_on_both_branches(capsys, point, normal, path):
+    code, out = capture(capsys, ["markoff", "reduce", "--point=" + point])
+    coords = [int(v) for v in point.split(",")]
+    want = {"k": MarkoffPoint.make(*coords).k, "normal_form": normal, "path": path,
+            "path_length": len(path), "point": coords}
+    assert code == 0 and out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_markoff_admissible_discrepancy_note(capsys):
     code, out = capture(capsys, ["markoff", "admissible", "--t", "106"])
     assert code == 0

@@ -25,7 +25,14 @@ from mksurf.markoff import (
     search_integral,
     search_localized,
 )
-from mksurf.markoff import SCAN_CELLS, _apply_coords, _descent_step, _integral_coords, _normal_form
+from mksurf.markoff import (
+    SCAN_CELLS,
+    _apply_coords,
+    _descent_step,
+    _family_canonical,
+    _floor_families,
+    _integral_coords,
+)
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
@@ -183,18 +190,87 @@ def test_class_data_matches_reducing_every_box_point(ks):
         assert [c.coords() for c in class_data(k)] == reduce_every_box_point(k), k
 
 
+def normal_form_of_closure(closure):
+    """The normal form of a floor closure as reduce_point and class_data
+    took it before they walked families: the largest key c with
+    |c1| <= c2 <= c3, which are the closure's family-canonical tuples."""
+    return max(c for c in closure if abs(c[0]) <= c[1] <= c[2])
+
+
+def class_data_by_closures(k):
+    """class_data as it was before it walked families, kept as the oracle
+    for the family walk: each floor point of the box not yet walked gets
+    its whole closure orbit_within(c, max|c|), and every point of it is
+    skipped later."""
+    reps = []
+    walked = set()
+    for c in _integral_coords(k, default_class_bound(k)):
+        if c in walked or _descent_step(c) is not None:
+            continue
+        closure = orbit_within(c, max(map(abs, c)))
+        walked.update(closure)
+        reps.append(normal_form_of_closure(closure))
+    return sorted(reps)
+
+
+CLASS_KS = [k for k in range(-3000, 6001) if k not in (0, 4)]
+CLASS_KS_SAMPLED = sorted(s * round(10 ** random.Random(63 + i).uniform(4, 6))
+                          for i in range(12) for s in (1, -1)) + [-888933323, 888933323]
+
+
+@pytest.mark.parametrize("ks", [CLASS_KS[i::4] for i in range(4)] + [CLASS_KS_SAMPLED])
+def test_class_data_matches_the_closure_walk(ks):
+    for k in ks:
+        assert [c.coords() for c in class_data(k)] == class_data_by_closures(k), k
+
+
+def reduce_point_by_closure(point):
+    """reduce_point as it was before it walked families, kept as the
+    oracle for the family walk: descent, then the whole floor closure, and
+    the path read off it even when descent ends at the normal form."""
+    cur = point.coords()
+    path = []
+    while (step := _descent_step(cur)) is not None:
+        mv, cur = step
+        path.append(mv)
+    closure = orbit_within(cur, max(map(abs, cur)))
+    target = normal_form_of_closure(closure)
+    return MarkoffPoint(*target, point.k), [m.inverse() for m in reversed(path + closure[target])]
+
+
+def test_reduce_point_matches_the_closure_walk():
+    # every point of the cube max|c| <= 6 and the ends of seeded Vieta walks
+    # from them; the normal forms and the paths must be equal
+    cube = [c for c in itertools.product(range(-6, 7), repeat=3) if level(*c) not in (0, 4)]
+    rng = random.Random(64)
+    walks = []
+    for _ in range(2000):
+        c = rng.choice(cube)
+        for _ in range(rng.randint(1, 6)):
+            c = _apply_coords(rng.choice(GENERATORS[:3]), c)
+        walks.append(c)
+    off_target = 0
+    for c in cube + walks:
+        p = MarkoffPoint.make(*c)
+        got = reduce_point(p)
+        assert got == reduce_point_by_closure(p), c
+        # a path that starts with a perm or sign move holds a closure path
+        off_target += bool(got[1]) and got[1][0].tag != "vieta"
+    assert off_target > 100
+
+
 @pytest.mark.parametrize("k", [329, 3780, 10**6 + 1, -2999995])
 def test_class_data_walks_one_floor_closure_per_orbit(monkeypatch, k):
     walks = []
 
-    def counted(c, bound):
+    def counted(c):
         walks.append(c)
-        return orbit_within(c, bound)
+        return _floor_families(c)
 
     def forbidden(point):
         raise AssertionError("class_data reduced %r" % (point,))
 
-    monkeypatch.setattr(mksurf.markoff, "orbit_within", counted)
+    monkeypatch.setattr(mksurf.markoff, "_floor_families", counted)
     monkeypatch.setattr(mksurf.markoff, "reduce_point", forbidden)
     classes = class_data(k)
     assert classes and len(walks) == len(classes)
@@ -323,10 +399,11 @@ def test_inline_moves_match_the_move_tag_walk(cube, bounds):
     # every start of the cube max|c| <= 6 with every bound 0..8, and the
     # cube max|c| <= 2 up to bound 20; a start above the bound is refused.
     # Items are compared in order, since the order and the paths are what
-    # reduce_point and `markoff class` read.  _normal_form is checked on
-    # the closures it is given, those with bound = max|c|
+    # reduce_point and `markoff class` read.  The family walk is checked
+    # on the closures it stands for, those with bound = max|c|
     for c in itertools.product(range(-cube, cube + 1), repeat=3):
         assert _descent_step(c) == descent_step_by_move_tags(c), c
+        assert _family_canonical(c) == family_canonical(c), c
         for bound in bounds:
             if max(map(abs, c)) > bound:
                 with pytest.raises(ValueError):
@@ -335,7 +412,7 @@ def test_inline_moves_match_the_move_tag_walk(cube, bounds):
             walk = orbit_within(c, bound)
             assert list(walk.items()) == list(walk_by_move_tags(c, bound).items()), (c, bound)
             if max(map(abs, c)) == bound:
-                assert _normal_form(walk) == max(map(family_canonical, walk)), c
+                assert _floor_families(c) == set(map(family_canonical, walk)), c
 
 
 def test_obstructed_traces_are_the_complements_of_the_commutator_trace_images():

@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import mksurf.quadforms
+import mksurf.rings
 from mksurf.markoff import (
     GENERATORS,
     SCAN_CELLS,
@@ -12,6 +14,7 @@ from mksurf.markoff import (
     apply_move,
     class_data,
     search_integral,
+    search_localized,
 )
 from mksurf.quadforms import (
     WITNESS_BOUND,
@@ -20,7 +23,7 @@ from mksurf.quadforms import (
     form_isotropic,
     hasse_profile,
 )
-from mksurf.rings import BudgetExceeded
+from mksurf.rings import INF, BudgetExceeded, factorize, hilbert, jacobi, square_class_int, squarefree_part
 
 from _util import form_value, gram, random_point, witness_search_by_rows
 
@@ -56,6 +59,41 @@ def test_hasse_profile_factors_each_argument_once(monkeypatch):
             hasse_profile(p)
             usable = [c for c in p.coords() if c * c != 4]
             assert len(calls) == 1 + len(usable), (p, calls)
+
+
+def hasse_profile_by_fractions(point):
+    """hasse_profile as it was before it called hilbert_int, kept as the
+    oracle for it: k and the coordinates as Fractions, and every symbol
+    through hilbert, which takes their square classes and checks the
+    place each time."""
+    k = Fraction(point.k)
+    if k <= 4:
+        raise ValueError("profiles need k > 4, got %s" % k)
+    usable = [Fraction(c) for c in point.coords() if c * c != 4]
+    if not usable:
+        raise ValueError("all coordinates are +-2")
+    place_sets = [{2, INF} | {q for v in (k - 4, c * c - 4)
+                              for q, _ in factorize(square_class_int(v)) if q > 2}
+                  for c in usable]
+    profiles = [{p: hilbert(c * c - 4, k - 4, p) for p in set().union(*place_sets)}
+                for c in usable]
+    assert all(other == profiles[0] for other in profiles[1:]), profiles
+    return sorted(((p, profiles[0][p]) for p in place_sets[0]), key=lambda e: (e[0] == INF, e[0]))
+
+
+def test_hasse_profile_matches_the_fraction_oracle():
+    # class representatives, random integer points, and points over
+    # Z[1/ell] with Fraction coordinates
+    points = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
+    rng = random.Random(65)
+    points += [p for p in (random_point(rng, 40) for _ in range(400)) if p.k > 4]
+    localized = [p for k, ell in ((5, 5), (8, 3), (13, 7), (20, 3), (29, 5), (56, 5), (329, 3))
+                 for p in search_localized(k, ell, 2, 40)]
+    assert sum(not p.is_integral() for p in localized) > 1000
+    for p in points + localized:
+        if all(c * c == 4 for c in p.coords()):
+            continue
+        assert list(hasse_profile(p).entries) == hasse_profile_by_fractions(p), p
 
 
 def test_hasse_profile_product_formula_on_found_points():
@@ -142,6 +180,69 @@ def test_form_isotropic_inapplicable():
     # nonresidue mod 5
     assert form_isotropic(MarkoffPoint.make(0, 0, 3))[0] == "Inapplicable"
     assert anisotropy_prime(MarkoffPoint.make(0, 0, 3)) is None
+
+
+def is_square_mod(r, m):
+    """Whether x^2 = r (mod m) is solvable, for squarefree m != 0: a
+    Jacobi test at each odd prime of m."""
+    return all(jacobi(r % p, p) != -1 for p, _ in factorize(m) if p != 2)
+
+
+def form_isotropic_by_squarefree_parts(point):
+    """form_isotropic as it was before it factored each number once, kept
+    as the oracle for it, with the witness scan left out: squarefree_part,
+    is_square_mod and anisotropy_prime each factor what they need."""
+    n = squarefree_part(point.k - 4)
+    for j, x in enumerate(point.coords()):
+        if x * x <= 4:
+            continue
+        m = squarefree_part(x * x - 4)
+        if math.gcd(m, n) != 1:
+            continue
+        data = {"coordinate": j + 1, "m": m, "n": n}
+        if is_square_mod(m, n) and is_square_mod(n, m):
+            return "Isotropic", data
+        data["anisotropy_prime"] = anisotropy_prime(point)
+        return "Anisotropic", data
+    return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
+
+
+def isotropy_points():
+    """Class representatives and random integer points above level 4."""
+    points = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
+    rng = random.Random(66)
+    return points + [p for p in (random_point(rng, 40) for _ in range(400)) if p.k > 4]
+
+
+def test_form_isotropic_matches_the_squarefree_part_oracle(monkeypatch):
+    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
+    verdicts = set()
+    for p in isotropy_points():
+        verdict, data = form_isotropic(p)
+        for key in ("witness", "witness_bound", "flag"):
+            data.pop(key, None)
+        assert (verdict, data) == form_isotropic_by_squarefree_parts(p), p
+        verdicts.add(verdict)
+    assert verdicts == {"Isotropic", "Anisotropic", "Inapplicable"}
+
+
+def test_form_isotropic_factors_each_argument_once(monkeypatch):
+    # factorize counted in quadforms and in rings, so a call through a
+    # rings helper counts too
+    calls = []
+    real = mksurf.rings.factorize
+    counted = lambda n: calls.append(n) or real(n)
+    monkeypatch.setattr(mksurf.quadforms, "factorize", counted)
+    monkeypatch.setattr(mksurf.rings, "factorize", counted)
+    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
+    examined = 0
+    for p in isotropy_points():
+        calls.clear()
+        form_isotropic(p)
+        args = {p.k - 4} | {x * x - 4 for x in p.coords() if x * x > 4}
+        assert calls[0] == p.k - 4 and len(calls) == len(set(calls)) and set(calls) <= args, p
+        examined += len(calls) > 2
+    assert examined > 10
 
 
 def test_form_isotropic_verdicts_match_witness_search():

@@ -17,12 +17,13 @@ from mksurf.rings import (
     _pollard_rho,
     factorize,
     hilbert,
+    hilbert_int,
     is_probable_prime,
-    is_square_mod,
     jacobi,
     localized_str,
     parse_ring,
     residue,
+    square_class_int,
     squarefree_part,
 )
 
@@ -110,6 +111,18 @@ def test_hilbert_examples():
         assert hilbert(Fraction(-3, 5), 1, p) == 1
     assert hilbert(2, 5, 2) == -1
     assert hilbert(-1, -1, INF) == -1
+
+
+def test_hilbert_checks_its_place_and_calls_hilbert_int():
+    for p in (-3, 0, 1, 4, 9, 15, 10**6):
+        with pytest.raises(ValueError, match="^not a prime: "):
+            hilbert(3, 5, p)
+    rng = random.Random(67)
+    for _ in range(2000):
+        a = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 60))
+        b = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 60))
+        p = rng.choice([2, 3, 5, 7, 11, 13, INF])
+        assert hilbert(a, b, p) == hilbert_int(square_class_int(a), square_class_int(b), p)
 
 
 def test_hilbert_matches_residue_search():
@@ -226,13 +239,6 @@ def test_is_probable_prime_past_the_deterministic_limit():
     assert 3317044064679887385961981 == 1287836182261 * 2575672364521
     assert not is_probable_prime(3317044064679887385961981)
     assert is_probable_prime(2**89 - 1)
-
-
-def test_is_square_mod():
-    assert is_square_mod(2, 7)
-    assert not is_square_mod(5, 13)
-    assert is_square_mod(3, 1)
-    assert is_square_mod(7, 2)
 
 
 def test_localized_int_normalization_and_membership():
