@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "rings": ("INF", "BudgetExceeded", "ModInt", "ResidueRing", "SIntegerRing",
-              "factorize", "hilbert", "jacobi", "parse_ring", "squarefree_part"),
+              "factorize", "hilbert", "jacobi", "parse_ring"),
     "mat2": ("Mat2", "commutator", "in_trace_set", "mat_mod"),
     "markoff": ("MarkoffMove", "MarkoffPoint", "admissible_k", "admissible_t",
                 "apply_move", "apply_path", "class_data", "level", "orbit_within",

@@ -136,20 +136,14 @@ def _maxabs(c):
     return max(map(abs, c))
 
 
-_SYMMETRY_MOVES = GENERATORS[3:]  # orbit_within's images of a point follow this order
-
-
 def orbit_within(c, bound):
     """Every point reachable from the integer triple c by the Markoff moves
     without max|x| going above bound, as an insertion-ordered dict
     {coords: list of moves from c}.  Depth-first: the stack pops from its
-    end, and each point tries the moves of GENERATORS in order.
-
-    The start must lie within the bound (ValueError otherwise).  The moves
-    are applied inline.  From a point within the bound only a Vieta move
-    can leave it, and only through the one coordinate it changes, since
-    permutations and double sign changes keep max|x|; so that coordinate
-    is the only one tested.
+    end, and each point tries the moves of GENERATORS in order.  The start
+    must lie within the bound (ValueError otherwise).  Only a Vieta move
+    can leave the bound, through the one coordinate it changes, which
+    alone is tested: permutations and double sign changes keep max|x|.
 
     Completeness: take q with max|q| <= bound, and let r be its normal
     form under reduce_point.  The path from q to r never raises max|x|:
@@ -164,17 +158,10 @@ def orbit_within(c, bound):
     stack = [c]
     while stack:
         cur = stack.pop()
-        x, y, z = cur
         path = seen[cur]
-        u, v, w = y * z - x, x * z - y, x * y - z
-        for mv, new, cand in ((VIETA1, u, (u, y, z)), (VIETA2, v, (x, v, z)),
-                              (VIETA3, w, (x, y, w))):
-            if -bound <= new <= bound and cand not in seen:
-                seen[cand] = path + [mv]
-                stack.append(cand)
-        for mv, cand in zip(_SYMMETRY_MOVES, ((x, z, y), (y, x, z), (y, z, x), (z, x, y),
-                                              (z, y, x), (-x, -y, z), (-x, y, -z), (x, -y, -z))):
-            if cand not in seen:
+        for mv in GENERATORS:
+            cand = _apply_coords(mv, cur)
+            if cand not in seen and (mv.tag != "vieta" or abs(cand[mv.data[0] - 1]) <= bound):
                 seen[cand] = path + [mv]
                 stack.append(cand)
     return seen
@@ -240,8 +227,7 @@ def _floor_families(c):
       exactly the families of the points orbit_within reaches, and each
       walked family holds only points orbit_within reaches (its
       perm/double-sign moves keep max|x|).
-    As for orbit_within, only the coordinate a Vieta move changes can
-    leave the bound, and it alone is tested.
+    As in orbit_within, only the coordinate a Vieta move changes is tested.
     """
     bound = _maxabs(c)
     start = _family_canonical(c)

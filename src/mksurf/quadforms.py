@@ -123,14 +123,9 @@ def _witness_search(point, bound):
 WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
 
 
-def anisotropy_prime(point):
-    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
-    nonresidue mod p, or None."""
-    return _anisotropy_prime(point.coords(), factorize(point.k - 4))
-
-
 def _anisotropy_prime(coords, km4_factors):
-    """anisotropy_prime from the factorization of k - 4."""
+    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
+    nonresidue mod p, or None, given km4_factors = factorize(k - 4)."""
     for p, e in km4_factors:
         if p == 2 or e != 1:
             continue
@@ -154,7 +149,8 @@ def form_isotropic(point):
     Returns (verdict, data) with verdict in {"Isotropic", "Anisotropic",
     "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
     one exists within WITNESS_BOUND (None and flagged otherwise); a point
-    too large for that scan's int64 range raises BudgetExceeded.
+    too large for that scan's int64 range raises BudgetExceeded, and one
+    with a non-integer coordinate or k <= 4 raises ValueError.
 
     With m and n the squarefree parts of x^2 - 4 and k - 4, both > 0,
     Legendre's criterion asks whether m is a square mod n and n one mod m;
@@ -163,6 +159,8 @@ def form_isotropic(point):
     primes of its number.  So each of k - 4 and the x^2 - 4 examined is
     factored once, a number shared by two of them once in all.
     """
+    if not point.is_integral():
+        raise ValueError("form_isotropic needs integer coordinates")
     k = point.k
     if not isinstance(k, int) or k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")

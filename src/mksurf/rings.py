@@ -80,8 +80,6 @@ def _pollard_rho(n, steps):
     Parameters are cycled deterministically so factorizations are
     reproducible run to run.
     """
-    if n % 2 == 0:
-        return 2, steps
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -119,10 +117,11 @@ def _pollard_rho(n, steps):
 def factorize(n):
     """Complete factorization of |n| as a sorted list of (prime, multiplicity).
 
-    Trial division up to 10^6, Pollard rho on what remains.  One call takes
-    at most MAX_RHO_STEPS rho steps, about a second; past them it raises
-    BudgetExceeded.
+    n must be an integer (TypeError otherwise).  Trial division up to 10^6,
+    Pollard rho on what remains.  One call takes at most MAX_RHO_STEPS rho
+    steps, about a second; past them it raises BudgetExceeded.
     """
+    n = operator.index(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -156,17 +155,6 @@ def factorize(n):
         stack.append(d)
         stack.append(m // d)
     return sorted(factors.items())
-
-
-def squarefree_part(n):
-    """The squarefree m with n = m * s**2, sign preserved."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    m = -1 if n < 0 else 1
-    for p, e in factorize(n):
-        if e % 2:
-            m *= p
-    return m
 
 
 def square_class_int(x):

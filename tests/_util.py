@@ -31,6 +31,17 @@ def random_point(rng, span):
                              rng.randint(-span, span))
 
 
+def squarefree_part(n):
+    """The squarefree m with n = m * s**2, sign preserved."""
+    if n == 0:
+        raise ValueError("0 has no squarefree part")
+    m = -1 if n < 0 else 1
+    for p, e in factorize(n):
+        if e % 2:
+            m *= p
+    return m
+
+
 def hilbert_product_places(a, b):
     """The finite set of places where (a,b)_p can be -1: 2, INF and the odd
     primes dividing either square class."""

@@ -359,9 +359,10 @@ def test_orbit_within_small_example():
 
 
 def walk_by_move_tags(c, bound):
-    """The walk orbit_within replaced, each move applied through its tag
-    and every image tested on all three coordinates; kept as the oracle for
-    the inline moves."""
+    """orbit_within with its move order written out (WALK_ORDER) and every
+    image tested on all three coordinates, not only the one a Vieta move
+    changes; kept as the oracle for orbit_within, whose floor closures in
+    turn check the inline Vieta moves of _floor_families."""
     seen = {c: []}
     stack = [c]
     while stack:

@@ -18,14 +18,14 @@ from mksurf.markoff import (
 )
 from mksurf.quadforms import (
     WITNESS_BOUND,
+    _anisotropy_prime,
     _witness_search,
-    anisotropy_prime,
     form_isotropic,
     hasse_profile,
 )
-from mksurf.rings import INF, BudgetExceeded, factorize, hilbert, jacobi, square_class_int, squarefree_part
+from mksurf.rings import INF, BudgetExceeded, factorize, hilbert, jacobi, square_class_int
 
-from _util import form_value, gram, random_point, witness_search_by_rows
+from _util import form_value, gram, random_point, squarefree_part, witness_search_by_rows
 
 def mat3_det(a):
     return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -178,8 +178,27 @@ def test_form_isotropic_inapplicable():
     assert "reason" in data
     # at k = 9, k-4 = 5 and no coordinate of (0, 0, 3) has x^2-4 a
     # nonresidue mod 5
-    assert form_isotropic(MarkoffPoint.make(0, 0, 3))[0] == "Inapplicable"
-    assert anisotropy_prime(MarkoffPoint.make(0, 0, 3)) is None
+    p = MarkoffPoint.make(0, 0, 3)
+    assert form_isotropic(p)[0] == "Inapplicable"
+    assert _anisotropy_prime(p.coords(), factorize(p.k - 4)) is None
+
+
+def test_form_isotropic_refuses_non_integral_points():
+    p = MarkoffPoint(15, Fraction(1, 5), Fraction(2, 5), 224)
+    assert p in search_localized(224, 5, 2, 30)
+    with pytest.raises(ValueError, match="^form_isotropic needs integer coordinates$"):
+        form_isotropic(p)
+    assert hasse_profile(p).entries == ((2, 1), (5, 1), (11, 1), (13, 1), (17, 1), (INF, 1))
+    refused = 0
+    for k in range(5, 400):
+        if admissible_k(k):
+            for ell in (3, 5, 7):
+                for q in search_localized(k, ell, 1, 12):
+                    if not q.is_integral():
+                        with pytest.raises(ValueError, match="integer coordinates"):
+                            form_isotropic(q)
+                        refused += 1
+    assert refused == 1128
 
 
 def is_square_mod(r, m):
@@ -191,7 +210,7 @@ def is_square_mod(r, m):
 def form_isotropic_by_squarefree_parts(point):
     """form_isotropic as it was before it factored each number once, kept
     as the oracle for it, with the witness scan left out: squarefree_part,
-    is_square_mod and anisotropy_prime each factor what they need."""
+    is_square_mod and the anisotropy-prime scan each factor what they need."""
     n = squarefree_part(point.k - 4)
     for j, x in enumerate(point.coords()):
         if x * x <= 4:
@@ -202,7 +221,7 @@ def form_isotropic_by_squarefree_parts(point):
         data = {"coordinate": j + 1, "m": m, "n": n}
         if is_square_mod(m, n) and is_square_mod(n, m):
             return "Isotropic", data
-        data["anisotropy_prime"] = anisotropy_prime(point)
+        data["anisotropy_prime"] = _anisotropy_prime(point.coords(), factorize(point.k - 4))
         return "Anisotropic", data
     return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
 

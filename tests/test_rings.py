@@ -24,10 +24,9 @@ from mksurf.rings import (
     parse_ring,
     residue,
     square_class_int,
-    squarefree_part,
 )
 
-from _util import hilbert_product_places
+from _util import hilbert_product_places, squarefree_part
 
 
 def brute_jacobi_prime(a, p):
@@ -192,6 +191,10 @@ def test_factorize():
     assert factorize(-12) == [(2, 2), (3, 1)]
     with pytest.raises(ValueError):
         factorize(0)
+    # only integers: an integral Fraction is refused too
+    for n in (Fraction(21, 25), 2.5, Fraction(21)):
+        with pytest.raises(TypeError):
+            factorize(n)
     # a 64-bit semiprime of two primes above the 10^6 trial-division limit
     # exercises the rho stage
     p, q = 1000003, 998244353
