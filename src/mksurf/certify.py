@@ -60,18 +60,11 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _timed(build):
-    t0 = time.perf_counter()
-    cert = build()
-    cert.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return cert
-
-
-def _prime_classes_check(nu, moduli_classes, modulus):
-    """All prime factors of nu lie in the given residue classes; vacuous for
-    nu = 1.  Returns (ok, factorization-evidence)."""
+def _prime_classes_check(nu, m):
+    """Every prime factor of nu is +-1 (mod m); vacuous for nu = 1.
+    Returns (ok, factorization-evidence)."""
     fac = factorize(nu)
-    bad = [p for p, _ in fac if p % modulus not in moduli_classes]
+    bad = [p for p, _ in fac if p % m not in (1, m - 1)]
     return not bad, {"nu": nu, "factorization": fac, "offending": bad}
 
 
@@ -114,7 +107,7 @@ def _family_candidates(k, ell):
         nu = _family_nu(k, c)
         if name is None or nu is None:
             continue
-        okf, ev = _prime_classes_check(nu, {1, m - 1}, m)
+        okf, ev = _prime_classes_check(nu, m)
         clauses = {"factors of nu = +-1 (mod %d)" % m: okf}
         if ell is not None:
             ev["ell_mod_%d" % ell_m] = ell % ell_m
@@ -135,41 +128,38 @@ def _failure_certificate(k, ell, bound, max_exp):
     reciprocity-failure families, no congruence obstruction (so the surface
     has points everywhere locally), and an independent bounded search that
     finds no point."""
-
-    def build():
-        candidates = _family_candidates(k, ell)
-        if ell is None:
-            kind, params = "E3FailureZ", {"k": k, "bound": bound}
-            statement = ("k - 4 has one of the shapes 2*nu^2, 12*nu^2, 20*nu^2 "
-                         "with the required factor congruences")
-            membership = {"k": k, "candidates": candidates}
-            search = Check(name="integral-search-empty",
-                           statement="no integer point with all coordinates bounded",
-                           method="exhaustive", result=not search_integral(k, bound),
-                           data={"k": k}, bound=bound)
-        else:
-            kind, params = "E3FailureSInt", {"k": k, "ell": ell, "bound": bound,
-                                             "max_exp": max_exp}
-            statement = "(k, ell) lies in one of the S-integer failure families"
-            membership = {"k": k, "ell": ell, "candidates": candidates}
-            pts = search_localized(k, ell, max_exp, bound)
-            found = ["(%s, %s, %s)@%d" % (*(localized_str(c, ell) for c in p.coords()), k)
-                     for p in pts[:5]]
-            search = Check(name="localized-search-empty",
-                           statement="no point in either denominator shape within bounds",
-                           method="exhaustive", result=not pts,
-                           data={"k": k, "ell": ell, "max_exp": max_exp, "found": found},
-                           bound=bound)
-        return Certificate(kind, params, [
-            Check(name="family-membership", statement=statement, method="closed-form",
-                  result=any(f["holds"] for f in candidates), data=membership),
-            Check(name="no-congruence-obstruction",
-                  statement="k avoids 3 (mod 4) and +-3 (mod 9)", method="closed-form",
-                  result=admissible_k(k), data={"k_mod_4": k % 4, "k_mod_9": k % 9}),
-            search,
-        ])
-
-    return _timed(build)
+    t0 = time.perf_counter()
+    candidates = _family_candidates(k, ell)
+    if ell is None:
+        kind, params = "E3FailureZ", {"k": k, "bound": bound}
+        statement = ("k - 4 has one of the shapes 2*nu^2, 12*nu^2, 20*nu^2 "
+                     "with the required factor congruences")
+        membership = {"k": k, "candidates": candidates}
+        search = Check(name="integral-search-empty",
+                       statement="no integer point with all coordinates bounded",
+                       method="exhaustive", result=not search_integral(k, bound),
+                       data={"k": k}, bound=bound)
+    else:
+        kind, params = "E3FailureSInt", {"k": k, "ell": ell, "bound": bound,
+                                         "max_exp": max_exp}
+        statement = "(k, ell) lies in one of the S-integer failure families"
+        membership = {"k": k, "ell": ell, "candidates": candidates}
+        pts = search_localized(k, ell, max_exp, bound)
+        found = ["(%s, %s, %s)@%d" % (*(localized_str(c, ell) for c in p.coords()), k)
+                 for p in pts[:5]]
+        search = Check(name="localized-search-empty",
+                       statement="no point in either denominator shape within bounds",
+                       method="exhaustive", result=not pts,
+                       data={"k": k, "ell": ell, "max_exp": max_exp, "found": found},
+                       bound=bound)
+    return Certificate(kind, params, [
+        Check(name="family-membership", statement=statement, method="closed-form",
+              result=any(f["holds"] for f in candidates), data=membership),
+        Check(name="no-congruence-obstruction",
+              statement="k avoids 3 (mod 4) and +-3 (mod 9)", method="closed-form",
+              result=admissible_k(k), data={"k_mod_4": k % 4, "k_mod_9": k % 9}),
+        search,
+    ], runtime_ms=int((time.perf_counter() - t0) * 1000))
 
 
 def certify_hfz(k, bound=DEFAULT_HFZ_BOUND):
@@ -194,16 +184,13 @@ def build_hfe1_matrix(nu, ell):
     entry is forced by nu = 4 (mod 27)."""
     if nu % 27 != 4:
         raise ValueError("nu must be 4 (mod 27)")
-    ok, ev = _prime_classes_check(nu, {1, 19}, 20)
+    ok, ev = _prime_classes_check(nu, 20)
     if not ok:
         raise ValueError("prime factors of nu must be +-1 (mod 20): %r" % (ev,))
-    if ell % 5 not in (1, 4) or not is_probable_prime(ell) or ell % 2 == 0:
+    if ell % 5 not in (1, 4) or not is_probable_prime(ell):
         raise ValueError("ell must be a prime = +-1 (mod 5)")
     t = 2 + 20 * nu * nu
-    b = 2 * (5 * nu - 2)
-    if b % 3:
-        raise AssertionError("unreachable: 3 | 5*nu - 2 under nu = 4 (mod 27)")
-    a = Mat2(t - 5, b // 3, 6 * (5 * nu + 2), 5)
+    a = Mat2(t - 5, 2 * (5 * nu - 2) // 3, 6 * (5 * nu + 2), 5)
     if a.det() != 1:
         raise AssertionError("determinant contract failed")
     return a
@@ -226,12 +213,12 @@ def _trace_failure_checks(t, ell, bound, max_exp, name):
 
 def _local_commutator_check(a, q):
     """One modulus of the local verification: (replayed ok, witness data)."""
-    ok, wit = commutator_test_modq(mat_mod(a, q), q)
+    ok, wit = commutator_test_modq(a, q)
     if not ok:
         return False, None
     x, y = wit
-    wdata = {"X": [[e.v for e in (x.a, x.b)], [e.v for e in (x.c, x.d)]],
-             "Y": [[e.v for e in (y.a, y.b)], [e.v for e in (y.c, y.d)]]}
+    wdata = {"X": [[e.v for e in row] for row in x.rows()],
+             "Y": [[e.v for e in row] for row in y.rows()]}
     return commutator(x, y) == mat_mod(a, q), wdata
 
 
@@ -252,37 +239,34 @@ def verify_hfe1(nu, ell, local_moduli=DEFAULT_HFE1_MODULI,
     if bad:
         raise ValueError("local moduli must be at least 2, got %r" % (bad,))
 
-    def build():
-        checks = []
-        a = build_hfe1_matrix(nu, ell)
-        t = 2 + 20 * nu * nu
-        red2 = all(v.v == w for v, w in zip(mat_mod(a, 2).entries(), (1, 0, 0, 1)))
-        red3 = all(v.v == w % 3 for v, w in zip(mat_mod(a, 3).entries(), (-1, 0, 0, -1)))
+    t0 = time.perf_counter()
+    checks = []
+    a = build_hfe1_matrix(nu, ell)
+    t = a.trace()
+    checks.append(Check(
+        name="matrix-shape",
+        statement="det A = 1, A = I (mod 2), A = -I (mod 3)",
+        method="closed-form",
+        result=(a.det() == 1 and mat_mod(a, 2) == mat_mod(Mat2(1, 0, 0, 1), 2)
+                and mat_mod(a, 3) == mat_mod(Mat2(-1, 0, 0, -1), 3)),
+        data={"matrix": a.rows(), "trace": t},
+    ))
+    for q in local_moduli:
+        ok, wdata = _local_commutator_check(a, q)
         checks.append(Check(
-            name="matrix-shape",
-            statement="det A = 1, A = I (mod 2), A = -I (mod 3)",
-            method="closed-form",
-            result=a.det() == 1 and red2 and red3,
-            data={"matrix": [[a.a, a.b], [a.c, a.d]], "trace": t},
+            name="commutator-mod-%d" % q,
+            statement="A is a commutator in SL2(Z/%d) with a recorded witness" % q,
+            method="exhaustive",
+            result=ok,
+            data=wdata,
+            bound=q,
         ))
-        for q in local_moduli:
-            ok, wdata = _local_commutator_check(a, q)
-            checks.append(Check(
-                name="commutator-mod-%d" % q,
-                statement="A is a commutator in SL2(Z/%d) with a recorded witness" % q,
-                method="exhaustive",
-                result=ok,
-                data=wdata,
-                bound=q,
-            ))
-        checks += _trace_failure_checks(t, ell, sint_bound, sint_max_exp,
-                                        "nonsolvable-over-s-integers")
-        return Certificate("HFE1",
-                           {"nu": nu, "ell": ell, "local_moduli": list(local_moduli),
-                            "sint_bound": sint_bound, "sint_max_exp": sint_max_exp},
-                           checks)
-
-    return _timed(build)
+    checks += _trace_failure_checks(t, ell, sint_bound, sint_max_exp,
+                                    "nonsolvable-over-s-integers")
+    return Certificate("HFE1",
+                       {"nu": nu, "ell": ell, "local_moduli": list(local_moduli),
+                        "sint_bound": sint_bound, "sint_max_exp": sint_max_exp},
+                       checks, runtime_ms=int((time.perf_counter() - t0) * 1000))
 
 
 def _e2_failure(nu, ell, t=None, bound=DEFAULT_SINT_BOUND, max_exp=DEFAULT_SINT_MAX_EXP):
@@ -313,9 +297,10 @@ def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
     Deterministic: calling the kind's generator with the stored parameters
-    (the generator's defaults for those not stored) must reproduce every
-    check result, the bound of every check that stores one, the conclusion
-    and each stored parameter.  Input that is not a certificate of a known
+    (the generator's defaults for those not stored) must reproduce the
+    stored checks as an ordered list (each name and result, and the bound
+    of each check that stores one; `_KINDS` names the checks a file may
+    lack), the conclusion and each stored parameter.  Input that is not a certificate of a known
     kind (not a JSON object, another schema version, an unknown kind, no
     `checks` list of results each named by a string, no `conclusion`, a
     parameter missing, unknown to the kind or not an integer;
@@ -351,10 +336,13 @@ def check_certificate(cert_dict):
             raise ValueError("certificate parameter %s must be %s, got %r" % (
                 name, "a list of integers" if name == "local_moduli" else "an integer", value))
     fresh_dict = globals()[generator](**params).to_dict()
-    old = {**absent, **{c["name"]: c["result"] for c in checks}}
-    new = {c["name"]: c["result"] for c in fresh_dict["checks"]}
-    new_bounds = {c["name"]: c.get("bound") for c in fresh_dict["checks"]}
-    ok = (old == new and cert_dict["conclusion"] == fresh_dict["conclusion"]
-          and all(c["bound"] == new_bounds.get(c["name"]) for c in checks if "bound" in c)
+    dropped = set(absent) - {c["name"] for c in checks}
+    fresh = [f for f in fresh_dict["checks"]
+             if not (f["name"] in dropped and f["result"] == absent[f["name"]])]
+    ok = (len(checks) == len(fresh)
+          and all(c["name"] == f["name"] and c["result"] == f["result"]
+                  and ("bound" not in c or c["bound"] == f.get("bound"))
+                  for c, f in zip(checks, fresh))
+          and cert_dict["conclusion"] == fresh_dict["conclusion"]
           and all(fresh_dict["parameters"].get(p) == v for p, v in params.items()))
     return ok, fresh_dict

@@ -22,7 +22,6 @@ class LiftResult:
 
     x: Mat2
     y: Mat2
-    z: Mat2
     orientation: str
     row: tuple
 
@@ -146,7 +145,7 @@ def lift_point(z, point, y):
         pair = _PAIR_LIFTS[MarkoffMove.perm(row)][0](x, y)
         if trace_triple(*pair) != coords or commutator(*pair) != z:
             raise LiftError("permutation bookkeeping broke the lift contract")
-        return LiftResult(pair[0], pair[1], z, "Z", row)
+        return LiftResult(pair[0], pair[1], "Z", row)
     raise err
 
 

@@ -41,7 +41,7 @@ class MarkoffPoint:
         return all(isinstance(c, int) for c in self.coords())
 
     def maxabs(self):
-        return max(abs(c) for c in self.coords())
+        return _maxabs(self.coords())
 
     def __repr__(self):
         return "(%r, %r, %r)@%r" % (self.x1, self.x2, self.x3, self.k)

@@ -87,7 +87,7 @@ def _witness_search(point, bound):
     even at bound 0.
     """
     x1, x2, x3 = point.coords()
-    big = max(abs(x1), abs(x2), abs(x3))
+    big = point.maxabs()
     if 4 * max(bound, 1) ** 2 * (big * big + big + 2) >= 2**63:
         raise BudgetExceeded("witness bound %d is outside the exact-arithmetic range "
                              "for coordinates up to %d" % (bound, big))

@@ -112,7 +112,6 @@ class GroupTable:
         # q <= 128: indices and q^3 stay below 2^31, entries below 256
         _check_modulus(q)
         self.q = q
-        self.itype = np.int32
         self.entries, self.start, self.step = _elements(q)
         a, b, c, d = self.elements()
         n = self.entries.shape[1]
@@ -123,7 +122,7 @@ class GroupTable:
             ((a - c) % q, (b - d + a - c) % q, c, (d + c) % q))]
         del a, b, c, d
         # class id = least index in the class: spread minima along the moves
-        cls = np.arange(n, dtype=self.itype)
+        cls = np.arange(n, dtype=np.int32)
         while True:
             new = cls[cls]
             for mv in moves:
@@ -146,13 +145,13 @@ class GroupTable:
                 fresh = ~seen[nxt]
                 nxt, src = nxt[fresh], frontier[fresh]
                 seen[nxt] = True
-                self.conj[:, nxt] = _mul(g, self.conj[:, src].astype(self.itype), q)
+                self.conj[:, nxt] = _mul(g, self.conj[:, src].astype(np.int32), q)
                 grown.append(nxt)
             frontier = np.concatenate(grown)
 
     def elements(self):
         """Entry quadruple of every element, as arithmetic arrays."""
-        return tuple(self.entries.astype(self.itype))
+        return tuple(self.entries.astype(np.int32))
 
     def index(self, m):
         """Position of the element(s) with entries m, which must lie in SL2(Z/q).
@@ -163,7 +162,7 @@ class GroupTable:
         means nothing.)
         """
         q = self.q
-        a, b, c, d = (np.asarray(v, dtype=self.itype) for v in m)
+        a, b, c, d = (np.asarray(v, dtype=np.int32) for v in m)
         return self.start[(a * q + b) * q + c] + d // self.step[a]
 
     def conjugator(self, i, j):
@@ -190,7 +189,7 @@ def commutator_test_modq(z, q):
         return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
     table = group_table(q)
     for lo in range(0, table.entries.shape[1], _TEST_BLOCK):
-        w = table.entries[:, lo:lo + _TEST_BLOCK].astype(table.itype)
+        w = table.entries[:, lo:lo + _TEST_BLOCK].astype(np.int32)
         wz = table.index(_mul(w, z, q))
         hits = np.flatnonzero(table.cls[wz] == table.cls[lo:lo + _TEST_BLOCK])
         if hits.size:
@@ -226,7 +225,7 @@ def trace_commutator_image(q):
     keep = neg >= np.arange(len(neg))
     ya, yb, yc, yd = (v[keep] for v in elems)
     reps = table.reps[table.cls[neg[table.reps]] >= table.reps]
-    x = table.entries[:, reps].astype(table.itype)
+    x = table.entries[:, reps].astype(np.int32)
     # the cell of a pair is (Tr X q + Tr Y) q + Tr XY
     tx = (x[0] + x[3]) % q * (q * q)
     ty = (ya + yd) % q * q

@@ -552,15 +552,11 @@ def second_derived_congruence(m, n):
     b = _EMBED_MATS[(m, n)]["b"]
     if (m, n) == (2, 3):
         return 2, frozenset({1})
-    if (m, n) == (2, None):
-        modulus = 8
+    if m == 2:
         gen = commutator(a * a * b * a.inverse(), a * b)
-    elif (m, n) == (3, 3):
-        modulus = 8
-        gen = commutator(b * a, a * (b * a) * a.inverse())
     else:
-        modulus = 32
         gen = commutator(b * a, a * (b * a) * a.inverse())
+    modulus = 32 if (m, n) == (3, None) else 8
     lam = _scalar_class_mod(gen, modulus)
     if lam is None:
         raise AssertionError("second-derived generator is not scalar mod %d" % modulus)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -270,6 +271,36 @@ def test_v1_hfz_files_replay_by_admissibility():
     assert ok and fresh["conclusion"] is True
     ok, fresh = check_certificate(stored_v1("v1_hfz_102.json"))
     assert not ok and fresh["conclusion"] is False
+
+
+def edited(blob, edit):
+    blob = copy.deepcopy(blob)
+    edit(blob["checks"])
+    return blob
+
+
+def test_replay_compares_the_checks_as_an_ordered_list():
+    # a file repeating a check name replays when nothing is edited
+    hfe1 = json.loads(verify_hfe1(139, 19, local_moduli=(2, 2, 3), sint_bound=50).to_json())
+    assert [c["name"] for c in hfe1["checks"][1:3]] == ["commutator-mod-2"] * 2
+    assert check_certificate(hfe1)[0]
+    hfz = json.loads(certify_hfz(1062, bound=300).to_json())
+    assert check_certificate(hfz)[0]
+    search = hfz["checks"][2]
+    assert search["name"] == "integral-search-empty"
+    # each copy of a repeated name is compared, and so is the order
+    edits = {
+        "first copy fails": edited(hfe1, lambda cs: cs[1].update(result=False)),
+        "failing copy first": edited(hfz, lambda cs: cs.insert(2, dict(search, result=False))),
+        "reversed": edited(hfz, lambda cs: cs.reverse()),
+        "second copy fails": edited(hfe1, lambda cs: cs[2].update(result=False)),
+        "failing copy last": edited(hfz, lambda cs: cs.append(dict(search, result=False))),
+        # no-congruence-obstruction is the one check an E3FailureZ file may lack
+        "search dropped": edited(hfz, lambda cs: cs.pop(2)),
+    }
+    for label, blob in edits.items():
+        ok, fresh = check_certificate(blob)
+        assert not ok and fresh["conclusion"] is True, label
 
 
 def random_with_trace(rng, t):
