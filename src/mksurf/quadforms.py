@@ -1,6 +1,6 @@
 """The ternary form u1^2 + u2^2 + u3^2 + x1 u1 u2 + x2 u1 u3 + x3 u2 u3
 attached to a Markoff point (x1, x2, x3) of level k, its local invariant
-profiles, and isotropy via Legendre's theorem."""
+profiles, and isotropy over Q read off those invariants."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from .rings import (
     BudgetExceeded,
     factorize,
     hilbert_int,
-    jacobi,
     square_class_int,
 )
 
@@ -35,6 +34,13 @@ def _place_sort_key(p):
     return (1, 0) if p == INF else (0, p)
 
 
+def _places(n):
+    """2, INF and the odd primes of the nonzero int n: with m another
+    nonzero int, (n, m)_p = +1 at every place outside _places(n) |
+    _places(m)."""
+    return {2, INF} | {q for q, _ in factorize(n) if q > 2}
+
+
 def hasse_profile(point):
     """Invariant profile c_p = (x^2-4, k-4)_p of the form attached to a
     Markoff point, computed from a coordinate with x^2 != 4 and
@@ -52,9 +58,9 @@ def hasse_profile(point):
         raise ValueError("all coordinates are +-2, so x^2 - 4 = 0 at each and "
                          "(x^2 - 4, k - 4)_p is undefined")
     km4 = square_class_int(point.k - 4)
-    km4_places = {2, INF} | {q for q, _ in factorize(km4) if q > 2}
+    km4_places = _places(km4)
     classes = [square_class_int(c * c - 4) for c in usable]
-    place_sets = [km4_places | {q for q, _ in factorize(a) if q > 2} for a in classes]
+    place_sets = [km4_places | _places(a) for a in classes]
     places = sorted(set().union(*place_sets), key=_place_sort_key)
     profiles = [{p: hilbert_int(a, km4, p) for p in places} for a in classes]
     for other in profiles[1:]:
@@ -123,67 +129,46 @@ def _witness_search(point, bound):
 WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
 
 
-def _anisotropy_prime(coords, km4_factors):
-    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
-    nonresidue mod p, or None, given km4_factors = factorize(k - 4)."""
-    for p, e in km4_factors:
-        if p == 2 or e != 1:
-            continue
-        for x in coords:
-            if jacobi(x * x - 4, p) == -1:
-                return (p, x)
-    return None
-
-
-def _odd_part(factors):
-    """The odd-multiplicity primes of a factorization, and their product:
-    the squarefree part of a positive number."""
-    odd = [p for p, e in factors if e % 2]
-    return odd, math.prod(odd)
-
-
 def form_isotropic(point):
-    """Isotropy of the attached form over Q, decided through the squarefree
-    reduction to Legendre's theorem.
+    """Isotropy of the attached form over Q, read off the Hilbert symbols
+    (x^2 - 4, k - 4)_p of hasse_profile.
 
-    Returns (verdict, data) with verdict in {"Isotropic", "Anisotropic",
-    "Inapplicable"}.  Isotropic verdicts carry a verified integer zero when
-    one exists within WITNESS_BOUND (None and flagged otherwise); a point
-    too large for that scan's int64 range raises BudgetExceeded, and one
-    with a non-integer coordinate or k <= 4 raises ValueError.
+    Returns (verdict, data) with verdict "Isotropic" or "Anisotropic".
+    Isotropic verdicts carry a verified integer zero when one exists
+    within WITNESS_BOUND (None and flagged otherwise); a point too large
+    for that scan's int64 range raises BudgetExceeded, and one with a
+    non-integer coordinate or k <= 4 raises ValueError.  Anisotropic
+    verdicts carry the places p where the form has no zero over Q_p.
 
-    With m and n the squarefree parts of x^2 - 4 and k - 4, both > 0,
-    Legendre's criterion asks whether m is a square mod n and n one mod m;
-    for squarefree moduli that is a Jacobi test at each odd prime of the
-    modulus, and the primes of a squarefree part are the odd-multiplicity
-    primes of its number.  So each of k - 4 and the x^2 - 4 examined is
-    factored once, a number shared by two of them once in all.
+    If a coordinate, say x1, is +-2, then u1^2 + u2^2 + x1 u1 u2 =
+    (u1 +- u2)^2, so (1, -+1, 0) is a zero and the form is isotropic.
+    Otherwise take the coordinate x of least |x| and put a = x^2 - 4,
+    b = k - 4.  With the two u's that x multiplies taken first, the
+    symmetric matrix G of the form u^T G u has leading minors 1,
+    1 - x^2/4 = -a/4 and det G = (4 - k)/4, so the form is
+    <1, -a/4, b/a>, which is <1, -a, ab> up to squares.  That form has a
+    zero over Q_v exactly when (a, -ab)_v = (a, -a)_v (a, b)_v = (a, b)_v
+    is +1, and by Hasse-Minkowski it has one over Q exactly when it has
+    one at every place.  The symbol is +1 outside _places(a) | _places(b),
+    and at INF too since b > 0; by Hilbert reciprocity the places where it
+    is -1 are even in number.  So k - 4 and that one x^2 - 4 are each
+    factored once.
     """
     if not point.is_integral():
         raise ValueError("form_isotropic needs integer coordinates")
     k = point.k
     if not isinstance(k, int) or k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")
-    factored = {k - 4: factorize(k - 4)}
-    n_primes, n = _odd_part(factored[k - 4])
-    for j, x in enumerate(point.coords()):
-        if x * x <= 4:
-            continue
-        if x * x - 4 not in factored:
-            factored[x * x - 4] = factorize(x * x - 4)
-        m_primes, m = _odd_part(factored[x * x - 4])
-        if math.gcd(m, n) != 1:
-            continue
-        iso = (all(jacobi(m, p) != -1 for p in n_primes if p != 2)
-               and all(jacobi(n, p) != -1 for p in m_primes if p != 2))
-        data = {"coordinate": j + 1, "m": m, "n": n}
-        if iso:
-            w = _witness_search(point, WITNESS_BOUND)
-            data["witness"] = w
-            data["witness_bound"] = WITNESS_BOUND
-            if w is None:
-                data["flag"] = "criterion only: no zero within bound"
-            return "Isotropic", data
-        data["anisotropy_prime"] = _anisotropy_prime(point.coords(), factored[k - 4])
-        return "Anisotropic", data
-    return "Inapplicable", {"reason": "no coordinate with squarefree part coprime to k-4"}
+    coords = point.coords()
+    if all(x * x != 4 for x in coords):
+        x = min(coords, key=abs)
+        a, b = x * x - 4, k - 4
+        places = [p for p in sorted(_places(b) | _places(a), key=_place_sort_key)
+                  if hilbert_int(a, b, p) == -1]
+        if places:
+            return "Anisotropic", {"places": places}
+    w = _witness_search(point, WITNESS_BOUND)
+    data = {"witness": w, "witness_bound": WITNESS_BOUND}
+    if w is None:
+        data["flag"] = "criterion only: no zero within bound"
+    return "Isotropic", data

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mksurf.quadforms
@@ -18,7 +19,6 @@ from mksurf.markoff import (
 )
 from mksurf.quadforms import (
     WITNESS_BOUND,
-    _anisotropy_prime,
     _witness_search,
     form_isotropic,
     hasse_profile,
@@ -139,12 +139,15 @@ def test_hasse_profile_refuses_the_all_two_points_of_level_20():
 
 
 def brute_isotropy(point, bound=40):
-    for u1 in range(-bound, bound + 1):
-        for u2 in range(-bound, bound + 1):
-            for u3 in range(-bound, bound + 1):
-                if (u1, u2, u3) != (0, 0, 0) and form_value(point, u1, u2, u3) == 0:
-                    return (u1, u2, u3)
-    return None
+    """The first nontrivial zero (u1, u2, u3) of the form with every
+    |u_i| <= bound, in lexicographic order, or None: form_value at every
+    vector of the box at once, in int64, which holds each term here."""
+    assert 3 * (point.maxabs() + 1) * bound * bound < 2**62, point
+    box = np.arange(-bound, bound + 1, dtype=np.int64)
+    values = form_value(point, *np.meshgrid(box, box, box, indexing="ij"))
+    values[bound, bound, bound] = 1  # the trivial zero
+    hits = np.argwhere(values == 0)
+    return tuple(int(v) - bound for v in hits[0]) if len(hits) else None
 
 
 def test_form_isotropic_examples():
@@ -161,25 +164,32 @@ def test_form_isotropic_examples():
     assert verdict == "Isotropic"
     assert form_value(p2, *data["witness"]) == 0
     assert form_value(p2, 9, 1, -1) == 0
-    # anisotropic examples, each with the first odd p || k-4 at which a
-    # coordinate x has x^2-4 a nonresidue
+    # anisotropic examples, each with the oracle's anisotropy prime p (the
+    # first odd p || k-4 at which a coordinate x has x^2-4 a nonresidue)
+    # among the places without a zero
     for coords, p in (((-3, 3, 4), 3), ((-3, 3, 6), 13), ((-3, 3, 17), 3), ((-3, 9, 10), 3),
                       ((-3, 8, 8), 13)):
-        verdict, data = form_isotropic(MarkoffPoint.make(*coords))
+        point = MarkoffPoint.make(*coords)
+        verdict, data = form_isotropic(point)
         assert verdict == "Anisotropic", coords
-        assert data["anisotropy_prime"][0] == p, coords
-        assert brute_isotropy(MarkoffPoint.make(*coords)) is None
+        assert _anisotropy_prime(point.coords(), factorize(point.k - 4))[0] == p, coords
+        assert p in data["places"], coords
+        assert brute_isotropy(point) is None
+    assert form_isotropic(MarkoffPoint.make(-3, 3, 4)) == ("Anisotropic", {"places": [2, 3]})
+    assert form_isotropic(MarkoffPoint.make(-3, 8, 8)) == ("Anisotropic", {"places": [5, 13]})
 
 
-def test_form_isotropic_inapplicable():
-    # every coordinate is +-2, so no squarefree-part reduction applies
-    verdict, data = form_isotropic(MarkoffPoint.make(-2, 2, 2))
-    assert verdict == "Inapplicable"
-    assert "reason" in data
-    # at k = 9, k-4 = 5 and no coordinate of (0, 0, 3) has x^2-4 a
-    # nonresidue mod 5
+def test_form_isotropic_decides_every_point():
+    # the squarefree-part oracle decides none of these: every coordinate
+    # of (-2, 2, 2) is +-2, and at k = 9, k-4 = 5 and no coordinate of
+    # (0, 0, 3) has x^2-4 a nonresidue mod 5
+    for coords, zero in (((-2, 2, 2), (0, -1, 1)), ((1, 2, 2), (0, -1, 1)),
+                         ((0, 0, 3), (1, -1, 1))):
+        p = MarkoffPoint.make(*coords)
+        assert form_isotropic_by_squarefree_parts(p)[0] == "Inapplicable", coords
+        assert form_isotropic(p) == ("Isotropic", {"witness": zero, "witness_bound": WITNESS_BOUND})
+        assert form_value(p, *zero) == 0
     p = MarkoffPoint.make(0, 0, 3)
-    assert form_isotropic(p)[0] == "Inapplicable"
     assert _anisotropy_prime(p.coords(), factorize(p.k - 4)) is None
 
 
@@ -207,10 +217,24 @@ def is_square_mod(r, m):
     return all(jacobi(r % p, p) != -1 for p, _ in factorize(m) if p != 2)
 
 
+def _anisotropy_prime(coords, km4_factors):
+    """(p, x): the first odd p with p || k-4 and coordinate x with x^2-4 a
+    nonresidue mod p, or None, given km4_factors = factorize(k - 4)."""
+    for p, e in km4_factors:
+        if p == 2 or e != 1:
+            continue
+        for x in coords:
+            if jacobi(x * x - 4, p) == -1:
+                return (p, x)
+    return None
+
+
 def form_isotropic_by_squarefree_parts(point):
-    """form_isotropic as it was before it factored each number once, kept
-    as the oracle for it, with the witness scan left out: squarefree_part,
-    is_square_mod and the anisotropy-prime scan each factor what they need."""
+    """form_isotropic as it was before it read its verdict off the Hilbert
+    symbols, kept as the oracle for it, with the witness scan left out:
+    Legendre's criterion on the squarefree parts m, n of x^2 - 4 and
+    k - 4 at the first coordinate with x^2 > 4 and gcd(m, n) = 1, and
+    "Inapplicable" where there is none."""
     n = squarefree_part(point.k - 4)
     for j, x in enumerate(point.coords()):
         if x * x <= 4:
@@ -233,35 +257,77 @@ def isotropy_points():
     return points + [p for p in (random_point(rng, 40) for _ in range(400)) if p.k > 4]
 
 
-def test_form_isotropic_matches_the_squarefree_part_oracle(monkeypatch):
-    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
-    verdicts = set()
+def test_form_isotropic_matches_the_squarefree_part_oracle():
+    # where the oracle decides, the verdicts agree and its anisotropy prime
+    # is a place without a zero; where it does not, the verdict is backed
+    # by a zero or by a box without one
+    oracle_verdicts, undecided = set(), 0
     for p in isotropy_points():
         verdict, data = form_isotropic(p)
-        for key in ("witness", "witness_bound", "flag"):
-            data.pop(key, None)
-        assert (verdict, data) == form_isotropic_by_squarefree_parts(p), p
-        verdicts.add(verdict)
-    assert verdicts == {"Isotropic", "Anisotropic", "Inapplicable"}
+        expected, expected_data = form_isotropic_by_squarefree_parts(p)
+        oracle_verdicts.add(expected)
+        if expected != "Inapplicable":
+            assert verdict == expected, p
+            if expected_data.get("anisotropy_prime"):
+                assert expected_data["anisotropy_prime"][0] in data["places"], p
+            continue
+        undecided += 1
+        if verdict == "Isotropic":
+            assert form_value(p, *data["witness"]) == 0 and any(data["witness"]), p
+        else:
+            assert verdict == "Anisotropic" and brute_isotropy(p) is None, p
+    assert oracle_verdicts == {"Isotropic", "Anisotropic", "Inapplicable"}
+    assert undecided > 100
+
+
+def test_a_coordinate_of_two_makes_every_symbol_trivial():
+    # with x1 = +-2 the level is 4 + (x2 -+ x3)^2, and the form is isotropic
+    rng = random.Random(67)
+    done = 0
+    while done < 300:
+        coords = [rng.choice((2, -2)), rng.randint(-60, 60), rng.randint(-60, 60)]
+        rng.shuffle(coords)
+        p = MarkoffPoint.make(*coords)
+        if p.k <= 4 or all(c * c == 4 for c in coords):
+            continue
+        assert all(v == 1 for _, v in hasse_profile(p).entries), p
+        assert form_isotropic(p)[0] == "Isotropic", p
+        done += 1
+
+
+def test_anisotropic_places_are_the_nontrivial_symbols():
+    anisotropic = 0
+    for p in isotropy_points():
+        verdict, data = form_isotropic(p)
+        if verdict == "Anisotropic":
+            places = data["places"]
+            assert places == [q for q, v in hasse_profile(p).entries if v == -1], p
+            assert len(places) % 2 == 0 and len(places) >= 2, p
+            anisotropic += 1
+    assert anisotropic > 1000
 
 
 def test_form_isotropic_factors_each_argument_once(monkeypatch):
     # factorize counted in quadforms and in rings, so a call through a
-    # rings helper counts too
+    # rings helper counts too: k - 4 and x^2 - 4 at the least |x|, or
+    # nothing when a coordinate is +-2
     calls = []
     real = mksurf.rings.factorize
     counted = lambda n: calls.append(n) or real(n)
     monkeypatch.setattr(mksurf.quadforms, "factorize", counted)
     monkeypatch.setattr(mksurf.rings, "factorize", counted)
     monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
-    examined = 0
+    twos = 0
     for p in isotropy_points():
         calls.clear()
         form_isotropic(p)
-        args = {p.k - 4} | {x * x - 4 for x in p.coords() if x * x > 4}
-        assert calls[0] == p.k - 4 and len(calls) == len(set(calls)) and set(calls) <= args, p
-        examined += len(calls) > 2
-    assert examined > 10
+        if any(x * x == 4 for x in p.coords()):
+            assert calls == [], p
+            twos += 1
+        else:
+            x = min(p.coords(), key=abs)
+            assert calls == [p.k - 4, x * x - 4], p
+    assert twos > 10
 
 
 def test_form_isotropic_verdicts_match_witness_search():
@@ -272,11 +338,11 @@ def test_form_isotropic_verdicts_match_witness_search():
         if not isinstance(p.k, int) or p.k <= 4:
             continue
         verdict, data = form_isotropic(p)
-        if verdict == "Inapplicable":
-            continue
         w = brute_isotropy(p, bound=25)
         if verdict == "Anisotropic":
             assert w is None, (p, w)
+        else:
+            assert form_value(p, *data["witness"]) == 0, p
         done += 1
 
 
