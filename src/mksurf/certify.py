@@ -293,6 +293,19 @@ _KINDS = {
 }
 
 
+def _witness(check):
+    """[X, Y] mod q of the witness of a true commutator-mod-<q> check (None
+    unless det X = det Y = 1 mod q), else False; ValueError if malformed."""
+    if not (check["name"].startswith("commutator-mod-") and check["result"]):
+        return False
+    try:
+        x, y = (mat_mod(Mat2(a, b, c, d), int(check["name"][len("commutator-mod-"):]))
+                for (a, b), (c, d) in (check["data"]["X"], check["data"]["Y"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError("%s: witness not two 2x2 integer matrices" % check["name"]) from None
+    return commutator(x, y) if x.det() == 1 and y.det() == 1 else None
+
+
 def check_certificate(cert_dict):
     """Replay a serialized certificate; returns (ok, regenerated dict).
 
@@ -300,10 +313,11 @@ def check_certificate(cert_dict):
     (the generator's defaults for those not stored) must reproduce the
     stored checks as an ordered list (each name and result, and the bound
     of each check that stores one; `_KINDS` names the checks a file may
-    lack), the conclusion and each stored parameter.  Input that is not a certificate of a known
-    kind (not a JSON object, another schema version, an unknown kind, no
-    `checks` list of results each named by a string, no `conclusion`, a
-    parameter missing, unknown to the kind or not an integer;
+    lack), the conclusion, each stored parameter, and `_witness` of each
+    check.  Input that is not a certificate of a known kind (not a JSON
+    object, another schema version, an unknown kind, no `checks` list of
+    results each named by a string, a malformed witness, no `conclusion`,
+    a parameter missing, unknown to the kind or not an integer;
     `local_moduli` is a list of them) raises ValueError.
     """
     if not isinstance(cert_dict, dict):
@@ -320,6 +334,7 @@ def check_certificate(cert_dict):
             isinstance(c, dict) and isinstance(c.get("name"), str) and "result" in c
             for c in checks):
         raise ValueError("certificate needs a list of checks, each with a name and a result")
+    witnesses = [_witness(c) for c in checks]
     if "conclusion" not in cert_dict:
         raise ValueError("certificate has no conclusion")
     if not isinstance(params, dict):
@@ -343,6 +358,7 @@ def check_certificate(cert_dict):
           and all(c["name"] == f["name"] and c["result"] == f["result"]
                   and ("bound" not in c or c["bound"] == f.get("bound"))
                   for c, f in zip(checks, fresh))
+          and witnesses == [_witness(f) for f in fresh]
           and cert_dict["conclusion"] == fresh_dict["conclusion"]
           and all(fresh_dict["parameters"].get(p) == v for p, v in params.items()))
     return ok, fresh_dict

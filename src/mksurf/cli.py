@@ -162,8 +162,8 @@ def _cmd_lift_point(args):
             if y is not None:
                 break
         if y is None:
-            raise ValueError("no trace-set matrix Y found in the entry box |a|, |b|, |c| <= %d; "
-                             "this does not certify that none exists" % TRACE_SET_BOX)
+            raise BudgetExceeded("no trace-set matrix Y found in the entry box |a|, |b|, |c| "
+                                 "<= %d; this does not certify that none exists" % TRACE_SET_BOX)
     res = lift_point(z, p, y)
     return {"z": z, "point": list(p.coords()), "x": res.x, "y": res.y,
             "orientation": res.orientation, "row": list(res.row)}

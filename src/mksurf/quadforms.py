@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markoff import SCAN_CELLS, _square_cells
+from .markoff import SCAN_CELLS, MarkoffPoint, _square_cells
 from .rings import (
     INF,
     BudgetExceeded,
@@ -30,10 +30,6 @@ class HasseProfile:
         return out
 
 
-def _place_sort_key(p):
-    return (1, 0) if p == INF else (0, p)
-
-
 def _places(n):
     """2, INF and the odd primes of the nonzero int n: with m another
     nonzero int, (n, m)_p = +1 at every place outside _places(n) |
@@ -43,30 +39,30 @@ def _places(n):
 
 def hasse_profile(point):
     """Invariant profile c_p = (x^2-4, k-4)_p of the form attached to a
-    Markoff point, computed from a coordinate with x^2 != 4 and
-    cross-checked against every other usable coordinate.  The points with
-    every coordinate +-2 lie only on levels 4 and 20; at level 20 no
-    coordinate is usable, and the profile is refused (ValueError).
+    Markoff point, at 2, INF and the odd primes of k - 4 and of x^2 - 4,
+    sorted (INF, a float, last), for x the first coordinate with
+    x^2 != 4.  The points with every coordinate +-2 lie only on levels 4
+    and 20; at level 20 no coordinate is usable, and the profile is
+    refused (ValueError).
 
-    Each x^2 - 4 and k - 4 enters as its square_class_int, factored once,
-    and each symbol is hilbert_int at 2, INF or an odd prime of one of
-    those factorizations."""
+    Every usable coordinate gives the same c_p: (x1^2-4)(x2^2-4) =
+    (2 x3 - x1 x2)^2 - 4(k-4) is a norm from Q(sqrt(k-4)), so its symbol
+    with k - 4 is +1 at every place, over Z and over Z[1/l] alike.  So
+    only k - 4 and the first x^2 - 4 are factored, each once as its
+    square_class_int; each other usable coordinate is checked at each
+    reported place, a runtime cross-check on hilbert_int and factorize."""
     if point.k <= 4:
         raise ValueError("profiles need k > 4, got %s" % point.k)
-    usable = [c for c in point.coords() if c * c != 4]
+    usable = [square_class_int(c * c - 4) for c in point.coords() if c * c != 4]
     if not usable:
         raise ValueError("all coordinates are +-2, so x^2 - 4 = 0 at each and "
                          "(x^2 - 4, k - 4)_p is undefined")
     km4 = square_class_int(point.k - 4)
-    km4_places = _places(km4)
-    classes = [square_class_int(c * c - 4) for c in usable]
-    place_sets = [km4_places | _places(a) for a in classes]
-    places = sorted(set().union(*place_sets), key=_place_sort_key)
-    profiles = [{p: hilbert_int(a, km4, p) for p in places} for a in classes]
-    for other in profiles[1:]:
-        if other != profiles[0]:
-            raise ValueError("coordinate profiles disagree: %r" % (profiles,))
-    entries = tuple((p, profiles[0][p]) for p in places if p in place_sets[0])
+    a, *others = usable
+    entries = tuple((p, hilbert_int(a, km4, p)) for p in sorted(_places(km4) | _places(a)))
+    for b in others:
+        if any(hilbert_int(b, km4, p) != v for p, v in entries):
+            raise ValueError("coordinate profiles disagree at %r" % (point,))
     return HasseProfile(entries)
 
 
@@ -131,7 +127,7 @@ WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness sc
 
 def form_isotropic(point):
     """Isotropy of the attached form over Q, read off the Hilbert symbols
-    (x^2 - 4, k - 4)_p of hasse_profile.
+    c_p = (x^2 - 4, k - 4)_p of hasse_profile.
 
     Returns (verdict, data) with verdict "Isotropic" or "Anisotropic".
     Isotropic verdicts carry a verified integer zero when one exists
@@ -142,29 +138,26 @@ def form_isotropic(point):
 
     If a coordinate, say x1, is +-2, then u1^2 + u2^2 + x1 u1 u2 =
     (u1 +- u2)^2, so (1, -+1, 0) is a zero and the form is isotropic.
-    Otherwise take the coordinate x of least |x| and put a = x^2 - 4,
-    b = k - 4.  With the two u's that x multiplies taken first, the
-    symmetric matrix G of the form u^T G u has leading minors 1,
-    1 - x^2/4 = -a/4 and det G = (4 - k)/4, so the form is
-    <1, -a/4, b/a>, which is <1, -a, ab> up to squares.  That form has a
-    zero over Q_v exactly when (a, -ab)_v = (a, -a)_v (a, b)_v = (a, b)_v
-    is +1, and by Hasse-Minkowski it has one over Q exactly when it has
-    one at every place.  The symbol is +1 outside _places(a) | _places(b),
-    and at INF too since b > 0; by Hilbert reciprocity the places where it
-    is -1 are even in number.  So k - 4 and that one x^2 - 4 are each
-    factored once.
+    Otherwise take any coordinate x and put a = x^2 - 4, b = k - 4.  With
+    the two u's that x multiplies taken first, the symmetric matrix G of
+    the form u^T G u has leading minors 1, 1 - x^2/4 = -a/4 and
+    det G = (4 - k)/4, so the form is <1, -a/4, b/a>, which is
+    <1, -a, ab> up to squares.  That form has a zero over Q_v exactly
+    when (a, -ab)_v = (a, -a)_v (a, b)_v = (a, b)_v is +1, and by
+    Hasse-Minkowski it has one over Q exactly when it has one at every
+    place: the -1 entries of hasse_profile (never INF, as b > 0; even in
+    number, by Hilbert reciprocity).  It is called on the coordinates
+    ordered by |x|, which keeps the level and every symbol, so the
+    x^2 - 4 it factors is the least.
     """
     if not point.is_integral():
         raise ValueError("form_isotropic needs integer coordinates")
-    k = point.k
-    if not isinstance(k, int) or k <= 4:
+    if not isinstance(point.k, int) or point.k <= 4:
         raise ValueError("form_isotropic needs integral k > 4")
     coords = point.coords()
     if all(x * x != 4 for x in coords):
-        x = min(coords, key=abs)
-        a, b = x * x - 4, k - 4
-        places = [p for p in sorted(_places(b) | _places(a), key=_place_sort_key)
-                  if hilbert_int(a, b, p) == -1]
+        ordered = MarkoffPoint(*sorted(coords, key=abs), point.k)
+        places = [p for p, v in hasse_profile(ordered).entries if v == -1]
         if places:
             return "Anisotropic", {"places": places}
     w = _witness_search(point, WITNESS_BOUND)

@@ -303,6 +303,37 @@ def test_replay_compares_the_checks_as_an_ordered_list():
         assert not ok and fresh["conclusion"] is True, label
 
 
+def test_replay_multiplies_out_the_hfe1_witnesses():
+    hfe1 = json.loads(verify_hfe1(139, 19).to_json())
+    assert check_certificate(hfe1)[0]
+    i = next(i for i, c in enumerate(hfe1["checks"]) if c["name"] == "commutator-mod-32")
+    x, y = (hfe1["checks"][i]["data"][n] for n in ("X", "Y"))
+
+    def witness(data):
+        return edited(hfe1, lambda cs: cs[i].update(data=data))
+
+    # a witness congruent to the stored one mod q replays
+    shifted = [[e + 32 * (r + 1) for e in row] for r, row in enumerate(x)]
+    assert check_certificate(witness({"X": shifted, "Y": y}))[0]
+    edits = {
+        "(I, I)": {"X": [[1, 0], [0, 1]], "Y": [[1, 0], [0, 1]]},
+        "swapped": {"X": y, "Y": x},
+        "det X = 3": {"X": [[e * 3 for e in x[0]], x[1]], "Y": y},
+        # 3^2 * 11^2 = 1 (mod 32): X Y adj X adj Y is unchanged, but det X = 9
+        "3X, 11Y": {"X": [[3 * e for e in row] for row in x],
+                    "Y": [[11 * e for e in row] for row in y]},
+    }
+    for label, data in edits.items():
+        ok, fresh = check_certificate(witness(data))
+        assert not ok and fresh["conclusion"] is True, label
+    # a witness that is not two 2x2 integer matrices is invalid input
+    for data in (None, [x, y], {"X": x}, {"X": x, "Y": y[0]}, {"X": x, "Y": [[1, 0], [0]]},
+                 {"X": x, "Y": [[1.0, 0], [0, 1]]}, {"X": x, "Y": "ab"},
+                 {"X": x, "Y": [[1, 0], [0, 1], [0, 0]]}):
+        with pytest.raises(ValueError, match="witness not two 2x2 integer matrices"):
+            check_certificate(witness(data))
+
+
 def random_with_trace(rng, t):
     alpha = rng.randint(-6, 6)
     z = Mat2(alpha, 1, alpha * (t - alpha) - 1, t - alpha)

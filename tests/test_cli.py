@@ -190,10 +190,16 @@ def test_lift_point_searches_for_y(capsys):
     x, y = (Mat2(*sum(d[k]["entries"], [])) for k in ("x", "y"))
     assert commutator(x, y) == Mat2(3, -1, 1, 0)
     assert d["orientation"] == "Z"
+    # a miss of the box is an exhausted search budget, not invalid input
     code = run(["lift", "point", "--z", "7,-1,1,0", "--point=0,0,-3"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 3
     assert "no trace-set matrix Y found in the entry box" in captured.out + captured.err
+    # a Y the box finds and lift2 refuses is still invalid input (here the
+    # box's Y at 6 is refused too, and it has none at -4)
+    code, out = capture(capsys, ["lift", "point", "--z", "6,-1,1,0", "--point=-2,-4,6"])
+    assert code == 2
+    assert json.loads(out)["error"] == "entries [22, -14, -2, 2] not divisible by Delta = 4"
 
 
 def test_markoff_search_spells_integral_points(capsys):
@@ -511,12 +517,21 @@ HARD_K = 4 + 2 * 300000000000000000000740000000000000000000423**2
     ["certify", "hfz", "--k", str(HARD_K)],
     ["certify", "sint", "--k", str(HARD_K), "--ell", "7"],
     ["lift", "universal", "--t", "7", "--ring", "z1/%d" % HARD_N],
-    ["quadform", "profile", "--point", "3,4,%d" % (HARD_N + 2)],
+    ["quadform", "profile", "--point", "%d,3,4" % (HARD_N + 2)],
 ], ids=["argv%d" % i for i in range(14) if i != 6])
 def test_budget_overruns_exit_3(capsys, argv):
     code, out = capture(capsys, argv)
     assert code == 3
     assert json.loads(out)["kind"] == "budget"
+
+
+def test_profile_factors_only_the_first_usable_coordinate(capsys):
+    # (N+2)^2 - 4 = N(N+4) is past the factorization budget: first, it
+    # exits 3 (test_budget_overruns_exit_3); after 3 and 4, it is only
+    # cross-checked at the places that k - 4 and 3^2 - 4 give
+    code, out = capture(capsys, ["quadform", "profile", "--point", "3,4,%d" % (HARD_N + 2)])
+    assert code == 0
+    assert {q for q, v in json.loads(out)["profile"].items() if v == -1} == {"2", "153557"}
 
 
 def test_huge_max_exp_exits_3_at_once(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -57,8 +59,8 @@ def test_hasse_profile_factors_each_argument_once(monkeypatch):
         for p in class_data(k):
             calls.clear()
             hasse_profile(p)
-            usable = [c for c in p.coords() if c * c != 4]
-            assert len(calls) == 1 + len(usable), (p, calls)
+            x = next(c for c in p.coords() if c * c != 4)
+            assert calls == [p.k - 4, x * x - 4], (p, calls)
 
 
 def hasse_profile_by_fractions(point):
@@ -81,19 +83,59 @@ def hasse_profile_by_fractions(point):
     return sorted(((p, profiles[0][p]) for p in place_sets[0]), key=lambda e: (e[0] == INF, e[0]))
 
 
+def localized_points():
+    """Points over Z[1/ell], most with Fraction coordinates."""
+    points = [p for k, ell in ((5, 5), (8, 3), (13, 7), (20, 3), (29, 5), (56, 5), (329, 3))
+              for p in search_localized(k, ell, 2, 40)]
+    assert sum(not p.is_integral() for p in points) > 1000
+    return points
+
+
 def test_hasse_profile_matches_the_fraction_oracle():
     # class representatives, random integer points, and points over
     # Z[1/ell] with Fraction coordinates
     points = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
     rng = random.Random(65)
     points += [p for p in (random_point(rng, 40) for _ in range(400)) if p.k > 4]
-    localized = [p for k, ell in ((5, 5), (8, 3), (13, 7), (20, 3), (29, 5), (56, 5), (329, 3))
-                 for p in search_localized(k, ell, 2, 40)]
-    assert sum(not p.is_integral() for p in localized) > 1000
-    for p in points + localized:
+    for p in points + localized_points():
         if all(c * c == 4 for c in p.coords()):
             continue
         assert list(hasse_profile(p).entries) == hasse_profile_by_fractions(p), p
+
+
+def test_hasse_profile_is_the_same_from_every_coordinate(monkeypatch):
+    # hasse_profile reads c_p off the first usable coordinate, so the six
+    # orders of a point's coordinates read it off each usable one in turn;
+    # factorize is memoized, since every order factors the same k - 4
+    monkeypatch.setattr(mksurf.quadforms, "factorize", functools.lru_cache(factorize))
+    rng = random.Random(37)
+    points = []
+    while len(points) < 2000:
+        coords = [rng.randint(-10**4, 10**4) for _ in range(3)]
+        if rng.random() < 0.2:
+            coords[rng.randrange(3)] = rng.choice((2, -2))
+        p = MarkoffPoint.make(*coords)
+        if p.k > 4 and any(c * c != 4 for c in coords):
+            points.append(p)
+    assert sum(any(c * c == 4 for c in p.coords()) for p in points) > 300
+    for p in points + localized_points():
+        if all(c * c == 4 for c in p.coords()):
+            continue
+        profiles = [dict(hasse_profile(MarkoffPoint(*c, p.k)).entries)
+                    for c in itertools.permutations(p.coords())]
+        first = profiles[0]
+        for other in profiles[1:]:
+            assert ({q for q, v in other.items() if v == -1}
+                    == {q for q, v in first.items() if v == -1}), p
+            assert all(other[q] == first[q] for q in other.keys() & first.keys()), p
+
+
+def test_hasse_profile_cross_checks_the_other_coordinates(monkeypatch):
+    # a symbol kernel that read c_p differently off x = -3 (a = 5) and
+    # x = 8 (a = 60) is caught at the reported places
+    monkeypatch.setattr(mksurf.quadforms, "hilbert_int", lambda a, b, p: 1 if a > 50 else -1)
+    with pytest.raises(ValueError, match="coordinate profiles disagree"):
+        hasse_profile(MarkoffPoint.make(-3, 8, 8))
 
 
 def test_hasse_profile_product_formula_on_found_points():
