@@ -140,7 +140,8 @@ def _cmd_quadform_profile(args):
 
 def _cmd_quadform_isotropy(args):
     from .markoff import class_data
-    from .quadforms import form_isotropic
+    from .quadforms import check_isotropy_level, form_isotropic
+    check_isotropy_level(args.k)
     out = []
     for rep in class_data(args.k):
         verdict, data = form_isotropic(rep)
@@ -149,22 +150,11 @@ def _cmd_quadform_isotropy(args):
 
 
 def _cmd_lift_point(args):
-    from .lifting import TRACE_SET_BOX, find_trace_set_matrix, lift_point
+    from .lifting import lift_point
     from .markoff import MarkoffPoint
     z = _parse_mat(args.z)
     p = MarkoffPoint.make(*_parse_ints(args.point, 3))
-    if args.y:
-        y = _parse_mat(args.y)
-    else:
-        y = None
-        for x in p.coords():
-            y = find_trace_set_matrix(z, x)
-            if y is not None:
-                break
-        if y is None:
-            raise BudgetExceeded("no trace-set matrix Y found in the entry box |a|, |b|, |c| "
-                                 "<= %d; this does not certify that none exists" % TRACE_SET_BOX)
-    res = lift_point(z, p, y)
+    res = lift_point(z, p, _parse_mat(args.y) if args.y else None)
     return {"z": z, "point": list(p.coords()), "x": res.x, "y": res.y,
             "orientation": res.orientation, "row": list(res.row)}
 
@@ -378,7 +368,7 @@ def build_parser():
     p = lf.add_parser("point")
     p.add_argument("--z", required=True, help="matrix a,b,c,d")
     p.add_argument("--point", required=True)
-    p.add_argument("--y", help="matrix a,b,c,d; searched for in a fixed entry box if omitted")
+    p.add_argument("--y", help="matrix a,b,c,d; else a fixed box's Y at each coordinate in turn")
     p.set_defaults(func=_cmd_lift_point)
     p = lf.add_parser("universal")
     p.add_argument("--t", type=int, required=True)

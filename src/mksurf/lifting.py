@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .mat2 import Mat2, commutator, in_trace_set
 from .markoff import MarkoffMove, level
-from .rings import ModInt
+from .rings import BudgetExceeded, ModInt
 
 
 class LiftError(ValueError):
@@ -113,40 +113,44 @@ def lift2(z, y, x1, x3):
 _LIFT_ROWS = {2: ((0, 2), (1, 2, 3)), 1: ((2, 1), (2, 3, 1)), 3: ((1, 0), (3, 1, 2))}
 
 
-def lift_point(z, point, y):
-    """Package a Markoff point and a trace-set matrix Y into a commutator
-    pair for Z, permuting a coordinate equal to Tr Y into the middle slot.
+def lift_point(z, point, y=None):
+    """Package a Markoff point into a commutator pair for Z, a LiftResult
+    whose pair has the point's coordinates as its trace triple.
 
-    Returns a LiftResult whose pair projects onto the point's coordinates
-    exactly. Whether Delta divides out is `lift2`'s to decide, and it can
-    differ between two coordinates equal to Tr Y, as the other two
-    coordinates enter the numerator: each such coordinate is tried in
-    turn, the middle one first, and the last LiftError is raised only when
-    every one fails.
+    Each coordinate equal to Tr Y is permuted into the middle slot in
+    turn, the middle one first, as `lift2` may divide out Delta for one
+    and not another; Y is refused with the last LiftError.  With y None,
+    Y is the first of the trace-set box at each distinct coordinate in
+    turn: the first Y that lifts wins, else the first Y's LiftError is
+    raised, or BudgetExceeded if the box holds none at all.
     """
     t = z.trace()
     if t == 2 or t == -2:
         raise LiftError("need Tr Z != +-2")
     if point.k != t + 2:
         raise LiftError("point level %s != Tr Z + 2" % (point.k,))
-    x2 = y.trace()
     coords = point.coords()
-    js = [j for j in (2, 1, 3) if coords[j - 1] == x2]  # the middle slot first
-    if not js:
-        raise LiftError("no coordinate of (%s) matches Tr Y = %s"
-                        % (", ".join(map(str, coords)), x2))
-    for j in js:
-        (i1, i3), row = _LIFT_ROWS[j]
-        try:
-            x = lift2(z, y, coords[i1], coords[i3])
-        except LiftError as exc:
-            err = exc
-            continue
-        pair = _PAIR_LIFTS[MarkoffMove.perm(row)][0](x, y)
-        if trace_triple(*pair) != coords or commutator(*pair) != z:
-            raise LiftError("permutation bookkeeping broke the lift contract")
-        return LiftResult(pair[0], pair[1], "Z", row)
-    raise err
+    ys = [y] if y is not None else filter(None, (find_trace_set_matrix(z, x)
+                                                 for x in dict.fromkeys(coords)))
+    errs = []
+    for y in ys:
+        errs.append(LiftError("no coordinate of (%s) matches Tr Y = %s"
+                              % (", ".join(map(str, coords)), y.trace())))
+        for j in (j for j in (2, 1, 3) if coords[j - 1] == y.trace()):  # the middle slot first
+            (i1, i3), row = _LIFT_ROWS[j]
+            try:
+                x = lift2(z, y, coords[i1], coords[i3])
+            except LiftError as exc:
+                errs[-1] = exc
+                continue
+            pair = _PAIR_LIFTS[MarkoffMove.perm(row)][0](x, y)
+            if trace_triple(*pair) != coords or commutator(*pair) != z:
+                raise LiftError("permutation bookkeeping broke the lift contract")
+            return LiftResult(pair[0], pair[1], "Z", row)
+    if not errs:
+        raise BudgetExceeded("no trace-set matrix Y found in the entry box |a|, |b|, |c| "
+                             "<= %d; this does not certify that none exists" % TRACE_SET_BOX)
+    raise errs[0]
 
 
 TRACE_SET_BOX = 12

@@ -125,6 +125,12 @@ def _witness_search(point, bound):
 WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
 
 
+def check_isotropy_level(k):
+    """Refuse a level form_isotropic does not decide: k must be an integer above 4."""
+    if not isinstance(k, int) or k <= 4:
+        raise ValueError("form_isotropic needs integral k > 4")
+
+
 def form_isotropic(point):
     """Isotropy of the attached form over Q, read off the Hilbert symbols
     c_p = (x^2 - 4, k - 4)_p of hasse_profile.
@@ -152,8 +158,7 @@ def form_isotropic(point):
     """
     if not point.is_integral():
         raise ValueError("form_isotropic needs integer coordinates")
-    if not isinstance(point.k, int) or point.k <= 4:
-        raise ValueError("form_isotropic needs integral k > 4")
+    check_isotropy_level(point.k)
     coords = point.coords()
     if all(x * x != 4 for x in coords):
         ordered = MarkoffPoint(*sorted(coords, key=abs), point.k)

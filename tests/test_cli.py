@@ -190,6 +190,16 @@ def test_lift_point_searches_for_y(capsys):
     x, y = (Mat2(*sum(d[k]["entries"], [])) for k in ("x", "y"))
     assert commutator(x, y) == Mat2(3, -1, 1, 0)
     assert d["orientation"] == "Z"
+    # the box's Y at 0 is refused (Delta = 5), and its Y at 1 lifts
+    code, out = capture(capsys, ["lift", "point", "--z", "3,-1,1,0", "--point", "0,1,2"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["row"] == [1, 2, 3]
+    assert d["x"]["entries"] == [[-1, 2], [-1, 1]] and d["y"]["entries"] == [[1, -1], [1, 0]]
+    # a point off the level Tr Z + 2 is invalid input, with or without --y
+    code, out = capture(capsys, ["lift", "point", "--z", "7,-1,1,0", "--point", "1,1,1"])
+    assert code == 2
+    assert json.loads(out) == {"error": "point level 2 != Tr Z + 2", "kind": "invalid-input"}
     # a miss of the box is an exhausted search budget, not invalid input
     code = run(["lift", "point", "--z", "7,-1,1,0", "--point=0,0,-3"])
     captured = capsys.readouterr()
@@ -200,6 +210,19 @@ def test_lift_point_searches_for_y(capsys):
     code, out = capture(capsys, ["lift", "point", "--z", "6,-1,1,0", "--point=-2,-4,6"])
     assert code == 2
     assert json.loads(out)["error"] == "entries [22, -14, -2, 2] not divisible by Delta = 4"
+
+
+@pytest.mark.parametrize("k", [4, 3, 2, 1, 0, -1, -5, -16, -10**12])
+def test_quadform_isotropy_refuses_levels_up_to_4(capsys, monkeypatch, k):
+    # refused before the class search: k = 3 used to print no classes, and
+    # -10^12 to exit 3 on the class box
+    def no_scan(k):
+        raise AssertionError("class_data ran at k = %d" % k)
+    monkeypatch.setattr(mksurf.markoff, "class_data", no_scan)
+    code, out = capture(capsys, ["quadform", "isotropy", "--k=%d" % k])
+    assert code == 2
+    assert json.loads(out) == {"error": "form_isotropic needs integral k > 4",
+                               "kind": "invalid-input"}
 
 
 def test_markoff_search_spells_integral_points(capsys):

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import random
@@ -5,11 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import mksurf.lifting
 from mksurf.mat2 import Mat2, commutator, in_trace_set, mat_mod
 from mksurf.markoff import GENERATORS, MarkoffMove, MarkoffPoint, apply_move, level
+from mksurf.markoff import search_integral
 from mksurf.markoff import _apply_coords
 from mksurf.lifting import (
     LiftError,
+    LiftResult,
     lift2,
     lift_point,
     pair_move,
@@ -17,7 +22,7 @@ from mksurf.lifting import (
     universal_pair,
 )
 from mksurf.lifting import _PAIR_LIFTS
-from mksurf.rings import ModInt, ResidueRing, SIntegerRing, parse_ring
+from mksurf.rings import BudgetExceeded, ModInt, ResidueRing, SIntegerRing, parse_ring
 
 from _util import random_sl2z
 
@@ -321,6 +326,69 @@ def test_find_trace_set_matrix():
     # genuinely empty: Y in S([[1,1],[0,1]]) needs c = 0 and a*d = 1 with
     # a + d = 0, which -a^2 = 1 forbids
     assert find_trace_set_matrix(Mat2(1, 1, 0, 1), 0) is None
+
+
+def test_lift_point_searches_every_coordinate():
+    # the box's Y at 0 is refused (Delta = 5); its Y at 1 lifts
+    z = Mat2(3, -1, 1, 0)
+    with pytest.raises(LiftError, match=r"^entries \[6, 1, -1, 4\] not divisible by Delta = 5$"):
+        lift_point(z, MarkoffPoint.make(0, 1, 2), mksurf.lifting.find_trace_set_matrix(z, 0))
+    res = lift_point(z, MarkoffPoint.make(0, 1, 2))
+    assert (res.x, res.y, res.row) == (Mat2(-1, 2, -1, 1), Mat2(1, -1, 1, 0), (1, 2, 3))
+    assert commutator(res.x, res.y) == z
+
+
+def test_lift_point_checks_z_and_level_before_the_box(monkeypatch):
+    def no_scan(z, target_trace):
+        raise AssertionError("the trace-set box was scanned")
+    monkeypatch.setattr(mksurf.lifting, "find_trace_set_matrix", no_scan)
+    with pytest.raises(LiftError, match=r"^point level 2 != Tr Z \+ 2$"):
+        lift_point(Mat2(7, -1, 1, 0), MarkoffPoint.make(1, 1, 1))
+    for z in (Mat2(1, 1, 0, 1), Mat2(-1, 0, 0, -1)):
+        with pytest.raises(LiftError, match=r"^need Tr Z != \+-2$"):
+            lift_point(z, MarkoffPoint.make(2, 2, 0))
+
+
+def box_lift_at_first_hit(z, point):
+    """The Y search `lift point` ran in the CLI before `lift_point` owned
+    it: the first coordinate whose box holds a Y decides, and only that Y
+    is tried; kept as the oracle."""
+    for x in point.coords():
+        y = mksurf.lifting.find_trace_set_matrix(z, x)
+        if y is not None:
+            return lift_point(z, point, y)
+    raise BudgetExceeded("no trace-set matrix Y found in the entry box |a|, |b|, |c| "
+                         "<= 12; this does not certify that none exists")
+
+
+def test_lift_point_search_against_first_hit(monkeypatch):
+    # both sides read one memo of the box, so each (Z, coordinate) is scanned once
+    box = functools.lru_cache(maxsize=None)(mksurf.lifting.find_trace_set_matrix)
+    monkeypatch.setattr(mksurf.lifting, "find_trace_set_matrix", box)
+    zs = ([Mat2(t, -1, 1, 0) for t in range(3, 13)] + [Mat2(0, -1, 1, t) for t in range(3, 13)]
+          + [Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1), Mat2(7, 3, 2, 1), Mat2(-3, -1, 1, 0)])
+    seen = collections.Counter()
+    for z in zs:
+        for point in search_integral(z.trace() + 2, 6):
+            outcome = []
+            for lift in (box_lift_at_first_hit, lift_point):
+                try:
+                    outcome.append(lift(z, point))
+                except (LiftError, BudgetExceeded) as exc:
+                    outcome.append(exc)
+            old, new = outcome
+            if isinstance(old, LiftError) and isinstance(new, LiftResult):
+                assert commutator(new.x, new.y) == z and trace_triple(new.x, new.y) == point.coords()
+                seen["refusal -> lift"] += 1
+                continue
+            assert type(new) is type(old), (z, point)
+            if isinstance(old, LiftResult):
+                assert new == old
+                seen["lift"] += 1
+            else:
+                assert str(new) == str(old)
+                seen["box miss" if isinstance(old, BudgetExceeded) else "refusal"] += 1
+    assert seen == {"lift": 86, "box miss": 60, "refusal": 89, "refusal -> lift": 13}
 
 
 def test_universal_pair():
