@@ -140,8 +140,8 @@ def _cmd_quadform_profile(args):
 
 def _cmd_quadform_isotropy(args):
     from .markoff import class_data
-    from .quadforms import check_isotropy_level, form_isotropic
-    check_isotropy_level(args.k)
+    from .quadforms import check_level, form_isotropic
+    check_level(args.k)
     out = []
     for rep in class_data(args.k):
         verdict, data = form_isotropic(rep)

@@ -117,6 +117,8 @@ def lift_point(z, point, y=None):
     """Package a Markoff point into a commutator pair for Z, a LiftResult
     whose pair has the point's coordinates as its trace triple.
 
+    Z must have determinant 1 and trace t != +-2, and the point must lie
+    on the level t + 2, or LiftError is raised before any Y is sought.
     Each coordinate equal to Tr Y is permuted into the middle slot in
     turn, the middle one first, as `lift2` may divide out Delta for one
     and not another; Y is refused with the last LiftError.  With y None,
@@ -124,6 +126,8 @@ def lift_point(z, point, y=None):
     turn: the first Y that lifts wins, else the first Y's LiftError is
     raised, or BudgetExceeded if the box holds none at all.
     """
+    if z.det() != 1:
+        raise LiftError("need det Z = 1")
     t = z.trace()
     if t == 2 or t == -2:
         raise LiftError("need Tr Z != +-2")

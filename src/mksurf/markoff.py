@@ -338,8 +338,11 @@ def class_data(k):
       image;
     - so each closure is walked once, from its first search point, and a
       set of the walked families skips every later search point in one.
-    The search points are read as coordinate tuples (_integral_coords), so
-    only the representatives become MarkoffPoints.
+    Only the base triples of the search (_integral_bases) are walked:
+    every family holds one, as a double sign change makes x1, x2 >= 0 in
+    its member with |x1| <= |x2| <= |x3|, and the result is sorted, so it
+    is the one a walk over every search point gives.  They are read as
+    coordinate tuples, so only the representatives become MarkoffPoints.
 
     Raises BudgetExceeded when the box is past MAX_SEARCH_BOUND, that is
     for |k| > 888933324."""
@@ -354,7 +357,7 @@ def class_data(k):
             "scan limit %d, which serves |k| <= %d" % (k, b, MAX_SEARCH_BOUND, served))
     reps = []
     walked = set()
-    for c in _integral_coords(k, b):
+    for c in _integral_bases(k, b):
         if _family_canonical(c) in walked or _descent_step(c) is not None:
             continue
         families = _floor_families(c)
@@ -550,23 +553,32 @@ def search_integral(k, bound):
     top < x1 (_row_ranges): O(b log b + |k|^(2/3)) cells in
     O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
     the whole box, and none when k lies outside the box's levels.
-    _integral_coords scans those rows a rectangle of them at a time.
+    _integral_bases scans those rows a rectangle of them at a time.
     """
     return [MarkoffPoint(c[0], c[1], c[2], k) for c in _integral_coords(k, bound)]
 
 
 def _integral_coords(k, bound):
-    """The points of search_integral(k, bound) as sorted coordinate tuples.
+    """The points of search_integral(k, bound) as sorted coordinate tuples:
+    the double-sign images of _integral_bases(k, bound)."""
+    return sorted({c for p in _integral_bases(k, bound) for c in _double_signs(*p)})
+
+
+def _integral_bases(k, bound):
+    """The base triples of search_integral(k, bound), as a set: its points
+    (x1, x2, x3) with 0 <= x1 <= x2 <= |x3|, of which every point is a
+    double-sign image.
 
     Row x1 solves t^2 - P t + C for x3, with P = x1 x2 and
     C = x1^2 + x2^2 - k, whose discriminant P^2 - 4C is
     (x1^2 - 4) x2^2 + 4 (k - x1^2), and the roots (P -+ s) / 2 come only
     at the cells where _square_cells finds s (no parity test is needed, as
     s^2 = P^2 - 4C forces s = P (mod 2)).  The level of each base triple
-    is checked once; its double-sign images share it.
+    is checked once; its double-sign images, which _integral_coords adds,
+    share it.
 
-    A level outside [-b^3, b^3 + 3 b^2] returns [] before any row is
-    built.  Otherwise the rows with a nonempty range
+    A level outside [-b^3, b^3 + 3 b^2] returns the empty set before any
+    row is built.  Otherwise the rows with a nonempty range
     [max(x1, bottom(x1)), top(x1)] (_row_ranges) are packed in order into
     rectangles over the union of their rows' ranges (_rectangles), each of
     at most SCAN_CELLS cells or one row, so a hit in a row's range gives
@@ -588,7 +600,7 @@ def _integral_coords(k, bound):
                              "(bound <= %d)" % MAX_SEARCH_BOUND)
     b = int(bound)
     if not -b**3 <= k <= b**3 + 3 * b * b:
-        return []
+        return set()
     lo, hi = _row_ranges(k, b)
     kept = np.flatnonzero(lo <= hi)
     xs = np.arange(0, b + 1, dtype=np.int64)
@@ -600,7 +612,7 @@ def _integral_coords(k, bound):
             for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                 if x1 <= x2 <= abs(x3) <= b:
                     base.add((x1, x2, x3))
-    return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
+    return {p for p in base if level(*p) == k}
 
 
 def _rectangles(x1s, los, his):

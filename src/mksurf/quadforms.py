@@ -2,6 +2,7 @@
 attached to a Markoff point (x1, x2, x3) of level k, its local invariant
 profiles, and isotropy over Q read off those invariants."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,29 +31,52 @@ class HasseProfile:
         return out
 
 
+MEMO_SIZE = 256  # entries in each memo below: odd primes by integer, profiles by point
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _odd_primes(n):
+    """The odd primes of the nonzero int n, as a sorted tuple: factorize
+    runs once per n among the MEMO_SIZE most recent, so the k - 4 of a
+    level's representatives, and an x^2 - 4 that hasse_profile and
+    form_isotropic both read, are factored once."""
+    return tuple(q for q, _ in factorize(n) if q > 2)
+
+
 def _places(n):
     """2, INF and the odd primes of the nonzero int n: with m another
     nonzero int, (n, m)_p = +1 at every place outside _places(n) |
     _places(m)."""
-    return {2, INF} | {q for q, _ in factorize(n) if q > 2}
+    return {2, INF, *_odd_primes(n)}
 
 
+def check_level(k):
+    """Refuse a level whose forms are not served: profiles and isotropy
+    verdicts need k > 4."""
+    if k <= 4:
+        raise ValueError("Hasse profiles and isotropy need k > 4")
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def hasse_profile(point):
     """Invariant profile c_p = (x^2-4, k-4)_p of the form attached to a
     Markoff point, at 2, INF and the odd primes of k - 4 and of x^2 - 4,
     sorted (INF, a float, last), for x the first coordinate with
     x^2 != 4.  The points with every coordinate +-2 lie only on levels 4
     and 20; at level 20 no coordinate is usable, and the profile is
-    refused (ValueError).
+    refused (ValueError), as is k <= 4 (check_level).
 
     Every usable coordinate gives the same c_p: (x1^2-4)(x2^2-4) =
     (2 x3 - x1 x2)^2 - 4(k-4) is a norm from Q(sqrt(k-4)), so its symbol
     with k - 4 is +1 at every place, over Z and over Z[1/l] alike.  So
-    only k - 4 and the first x^2 - 4 are factored, each once as its
-    square_class_int; each other usable coordinate is checked at each
-    reported place, a runtime cross-check on hilbert_int and factorize."""
-    if point.k <= 4:
-        raise ValueError("profiles need k > 4, got %s" % point.k)
+    only k - 4 and the first x^2 - 4 are factored, each as its
+    square_class_int and once among the MEMO_SIZE most recent integers
+    (_odd_primes); each other usable coordinate is checked at each
+    reported place, a runtime cross-check on hilbert_int and factorize.
+    Profiles are memoized by point, the MEMO_SIZE most recent; the
+    cross-check runs on every profile evaluated rather than read back,
+    and a refusal is not memoized."""
+    check_level(point.k)
     usable = [square_class_int(c * c - 4) for c in point.coords() if c * c != 4]
     if not usable:
         raise ValueError("all coordinates are +-2, so x^2 - 4 = 0 at each and "
@@ -125,12 +149,6 @@ def _witness_search(point, bound):
 WITNESS_BOUND = 600  # the box |u_i| <= WITNESS_BOUND of the isotropy-witness scan
 
 
-def check_isotropy_level(k):
-    """Refuse a level form_isotropic does not decide: k must be an integer above 4."""
-    if not isinstance(k, int) or k <= 4:
-        raise ValueError("form_isotropic needs integral k > 4")
-
-
 def form_isotropic(point):
     """Isotropy of the attached form over Q, read off the Hilbert symbols
     c_p = (x^2 - 4, k - 4)_p of hasse_profile.
@@ -154,11 +172,12 @@ def form_isotropic(point):
     place: the -1 entries of hasse_profile (never INF, as b > 0; even in
     number, by Hilbert reciprocity).  It is called on the coordinates
     ordered by |x|, which keeps the level and every symbol, so the
-    x^2 - 4 it factors is the least.
+    x^2 - 4 it factors is the least.  A class representative is in that
+    order already, so its profile, once evaluated, is read off the memo.
     """
     if not point.is_integral():
         raise ValueError("form_isotropic needs integer coordinates")
-    check_isotropy_level(point.k)
+    check_level(point.k)
     coords = point.coords()
     if all(x * x != 4 for x in coords):
         ordered = MarkoffPoint(*sorted(coords, key=abs), point.k)

@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 
-from mksurf.markoff import MarkoffPoint, _double_signs, level, reduce_point
+from mksurf.markoff import (
+    MarkoffPoint,
+    _descent_step,
+    _double_signs,
+    _family_canonical,
+    _floor_families,
+    _integral_coords,
+    default_class_bound,
+    level,
+    reduce_point,
+)
 from mksurf.mat2 import Mat2
 from mksurf.rings import INF, factorize, square_class_int
 from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
@@ -136,6 +146,22 @@ def integral_coords_by_rows(k, b):
                 if x2 <= abs(x3) <= b:
                     base.add((x1, x2, x3))
     return sorted({c for p in base if level(*p) == k for c in _double_signs(*p)})
+
+
+def class_data_by_every_point(k):
+    """markoff.class_data as it was before it walked base triples only,
+    kept as the oracle for that: the same family walk from each floor
+    point of the box not yet walked, over every point of the search,
+    double-sign images included."""
+    reps = []
+    walked = set()
+    for c in _integral_coords(k, default_class_bound(k)):
+        if _family_canonical(c) in walked or _descent_step(c) is not None:
+            continue
+        families = _floor_families(c)
+        walked.update(families)
+        reps.append(max(families))
+    return sorted(reps)
 
 
 def witness_search_by_rows(point, bound):

@@ -221,8 +221,28 @@ def test_quadform_isotropy_refuses_levels_up_to_4(capsys, monkeypatch, k):
     monkeypatch.setattr(mksurf.markoff, "class_data", no_scan)
     code, out = capture(capsys, ["quadform", "isotropy", "--k=%d" % k])
     assert code == 2
-    assert json.loads(out) == {"error": "form_isotropic needs integral k > 4",
+    assert json.loads(out) == {"error": "Hasse profiles and isotropy need k > 4",
                                "kind": "invalid-input"}
+
+
+def test_quadform_commands_refuse_low_levels_alike(capsys):
+    # (1, 1, 1) lies on level 2; both commands refuse k <= 4 in one message
+    refusals = [capture(capsys, argv) for argv in (["quadform", "profile", "--point=1,1,1"],
+                                                  ["quadform", "isotropy", "--k", "3"])]
+    assert refusals[0] == refusals[1]
+    code, out = refusals[0]
+    assert code == 2
+    assert json.loads(out) == {"error": "Hasse profiles and isotropy need k > 4",
+                               "kind": "invalid-input"}
+
+
+def test_lift_point_refuses_det_z_not_1(capsys):
+    # det(4 I) = 16: refused before any box scan, with or without --y (it
+    # exited 3 on the box miss without --y)
+    for extra in ([], ["--y", "1,0,0,1"]):
+        code, out = capture(capsys, ["lift", "point", "--z", "4,0,0,4", "--point=-1,-3,3"] + extra)
+        assert code == 2
+        assert json.loads(out) == {"error": "need det Z = 1", "kind": "invalid-input"}
 
 
 def test_markoff_search_spells_integral_points(capsys):

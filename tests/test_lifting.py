@@ -349,6 +349,17 @@ def test_lift_point_checks_z_and_level_before_the_box(monkeypatch):
             lift_point(z, MarkoffPoint.make(2, 2, 0))
 
 
+def test_lift_point_checks_det_z_before_the_box(monkeypatch):
+    # Z = 4 I has trace 8 and determinant 16: (-1, -3, 3) lies on level
+    # 10 = Tr Z + 2, and the box used to be scanned (and missed) for it
+    def no_scan(z, target_trace):
+        raise AssertionError("the trace-set box was scanned")
+    monkeypatch.setattr(mksurf.lifting, "find_trace_set_matrix", no_scan)
+    for y in (None, Mat2(1, 0, 0, 1), Mat2(2, 1, 1, 1)):
+        with pytest.raises(LiftError, match=r"^need det Z = 1$"):
+            lift_point(Mat2(4, 0, 0, 4), MarkoffPoint.make(-1, -3, 3), y)
+
+
 def box_lift_at_first_hit(z, point):
     """The Y search `lift point` ran in the CLI before `lift_point` owned
     it: the first coordinate whose box holds a Y decides, and only that Y

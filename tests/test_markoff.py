@@ -31,12 +31,20 @@ from mksurf.markoff import (
     _descent_step,
     _family_canonical,
     _floor_families,
+    _integral_bases,
     _integral_coords,
 )
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
 
-from _util import integral_coords_by_rows, random_point, same_orbit, square_cells_fresh, square_roots
+from _util import (
+    class_data_by_every_point,
+    integral_coords_by_rows,
+    random_point,
+    same_orbit,
+    square_cells_fresh,
+    square_roots,
+)
 
 # the generators in the order orbit_within tries them, stated here apart
 # from markoff.GENERATORS; walk_by_move_tags walks in this order
@@ -222,6 +230,11 @@ CLASS_KS_SAMPLED = sorted(s * round(10 ** random.Random(63 + i).uniform(4, 6))
 def test_class_data_matches_the_closure_walk(ks):
     for k in ks:
         assert [c.coords() for c in class_data(k)] == class_data_by_closures(k), k
+
+
+def test_class_data_matches_the_walk_over_every_point():
+    for k in [k for k in range(-3000, 3001) if k not in (0, 4)] + [-888933323]:
+        assert [c.coords() for c in class_data(k)] == class_data_by_every_point(k), k
 
 
 def reduce_point_by_closure(point):
@@ -515,6 +528,18 @@ def test_integral_coords_match_the_row_scan():
     cases += [(rng.randint(-300, 300), rng.randint(6, 3000)) for _ in range(20)]
     for k, b in cases:
         assert _integral_coords(k, b) == integral_coords_by_rows(k, b), (k, b)
+
+
+def test_integral_bases_are_the_points_with_x1_x2_nonnegative():
+    rng = random.Random(24)
+    cases = [(rng.randint(-10**4, 10**4), rng.randint(0, 60)) for _ in range(200)]
+    cases += [(k, 10) for k in (-10, 0, 2, 4, 5, 8)]
+    found = 0
+    for k, b in cases:
+        bases = _integral_bases(k, b)
+        assert bases == {c for c in integral_coords_by_rows(k, b) if c[0] >= 0 and c[1] >= 0}, (k, b)
+        found += len(bases)
+    assert found > 100
 
 
 @pytest.mark.parametrize("b", [2**14 + 2, 2**14 + 3, 2**15 + 1, 2**15 + 2])

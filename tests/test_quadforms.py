@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -20,7 +19,9 @@ from mksurf.markoff import (
     search_localized,
 )
 from mksurf.quadforms import (
+    MEMO_SIZE,
     WITNESS_BOUND,
+    _odd_primes,
     _witness_search,
     form_isotropic,
     hasse_profile,
@@ -51,16 +52,43 @@ def test_hasse_profile_329():
     assert prof2.product() == 1
 
 
-def test_hasse_profile_factors_each_argument_once(monkeypatch):
+def clear_memos():
+    _odd_primes.cache_clear()
+    hasse_profile.cache_clear()
+
+
+def counted_factorize(monkeypatch):
+    """The list of integers factorize is called on from here on, counted in
+    quadforms and in rings, so a call through a rings helper counts too."""
     calls = []
-    real = mksurf.quadforms.factorize
-    monkeypatch.setattr(mksurf.quadforms, "factorize", lambda n: calls.append(n) or real(n))
-    for k in (329, 10001):
-        for p in class_data(k):
-            calls.clear()
+    real = mksurf.rings.factorize
+    counted = lambda n: calls.append(n) or real(n)
+    monkeypatch.setattr(mksurf.quadforms, "factorize", counted)
+    monkeypatch.setattr(mksurf.rings, "factorize", counted)
+    return calls
+
+
+def test_hasse_profile_factors_each_argument_once(monkeypatch):
+    # over one level's representatives, with the memos cleared: k - 4 and
+    # the first usable x^2 - 4 of each, each distinct integer once, and
+    # nothing when the profiles are asked again
+    calls = counted_factorize(monkeypatch)
+    levels = 0
+    for k in [k for k in range(5, 1500) if admissible_k(k)] + [10001]:
+        clear_memos()
+        calls.clear()
+        reps = [p for p in class_data(k) if any(c * c != 4 for c in p.coords())]
+        for p in reps:
             hasse_profile(p)
-            x = next(c for c in p.coords() if c * c != 4)
-            assert calls == [p.k - 4, x * x - 4], (p, calls)
+        assert len(calls) == len(set(calls)), (k, calls)
+        assert set(calls) == ({k - 4} if reps else set()) | {
+            next(c for c in p.coords() if c * c != 4) ** 2 - 4 for p in reps}, k
+        calls.clear()
+        for p in reps:
+            hasse_profile(p)
+        assert calls == [], k
+        levels += len(reps) > 1
+    assert levels > 300
 
 
 def hasse_profile_by_fractions(point):
@@ -103,11 +131,9 @@ def test_hasse_profile_matches_the_fraction_oracle():
         assert list(hasse_profile(p).entries) == hasse_profile_by_fractions(p), p
 
 
-def test_hasse_profile_is_the_same_from_every_coordinate(monkeypatch):
+def test_hasse_profile_is_the_same_from_every_coordinate():
     # hasse_profile reads c_p off the first usable coordinate, so the six
-    # orders of a point's coordinates read it off each usable one in turn;
-    # factorize is memoized, since every order factors the same k - 4
-    monkeypatch.setattr(mksurf.quadforms, "factorize", functools.lru_cache(factorize))
+    # orders of a point's coordinates read it off each usable one in turn
     rng = random.Random(37)
     points = []
     while len(points) < 2000:
@@ -168,7 +194,7 @@ def test_hasse_profile_orbit_invariance():
 
 
 def test_hasse_profile_rejects_low_level():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Hasse profiles and isotropy need k > 4$"):
         hasse_profile(MarkoffPoint.make(1, 1, 1))  # k = 2 < 4
 
 
@@ -350,26 +376,91 @@ def test_anisotropic_places_are_the_nontrivial_symbols():
 
 
 def test_form_isotropic_factors_each_argument_once(monkeypatch):
-    # factorize counted in quadforms and in rings, so a call through a
-    # rings helper counts too: k - 4 and x^2 - 4 at the least |x|, or
-    # nothing when a coordinate is +-2
-    calls = []
-    real = mksurf.rings.factorize
-    counted = lambda n: calls.append(n) or real(n)
-    monkeypatch.setattr(mksurf.quadforms, "factorize", counted)
-    monkeypatch.setattr(mksurf.rings, "factorize", counted)
+    # over one level's representatives, with the memos cleared: k - 4 and
+    # x^2 - 4 at the least |x| of each, which comes first in a
+    # representative, each distinct integer once, and nothing for one
+    # with a coordinate +-2; hasse_profile then reads the memo
+    calls = counted_factorize(monkeypatch)
     monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
     twos = 0
-    for p in isotropy_points():
+    for k in range(5, 1500):
+        if not admissible_k(k):
+            continue
+        clear_memos()
+        calls.clear()
+        reps = class_data(k)
+        for p in reps:
+            form_isotropic(p)
+        usable = [p for p in reps if all(x * x != 4 for x in p.coords())]
+        twos += len(reps) - len(usable)
+        assert len(calls) == len(set(calls)), (k, calls)
+        assert set(calls) == ({k - 4} if usable else set()) | {
+            min(p.coords(), key=abs) ** 2 - 4 for p in usable}, k
+        calls.clear()
+        for p in usable:
+            hasse_profile(p)
+        assert calls == [], k
+    assert twos > 10
+    # a point out of |x| order is profiled in that order: one evaluation
+    # factors k - 4 and the least x^2 - 4
+    rng = random.Random(66)
+    for p in (random_point(rng, 40) for _ in range(400)):
+        if p.k <= 4 or any(x * x == 4 for x in p.coords()):
+            continue
+        clear_memos()
         calls.clear()
         form_isotropic(p)
-        if any(x * x == 4 for x in p.coords()):
-            assert calls == [], p
-            twos += 1
-        else:
-            x = min(p.coords(), key=abs)
-            assert calls == [p.k - 4, x * x - 4], p
-    assert twos > 10
+        x = min(p.coords(), key=abs)
+        assert calls == list(dict.fromkeys([p.k - 4, x * x - 4])), p
+
+
+def test_memos_stay_within_their_bound():
+    # more distinct levels than either memo holds
+    levels = 0
+    for k in range(5, 1000):
+        if admissible_k(k):
+            reps = [p for p in class_data(k) if any(c * c != 4 for c in p.coords())]
+            for p in reps:
+                hasse_profile(p)
+            levels += bool(reps)
+    assert levels > MEMO_SIZE
+    for memo in (_odd_primes, hasse_profile):
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE, memo
+
+
+def test_memoized_results_equal_fresh_ones(monkeypatch):
+    # every evaluation with the memos as the earlier ones left them, and
+    # again at once (read off the profile memo), equals one from cleared
+    # memos; the witness scan, which nothing memoizes, reports the point
+    # it was given
+    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: point.coords())
+    reps = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
+    as_ints = MarkoffPoint.make(-3, 8, 8)
+    as_fractions = MarkoffPoint(Fraction(-3), Fraction(8), Fraction(8), Fraction(329))
+    assert as_fractions == as_ints and not as_fractions.is_integral()
+    points = [p for p in reps + localized_points() + [as_ints, as_fractions, as_ints]
+              if any(c * c != 4 for c in p.coords())]
+
+    def evaluate(p):
+        return (hasse_profile(p), form_isotropic(p) if p.is_integral() else None)
+
+    warm = [(evaluate(p), evaluate(p)) for p in points]
+    assert hasse_profile.cache_info().hits >= len(points)
+    assert _odd_primes.cache_info().hits > len(points)
+    for p, (first, again) in zip(points, warm):
+        clear_memos()
+        fresh = evaluate(p)
+        assert first == again == fresh, p
+
+
+def test_factorize_refuses_non_integers_through_the_memo():
+    assert _odd_primes(5) == (5,) and _odd_primes(-45) == (3, 5)
+    for x in (5.0, Fraction(5), Fraction(5, 3), "5"):
+        with pytest.raises(TypeError):
+            factorize(x)
+        with pytest.raises(TypeError):
+            _odd_primes(x)
 
 
 def test_form_isotropic_verdicts_match_witness_search():
