@@ -75,7 +75,9 @@ def hasse_profile(point):
     reported place, a runtime cross-check on hilbert_int and factorize.
     Profiles are memoized by point, the MEMO_SIZE most recent; the
     cross-check runs on every profile evaluated rather than read back,
-    and a refusal is not memoized."""
+    and a refusal is not memoized.  Points compare by value, so one
+    spelled with Fraction coordinates reads the entry of its int twin,
+    whose profile is the same."""
     check_level(point.k)
     usable = [square_class_int(c * c - 4) for c in point.coords() if c * c != 4]
     if not usable:

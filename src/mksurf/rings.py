@@ -158,15 +158,11 @@ def factorize(n):
 
 
 def square_class_int(x):
-    """Integer representative of the square class of a nonzero rational:
-    an int represents its own, and any other x is read as a Fraction n/d,
-    represented by n d = (n/d) d^2."""
-    if type(x) is not int:
-        x = Fraction(x)
-        x = x.numerator * x.denominator
+    """Integer representative of the square class of a nonzero rational."""
+    x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
-    return x
+    return x.numerator * x.denominator
 
 
 def _split_prime(m, p):

@@ -378,10 +378,17 @@ def test_anisotropic_places_are_the_nontrivial_symbols():
 def test_form_isotropic_factors_each_argument_once(monkeypatch):
     # over one level's representatives, with the memos cleared: k - 4 and
     # x^2 - 4 at the least |x| of each, which comes first in a
-    # representative, each distinct integer once, and nothing for one
-    # with a coordinate +-2; hasse_profile then reads the memo
+    # representative, each distinct integer once; hasse_profile then
+    # reads the memo
     calls = counted_factorize(monkeypatch)
     monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
+
+    def factored(p):
+        clear_memos()
+        calls.clear()
+        form_isotropic(p)
+        return list(calls)
+
     twos = 0
     for k in range(5, 1500):
         if not admissible_k(k):
@@ -392,7 +399,6 @@ def test_form_isotropic_factors_each_argument_once(monkeypatch):
         for p in reps:
             form_isotropic(p)
         usable = [p for p in reps if all(x * x != 4 for x in p.coords())]
-        twos += len(reps) - len(usable)
         assert len(calls) == len(set(calls)), (k, calls)
         assert set(calls) == ({k - 4} if usable else set()) | {
             min(p.coords(), key=abs) ** 2 - 4 for p in usable}, k
@@ -400,18 +406,28 @@ def test_form_isotropic_factors_each_argument_once(monkeypatch):
         for p in usable:
             hasse_profile(p)
         assert calls == [], k
+        # a representative with a coordinate +-2 factors nothing, from
+        # cleared memos, so no memo hit hides a call it makes
+        for p in reps:
+            if p not in usable:
+                assert factored(p) == [], p
+                twos += 1
     assert twos > 10
-    # a point out of |x| order is profiled in that order: one evaluation
-    # factors k - 4 and the least x^2 - 4
+    # a random point, from cleared memos: nothing with a coordinate +-2;
+    # otherwise one evaluation in |x| order, which factors k - 4 and the
+    # least x^2 - 4
     rng = random.Random(66)
+    twos = 0
     for p in (random_point(rng, 40) for _ in range(400)):
-        if p.k <= 4 or any(x * x == 4 for x in p.coords()):
+        if p.k <= 4:
             continue
-        clear_memos()
-        calls.clear()
-        form_isotropic(p)
-        x = min(p.coords(), key=abs)
-        assert calls == list(dict.fromkeys([p.k - 4, x * x - 4])), p
+        if any(x * x == 4 for x in p.coords()):
+            assert factored(p) == [], p
+            twos += 1
+        else:
+            x = min(p.coords(), key=abs)
+            assert factored(p) == list(dict.fromkeys([p.k - 4, x * x - 4])), p
+    assert twos > 10
 
 
 def test_memos_stay_within_their_bound():
