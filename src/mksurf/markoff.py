@@ -38,7 +38,9 @@ class MarkoffPoint:
         return (self.x1, self.x2, self.x3)
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords())
+        """Whether every coordinate is an integer: an int, or a Fraction
+        with denominator 1."""
+        return all(c.denominator == 1 for c in self.coords())
 
     def maxabs(self):
         return _maxabs(self.coords())
@@ -247,7 +249,9 @@ def _floor_families(c):
 
 def reduce_point(point):
     """Markoff descent to a normal form; returns (normal_point, path) where
-    replaying path from the normal form reproduces the input point.
+    replaying path from the normal form reproduces the input point.  The
+    coordinates must be integers; Fractions of denominator 1 are read as
+    ints, so the result is the int point's.
 
     Descent repeatedly applies the Vieta move that strictly decreases the
     max-norm (_descent_step); more than MAX_DESCENT_STEPS of them raise
@@ -280,7 +284,7 @@ def reduce_point(point):
         raise ValueError("descent needs integer coordinates")
     if point.k in (0, 4):
         raise ValueError("k = %r is outside the generic range" % (point.k,))
-    cur = point.coords()
+    cur = tuple(map(int, point.coords()))
     path = []  # moves from the input point to cur
     while (step := _descent_step(cur)) is not None:
         mv, cur = step
@@ -291,7 +295,7 @@ def reduce_point(point):
     target = max(_floor_families(cur))
     if target != cur:
         path += orbit_within(cur, _maxabs(cur))[target]
-    normal = MarkoffPoint(target[0], target[1], target[2], point.k)
+    normal = MarkoffPoint(target[0], target[1], target[2], int(point.k))
     return normal, [m.inverse() for m in reversed(path)]
 
 

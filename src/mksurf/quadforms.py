@@ -159,8 +159,10 @@ def form_isotropic(point):
     Isotropic verdicts carry a verified integer zero when one exists
     within WITNESS_BOUND (None and flagged otherwise); a point too large
     for that scan's int64 range raises BudgetExceeded, and one with a
-    non-integer coordinate or k <= 4 raises ValueError.  Anisotropic
-    verdicts carry the places p where the form has no zero over Q_p.
+    non-integer coordinate or k <= 4 raises ValueError; Fractions of
+    denominator 1 are read as ints, so the result is the int point's.
+    Anisotropic verdicts carry the places p where the form has no zero
+    over Q_p.
 
     If a coordinate, say x1, is +-2, then u1^2 + u2^2 + x1 u1 u2 =
     (u1 +- u2)^2, so (1, -+1, 0) is a zero and the form is isotropic.
@@ -180,6 +182,7 @@ def form_isotropic(point):
     if not point.is_integral():
         raise ValueError("form_isotropic needs integer coordinates")
     check_level(point.k)
+    point = MarkoffPoint(*map(int, point.coords()), int(point.k))
     coords = point.coords()
     if all(x * x != 4 for x in coords):
         ordered = MarkoffPoint(*sorted(coords, key=abs), point.k)

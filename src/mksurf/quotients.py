@@ -1,5 +1,5 @@
-"""SL2(Z/q) as a group table, a commutator test read off its conjugacy
-classes, and the set of commutator traces.
+"""SL2(Z/q) as a group table, its commutator classes, a commutator test
+read off them, and the set of commutator traces.
 
 `group_table(q)` enumerates SL2(Z/q) once per process, straight into its
 arrays (the run lemma, `_elements`), and keeps, for every element, the
@@ -12,18 +12,19 @@ SL2(Z) and so every SL2(Z/q), composite q included; the conjugates are
 read off closed entry formulas, and the conjugators are the paths of a
 breadth-first tree grown from the representatives.
 
-Z = [X, Y] = X Y X^-1 Y^-1 says Y W Y^-1 = W Z for W = X^-1, so Z is a
-commutator exactly when some W is conjugate to W Z: a vectorized
+Being a commutator is a class function, and the table marks the
+commutator classes in one pass over the group (Ore's identity,
+`GroupTable.commutators`): [X, Y] = X (Y X Y^-1)^-1, and a b^-1 = [a, g]
+when b = g a g^-1, so the commutators are the union over the classes C
+of C C^-1. A "no" and the commutator-trace image are read off that mask.
+
+Z = [X, Y] = X Y X^-1 Y^-1 says Y W Y^-1 = W Z for W = X^-1, so a
+witness for a commutator Z is a W conjugate to W Z: a vectorized
 class-id comparison over the group, in blocks of `_TEST_BLOCK` elements
 in index order up to the first block that holds a W, with the witness
 X = W^-1, Y = g_{WZ} g_W^-1 read from the tree for the least such W.
 Tables are cached (the 16 most recent moduli); the one at q = 64 keeps
 about 3 MB.
-
-The commutator-trace image scans one class of each pair {C, -C} against
-one element of each pair {Y, -Y}, a quarter of the pairs (the sign
-lemma, `trace_commutator_image`), and marks the trace triples that occur
-instead of sorting the traces.
 """
 
 import functools
@@ -35,18 +36,16 @@ from .rings import BudgetExceeded, residue
 
 
 # The table at q = 128 holds 1.6e6 elements (about 2 s and 145 MB to build,
-# 26 MB at rest) and the tables grow like q^3.
+# 27.5 MB at rest) and the tables grow like q^3.
 MAX_MODULUS = 128
-
-# cells of one block of the trace-image scan (reps x elements)
-_BLOCK_CELLS = 1 << 16
 
 # S, T and T^-1, row-major: the moves of the class search.  S^-1 = -S and
 # -I is central, so conjugating by S^-1 is conjugating by S, and S runs
 # first at every level of the breadth-first tree, so S^-1 would add no node.
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
 
-# the commutator test scans W in blocks of this many elements
+# the commutator test scans W, and the commutator-class pass the
+# elements, in blocks of this many
 _TEST_BLOCK = 4096
 
 
@@ -90,11 +89,13 @@ def sl2_tuples(q):
 
 
 def _mul(x, y, q):
-    """X Y mod q for row-major entry quadruples of ints or arrays."""
+    """X Y mod q for row-major entry quadruples of ints or arrays, each
+    entry v reduced as v - (v // q) q: numpy divides an array by a scalar
+    several times faster than it takes the remainder."""
     a, b, c, d = x
     e, f, g, h = y
-    return ((a * e + b * g) % q, (a * f + b * h) % q,
-            (c * e + d * g) % q, (c * f + d * h) % q)
+    return tuple(v - v // q * q for v in (a * e + b * g, a * f + b * h,
+                                          c * e + d * g, c * f + d * h))
 
 
 def _inv(x, q):
@@ -105,8 +106,21 @@ def _inv(x, q):
 
 class GroupTable:
     """SL2(Z/q) with its conjugacy classes; element i is column i of
-    `entries`, `cls[i]` is the index of its class representative and
-    column i of `conj` is g_i with element i = g_i rep g_i^-1."""
+    `entries`, `cls[i]` is the index of its class representative,
+    column i of `conj` is g_i with element i = g_i rep g_i^-1, and
+    element i is a commutator exactly when `commutators[cls[i]]`.
+
+    The commutator classes take one pass over the group (Ore 1951). For X
+    in a class C, [X, Y] = X (Y X Y^-1)^-1 and Y X Y^-1 runs over C with
+    Y, so the set K of commutators is the union of C C^-1 over the
+    classes; conversely a b^-1 = [a, g] when b = g a g^-1. K is a union
+    of classes, and h a b^-1 h^-1 = r (h b h^-1)^-1 with h a h^-1 = r, the
+    representative of C, puts every a b^-1 in the class of some r c^-1
+    with c in C, itself in C C^-1. So K is the union of the classes of
+    r c^-1 over every element c, with r the representative of c's class:
+    one product, `index` and `cls` per element, in blocks of
+    `_TEST_BLOCK`.
+    """
 
     def __init__(self, q):
         # q <= 128: indices and q^3 stay below 2^31, entries below 256
@@ -120,17 +134,26 @@ class GroupTable:
             (d, -c % q, -b % q, a),
             ((a + c) % q, (b + d - a - c) % q, c, (d - c) % q),
             ((a - c) % q, (b - d + a - c) % q, c, (d + c) % q))]
-        del a, b, c, d
         # class id = least index in the class: spread minima along the moves
+        # (np.take gathers faster than fancy indexing)
         cls = np.arange(n, dtype=np.int32)
         while True:
-            new = cls[cls]
+            new = np.take(cls, cls)
             for mv in moves:
-                new = np.minimum(new, new[mv])
+                new = np.minimum(new, np.take(new, mv))
             if np.array_equal(new, cls):
                 break
             cls = new
         self.cls = cls
+        # the commutator classes: the class of r e^-1 for every element e,
+        # with r the representative of e's class (class docstring)
+        self.commutators = np.zeros(n, dtype=bool)
+        for lo in range(0, n, _TEST_BLOCK):
+            blk = slice(lo, lo + _TEST_BLOCK)
+            r = tuple(np.take(v, cls[blk]) for v in (a, b, c, d))
+            e_inv = (d[blk], -b[blk], -c[blk], a[blk])
+            self.commutators[np.take(cls, self.index(_mul(r, e_inv, q)))] = True
+        del a, b, c, d
         self.reps = np.flatnonzero(cls == np.arange(n))
         # breadth-first tree from every representative at once
         self.conj = np.zeros((4, n), dtype=np.uint8)
@@ -176,10 +199,11 @@ group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
 def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None).
-    Z's entries are reduced by `rings.residue`.  The witness comes from the
+    Z's entries are reduced by `rings.residue`.  A "no" is read off the
+    table's commutator classes.  The witness of a "yes" comes from the
     least index W with W conjugate to W Z; the scan stops at the block
-    holding it, so a "yes" costs one block when some W lies early, and a
-    "no" scans the whole group."""
+    holding it, which exists because Z is a commutator, so a "yes" costs
+    one block when some W lies early."""
     _check_modulus(q)
     z = tuple(residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
@@ -188,6 +212,8 @@ def commutator_test_modq(z, q):
     if z == ident:
         return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
     table = group_table(q)
+    if not table.commutators[table.cls[table.index(z)]]:
+        return False, None
     for lo in range(0, table.entries.shape[1], _TEST_BLOCK):
         w = table.entries[:, lo:lo + _TEST_BLOCK].astype(np.int32)
         wz = table.index(_mul(w, z, q))
@@ -197,53 +223,18 @@ def commutator_test_modq(z, q):
             x = _inv(tuple(int(v) for v in w[:, h]), q)
             y = table.conjugator(lo + h, int(wz[h]))
             return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
-    return False, None
 
 
 def trace_commutator_image(q):
-    """The set { Tr [X, Y] mod q : X, Y in SL2(Z/q) }.
+    """The set { Tr [X, Y] mod q : X, Y in SL2(Z/q) }: the traces of the
+    representatives of the commutator classes.
 
-    Tr [X, Y] = M(Tr X, Tr Y, Tr XY) - 2 with M(x1, x2, x3) = x1^2 + x2^2
-    + x3^2 - x1 x2 x3, so only the triple of traces counts: the triples
-    that occur are marked in one boolean array of q^3 cells, and M - 2 is
-    evaluated once per marked cell. The scan stops at the first block of
-    representatives after which the image is all of Z/q.
-
-    Which pairs suffice:
-    - Tr [X, Y] is invariant under simultaneous conjugation, so X runs
-      over class representatives only.
-    - Sign lemma: -I is central, so [-X, Y] = (-X) Y (-X)^-1 Y^-1 = [X, Y]
-      and likewise [X, -Y] = [X, Y]. The class of -X is -C when X lies in
-      C, so X runs over one class of each pair {C, -C}: rep r is kept when
-      the rep of -C is not below r (if it is, that rep s is kept, since
-      the rep of -(-C) is r > s). Y runs over one element i of each pair
-      {Y, -Y}, kept when -Y is not below i (the two are one for q = 2).
+    By Ore's identity [X, Y] = X (Y X Y^-1)^-1 the commutators are the
+    union of C C^-1 over the conjugacy classes C (a b^-1 = [a, g] when
+    b = g a g^-1), a union of classes, which `GroupTable` marks in one
+    pass over the group; the trace is a class function, so each marked
+    class gives one trace.
     """
     table = group_table(q)
-    elems = table.elements()
-    neg = table.index(tuple(-v % q for v in elems))
-    keep = neg >= np.arange(len(neg))
-    ya, yb, yc, yd = (v[keep] for v in elems)
-    reps = table.reps[table.cls[neg[table.reps]] >= table.reps]
-    x = table.entries[:, reps].astype(np.int32)
-    # the cell of a pair is (Tr X q + Tr Y) q + Tr XY
-    tx = (x[0] + x[3]) % q * (q * q)
-    ty = (ya + yd) % q * q
-    seen = np.zeros(q ** 3, dtype=bool)
-    image = np.zeros(q, dtype=bool)
-    rows = max(1, _BLOCK_CELLS // len(ya))
-    for lo in range(0, len(reps), rows):
-        a, b, c, d = (v[lo:lo + rows, None] for v in x)
-        cells = (a * ya + b * yc + c * yb + d * yd) % q
-        cells += tx[lo:lo + rows, None]
-        cells += ty
-        new = np.zeros_like(seen)
-        new[cells] = True
-        new &= ~seen
-        seen |= new
-        t1, t23 = np.divmod(np.flatnonzero(new), q * q)
-        t2, t3 = np.divmod(t23, q)
-        image[(t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 2) % q] = True
-        if image.all():
-            break
-    return set(np.flatnonzero(image).tolist())
+    a, _, _, d = table.entries[:, np.flatnonzero(table.commutators)].astype(np.int32)
+    return set(((a + d) % q).tolist())

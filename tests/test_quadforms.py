@@ -15,6 +15,7 @@ from mksurf.markoff import (
     admissible_k,
     apply_move,
     class_data,
+    reduce_point,
     search_integral,
     search_localized,
 )
@@ -454,7 +455,7 @@ def test_memoized_results_equal_fresh_ones(monkeypatch):
     reps = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
     as_ints = MarkoffPoint.make(-3, 8, 8)
     as_fractions = MarkoffPoint(Fraction(-3), Fraction(8), Fraction(8), Fraction(329))
-    assert as_fractions == as_ints and not as_fractions.is_integral()
+    assert as_fractions == as_ints and as_fractions.is_integral()
     points = [p for p in reps + localized_points() + [as_ints, as_fractions, as_ints]
               if any(c * c != 4 for c in p.coords())]
 
@@ -600,3 +601,32 @@ def test_k460_nonmtype_equivalence():
     assert mat3_det(g) == -1
     classes = [c.coords() for c in class_data(460)]
     assert classes == [(-3, 3, 17), (-3, 9, 10)]
+
+
+def test_integral_points_spelled_with_fractions_are_read_as_ints():
+    # descent and isotropy of an integral point with Fraction coordinates
+    # and level are those of its int twin, down to the reprs; a point
+    # with a non-integer coordinate is still refused by both
+    rng = random.Random(40)
+    points = [MarkoffPoint.make(-3, 8, 8)]
+    for k in range(5, 400):
+        if admissible_k(k):
+            for r in class_data(k):
+                points += [r, apply_move(rng.choice(GENERATORS), apply_move(rng.choice(GENERATORS), r))]
+    verdicts = set()
+    for p in points:
+        twin = MarkoffPoint(*(Fraction(c) for c in p.coords()), Fraction(p.k))
+        assert twin.is_integral()
+        assert repr(reduce_point(twin)) == repr(reduce_point(p)), p
+        clear_memos()
+        got = form_isotropic(twin)
+        clear_memos()
+        assert repr(got) == repr(form_isotropic(p)), p
+        verdicts.add((got[0], "witness" in got[1]))
+    assert verdicts == {("Anisotropic", False), ("Isotropic", True)}
+    bad = MarkoffPoint(15, Fraction(1, 5), Fraction(2, 5), 224)
+    assert not bad.is_integral()
+    with pytest.raises(ValueError, match="^descent needs integer coordinates$"):
+        reduce_point(bad)
+    with pytest.raises(ValueError, match="^form_isotropic needs integer coordinates$"):
+        form_isotropic(bad)

@@ -169,6 +169,34 @@ def test_group_table_matches_the_product_construction():
         assert table.conj.dtype == conj.dtype and np.array_equal(table.conj, conj), q
 
 
+def commutators_by_pairs(q):
+    """Oracle: the set {[X, Y] : X, Y in SL2(Z/q)}, every pair multiplied
+    out in plain ints."""
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+    with_inverses = [(x, (x[3], -x[1] % q, -x[2] % q, x[0])) for x in sl2_by_loop(q)]
+    out = set()
+    for x, x_inv in with_inverses:
+        for y, y_inv in with_inverses:
+            out.add(mul(mul(x, y), mul(x_inv, y_inv)))
+    return out
+
+
+def test_commutator_classes_match_the_pairs():
+    # the table's commutator mask on every element against the set of all
+    # [X, Y]; the mask is indexed by class id and set at class ids only
+    for q in list(range(2, 10)) + [12]:
+        table = quotients.group_table(q)
+        brute = commutators_by_pairs(q)
+        got = {tuple(int(v) for v in table.entries[:, i])
+               for i in np.flatnonzero(table.commutators[table.cls])}
+        assert got == brute, q
+        assert not np.any(table.commutators & (table.cls != np.arange(len(table.cls)))), q
+
+
 def commutator_test_by_full_scan(z, q):
     """Oracle: commutator_test_modq comparing every W of the group at once."""
     if z == (1, 0, 0, 1):
@@ -371,7 +399,7 @@ def test_trace_image_mod_9_and_16():
 
 
 def test_trace_image_mod_27_and_32_lift_9_and_16():
-    # the excluded traces at 27 and 32 are exactly the lifts of those at 9 and 16
-    for q, base in ((27, 9), (32, 16)):
+    # the excluded traces at 27, 32, 64 and 81 are exactly the lifts of those at 9 and 16
+    for q, base in ((27, 9), (32, 16), (64, 16), (81, 9)):
         lifts = {t for t in range(q) if t % base in HFU2_IMAGES[base]}
         assert trace_commutator_image(q) == lifts
