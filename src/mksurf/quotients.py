@@ -12,19 +12,16 @@ SL2(Z) and so every SL2(Z/q), composite q included; the conjugates are
 read off closed entry formulas, and the conjugators are the paths of a
 breadth-first tree grown from the representatives.
 
-Being a commutator is a class function, and the table marks the
+Being a commutator is a class function, and the table finds the
 commutator classes in one pass over the group (Ore's identity,
-`GroupTable.commutators`): [X, Y] = X (Y X Y^-1)^-1, and a b^-1 = [a, g]
-when b = g a g^-1, so the commutators are the union over the classes C
-of C C^-1. A "no" and the commutator-trace image are read off that mask.
-
-Z = [X, Y] = X Y X^-1 Y^-1 says Y W Y^-1 = W Z for W = X^-1, so a
-witness for a commutator Z is a W conjugate to W Z: a vectorized
-class-id comparison over the group, in blocks of `_TEST_BLOCK` elements
-in index order up to the first block that holds a W, with the witness
-X = W^-1, Y = g_{WZ} g_W^-1 read from the tree for the least such W.
-Tables are cached (the 16 most recent moduli); the one at q = 64 keeps
-about 3 MB.
+`GroupTable.ore`): [X, Y] = X (Y X Y^-1)^-1, and r c^-1 = [r, g_c] when
+c = g_c r g_c^-1, so the commutators are the union over the classes C
+of C C^-1, and each commutator class K holds some r c^-1 with r the
+representative of c's class. The table keeps the least such c for
+every K. A commutator test is then a lookup: with Z = gamma r c^-1
+gamma^-1, Z = [gamma r gamma^-1, gamma g_c gamma^-1]. The
+commutator-trace image is read off the same array. Tables are cached
+(the 16 most recent moduli); the one at q = 64 keeps about 4 MB.
 """
 
 import functools
@@ -35,8 +32,8 @@ from .mat2 import Mat2, mat_mod
 from .rings import BudgetExceeded, residue
 
 
-# The table at q = 128 holds 1.6e6 elements (about 2 s and 145 MB to build,
-# 27.5 MB at rest) and the tables grow like q^3.
+# The table at q = 128 holds 1.6e6 elements (about 1 s and 124 MB to build,
+# 32 MB at rest) and the tables grow like q^3.
 MAX_MODULUS = 128
 
 # S, T and T^-1, row-major: the moves of the class search.  S^-1 = -S and
@@ -44,8 +41,7 @@ MAX_MODULUS = 128
 # first at every level of the breadth-first tree, so S^-1 would add no node.
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
 
-# the commutator test scans W, and the commutator-class pass the
-# elements, in blocks of this many
+# the commutator-class pass takes the elements in blocks of this many
 _TEST_BLOCK = 4096
 
 
@@ -83,6 +79,13 @@ def _elements(q):
     return out, start, q // g
 
 
+def _conjugates(a, b, c, d, q):
+    """g X g^-1 for g = S, T, T^-1 and X = [[a, b], [c, d]], one at a time."""
+    yield d, -c % q, -b % q, a
+    yield (a + c) % q, (b + d - a - c) % q, c, (d - c) % q
+    yield (a - c) % q, (b - d + a - c) % q, c, (d + c) % q
+
+
 def sl2_tuples(q):
     """All (a, b, c, d) with a*d - b*c = 1 (mod q), in lexicographic order."""
     return list(zip(*group_table(q).entries.tolist()))
@@ -108,7 +111,8 @@ class GroupTable:
     """SL2(Z/q) with its conjugacy classes; element i is column i of
     `entries`, `cls[i]` is the index of its class representative,
     column i of `conj` is g_i with element i = g_i rep g_i^-1, and
-    element i is a commutator exactly when `commutators[cls[i]]`.
+    `ore[cls[i]]` is the least c with rep(c) c^-1 in element i's class,
+    or -1 when that class holds no commutator.
 
     The commutator classes take one pass over the group (Ore 1951). For X
     in a class C, [X, Y] = X (Y X Y^-1)^-1 and Y X Y^-1 runs over C with
@@ -119,7 +123,8 @@ class GroupTable:
     with c in C, itself in C C^-1. So K is the union of the classes of
     r c^-1 over every element c, with r the representative of c's class:
     one product, `index` and `cls` per element, in blocks of
-    `_TEST_BLOCK`.
+    `_TEST_BLOCK`. As c = g_c r g_c^-1, r c^-1 = [r, g_c], so the least
+    such c of each commutator class is a witness for the whole class.
     """
 
     def __init__(self, q):
@@ -129,32 +134,35 @@ class GroupTable:
         self.entries, self.start, self.step = _elements(q)
         a, b, c, d = self.elements()
         n = self.entries.shape[1]
-        # g X g^-1 for g = S, T, T^-1 and X = [[a, b], [c, d]]
-        moves = [self.index(x) for x in (
-            (d, -c % q, -b % q, a),
-            ((a + c) % q, (b + d - a - c) % q, c, (d - c) % q),
-            ((a - c) % q, (b - d + a - c) % q, c, (d + c) % q))]
+        # each move's entries are built just before its index call, so
+        # only one move's temporaries are alive at a time
+        moves = [self.index(x) for x in _conjugates(a, b, c, d, q)]
         # class id = least index in the class: spread minima along the moves
-        # (np.take gathers faster than fancy indexing)
+        # (np.take gathers faster than fancy indexing; the minimum is taken
+        # in place, so the loop faults in fewer fresh pages)
         cls = np.arange(n, dtype=np.int32)
         while True:
             new = np.take(cls, cls)
             for mv in moves:
-                new = np.minimum(new, np.take(new, mv))
+                np.minimum(new, np.take(new, mv), out=new)
             if np.array_equal(new, cls):
                 break
             cls = new
         self.cls = cls
-        # the commutator classes: the class of r e^-1 for every element e,
-        # with r the representative of e's class (class docstring)
-        self.commutators = np.zeros(n, dtype=bool)
+        # the commutator classes and their least e: the class of r e^-1 for
+        # every element e, with r the representative of e's class (class
+        # docstring); np.minimum.at, as a fancy assignment with repeated
+        # indices leaves which value lands unspecified
+        ore = np.full(n, n, dtype=np.int32)
         for lo in range(0, n, _TEST_BLOCK):
             blk = slice(lo, lo + _TEST_BLOCK)
             r = tuple(np.take(v, cls[blk]) for v in (a, b, c, d))
             e_inv = (d[blk], -b[blk], -c[blk], a[blk])
-            self.commutators[np.take(cls, self.index(_mul(r, e_inv, q)))] = True
+            np.minimum.at(ore, np.take(cls, self.index(_mul(r, e_inv, q))),
+                          np.arange(lo, min(lo + _TEST_BLOCK, n), dtype=np.int32))
+        self.ore = np.where(ore == n, -1, ore)
         del a, b, c, d
-        self.reps = np.flatnonzero(cls == np.arange(n))
+        self.reps = np.flatnonzero(cls == np.arange(n, dtype=np.int32))
         # breadth-first tree from every representative at once
         self.conj = np.zeros((4, n), dtype=np.uint8)
         self.conj[:, self.reps] = np.array((1 % q, 0, 0, 1 % q), dtype=np.uint8)[:, None]
@@ -182,10 +190,12 @@ class GroupTable:
         By the run lemma (`_elements`) the element with entries (a, b, c, d)
         sits d // step[a] places into the run that starts at
         `start[(a q + b) q + c]`. (At a triple with no solution the result
-        means nothing.)
+        means nothing.) The entries are Python ints or int32/int64 arrays:
+        a uint8 array (as in `entries`) would overflow in (a q + b) q + c,
+        so widen it first (`elements`).
         """
         q = self.q
-        a, b, c, d = (np.asarray(v, dtype=np.int32) for v in m)
+        a, b, c, d = m
         return self.start[(a * q + b) * q + c] + d // self.step[a]
 
     def conjugator(self, i, j):
@@ -199,11 +209,11 @@ group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
 def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None).
-    Z's entries are reduced by `rings.residue`.  A "no" is read off the
-    table's commutator classes.  The witness of a "yes" comes from the
-    least index W with W conjugate to W Z; the scan stops at the block
-    holding it, which exists because Z is a commutator, so a "yes" costs
-    one block when some W lies early."""
+    Z's entries are reduced by `rings.residue`.  Both answer and witness
+    are lookups in the table: c = `ore[cls[Z]]` has r c^-1 = [r, g_c]
+    conjugate to Z (r the representative of c's class, c = g_c r g_c^-1),
+    and gamma = `conjugator` carries r c^-1 to Z, so
+    Z = [gamma r gamma^-1, gamma g_c gamma^-1]."""
     _check_modulus(q)
     z = tuple(residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
@@ -212,17 +222,15 @@ def commutator_test_modq(z, q):
     if z == ident:
         return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
     table = group_table(q)
-    if not table.commutators[table.cls[table.index(z)]]:
+    iz = int(table.index(z))
+    c = int(table.ore[table.cls[iz]])
+    if c < 0:
         return False, None
-    for lo in range(0, table.entries.shape[1], _TEST_BLOCK):
-        w = table.entries[:, lo:lo + _TEST_BLOCK].astype(np.int32)
-        wz = table.index(_mul(w, z, q))
-        hits = np.flatnonzero(table.cls[wz] == table.cls[lo:lo + _TEST_BLOCK])
-        if hits.size:
-            h = int(hits[0])
-            x = _inv(tuple(int(v) for v in w[:, h]), q)
-            y = table.conjugator(lo + h, int(wz[h]))
-            return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+    r, g_c = table.entries[:, table.cls[c]].tolist(), table.conj[:, c].tolist()
+    r_c_inv = _mul(r, _inv(table.entries[:, c].tolist(), q), q)
+    gamma = table.conjugator(int(table.index(r_c_inv)), iz)
+    x, y = (_mul(_mul(gamma, m, q), _inv(gamma, q), q) for m in (r, g_c))
+    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
 
 
 def trace_commutator_image(q):
@@ -231,10 +239,10 @@ def trace_commutator_image(q):
 
     By Ore's identity [X, Y] = X (Y X Y^-1)^-1 the commutators are the
     union of C C^-1 over the conjugacy classes C (a b^-1 = [a, g] when
-    b = g a g^-1), a union of classes, which `GroupTable` marks in one
+    b = g a g^-1), a union of classes, which `GroupTable.ore` marks in one
     pass over the group; the trace is a class function, so each marked
     class gives one trace.
     """
     table = group_table(q)
-    a, _, _, d = table.entries[:, np.flatnonzero(table.commutators)].astype(np.int32)
+    a, _, _, d = table.entries[:, np.flatnonzero(table.ore >= 0)].astype(np.int32)
     return set(((a + d) % q).tolist())

@@ -186,46 +186,68 @@ def commutators_by_pairs(q):
 
 
 def test_commutator_classes_match_the_pairs():
-    # the table's commutator mask on every element against the set of all
-    # [X, Y]; the mask is indexed by class id and set at class ids only
+    # the table's commutator classes (ore >= 0) on every element against
+    # the set of all [X, Y]; ore is indexed by class id and set at class ids only
     for q in list(range(2, 10)) + [12]:
         table = quotients.group_table(q)
         brute = commutators_by_pairs(q)
+        marked = table.ore >= 0
         got = {tuple(int(v) for v in table.entries[:, i])
-               for i in np.flatnonzero(table.commutators[table.cls])}
+               for i in np.flatnonzero(marked[table.cls])}
         assert got == brute, q
-        assert not np.any(table.commutators & (table.cls != np.arange(len(table.cls)))), q
+        assert not np.any(marked & (table.cls != np.arange(len(table.cls)))), q
+
+
+def test_ore_keeps_the_least_element_of_each_commutator_class():
+    # oracle in plain ints: for each element c, in index order, the class
+    # of r c^-1 with r the representative of c's class; the first c to
+    # reach a class is its least
+    for q in range(2, 13):
+        table = quotients.group_table(q)
+        group = sl2_tuples(q)
+        position = {e: i for i, e in enumerate(group)}
+        cls = table.cls.tolist()
+        want = [-1] * len(group)
+        for i, (a, b, c, d) in enumerate(group):
+            r0, r1, r2, r3 = group[cls[i]]
+            p = ((r0 * d - r1 * c) % q, (-r0 * b + r1 * a) % q,
+                 (r2 * d - r3 * c) % q, (-r2 * b + r3 * a) % q)
+            k = cls[position[p]]
+            if want[k] < 0:
+                want[k] = i
+        assert table.ore.dtype == np.int32 and table.ore.tolist() == want, q
 
 
 def commutator_test_by_full_scan(z, q):
-    """Oracle: commutator_test_modq comparing every W of the group at once."""
-    if z == (1, 0, 0, 1):
-        return True, (mat_mod(Mat2(*z), q), mat_mod(Mat2(*z), q))
+    """Oracle: Z = [X, Y] says Y W Y^-1 = W Z for W = X^-1, so Z is a
+    commutator exactly when some W of the group is conjugate to W Z; every
+    W is compared at once."""
     table = quotients.group_table(q)
     wz = table.index(quotients._mul(table.elements(), z, q))
-    hits = np.flatnonzero(table.cls[wz] == table.cls)
-    if not hits.size:
-        return False, None
-    w = int(hits[0])
-    x = quotients._inv(tuple(int(v) for v in table.entries[:, w]), q)
-    y = table.conjugator(w, int(wz[w]))
-    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+    return bool(np.any(table.cls[wz] == table.cls))
 
 
 def test_commutator_test_matches_the_full_scan():
-    # every Z mod 16 (one block), and seeded samples mod 27 and 32, where
-    # the scan stops at the first block of 4096 holding a W
-    assert len(sl2_tuples(16)) <= quotients._TEST_BLOCK < len(sl2_tuples(27))
+    # the answer against the full scan on every Z mod 2..16 and on seeded
+    # samples mod 27, 32, 64, 81 and 128; every witness is multiplied out
     rng = random.Random(28)
-    cases = [(z, 16) for z in sl2_tuples(16)]
-    cases += [(z, q) for q in (27, 32) for z in rng.sample(sl2_tuples(q), 300)]
+    cases = [(z, q) for q in range(2, 17) for z in sl2_tuples(q)]
+    sampled = ((27, 300), (32, 300), (64, 60), (81, 40), (128, 20))
+    for q, k in sampled:
+        entries = quotients.group_table(q).entries
+        picks = rng.sample(range(entries.shape[1]), k)
+        cases += [(tuple(entries[:, i].tolist()), q) for i in picks]
     seen = set()
     for z, q in cases:
-        got = commutator_test_modq(z, q)
-        assert got == commutator_test_by_full_scan(z, q), (z, q)
-        seen.add((q, got[0]))
-    # a "no" scans every block, a "yes" stops at the first holding a W
-    assert seen == {(q, ok) for q in (16, 27, 32) for ok in (False, True)}
+        ok, wit = commutator_test_modq(z, q)
+        assert ok == commutator_test_by_full_scan(z, q), (z, q)
+        if ok:
+            x, y = (tuple(e.v for e in m.entries()) for m in wit)
+            xy = quotients._mul(x, y, q)
+            assert quotients._mul(xy, quotients._inv(quotients._mul(y, x, q), q), q) == z, (z, q)
+        seen.add((q, ok))
+    # every sample holds a "yes" and a "no"
+    assert {(q, ok) for q, _ in sampled for ok in (False, True)} <= seen
 
 
 def test_commutator_test_identity():
