@@ -65,7 +65,10 @@ def _parse_order(text):
     s = str(text).lower()
     if s in ("inf", "infinity", "oo", "0"):
         return None
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError("order %r is neither an integer nor inf" % (text,)) from None
 
 
 def _order_str(o):
@@ -307,7 +310,11 @@ def repro(table):
             rows.append(({"k": k, "expected": h, "computed": got}, got == h))
     elif table == "hfu2-images":
         from .quotients import trace_commutator_image
-        for q, exp in sorted(expected.HFU2_IMAGES.items()):
+        # the images mod 64 and 81 are the lifts of the committed ones mod 16 and 9
+        images = dict(expected.HFU2_IMAGES)
+        for q, base in ((64, 16), (81, 9)):
+            images[q] = [t for t in range(q) if t % base in expected.HFU2_IMAGES[base]]
+        for q, exp in sorted(images.items()):
             got = sorted(trace_commutator_image(q))
             rows.append(({"q": q, "expected": exp, "computed": got}, got == exp))
     elif table == "embeddings":

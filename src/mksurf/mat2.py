@@ -1,19 +1,27 @@
 """2x2 matrix algebra over the supported rings, adjugate/trace identities
 and trace sets."""
 
-from dataclasses import dataclass
-
-from .rings import ModInt, residue
+from .rings import Frozen, ModInt, residue
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Frozen):
     """Row-major [[a, b], [c, d]] with entries in a common ring."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]

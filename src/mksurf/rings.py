@@ -3,7 +3,6 @@ and the quadratic-symbol calculus (Jacobi and Hilbert symbols)."""
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 INF = float("inf")
@@ -227,17 +226,36 @@ def localized_str(x, ell):
     return "%d/%d^%d" % (x.numerator, ell, a)
 
 
-@dataclass(frozen=True)
-class ModInt:
+class Frozen:
+    """Base of the immutable value classes `ModInt`, `mat2.Mat2` and
+    `words.Word`: each names its fields in __slots__, in constructor order,
+    and sets them in __init__ through object.__setattr__. Assignment and
+    deletion raise AttributeError, as on a frozen dataclass, and copies and
+    pickles rebuild through the constructor. (`dataclasses` imports
+    `inspect`, which the words commands would load for nothing else.)"""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+class ModInt(Frozen):
     """Canonical residue in Z/qZ."""
 
-    v: int
-    q: int
+    __slots__ = ("v", "q")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, v, q):
+        if q < 2:
             raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "v", self.v % self.q)
+        object.__setattr__(self, "v", v % q)
+        object.__setattr__(self, "q", q)
 
     def _coerce(self, other):
         if isinstance(other, ModInt):

@@ -2,22 +2,21 @@
 modular group, conjugacy-class representatives of a given trace, and the
 metabelian quotient with its unit classification."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .mat2 import Mat2, commutator
-from .rings import BudgetExceeded
+from .rings import BudgetExceeded, Frozen
 
 SUPPORTED = ((2, 3), (2, None), (3, 3), (3, None))  # None encodes infinite order
 
 
 def _check_mn(m, n):
     if (m, n) not in SUPPORTED:
-        raise ValueError("unsupported orders (%r, %r)" % (m, n))
+        raise ValueError("unsupported orders (%s, %s)"
+                         % tuple("inf" if o is None else repr(o) for o in (m, n)))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """Reduced word in <a> * <b> with a of order m and b of order n.
 
     Stored run-length encoded as ((letter, exponent), ...); finite-order
@@ -25,9 +24,20 @@ class Word:
     any nonzero integer.
     """
 
-    runs: tuple
-    m: object
-    n: object
+    __slots__ = ("runs", "m", "n")
+
+    def __init__(self, runs, m, n):
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.runs, self.m, self.n) == (other.runs, other.m, other.n)
+
+    def __hash__(self):
+        return hash((self.runs, self.m, self.n))
 
     @staticmethod
     def make(runs, m, n):
@@ -142,12 +152,16 @@ def _normalize(runs, orders):
 
 
 def word(m, n, text):
-    """Parse CLI syntax like "a b3 a-1 b-2" into a reduced Word."""
+    """Parse CLI syntax like "a b3 a-1 b-2" into a reduced Word: each token
+    is a letter and an optional integer exponent."""
     runs = []
     for tok in text.replace(",", " ").split():
-        g = tok[0]
-        e = int(tok[1:]) if len(tok) > 1 else 1
-        runs.append((g, e))
+        try:
+            e = int(tok[1:]) if len(tok) > 1 else 1
+        except ValueError:
+            raise ValueError("word token %r is not a letter with an integer exponent"
+                             % (tok,)) from None
+        runs.append((tok[0], e))
     return Word.make(tuple(runs), m, n)
 
 
@@ -243,9 +257,9 @@ def _rs_word(a, b, c, d):
     return tuple(seq)
 
 
-# bounds alg1's rotation factoring, 0.35-0.55 s per embedding through the
-# CLI at t = 100 (2 vCPU, Python 3.11), where the class enumeration below
-# takes about 60 ms
+# bounds alg1's rotation factoring: at t = 100 a CLI run takes 0.11-0.23 s
+# per embedding, interpreter start included (2 vCPU, Python 3.11), of which
+# the class enumeration below takes about 45 ms and the parses 1-51 ms
 MAX_ALG1_TRACE = 100
 
 
@@ -360,6 +374,96 @@ def factor_through_embedding(m, n, uv_word):
     return None if syllables is None else Word.make(tuple((g, e) for g, e, _ in syllables), m, n)
 
 
+def _psl2_mod4(x, y):
+    """The product of two elements of PSL2(Z/4), each the lesser of the
+    entry tuples of +-M mod 4."""
+    a, b, c, d = x
+    e, f, g, h = y
+    z = ((a * e + b * g) % 4, (a * f + b * h) % 4, (c * e + d * g) % 4, (c * f + d * h) % 4)
+    return min(z, tuple(-v % 4 for v in z))
+
+
+@lru_cache(maxsize=None)
+def _cosets(m, n):
+    """(reps, act, exact) for the right cosets K x of K, the preimage in
+    the modular group of the embedded group's image in PSL2(Z/4).
+
+    reps[i] is a u,v-word x_i with reps[0] the identity, found breadth
+    first, and act[g][i] = j when K x_i g = K x_j, for g = "u", "v": the
+    right action of the modular group on the d = len(reps) cosets, d = 1,
+    3, 2 and 8 for (2, 3), (2, inf), (3, 3) and (3, inf). PSL2(Z/4) has 24
+    elements, so all of this is a few hundred products of tuples.
+
+    The embedded group H lies in K. exact says that every x_i g x_j^-1
+    with j = act[g][i] parses, i.e. lies in H; then H = K. For each
+    H x_i g = H x_j, so the union of the H x_i is closed under u and v,
+    which generate the modular group; H has index at most d, and since
+    H lies in K, of index d, H = K. exact holds for the first three
+    embeddings. For (3, inf) it fails, as it must: H is free, Z/3 * Z, of
+    Euler characteristic 1/3 - 1 = -2/3, and a subgroup of finite index i
+    in the modular group, of characteristic 1/2 + 1/3 - 1 = -1/6, has
+    characteristic -i/6, so i would be 4; but K alone has index 8.
+    """
+    mats = {g: tuple(v % 4 for v in mat.entries()) for g, mat in _UV_MATS.items()}
+    image = {(1, 0, 0, 1)}
+    gens = [tuple(v % 4 for v in mat.entries()) for mat in _EMBED_MATS[(m, n)].values()]
+    frontier = list(image)
+    while frontier:
+        frontier = [z for z in {_psl2_mod4(x, g) for x in frontier for g in gens}
+                    if z not in image]
+        image.update(frontier)
+    index = {}  # coset (the least element of image * y) -> its number
+    elements = []
+    reps = []
+    act = {"u": [], "v": []}
+
+    def number(y, rep):
+        key = min(_psl2_mod4(h, y) for h in image)
+        if key not in index:
+            index[key] = len(reps)
+            elements.append(y)
+            reps.append(rep)
+        return index[key]
+
+    number((1, 0, 0, 1), Word.identity(2, 3))
+    for i, y in enumerate(elements):  # grows as cosets are found
+        for g in ("u", "v"):
+            act[g].append(number(_psl2_mod4(y, mats[g]), reps[i] * Word(((g, 1),), 2, 3)))
+    act = {g: tuple(row) for g, row in act.items()}
+    exact = all(factor_through_embedding(
+        m, n, reps[i] * Word(((g, 1),), 2, 3) * reps[j].inverse()) is not None
+        for g, row in act.items() for i, j in enumerate(row))
+    return tuple(reps), act, exact
+
+
+def _coset_labels(act, letters):
+    """labels[s]: the coset K p_s^-1 when the rotation of the cyclic word
+    `letters` starting at letter s lies in K, else None; p_s is the
+    prefix of its first s letters.
+
+    That rotation is r_s = p_s^-1 w p_s for the word w. If it lies in K,
+    then f = K p_s^-1 has f w = K r_s p_s^-1 = f, and the walk from f
+    along the letters is at K p_s^-1 p_s = K after s letters. Conversely
+    a walk from a fixed point f of w that is at K after s letters has
+    f = K p_s^-1, so K p_s^-1 w p_s = f p_s = K, and r_s lies in K. So one
+    walk from each coset, kept when it ends where it began, labels every
+    start in K, each with the one coset K p_s^-1: O(d L) steps.
+    """
+    labels = [None] * len(letters)
+    steps = [act[g] for g, _ in letters]
+    for f in range(len(act["u"])):
+        c = f
+        hits = []
+        for s, step in enumerate(steps):
+            if c == 0:
+                hits.append(s)
+            c = step[c]
+        if c == f:
+            for s in hits:
+                labels[s] = f
+    return labels
+
+
 def alg1_representatives(m, n, t):
     """A finite set of words meeting every conjugacy class of trace t in the
     embedded free product: modular-group class representatives, rotated,
@@ -370,30 +474,44 @@ def alg1_representatives(m, n, t):
     found. A parse alternates its letters and carries the syllable table's
     exponents, so it is already normalized.
 
-    A start at a syllable boundary of an earlier parse is skipped, as it
-    adds no class. The embedding is injective, so the parse of given
-    letters is unique: from that boundary it can only be the earlier
-    syllables rotated there and normalized. That word is conjugate to the
-    earlier parse, and conjugate cyclically reduced words of a free product
-    are rotations of one another, so the class key is the same.
+    Only the rotations in K (`_cosets`) can lie in the embedded group H, so
+    only starts with a label of `_coset_labels` are parsed. When the
+    cosets are exact (H = K), two starts s < s' of one label f are
+    H-conjugate: K p_s^-1 = K p_s'^-1 puts p_s^-1 p_s' in K = H, and
+    r_s' = (p_s^-1 p_s')^-1 r_s (p_s^-1 p_s'). So only the first start of
+    each label is parsed, and since it lies in H, its parse succeeds. The
+    earliest start of every class is such a first start, so each class
+    keeps the same word as when every rotation is parsed.
+
+    Otherwise, for (3, inf), every labelled start is parsed, except one
+    at a syllable boundary of an earlier parse, which adds no class. The
+    embedding is injective, so the parse of given letters is unique: from
+    that boundary it can only be the earlier syllables rotated there and
+    normalized. That word is conjugate to the earlier parse, and conjugate
+    cyclically reduced words of a free product are rotations of one
+    another, so the class key is the same.
     """
     _check_mn(m, n)
     orders = _orders(m, n)
+    _, act, exact = _cosets(m, n)
     found = {}
     for rep in psl2_class_reps(t):
         letters = rep.letters()
         parse = _parser(m, n, letters)
-        covered = [False] * len(letters)
-        for start in range(len(letters)):
-            if covered[start]:
+        done = set()  # labels parsed if exact, else syllable boundaries
+        for start, label in enumerate(_coset_labels(act, letters)):
+            if label is None or (label if exact else start) in done:
                 continue
             syllables = parse(start)
-            if not syllables:
+            if syllables is None:
                 continue
-            pos = start
-            for _, _, k in syllables:
-                covered[pos % len(letters)] = True
-                pos += k
+            if exact:
+                done.add(label)
+            else:
+                pos = start
+                for _, _, k in syllables:
+                    done.add(pos % len(letters))
+                    pos += k
             runs = _cyclic_reduction(tuple((g, e) for g, e, _ in syllables), orders)
             key = _class_key(runs)
             if key not in found:

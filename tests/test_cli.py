@@ -394,10 +394,11 @@ def modules_loaded_by(*argv):
 
 
 def test_each_command_loads_only_its_modules():
-    loaded = modules_loaded_by("words", "alg1", "--m", "2", "--n", "3", "--t", "7")
-    assert "numpy" not in loaded
-    assert {m for m in loaded if m.startswith("mksurf.")} == {
-        "mksurf." + m for m in ("cli", "expected_tables", "mat2", "rings", "words")}
+    for m, n in (("2", "3"), ("3", "inf")):
+        loaded = modules_loaded_by("words", "alg1", "--m", m, "--n", n, "--t", "7")
+        assert not loaded & {"numpy", "dataclasses", "inspect"}, (m, n)
+        assert {m for m in loaded if m.startswith("mksurf.")} == {
+            "mksurf." + m for m in ("cli", "expected_tables", "mat2", "rings", "words")}
     loaded = modules_loaded_by("markoff", "class", "--k", "329")
     assert not loaded & {"mksurf." + m for m in ("certify", "lifting", "quadforms",
                                                  "quotients", "words")}
@@ -533,6 +534,23 @@ def test_words_metab_rejects_uv_letters(capsys, text):
                                "kind": "invalid-input"}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["metab", "--m", "3", "--n", "3", "--word", "ab"],
+     "word token 'ab' is not a letter with an integer exponent"),
+    (["metab", "--m", "3", "--n", "3", "--word", "a b-"],
+     "word token 'b-' is not a letter with an integer exponent"),
+    (["metab", "--m", "3", "--n", "3", "--word", "a1.5 b"],
+     "word token 'a1.5' is not a letter with an integer exponent"),
+    (["alg1", "--m", "inf", "--n", "3", "--t", "5"], "unsupported orders (inf, 3)"),
+    (["metab", "--m", "2", "--n", "5", "--word", "a b"], "unsupported orders (2, 5)"),
+    (["alg1", "--m", "two", "--n", "3", "--t", "5"], "order 'two' is neither an integer nor inf"),
+])
+def test_words_input_errors_name_what_was_typed(capsys, argv, error):
+    code, out = capture(capsys, ["words"] + argv)
+    assert code == 2
+    assert json.loads(out) == {"error": error, "kind": "invalid-input"}
+
+
 def test_certify_check_accepts_the_well_formed_file(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(GOOD_HFZ))
@@ -640,6 +658,12 @@ def test_repro_all_tables():
     for table in ("t1", "rt", "genus329", "classnumbers", "hfu2-images", "embeddings"):
         ok, report = repro(table)
         assert ok, report
+    # the rows at 64 and 81 expect the lifts of the committed images at 16 and 9
+    rows = {row["q"]: row["expected"] for row in repro("hfu2-images")[1]["rows"]}
+    assert sorted(rows) == [9, 16, 64, 81]
+    assert rows[64] == [t for t in range(64) if t % 16 in (2, 3, 6, 7, 11, 14, 15)]
+    assert [t for t in range(81) if t not in rows[81]] == \
+        [t for t in range(81) if t % 9 in (1, 4, 5, 8)]
 
 
 def test_repro_reports_a_mismatch(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,25 @@ from _util import random_sl2z
 
 def rand_mat(rng, lo=-9, hi=9):
     return Mat2(*(rng.randint(lo, hi) for _ in range(4)))
+
+
+def test_mat2_and_modint_are_immutable_values():
+    m = Mat2(a=1, b=2, c=3, d=7)
+    assert m == Mat2(1, 2, 3, 7) and m != Mat2(1, 2, 3, 8)
+    assert hash(m) == hash(Mat2(1, 2, 3, 7)) and len({m, Mat2(1, 2, 3, 7)}) == 1
+    assert repr(m) == "[[1, 2], [3, 7]]"
+    x = ModInt(v=-3, q=5)
+    assert x == ModInt(2, 5) == 7 and x != ModInt(2, 7)
+    assert hash(x) == hash(ModInt(7, 5)) and repr(x) == "2(mod 5)"
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        ModInt(3, 1)
+    for value, field in ((m, "a"), (x, "v")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+    assert mat_mod(m, 5) == Mat2(*(ModInt(v, 5) for v in (1, 2, 3, 7)))
 
 
 def test_commutator_examples():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,6 +16,9 @@ from mksurf.words import (
     SUPPORTED,
     Word,
     _EMBED_WORDS,
+    _coset_labels,
+    _cosets,
+    _parser,
     _rs_word,
     _syllable_images,
     alg1_representatives,
@@ -437,9 +443,121 @@ def test_alg1_invariants_up_to_trace_24():
 @pytest.mark.parametrize("m, n", SUPPORTED)
 def test_alg1_matches_rotating_words(m, n):
     # the same words in the same order, so the first word of each class too
-    traces = list(range(3, 25)) + ([30, 40] if n is None else [])
-    for t in traces:
+    for t in list(range(3, 25)) + [30, 40]:
         assert alg1_representatives(m, n, t) == alg1_by_rotating_words(m, n, t), (m, n, t)
+
+
+@lru_cache(maxsize=None)
+def image_mod4(m, n):
+    """The embedded group's image in SL2(Z/4), -I included, by closure under
+    the defining matrices: the oracle for membership in K."""
+    gens = [mat_mod(embedding_matrix(m, n, g), 4) for g in "ab"]
+    ident = gens[0].identity_like()
+    seen = {ident.entries(), (-ident).entries()}
+    frontier = [ident, -ident]
+    while frontier:
+        frontier = [h * g for h in frontier for g in gens if (h * g).entries() not in seen]
+        seen.update(h.entries() for h in frontier)
+    return seen
+
+
+def in_k(m, n, uv_word):
+    return mat_mod(uv_matrix(uv_word), 4).entries() in image_mod4(m, n)
+
+
+def walk(act, c, uv_word):
+    for g, _ in uv_word.letters():
+        c = act[g][c]
+    return c
+
+
+def test_cosets_oracles():
+    want = {(2, 3): (1, True), (2, None): (3, True), (3, 3): (2, True), (3, None): (8, False)}
+    for (m, n), (index, exact) in want.items():
+        reps, act, got_exact = _cosets(m, n)
+        assert (len(reps), got_exact) == (index, exact), (m, n)
+        assert len(image_mod4(m, n)) == 48 // index  # SL2(Z/4) has 48 elements
+        # a and b fix coset 0; the representatives walk from 0 to their cosets
+        for g in "ab":
+            assert walk(act, 0, Word.make(_EMBED_WORDS[(m, n)][g], 2, 3)) == 0, (m, n, g)
+        assert reps[0] == Word.identity(2, 3)
+        assert [walk(act, 0, x) for x in reps] == list(range(index))
+        for g in ("u", "v"):
+            assert sorted(act[g]) == list(range(index))
+            for i, j in enumerate(act[g]):
+                assert in_k(m, n, reps[i] * Word(((g, 1),), 2, 3) * reps[j].inverse())
+
+
+def test_cosets_of_3_inf_are_not_those_of_the_embedded_group():
+    # a coset-representative product in K that does not parse: H is smaller than K
+    reps, act, _ = _cosets(3, None)
+    witnesses = [reps[i] * Word(((g, 1),), 2, 3) * reps[j].inverse()
+                 for g in ("u", "v") for i, j in enumerate(act[g])]
+    outside = [x for x in witnesses if factor_through_embedding(3, None, x) is None]
+    assert outside
+    for x in outside:
+        assert in_k(3, None, x), str(x)
+
+
+def test_coset_labels_are_the_rotations_in_k():
+    for (m, n) in SUPPORTED:
+        _, act, _ = _cosets(m, n)
+        for t in range(3, 21):
+            for rep in psl2_class_reps(t):
+                letters = rep.letters()
+                labels = _coset_labels(act, letters)
+                for s, rot in enumerate(rep.rotations()):
+                    assert (labels[s] is not None) == in_k(m, n, rot), (m, n, str(rot))
+                    if labels[s] is not None:
+                        assert walk(act, labels[s], Word.make(letters[:s], 2, 3)) == 0
+
+
+def test_coset_filter_keeps_every_start_that_parses():
+    # the filter rejects no rotation that parses, and when the cosets are
+    # exact every start it keeps parses
+    kept = parsed = 0
+    for (m, n) in SUPPORTED:
+        _, act, exact = _cosets(m, n)
+        for t in range(3, 31):
+            for rep in psl2_class_reps(t):
+                letters = rep.letters()
+                parse = _parser(m, n, letters)
+                for start, label in enumerate(_coset_labels(act, letters)):
+                    ok = parse(start) is not None
+                    assert label is not None or not ok, (m, n, t, str(rep), start)
+                    if exact:
+                        assert ok == (label is not None), (m, n, t, str(rep), start)
+                    kept += label is not None
+                    parsed += ok
+    assert parsed > 1000 and kept > parsed  # (3, inf) keeps starts outside H
+
+
+def test_word_is_an_immutable_value():
+    w = Word(runs=(("a", 1), ("b", 2)), m=2, n=3)
+    assert w == Word((("a", 1), ("b", 2)), 2, 3) == word(2, 3, "a b2")
+    assert w != Word((("a", 1), ("b", 2)), 2, None)
+    assert hash(w) == hash(word(2, 3, "a b-1"))
+    assert repr(w) == "<a b2 | 2,3>"
+    assert len({w, word(2, 3, "a b2"), word(2, 3, "b a")}) == 2
+    with pytest.raises(AttributeError):
+        w.runs = ()
+    with pytest.raises(AttributeError):
+        del w.m
+    assert copy.copy(w) == pickle.loads(pickle.dumps(w)) == w
+
+
+@pytest.mark.parametrize("text", ["ab", "b-", "a1.5", "a b3x"])
+def test_word_names_the_bad_token(text):
+    bad = text.split()[-1]
+    with pytest.raises(ValueError, match="word token '%s' is not a letter" % bad.replace(".", r"\.")):
+        word(3, 3, text)
+
+
+def test_unsupported_orders_spell_inf():
+    with pytest.raises(ValueError, match=r"unsupported orders \(inf, 3\)"):
+        alg1_representatives(None, 3, 5)
+    with pytest.raises(ValueError, match=r"unsupported orders \(5, inf\)"):
+        word_trace(5, None, word(5, None, "a b"))
 
 
 def test_in_derived_subgroup():
