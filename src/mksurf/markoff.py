@@ -4,35 +4,43 @@ Z and Z[1/l], and congruence admissibility."""
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .expected_tables import HFU2_IMAGES
-from .rings import BudgetExceeded, is_probable_prime
+from .rings import BudgetExceeded, Frozen, is_probable_prime
 
 
 def level(x1, x2, x3):
     return x1 * x1 + x2 * x2 + x3 * x3 - x1 * x2 * x3
 
 
-@dataclass(frozen=True)
-class MarkoffPoint:
-    x1: object
-    x2: object
-    x3: object
-    k: object
+class MarkoffPoint(Frozen):
+    """A point (x1, x2, x3) of the level-k surface; the constructor refuses
+    one off it (ValueError).  Points compare and hash by value, so one
+    spelled with Fractions of denominator 1 equals, and hashes as, its int
+    twin."""
+
+    __slots__ = ("x1", "x2", "x3", "k")
+
+    def __init__(self, x1, x2, x3, k):
+        if level(x1, x2, x3) != k:
+            raise ValueError("(%s, %s, %s) is not on the level-%s surface" % (x1, x2, x3, k))
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "x3", x3)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x1, self.x2, self.x3, self.k) == (other.x1, other.x2, other.x3, other.k)
+
+    def __hash__(self):
+        return hash((self.x1, self.x2, self.x3, self.k))
 
     @staticmethod
     def make(x1, x2, x3):
         return MarkoffPoint(x1, x2, x3, level(x1, x2, x3))
-
-    def __post_init__(self):
-        if level(self.x1, self.x2, self.x3) != self.k:
-            raise ValueError(
-                "(%s, %s, %s) is not on the level-%s surface" % (self.x1, self.x2, self.x3, self.k)
-            )
 
     def coords(self):
         return (self.x1, self.x2, self.x3)
@@ -49,16 +57,26 @@ class MarkoffPoint:
         return "(%r, %r, %r)@%r" % (self.x1, self.x2, self.x3, self.k)
 
 
-@dataclass(frozen=True)
-class MarkoffMove:
+class MarkoffMove(Frozen):
     """Generator of the Markoff group: Vieta(j), Perm(pattern), SignChange(i,j).
 
     Perm pattern (p1,p2,p3) sends (x1,x2,x3) to (x_p1, x_p2, x_p3);
     SignChange(i,j) negates coordinates i and j.
     """
 
-    tag: str
-    data: tuple
+    __slots__ = ("tag", "data")
+
+    def __init__(self, tag, data):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tag, self.data) == (other.tag, other.data)
+
+    def __hash__(self):
+        return hash((self.tag, self.data))
 
     @staticmethod
     def vieta(j):
@@ -382,6 +400,9 @@ def admissible_t(t):
     return t % 16 in HFU2_IMAGES[16] and t % 9 in HFU2_IMAGES[9]
 
 
+# numpy is imported inside the kernels that scan with it, so a command
+# that runs none of them, such as `markoff class` on a box up to
+# PYTHON_SCAN_BOUND, never loads it
 SCAN_CELLS = 1 << 15  # the most cells a scan rectangle holds, unless one row alone is wider
 
 _workspace = threading.local()
@@ -397,6 +418,7 @@ def _scan_buffers(n):
     once never share a buffer.  A row wider than SCAN_CELLS gets buffers
     of its own.
     """
+    import numpy as np
     if n > SCAN_CELLS:
         return np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n, bool)
     ws = getattr(_workspace, "buffers", None)
@@ -429,6 +451,7 @@ def _square_cells(a, b, c, xs):
     place, so the roots are read back from the float roots, exact at every
     hit.
     """
+    import numpy as np
     width = len(xs)
     d, s, root, hit = (buf.reshape(len(a), width) for buf in _scan_buffers(len(a) * width))
     np.multiply(a[:, None], xs, out=d)
@@ -457,25 +480,62 @@ def _isqrt(v):
     1, its integer part is isqrt(v) or one off it, and one step each way
     fixes that.
     """
+    import numpy as np
     s = np.sqrt(v).astype(np.int64)
     s -= s * s > v
     s += (s + 1) * (s + 1) <= v
     return s
 
 
+def _row_end(k, b):
+    """The rows x1 = 0, 1, ..., end - 1 of the search_integral scan: the
+    rows from end on hold no point.  `end` is at most b + 1 and at least
+    max(isqrt(b) + 2, c + 4) with c = round(|k|^(1/3)) + 1 >= |k|^(1/3),
+    past which all three limits of a row x1 >= 4 lie below x1:
+    x1 - 1 > sqrt(b) gives x1 (x1 - 1) > b - 1, x1^3 > |k| gives
+    x1^2 (x1 + 2) > k, and (x1 - 3)^3 > |k| gives x1^2 (x1 - 3) > -k."""
+    return min(b + 1, max(math.isqrt(b) + 2, round(abs(k) ** (1 / 3)) + 5))
+
+
+def _row_limits(k, b):
+    """(x1, lo, hi) for each row x1 = 0, 1, ..., _row_end(k, b) - 1 of the
+    search_integral scan, in Python ints: the row holds no point outside
+    [lo, hi] = [max(x1, bottom(x1)), top(x1)] (lo > hi: none at all).  The
+    limits are proved in search_integral; _row_ranges gives the same ones
+    as arrays."""
+    for x1 in range(_row_end(k, b)):
+        if x1 == 0:
+            hi = math.isqrt(k // 2) if k >= 0 else -1
+        elif x1 == 1:
+            hi = math.isqrt(k - 1) if k >= 1 else -1
+        elif x1 == 2:
+            hi = b if k >= 4 and math.isqrt(k - 4) ** 2 == k - 4 else -1
+        else:
+            hi = (b - 1) // (x1 - 1)
+            if k > 0:
+                hi = max(hi, math.isqrt(k // (x1 + 2)))
+            if x1 == 3 and k <= 9:
+                hi = max(hi, math.isqrt(9 - k))
+            if x1 > 3 and k < 0:
+                hi = max(hi, math.isqrt(-k // (x1 - 3)))
+        c = x1 * x1 + b * b - k
+        lo = 0  # bottom, as in _row_ranges
+        if c < 0:
+            lo = (math.isqrt(b * b * x1 * x1 - 4 * c) - b * x1) // 2
+            lo += lo * lo + b * x1 * lo + c < 0
+        yield x1, max(lo, x1), min(hi, b)
+
+
 def _row_ranges(k, b):
     """int64 arrays (lo, hi) over the rows x1 = 0, 1, ..., end - 1 of the
-    search_integral scan: row x1 holds no point outside
-    [lo, hi] = [max(x1, bottom(x1)), top(x1)] (lo > hi: none at all), and
-    the rows from end on hold none.  The limits are proved in
-    search_integral; `end` is max(isqrt(b) + 2, c + 4) with
-    c = round(|k|^(1/3)) + 1 >= |k|^(1/3), past which all three limits of
-    a row x1 >= 4 lie below x1: x1 - 1 > sqrt(b) gives x1 (x1 - 1) > b - 1,
-    x1^3 > |k| gives x1^2 (x1 + 2) > k, and (x1 - 3)^3 > |k| gives
-    x1^2 (x1 - 3) > -k.  Every entry stays far inside int64 for
-    b <= MAX_SEARCH_BOUND and k in the box's levels [-b^3, b^3 + 3 b^2].
+    search_integral scan, end = _row_end(k, b): row x1 holds no point
+    outside [lo, hi] = [max(x1, bottom(x1)), top(x1)] (lo > hi: none at
+    all).  The limits are proved in search_integral.  Every entry stays
+    far inside int64 for b <= MAX_SEARCH_BOUND and k in the box's levels
+    [-b^3, b^3 + 3 b^2].
     """
-    end = min(b + 1, max(math.isqrt(b) + 2, round(abs(k) ** (1 / 3)) + 5))
+    import numpy as np
+    end = _row_end(k, b)
     x1 = np.arange(end, dtype=np.int64)
     hi = np.full(end, -1, dtype=np.int64)
     # rows 0, 1 and 2
@@ -554,10 +614,12 @@ def search_integral(k, bound):
     k = -10, b = 11, (b) by (4, 4, -4) at k = 112 and (3, n, -n) at
     k = 5 n^2 + 9, and (c) by (4, 4, 4) at k = -16 and (3, 10, 10) at
     k = -91.  Past max(sqrt(b), |k|^(1/3)) + O(1) every row has
-    top < x1 (_row_ranges): O(b log b + |k|^(2/3)) cells in
+    top < x1 (_row_end): O(b log b + |k|^(2/3)) cells in
     O(sqrt(b) + |k|^(1/3)) rows instead of the (b + 1)(b + 2)/2 cells of
     the whole box, and none when k lies outside the box's levels.
-    _integral_bases scans those rows a rectangle of them at a time.
+    _integral_bases scans those rows one cell at a time in Python ints up
+    to the box PYTHON_SCAN_BOUND, a rectangle of them at a time with numpy
+    above it.
     """
     return [MarkoffPoint(c[0], c[1], c[2], k) for c in _integral_coords(k, bound)]
 
@@ -568,33 +630,31 @@ def _integral_coords(k, bound):
     return sorted({c for p in _integral_bases(k, bound) for c in _double_signs(*p)})
 
 
+# the largest box _integral_bases scans in Python ints: the measured
+# crossover, past which numpy rectangles scan a class box faster
+PYTHON_SCAN_BOUND = 125
+
+
 def _integral_bases(k, bound):
     """The base triples of search_integral(k, bound), as a set: its points
     (x1, x2, x3) with 0 <= x1 <= x2 <= |x3|, of which every point is a
     double-sign image.
 
     Row x1 solves t^2 - P t + C for x3, with P = x1 x2 and
-    C = x1^2 + x2^2 - k, whose discriminant P^2 - 4C is
+    C = x1^2 + x2^2 - k, whose discriminant is
     (x1^2 - 4) x2^2 + 4 (k - x1^2), and the roots (P -+ s) / 2 come only
-    at the cells where _square_cells finds s (no parity test is needed, as
-    s^2 = P^2 - 4C forces s = P (mod 2)).  The level of each base triple
-    is checked once; its double-sign images, which _integral_coords adds,
-    share it.
+    at the cells where it is a square s^2 (no parity test is needed, as
+    s^2 = P^2 - 4C forces s = P (mod 2)).  A hit passes when
+    x1 <= x2 <= |x3| <= b.  The level of each base triple is checked
+    once; its double-sign images, which _integral_coords adds, share it.
 
     A level outside [-b^3, b^3 + 3 b^2] returns the empty set before any
-    row is built.  Otherwise the rows with a nonempty range
-    [max(x1, bottom(x1)), top(x1)] (_row_ranges) are packed in order into
-    rectangles over the union of their rows' ranges (_rectangles), each of
-    at most SCAN_CELLS cells or one row, so a hit in a row's range gives
-    the points that row gives alone.  The extra cells are harmless:
-    - every cell has 0 <= x1, x2 <= b and, past the level test,
-      |k| <= b^3 + 3 b^2, where |d| <= b^4 + 8 b^2 + 4 (b^3 + 3 b^2)
-      < 2.6 * 10^18 < 2^63 for b <= MAX_SEARCH_BOUND, the bound the guard
-      below admits, so no cell leaves int64;
-    - a hit with x2 < x1 fails the filter x1 <= x2 <= |x3| <= b, and so
-      does a hit with x2 outside [bottom(x1), top(x1)]: an x3 passing it
-      would make (x1, x2, x3) a point of the box outside its row's range,
-      which search_integral's proof rules out.
+    row is built.  Otherwise the cells are those of the rows' proven
+    ranges [max(x1, bottom(x1)), top(x1)]: one at a time, with one
+    math.isqrt each, for a box up to PYTHON_SCAN_BOUND (_row_hits), and in
+    numpy rectangles above it (_rectangle_hits).  A small box has a few
+    hundred cells, too few to repay the tens of microseconds each numpy
+    rectangle costs, and its scan loads no numpy.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -605,18 +665,52 @@ def _integral_bases(k, bound):
     b = int(bound)
     if not -b**3 <= k <= b**3 + 3 * b * b:
         return set()
+    base = set()
+    for x1, x2, r in (_row_hits if b <= PYTHON_SCAN_BOUND else _rectangle_hits)(k, b):
+        for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
+            if x1 <= x2 <= abs(x3) <= b:
+                base.add((x1, x2, x3))
+    return {p for p in base if level(*p) == k}
+
+
+def _row_hits(k, b):
+    """(x1, x2, s) for each cell of the search_integral rows' ranges
+    (_row_limits) whose discriminant (x1^2 - 4) x2^2 + 4 (k - x1^2) is a
+    square s^2, row by row, in Python ints."""
+    for x1, lo, hi in _row_limits(k, b):
+        a, c = x1 * x1 - 4, 4 * (k - x1 * x1)
+        for x2 in range(lo, hi + 1):
+            d = a * x2 * x2 + c
+            if d >= 0:
+                s = math.isqrt(d)
+                if s * s == d:
+                    yield x1, x2, s
+
+
+def _rectangle_hits(k, b):
+    """The hits of _row_hits, or a superset, from numpy rectangles: the
+    rows with a nonempty range (_row_ranges) are packed in order into
+    rectangles over the union of their rows' ranges (_rectangles), each of
+    at most SCAN_CELLS cells or one row, and _square_cells finds the
+    squares.  The extra cells are harmless:
+    - every cell has 0 <= x1, x2 <= b and, past the level test of
+      _integral_bases, |k| <= b^3 + 3 b^2, where
+      |d| <= b^4 + 8 b^2 + 4 (b^3 + 3 b^2) < 2.6 * 10^18 < 2^63 for
+      b <= MAX_SEARCH_BOUND, the bound its guard admits, so no cell
+      leaves int64;
+    - a hit with x2 < x1 fails the filter x1 <= x2 <= |x3| <= b, and so
+      does a hit with x2 outside [bottom(x1), top(x1)]: an x3 passing it
+      would make (x1, x2, x3) a point of the box outside its row's range,
+      which search_integral's proof rules out.
+    """
+    import numpy as np
     lo, hi = _row_ranges(k, b)
     kept = np.flatnonzero(lo <= hi)
     xs = np.arange(0, b + 1, dtype=np.int64)
-    base = set()
     for x1s, bot, top in _rectangles(kept, lo[kept].tolist(), hi[kept].tolist()):
         sq = x1s * x1s
         rows, idx, roots = _square_cells(sq - 4, None, 4 * (k - sq), xs[bot:top + 1])
-        for x1, x2, r in zip(x1s[rows].tolist(), (idx + bot).tolist(), roots.tolist()):
-            for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
-                if x1 <= x2 <= abs(x3) <= b:
-                    base.add((x1, x2, x3))
-    return {p for p in base if level(*p) == k}
+        yield from zip(x1s[rows].tolist(), (idx + bot).tolist(), roots.tolist())
 
 
 def _rectangles(x1s, los, his):
@@ -685,6 +779,7 @@ def search_localized(k, ell, max_exp, bound):
     if 2 * max_exp * (ell.bit_length() - 1) > 62 \
             or bound**4 + ell ** (2 * max_exp) * (4 * bound * bound + 4 * abs(k) + 16) > 2**62:
         raise BudgetExceeded("search budget exceeds the exact-arithmetic range")
+    import numpy as np
     pts = search_integral(k, bound)
     b = int(bound)
     xs = np.arange(0, b + 1, dtype=np.int64)

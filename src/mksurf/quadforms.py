@@ -6,8 +6,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .markoff import SCAN_CELLS, MarkoffPoint, _square_cells
 from .rings import (
     INF,
@@ -114,6 +112,7 @@ def _witness_search(point, bound):
     covers the coordinates themselves, which enter the int64 arithmetic
     even at bound 0.
     """
+    import numpy as np
     x1, x2, x3 = point.coords()
     big = point.maxabs()
     if 4 * max(bound, 1) ** 2 * (big * big + big + 2) >= 2**63:

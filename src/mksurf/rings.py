@@ -227,12 +227,13 @@ def localized_str(x, ell):
 
 
 class Frozen:
-    """Base of the immutable value classes `ModInt`, `mat2.Mat2` and
-    `words.Word`: each names its fields in __slots__, in constructor order,
-    and sets them in __init__ through object.__setattr__. Assignment and
-    deletion raise AttributeError, as on a frozen dataclass, and copies and
-    pickles rebuild through the constructor. (`dataclasses` imports
-    `inspect`, which the words commands would load for nothing else.)"""
+    """Base of the immutable value classes `ModInt`, `mat2.Mat2`,
+    `words.Word`, `markoff.MarkoffPoint` and `markoff.MarkoffMove`: each
+    names its fields in __slots__, in constructor order, and sets them in
+    __init__ through object.__setattr__. Assignment and deletion raise
+    AttributeError, as on a frozen dataclass, and copies and pickles
+    rebuild through the constructor. (`dataclasses` imports `inspect`,
+    which the words and `markoff` commands would load for nothing else.)"""
 
     __slots__ = ()
 

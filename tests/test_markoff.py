@@ -1,6 +1,9 @@
 import bisect
+import copy
+import hashlib
 import itertools
 import math
+import pickle
 import random
 import threading
 from fractions import Fraction
@@ -26,6 +29,7 @@ from mksurf.markoff import (
     search_localized,
 )
 from mksurf.markoff import (
+    PYTHON_SCAN_BOUND,
     SCAN_CELLS,
     _apply_coords,
     _descent_step,
@@ -33,6 +37,8 @@ from mksurf.markoff import (
     _floor_families,
     _integral_bases,
     _integral_coords,
+    _row_limits,
+    _row_ranges,
 )
 from mksurf.quotients import trace_commutator_image
 from mksurf.rings import BudgetExceeded, jacobi
@@ -80,6 +86,26 @@ def test_level_invariance():
 def test_off_surface_message_spells_rationals():
     with pytest.raises(ValueError, match=r"^\(1/2, 2, 3\) is not on the level-7/4 surface$"):
         MarkoffPoint(Fraction(1, 2), Fraction(2), Fraction(3), Fraction(7, 4))
+
+
+def test_points_and_moves_are_immutable_values():
+    p = MarkoffPoint(x1=-3, x2=8, x3=8, k=329)
+    assert p == MarkoffPoint.make(-3, 8, 8) and p != MarkoffPoint.make(-3, 8, -8)
+    # a point spelled with Fractions equals, and hashes as, its int twin
+    twin = MarkoffPoint(Fraction(-3), Fraction(8), Fraction(8), Fraction(329))
+    assert twin == p and hash(twin) == hash(p) and len({p, twin}) == 1
+    assert repr(p) == "(-3, 8, 8)@329"
+    mv = MarkoffMove(tag="perm", data=(2, 3, 1))
+    assert mv == MarkoffMove.perm((2, 3, 1)) != MarkoffMove.perm((3, 1, 2))
+    assert hash(mv) == hash(MarkoffMove.perm([2, 3, 1])) and repr(mv) == "perm(2, 3, 1)"
+    with pytest.raises(ValueError, match="is not on the level-330 surface"):
+        MarkoffPoint(-3, 8, 8, 330)
+    for value, field in ((p, "x1"), (mv, "tag")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def test_move_inverses():
@@ -235,6 +261,22 @@ def test_class_data_matches_the_closure_walk(ks):
 def test_class_data_matches_the_walk_over_every_point():
     for k in [k for k in range(-3000, 3001) if k not in (0, 4)] + [-888933323]:
         assert [c.coords() for c in class_data(k)] == class_data_by_every_point(k), k
+
+
+# sha256 of repr([p.coords() for p in class_data(k)]) over k in
+# [-6000, 6000] (0 and 4 left out), then -888933324, -888933323,
+# 888933323 and 888933324, as class_data gave them when every box was
+# scanned in numpy rectangles
+CLASS_DATA_DIGEST = "bf0e765fbfe5b27808791c8aad3e3380498c6ee571ce7198a0ddbc94b88a7441"
+
+
+def test_class_data_is_unchanged_by_the_python_scan():
+    ks = [k for k in range(-6000, 6001) if k not in (0, 4)]
+    ks += [-888933324, -888933323, 888933323, 888933324]
+    h = hashlib.sha256()
+    for k in ks:
+        h.update(repr([p.coords() for p in class_data(k)]).encode())
+    assert h.hexdigest() == CLASS_DATA_DIGEST
 
 
 def reduce_point_by_closure(point):
@@ -540,6 +582,41 @@ def test_integral_bases_are_the_points_with_x1_x2_nonnegative():
         assert bases == {c for c in integral_coords_by_rows(k, b) if c[0] >= 0 and c[1] >= 0}, (k, b)
         found += len(bases)
     assert found > 100
+
+
+def test_python_and_numpy_scans_match_the_row_oracle(monkeypatch):
+    # boxes up to PYTHON_SCAN_BOUND are scanned in Python ints, past it in
+    # numpy rectangles: both against the oracle at the two boxes either
+    # side of the constant and at each level's class box, all of which
+    # the Python scan takes for these levels
+    rectangles = []
+    scan = mksurf.markoff._square_cells
+
+    def recording(a, b, c, xs):
+        rectangles.append(len(xs))
+        return scan(a, b, c, xs)
+
+    monkeypatch.setattr(mksurf.markoff, "_square_cells", recording)
+    for k in range(-3000, 6001):
+        boxes = {PYTHON_SCAN_BOUND: False, PYTHON_SCAN_BOUND + 1: True, default_class_bound(k): False}
+        for b, numpy_scan in boxes.items():
+            del rectangles[:]
+            assert _integral_coords(k, b) == integral_coords_by_rows(k, b), (k, b)
+            assert bool(rectangles) == numpy_scan, (k, b)
+
+
+def test_row_limits_are_the_row_ranges():
+    # the Python scan's row limits equal _row_ranges' on every row, at every
+    # box it scans: the edges of each box's levels [-b^3, b^3 + 3 b^2], the
+    # levels where rows 2 and 3 change, and seeded levels between
+    rng = random.Random(31)
+    for b in range(PYTHON_SCAN_BOUND + 1):
+        top = b**3 + 3 * b * b
+        ks = {-b**3, top, -1, 0, 1, 4, 5, 8, 9, 10, 4 + b * b, -b * b}
+        ks |= {rng.randint(-b**3, top) for _ in range(30)}
+        for k in sorted(ks):
+            lo, hi = _row_ranges(k, b)
+            assert list(_row_limits(k, b)) == list(zip(range(len(lo)), lo.tolist(), hi.tolist())), (k, b)
 
 
 @pytest.mark.parametrize("b", [2**14 + 2, 2**14 + 3, 2**15 + 1, 2**15 + 2])
