@@ -3,27 +3,28 @@ surface: the explicit unique lift, the Nielsen/permutation pair moves with
 orientation tracking, and the universal pair."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mat2 import Mat2, commutator, in_trace_set
 from .markoff import MarkoffMove, level
-from .rings import BudgetExceeded, ModInt
+from .rings import BudgetExceeded, Frozen, ModInt
 
 
 class LiftError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Frozen):
     """A pair (X, Y) whose commutator is Z (orientation "Z"), together
     with the permutation row used."""
 
-    x: Mat2
-    y: Mat2
-    orientation: str
-    row: tuple
+    __slots__ = ("x", "y", "orientation", "row")
+
+    def __init__(self, x, y, orientation, row):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "row", row)
 
 
 # The lifts of the Markoff moves to matrix pairs, one row for each of the

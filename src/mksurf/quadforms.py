@@ -4,23 +4,25 @@ profiles, and isotropy over Q read off those invariants."""
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .markoff import SCAN_CELLS, MarkoffPoint, _square_cells
 from .rings import (
     INF,
     BudgetExceeded,
+    Frozen,
     factorize,
     hilbert_int,
     square_class_int,
 )
 
 
-@dataclass(frozen=True)
-class HasseProfile:
+class HasseProfile(Frozen):
     """Map place -> +-1 for the places where the invariant can be nontrivial."""
 
-    entries: tuple  # sorted tuple of (place, value) with INF last
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)  # sorted (place, value) pairs, INF last
 
     def product(self):
         out = 1

@@ -18,18 +18,23 @@ commutator classes in one pass over the group (Ore's identity,
 c = g_c r g_c^-1, so the commutators are the union over the classes C
 of C C^-1, and each commutator class K holds some r c^-1 with r the
 representative of c's class. The table keeps the least such c for
-every K. A commutator test is then a lookup: with Z = gamma r c^-1
-gamma^-1, Z = [gamma r gamma^-1, gamma g_c gamma^-1]. The
-commutator-trace image is read off the same array. Tables are cached
-(the 16 most recent moduli); the one at q = 64 keeps about 4 MB.
+every K, and with it a witness pair for K's representative k: with
+r c^-1 = g_i k g_i^-1, k = [A_K, B_K] for A_K = g_i^-1 r g_i and
+B_K = g_i^-1 g_c g_i (`GroupTable.witness`). A commutator test is then
+a lookup and a conjugation, Z = g_Z k g_Z^-1 = [g_Z A_K g_Z^-1,
+g_Z B_K g_Z^-1]; these are gamma r gamma^-1 and gamma g_c gamma^-1 for
+gamma = g_Z g_i^-1, which carries r c^-1 to Z. The table keeps the
+traces of the commutator-class representatives too, the
+commutator-trace image (`GroupTable.traces`). Tables are cached (the 16
+most recent moduli); the one at q = 64 keeps about 4 MB.
 """
 
 import functools
 
 import numpy as np
 
-from .mat2 import Mat2, mat_mod
-from .rings import BudgetExceeded, residue
+from .mat2 import Mat2
+from .rings import BudgetExceeded, ModInt, residue
 
 
 # The table at q = 128 holds 1.6e6 elements (about 1 s and 124 MB to build,
@@ -107,12 +112,29 @@ def _inv(x, q):
     return (d % q, -b % q, -c % q, a % q)
 
 
+def _conjugate(g, m, q):
+    """g M g^-1 mod q for entry quadruples of ints or arrays, g of
+    determinant 1 mod q."""
+    p, s, t, u = g
+    a, b, c, d = m
+    e, f, h, k = p * a + s * c, p * b + s * d, t * a + u * c, t * b + u * d
+    return ((e * u - f * t) % q, (f * p - e * s) % q,
+            (h * u - k * t) % q, (k * p - h * s) % q)
+
+
+def _mat(m, q):
+    """The Mat2 over Z/q with the reduced entry quadruple m."""
+    return Mat2(*(ModInt(v, q) for v in m))
+
+
 class GroupTable:
     """SL2(Z/q) with its conjugacy classes; element i is column i of
     `entries`, `cls[i]` is the index of its class representative,
     column i of `conj` is g_i with element i = g_i rep g_i^-1, and
     `ore[cls[i]]` is the least c with rep(c) c^-1 in element i's class,
-    or -1 when that class holds no commutator.
+    or -1 when that class holds no commutator. `witness` maps the id k
+    of each commutator class to entry quadruples (A, B) with
+    k = [A, B], and `traces` is the frozenset of the traces of those k.
 
     The commutator classes take one pass over the group (Ore 1951). For X
     in a class C, [X, Y] = X (Y X Y^-1)^-1 and Y X Y^-1 runs over C with
@@ -124,7 +146,11 @@ class GroupTable:
     r c^-1 over every element c, with r the representative of c's class:
     one product, `index` and `cls` per element, in blocks of
     `_TEST_BLOCK`. As c = g_c r g_c^-1, r c^-1 = [r, g_c], so the least
-    such c of each commutator class is a witness for the whole class.
+    such c of each commutator class is a witness for the whole class:
+    with i the index of r c^-1 and k = g_i^-1 (r c^-1) g_i its
+    representative, k = [A, B] for A = g_i^-1 r g_i and B = g_i^-1 g_c g_i,
+    and any Z = g_Z k g_Z^-1 of the class is [g_Z A g_Z^-1, g_Z B g_Z^-1].
+    The pairs and traces read only the columns of the commutator classes.
     """
 
     def __init__(self, q):
@@ -179,6 +205,18 @@ class GroupTable:
                 self.conj[:, nxt] = _mul(g, self.conj[:, src].astype(np.int32), q)
                 grown.append(nxt)
             frontier = np.concatenate(grown)
+        # each commutator class k, its least c and i = index(r c^-1)
+        ks = self.reps[self.ore[self.reps] >= 0]
+        cs = self.ore[ks]
+        r = tuple(self.entries[:, cls[cs]].astype(np.int32))
+        i = self.index(_mul(r, _inv(tuple(self.entries[:, cs].astype(np.int32)), q), q))
+        g_i = tuple(self.conj[:, i].astype(np.int32))
+        g_c = tuple(self.conj[:, cs].astype(np.int32))
+        g_inv = _inv(g_i, q)
+        pairs = (zip(*(v.tolist() for v in _conjugate(g_inv, m, q))) for m in (r, g_c))
+        self.witness = dict(zip(ks.tolist(), zip(*pairs)))
+        ka, _, _, kd = self.entries[:, ks].astype(np.int32)
+        self.traces = frozenset(((ka + kd) % q).tolist())
 
     def elements(self):
         """Entry quadruple of every element, as arithmetic arrays."""
@@ -198,11 +236,6 @@ class GroupTable:
         a, b, c, d = m
         return self.start[(a * q + b) * q + c] + d // self.step[a]
 
-    def conjugator(self, i, j):
-        """gamma = g_j g_i^-1, so gamma e_i gamma^-1 = e_j when cls[i] == cls[j]."""
-        gi, gj = (tuple(int(v) for v in self.conj[:, k]) for k in (i, j))
-        return _mul(gj, _inv(gi, self.q), self.q)
-
 
 group_table = functools.lru_cache(maxsize=16)(GroupTable)
 
@@ -210,27 +243,23 @@ group_table = functools.lru_cache(maxsize=16)(GroupTable)
 def commutator_test_modq(z, q):
     """Is Z a commutator in SL2(Z/q)?  Returns (bool, witness (X, Y) or None).
     Z's entries are reduced by `rings.residue`.  Both answer and witness
-    are lookups in the table: c = `ore[cls[Z]]` has r c^-1 = [r, g_c]
-    conjugate to Z (r the representative of c's class, c = g_c r g_c^-1),
-    and gamma = `conjugator` carries r c^-1 to Z, so
-    Z = [gamma r gamma^-1, gamma g_c gamma^-1]."""
+    are lookups in the table: Z's class k is a commutator class when
+    `witness` holds a pair (A, B) for it, and then, with Z = g_Z k g_Z^-1
+    (g_Z column Z of `conj`), Z = [g_Z A g_Z^-1, g_Z B g_Z^-1]."""
     _check_modulus(q)
     z = tuple(residue(v, q) for v in (z.entries() if isinstance(z, Mat2) else z))
     if (z[0] * z[3] - z[1] * z[2]) % q != 1:
         raise ValueError("Z must have determinant 1 mod %d" % q)
     ident = (1 % q, 0, 0, 1 % q)
     if z == ident:
-        return True, (mat_mod(Mat2(*ident), q), mat_mod(Mat2(*ident), q))
+        return True, (_mat(ident, q), _mat(ident, q))
     table = group_table(q)
-    iz = int(table.index(z))
-    c = int(table.ore[table.cls[iz]])
-    if c < 0:
+    iz = table.index(z)
+    pair = table.witness.get(int(table.cls[iz]))
+    if pair is None:
         return False, None
-    r, g_c = table.entries[:, table.cls[c]].tolist(), table.conj[:, c].tolist()
-    r_c_inv = _mul(r, _inv(table.entries[:, c].tolist(), q), q)
-    gamma = table.conjugator(int(table.index(r_c_inv)), iz)
-    x, y = (_mul(_mul(gamma, m, q), _inv(gamma, q), q) for m in (r, g_c))
-    return True, (mat_mod(Mat2(*x), q), mat_mod(Mat2(*y), q))
+    g = table.conj[:, iz].tolist()
+    return True, tuple(_mat(_conjugate(g, m, q), q) for m in pair)
 
 
 def trace_commutator_image(q):
@@ -241,8 +270,7 @@ def trace_commutator_image(q):
     union of C C^-1 over the conjugacy classes C (a b^-1 = [a, g] when
     b = g a g^-1), a union of classes, which `GroupTable.ore` marks in one
     pass over the group; the trace is a class function, so each marked
-    class gives one trace.
+    class gives one trace, and the table keeps them (`GroupTable.traces`).
+    Each call returns a fresh set.
     """
-    table = group_table(q)
-    a, _, _, d = table.entries[:, np.flatnonzero(table.ore >= 0)].astype(np.int32)
-    return set(((a + d) % q).tolist())
+    return set(group_table(q).traces)

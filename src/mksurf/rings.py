@@ -228,14 +228,20 @@ def localized_str(x, ell):
 
 class Frozen:
     """Base of the immutable value classes `ModInt`, `mat2.Mat2`,
-    `words.Word`, `markoff.MarkoffPoint` and `markoff.MarkoffMove`: each
-    names its fields in __slots__, in constructor order, and sets them in
-    __init__ through object.__setattr__. Assignment and deletion raise
-    AttributeError, as on a frozen dataclass, and copies and pickles
-    rebuild through the constructor. (`dataclasses` imports `inspect`,
-    which the words and `markoff` commands would load for nothing else.)"""
+    `words.Word`, `markoff.MarkoffPoint`, `markoff.MarkoffMove`,
+    `quadforms.HasseProfile` and `lifting.LiftResult`: each names its
+    fields in __slots__, in constructor order, and sets them in __init__
+    through object.__setattr__. Assignment and deletion raise
+    AttributeError, as on a frozen dataclass, copies and pickles rebuild
+    through the constructor, and unless a class overrides them, equality,
+    hash and repr are a frozen dataclass's, read off the fields.
+    (`dataclasses` imports `inspect`, which the words, `markoff`,
+    `quadform` and `lift` commands would load for nothing else.)"""
 
     __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -244,7 +250,19 @@ class Frozen:
         raise AttributeError("cannot delete field %r" % (name,))
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+        return self.__class__, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
 
 
 class ModInt(Frozen):
@@ -318,7 +336,10 @@ class ModInt(Frozen):
 def residue(v, q):
     """The residue mod q of an int, a Fraction with denominator prime to q,
     or a ModInt whose modulus q divides: the one map into Z/q. Anything
-    else has no value mod q (ValueError; TypeError for a non-integer type)."""
+    else has no value mod q (ValueError; TypeError for a non-integer type).
+    A plain int is tested first: the Fraction test is an ABC check."""
+    if type(v) is int:
+        return v % q
     if isinstance(v, ModInt):
         if v.q % q:
             raise ValueError("a residue mod %d has no value mod %d" % (v.q, q))

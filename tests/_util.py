@@ -1,8 +1,12 @@
 """Helpers shared by the test files."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
+import pytest
 
 from mksurf.markoff import (
     MarkoffPoint,
@@ -16,6 +20,7 @@ from mksurf.markoff import (
     reduce_point,
 )
 from mksurf.mat2 import Mat2
+from mksurf.quotients import _inv, _mul, group_table
 from mksurf.rings import INF, factorize, square_class_int
 from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
 
@@ -225,3 +230,47 @@ def psl2_class_reps_by_search(t):
 
     dfs((), Mat2(1, 0, 0, 1))
     return sorted(reps, key=lambda w: (w.length(), w.runs))
+
+
+def conjugator(table, i, j):
+    """gamma = g_j g_i^-1 from a quotients.GroupTable, so gamma e_i gamma^-1
+    = e_j when table.cls[i] == table.cls[j]."""
+    q = table.q
+    gi, gj = (tuple(int(v) for v in table.conj[:, k]) for k in (i, j))
+    return _mul(gj, _inv(gi, q), q)
+
+
+def commutator_witness_by_conjugator(z, q):
+    """The witness pair of quotients.commutator_test_modq built per query
+    from the Ore element, as entry quadruples, for a reduced Z other than
+    the identity; None when Z is no commutator.  With c = ore[cls[Z]], r
+    the representative of c's class and c = g_c r g_c^-1, r c^-1 =
+    [r, g_c], and gamma = conjugator(index(r c^-1), Z) carries it to Z:
+    Z = [gamma r gamma^-1, gamma g_c gamma^-1]."""
+    table = group_table(q)
+    iz = int(table.index(z))
+    c = int(table.ore[table.cls[iz]])
+    if c < 0:
+        return None
+    r, g_c = table.entries[:, table.cls[c]].tolist(), table.conj[:, c].tolist()
+    r_c_inv = _mul(r, _inv(table.entries[:, c].tolist(), q), q)
+    gamma = conjugator(table, int(table.index(r_c_inv)), iz)
+    return tuple(_mul(_mul(gamma, m, q), _inv(gamma, q), q) for m in (r, g_c))
+
+
+def check_frozen_like_dataclass(cls, fields, other):
+    """cls(*fields) behaves as the frozen dataclass of the same name and
+    fields (cls.__slots__) would: positional and keyword construction,
+    equality against cls(*other) and against other classes, hash, repr,
+    refused assignment and deletion, copies and pickles."""
+    ref = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    obj, twin = cls(*fields), ref(*fields)
+    assert repr(obj) == repr(twin) and hash(obj) == hash(twin)
+    assert obj == cls(*fields) == cls(**dict(zip(cls.__slots__, fields)))
+    assert obj != cls(*other) and obj != twin and obj != tuple(fields)
+    assert all(getattr(obj, f) == getattr(twin, f) for f in cls.__slots__)
+    with pytest.raises(AttributeError):
+        setattr(obj, cls.__slots__[0], None)
+    with pytest.raises(AttributeError):
+        delattr(obj, cls.__slots__[0])
+    assert copy.copy(obj) == copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj

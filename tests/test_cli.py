@@ -403,13 +403,16 @@ def test_each_command_loads_only_its_modules():
     assert not loaded & {"mksurf." + m for m in ("certify", "lifting", "quadforms",
                                                  "quotients", "words")}
     # class boxes up to markoff.PYTHON_SCAN_BOUND are scanned in Python ints
-    # (the box at k = 3780 is 82), and the commands that scan no box load no numpy
+    # (the box at k = 3780 is 82), and the commands that scan no box load no
+    # numpy; HasseProfile and LiftResult are slot classes, so no dataclasses
     loaded = modules_loaded_by("markoff", "class", "--k", "3780")
     assert not loaded & {"numpy", "dataclasses", "inspect"}
     for argv in (["markoff", "reduce", "--point", "21,3,6"], ["markoff", "admissible", "--t", "106"],
                  ["quadform", "profile", "--point=-3,8,8"],
-                 ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y", "1,0,1,1"]):
-        assert "numpy" not in modules_loaded_by(*argv), argv
+                 ["quadform", "profile", "--point", "1,2,5"],
+                 ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3", "--y", "1,0,1,1"],
+                 ["lift", "point", "--z", "3,-1,1,0", "--point", "2,2,3"]):
+        assert not modules_loaded_by(*argv) & {"numpy", "dataclasses", "inspect"}, argv
     # the box of k = 30000 is 232, past the constant: numpy rectangles
     assert "numpy" in modules_loaded_by("markoff", "class", "--k", "30000")
 

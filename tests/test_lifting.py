@@ -24,7 +24,7 @@ from mksurf.lifting import (
 from mksurf.lifting import _PAIR_LIFTS
 from mksurf.rings import BudgetExceeded, ModInt, ResidueRing, SIntegerRing, parse_ring
 
-from _util import random_sl2z
+from _util import check_frozen_like_dataclass, random_sl2z
 
 # the twelve moves with a pair lift: the identity permutation and the generators
 ALL_MOVES = (MarkoffMove.perm((1, 2, 3)),) + GENERATORS
@@ -202,6 +202,13 @@ def test_lift_point_driver():
     assert commutator(res3.x, res3.y) == z and res3.row == (3, 1, 2)
     with pytest.raises(LiftError):
         lift_point(z, MarkoffPoint.make(2, 2, 3), Mat2(1, 1, 0, 1))  # Tr ZY != Tr Y
+
+
+def test_lift_result_is_a_frozen_value():
+    # a slot class (no dataclasses at start) that behaves as the frozen dataclass did
+    res = lift_point(Mat2(3, -1, 1, 0), MarkoffPoint.make(2, 2, 3), Mat2(1, 0, 1, 1))
+    fields = (res.x, res.y, res.orientation, res.row)
+    check_frozen_like_dataclass(LiftResult, fields, fields[:3] + ((2, 3, 1),))
 
 
 def test_lift_point_errors_spell_rationals():

@@ -21,6 +21,7 @@ from mksurf.markoff import (
 )
 from mksurf.quadforms import (
     MEMO_SIZE,
+    HasseProfile,
     WITNESS_BOUND,
     _odd_primes,
     _witness_search,
@@ -29,7 +30,14 @@ from mksurf.quadforms import (
 )
 from mksurf.rings import INF, BudgetExceeded, factorize, hilbert, jacobi, square_class_int
 
-from _util import form_value, gram, random_point, squarefree_part, witness_search_by_rows
+from _util import (
+    check_frozen_like_dataclass,
+    form_value,
+    gram,
+    random_point,
+    squarefree_part,
+    witness_search_by_rows,
+)
 
 def mat3_det(a):
     return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -51,6 +59,13 @@ def test_hasse_profile_329():
     prof2 = hasse_profile(MarkoffPoint.make(-4, 4, 11))
     assert {place for place, v in prof2.entries if v == -1} == set()
     assert prof2.product() == 1
+
+
+def test_hasse_profile_is_a_frozen_value():
+    # a slot class (no dataclasses at start) that behaves as the frozen dataclass did
+    prof = hasse_profile(MarkoffPoint.make(-3, 8, 8))
+    check_frozen_like_dataclass(HasseProfile, (prof.entries,),
+                                (hasse_profile(MarkoffPoint.make(-4, 4, 11)).entries,))
 
 
 def clear_memos():

@@ -16,7 +16,7 @@ from mksurf.quotients import (
 )
 from mksurf.rings import ModInt
 
-from _util import random_sl2z
+from _util import commutator_witness_by_conjugator, conjugator, random_sl2z
 
 
 def sl2_order(q):
@@ -93,7 +93,7 @@ def test_group_table_classes_are_conjugation_orbits():
             orbit = {codes[m] for m in zip(*(v.tolist() for v in _conj(group, e, q)))}
             assert set(np.flatnonzero(table.cls == table.cls[i]).tolist()) == orbit, (q, e)
             for j in orbit:
-                g = table.conjugator(i, j)
+                g = conjugator(table, i, j)
                 assert (g[0] * g[3] - g[1] * g[2]) % q == 1, (q, i, j)
                 assert _conj(g, e, q) == tuple(table.entries[:, j]), (q, i, j)
 
@@ -250,6 +250,31 @@ def test_commutator_test_matches_the_full_scan():
     assert {(q, ok) for q, _ in sampled for ok in (False, True)} <= seen
 
 
+def test_witnesses_match_the_per_query_construction():
+    # the stored pair of Z's class carried to Z against the witness built
+    # per query from the Ore element and conjugator, on every Z mod 2..16
+    # and on seeded samples mod 27, 32, 64, 81 and 128; each multiplies out
+    rng = random.Random(44)
+    cases = [(z, q) for q in range(2, 17) for z in sl2_tuples(q)]
+    for q in (27, 32, 64, 81, 128):
+        entries = quotients.group_table(q).entries
+        cases += [(tuple(entries[:, i].tolist()), q)
+                  for i in rng.sample(range(entries.shape[1]), 2000)]
+    for z, q in cases:
+        ok, wit = commutator_test_modq(z, q)
+        if z == (1, 0, 0, 1):
+            assert ok, q
+            continue
+        want = commutator_witness_by_conjugator(z, q)
+        assert ok == (want is not None), (z, q)
+        if ok:
+            x, y = (tuple(e.v for e in m.entries()) for m in wit)
+            assert (x, y) == want, (z, q)
+            assert all(e.q == q for m in wit for e in m.entries()), (z, q)
+            xy = quotients._mul(x, y, q)
+            assert quotients._mul(xy, quotients._inv(quotients._mul(y, x, q), q), q) == z, (z, q)
+
+
 def test_commutator_test_identity():
     ok, wit = commutator_test_modq(Mat2(1, 0, 0, 1), 9)
     assert ok and wit[0] == wit[0].identity_like()
@@ -397,6 +422,22 @@ def image_by_class_reps(q):
 def test_trace_image_matches_the_class_rep_scan():
     for q in list(range(2, 33)) + [36, 48]:
         assert trace_commutator_image(q) == image_by_class_reps(q), q
+
+
+def test_trace_image_is_a_fresh_set():
+    first = trace_commutator_image(16)
+    first.add(0)
+    first.discard(2)
+    assert trace_commutator_image(16) == set(HFU2_IMAGES[16])
+
+
+def test_stored_traces_match_the_class_scan():
+    # the traces kept by the table against the scan they replace: the
+    # columns at which ore >= 0, the representatives of the commutator classes
+    for q in list(range(2, 33)) + [64, 81]:
+        table = quotients.group_table(q)
+        a, _, _, d = table.entries[:, np.flatnonzero(table.ore >= 0)].astype(np.int32)
+        assert trace_commutator_image(q) == table.traces == set(((a + d) % q).tolist()), q
 
 
 def test_sign_lemma():

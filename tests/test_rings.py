@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mksurf.mat2 import Mat2, commutator, mat_mod
@@ -289,6 +290,31 @@ def test_residue_is_the_one_map_into_z_mod_q():
                 if ok:
                     assert commutator(*wit) == mat_mod(z, q)
     assert residue(Fraction(1, 3), 8) == 3 and residue(ModInt(9, 16), 8) == 1
+
+
+# (value, q, residue or (error type, message)): plain ints take the first
+# test in residue, every other integer type the later ones
+RESIDUE_TABLE = [
+    (0, 7, 0), (-1, 7, 6), (10**30 + 3, 7, 4), (129, 128, 1),
+    (True, 5, 1), (False, 5, 0),
+    (np.int64(-5), 8, 3), (np.uint8(200), 9, 2), (np.int32(7), 4, 3),
+    (Fraction(-3, 7), 8, 3), (Fraction(6, 3), 5, 2), (Fraction(1, 3), 8, 3),
+    (ModInt(9, 16), 8, 1), (ModInt(5, 5), 5, 0), (ModInt(-1, 27), 9, 8),
+    (Fraction(1, 2), 8, (ValueError, "^1/2 has no value mod 8$")),
+    (Fraction(5, 6), 9, (ValueError, "^5/6 has no value mod 9$")),
+    (ModInt(1, 4), 8, (ValueError, "^a residue mod 4 has no value mod 8$")),
+    (ModInt(3, 12), 8, (ValueError, "^a residue mod 12 has no value mod 8$")),
+]
+
+
+@pytest.mark.parametrize("v, q, want", RESIDUE_TABLE)
+def test_residue_table(v, q, want):
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=want[1]):
+            residue(v, q)
+    else:
+        got = residue(v, q)
+        assert got == want and type(got) is int
 
 
 @pytest.mark.parametrize("reduce", [residue, lambda v, q: mat_mod(Mat2(v, 0, 0, 1), q),
