@@ -4,12 +4,11 @@ Z[1/l], and the explicit locally-but-not-globally commutator matrices."""
 import json
 import math
 import time
-from dataclasses import dataclass
 
 from .mat2 import Mat2, commutator, mat_mod
 from .markoff import admissible_k, admissible_t, search_integral, search_localized
 from .quotients import commutator_test_modq
-from .rings import factorize, is_probable_prime, localized_str
+from .rings import Frozen, factorize, is_probable_prime, localized_str
 
 SCHEMA_VERSION = "1"
 DEFAULT_HFZ_BOUND = 10**4
@@ -18,14 +17,18 @@ DEFAULT_SINT_MAX_EXP = 3
 DEFAULT_HFE1_MODULI = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32)
 
 
-@dataclass
-class Check:
-    name: str
-    statement: str
-    method: str  # "closed-form" | "exhaustive" | "oracle"
-    result: bool
-    data: object = None
-    bound: object = None
+class Check(Frozen):
+    """One named check of a certificate, with its evidence and search bound."""
+
+    __slots__ = ("name", "statement", "method", "result", "data", "bound")
+
+    def __init__(self, name, statement, method, result, data=None, bound=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "method", method)  # "closed-form" | "exhaustive" | "oracle"
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "bound", bound)
 
     def to_dict(self):
         out = {"name": self.name, "statement": self.statement,
@@ -35,12 +38,16 @@ class Check:
         return out
 
 
-@dataclass
-class Certificate:
-    kind: str  # E3FailureZ | E3FailureSInt | E2Failure | HFE1
-    parameters: dict
-    checks: list
-    runtime_ms: int = 0
+class Certificate(Frozen):
+    """A certificate: it concludes when every one of its checks holds."""
+
+    __slots__ = ("kind", "parameters", "checks", "runtime_ms")
+
+    def __init__(self, kind, parameters, checks, runtime_ms=0):
+        object.__setattr__(self, "kind", kind)  # E3FailureZ | E3FailureSInt | E2Failure | HFE1
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "runtime_ms", runtime_ms)
 
     @property
     def conclusion(self):

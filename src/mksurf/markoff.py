@@ -30,14 +30,6 @@ class MarkoffPoint(Frozen):
         object.__setattr__(self, "x3", x3)
         object.__setattr__(self, "k", k)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x1, self.x2, self.x3, self.k) == (other.x1, other.x2, other.x3, other.k)
-
-    def __hash__(self):
-        return hash((self.x1, self.x2, self.x3, self.k))
-
     @staticmethod
     def make(x1, x2, x3):
         return MarkoffPoint(x1, x2, x3, level(x1, x2, x3))
@@ -69,14 +61,6 @@ class MarkoffMove(Frozen):
     def __init__(self, tag, data):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "data", data)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tag, self.data) == (other.tag, other.data)
-
-    def __hash__(self):
-        return hash((self.tag, self.data))
 
     @staticmethod
     def vieta(j):

@@ -15,14 +15,6 @@ class Mat2(Frozen):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -42,9 +34,13 @@ class Mat2(Frozen):
         )
 
     def __add__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
     def __sub__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
         return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def __neg__(self):

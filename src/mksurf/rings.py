@@ -227,21 +227,22 @@ def localized_str(x, ell):
 
 
 class Frozen:
-    """Base of the immutable value classes `ModInt`, `mat2.Mat2`,
-    `words.Word`, `markoff.MarkoffPoint`, `markoff.MarkoffMove`,
-    `quadforms.HasseProfile` and `lifting.LiftResult`: each names its
-    fields in __slots__, in constructor order, and sets them in __init__
-    through object.__setattr__. Assignment and deletion raise
-    AttributeError, as on a frozen dataclass, copies and pickles rebuild
-    through the constructor, and unless a class overrides them, equality,
-    hash and repr are a frozen dataclass's, read off the fields.
-    (`dataclasses` imports `inspect`, which the words, `markoff`,
-    `quadform` and `lift` commands would load for nothing else.)"""
+    """Base of the immutable value classes: each names its fields in
+    __slots__, in constructor order, and sets them in __init__ through
+    object.__setattr__. Assignment and deletion raise AttributeError, as
+    on a frozen dataclass, copies and pickles rebuild through the
+    constructor, and unless a class overrides them, equality, hash and
+    repr are a frozen dataclass's, read off the fields by one getter built
+    per class. (`dataclasses` imports `inspect`, which the commands that
+    run without numpy would load for nothing else.)"""
 
     __slots__ = ()
 
-    def _fields(self):
-        return tuple(getattr(self, f) for f in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__)
+        # the field tuple of an instance; one field still makes a 1-tuple
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -250,23 +251,27 @@ class Frozen:
         raise AttributeError("cannot delete field %r" % (name,))
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+            "%s=%r" % pair for pair in zip(self.__slots__, self._fields(self))))
 
 
 class ModInt(Frozen):
-    """Canonical residue in Z/qZ."""
+    """Canonical residue in Z/qZ.  It equals every int congruent to it
+    (`Mat2.inverse` tests det != 1 on ModInt entries), which no hash can
+    agree with: ModInt(3, 8) == 11, yet 11 in {ModInt(3, 8)} is False.  So
+    it keeps its own __eq__, and with it its own __hash__, that of (v, q)."""
 
     __slots__ = ("v", "q")
 

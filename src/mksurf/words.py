@@ -31,14 +31,6 @@ class Word(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.runs, self.m, self.n) == (other.runs, other.m, other.n)
-
-    def __hash__(self):
-        return hash((self.runs, self.m, self.n))
-
     @staticmethod
     def make(runs, m, n):
         return Word(_normalize(runs, _orders(m, n)), m, n)
@@ -48,6 +40,8 @@ class Word(Frozen):
         return Word((), m, n)
 
     def __mul__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("words from different groups")
         return Word.make(self.runs + other.runs, self.m, self.n)
@@ -554,30 +548,29 @@ def _reduce(m, n, terms):
     return {key: c for key, c in out.items() if c}
 
 
-class SRingElem:
+class SRingElem(Frozen):
     """Element of Z[x, x^-1, y, y^-1] / (psi_m(x), psi_n(y)) with
     psi_k = 1 + X + ... + X^(k-1) and psi_infinity = 0.
 
     Built from a dict {(i, j): c} or an iterable of ((i, j), c) terms, and
     kept in the normal form of `_reduce`: coefficients live on monomials
     x^i y^j with 0 <= i <= m-2 and, for finite n, 0 <= j <= n-2; infinite
-    n leaves j free over Z.
+    n leaves j free over Z.  The dict field makes the field tuple
+    unhashable, so the hash reads the sorted terms.
     """
 
     __slots__ = ("m", "n", "coeffs")
 
     def __init__(self, m, n, coeffs=()):
         _check_mn(m, n)
-        self.m = m
-        self.n = n
-        self.coeffs = _reduce(m, n, coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", _reduce(
+            m, n, coeffs.items() if isinstance(coeffs, dict) else coeffs))
 
     @staticmethod
     def monomial(m, n, i=0, j=0, c=1):
         return SRingElem(m, n, [((i, j), c)])
-
-    def __eq__(self, other):
-        return (self.m, self.n) == (other.m, other.n) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.m, self.n, tuple(sorted(self.coeffs.items()))))

@@ -1,12 +1,9 @@
 """Helpers shared by the test files."""
 
-import copy
 import dataclasses
 import math
-import pickle
 
 import numpy as np
-import pytest
 
 from mksurf.markoff import (
     MarkoffPoint,
@@ -258,19 +255,26 @@ def commutator_witness_by_conjugator(z, q):
     return tuple(_mul(_mul(gamma, m, q), _inv(gamma, q), q) for m in (r, g_c))
 
 
-def check_frozen_like_dataclass(cls, fields, other):
-    """cls(*fields) behaves as the frozen dataclass of the same name and
-    fields (cls.__slots__) would: positional and keyword construction,
-    equality against cls(*other) and against other classes, hash, repr,
-    refused assignment and deletion, copies and pickles."""
-    ref = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+def check_frozen_like_dataclass(cls, fields, other, defaults=None):
+    """cls(*fields) behaves as the frozen dataclass of the same name, fields
+    (cls.__slots__) and keyword defaults would: positional, keyword and
+    defaulted construction, equality against cls(*other) and against other
+    classes, repr, and hash where the fields are hashable.  Assignment,
+    deletion, copies and pickles are test_values' value contract, which
+    covers every rings.Frozen subclass."""
+    defaults = defaults or {}
+    ref = dataclasses.make_dataclass(cls.__name__, [
+        (f, object, dataclasses.field(default=defaults[f])) if f in defaults else f
+        for f in cls.__slots__], frozen=True)
     obj, twin = cls(*fields), ref(*fields)
-    assert repr(obj) == repr(twin) and hash(obj) == hash(twin)
+    assert repr(obj) == repr(twin)
     assert obj == cls(*fields) == cls(**dict(zip(cls.__slots__, fields)))
     assert obj != cls(*other) and obj != twin and obj != tuple(fields)
     assert all(getattr(obj, f) == getattr(twin, f) for f in cls.__slots__)
-    with pytest.raises(AttributeError):
-        setattr(obj, cls.__slots__[0], None)
-    with pytest.raises(AttributeError):
-        delattr(obj, cls.__slots__[0])
-    assert copy.copy(obj) == copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj
+    required = len(fields) - len(defaults)
+    assert repr(cls(*fields[:required])) == repr(ref(*fields[:required]))
+    try:
+        want = hash(twin)
+    except TypeError:  # a dict or list field
+        return
+    assert hash(obj) == want

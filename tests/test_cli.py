@@ -393,7 +393,7 @@ def modules_loaded_by(*argv):
     return set(modules)
 
 
-def test_each_command_loads_only_its_modules():
+def test_each_command_loads_only_its_modules(tmp_path):
     for m, n in (("2", "3"), ("3", "inf")):
         loaded = modules_loaded_by("words", "alg1", "--m", m, "--n", n, "--t", "7")
         assert not loaded & {"numpy", "dataclasses", "inspect"}, (m, n)
@@ -415,6 +415,15 @@ def test_each_command_loads_only_its_modules():
         assert not modules_loaded_by(*argv) & {"numpy", "dataclasses", "inspect"}, argv
     # the box of k = 30000 is 232, past the constant: numpy rectangles
     assert "numpy" in modules_loaded_by("markoff", "class", "--k", "30000")
+    # every value class is a rings.Frozen slot class: no command loads
+    # dataclasses (numpy, which certify loads, imports inspect itself)
+    assert not modules_loaded_by("words", "metab", "--m", "3", "--n", "3", "--word",
+                                 "a b a-1 b-1") & {"numpy", "dataclasses", "inspect"}
+    cert = tmp_path / "cert.json"
+    cert.write_text(certify_hfz(1062, bound=200).to_json())
+    for argv in (["certify", "hfz", "--k", "1062", "--bound", "200"],
+                 ["certify", "check", "--file", str(cert)]):
+        assert "dataclasses" not in modules_loaded_by(*argv), argv
 
 
 # every name `import mksurf` offers, by the submodule that defines it
