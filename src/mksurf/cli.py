@@ -193,7 +193,7 @@ def _cmd_words_metab(args):
            "in_derived_subgroup": in_g}
     if in_g:
         img = metabelian_image(m, n, w)
-        out["image"] = {("x%d y%d" % (i, j)): c for (i, j), c in sorted(img.coeffs.items())}
+        out["image"] = {("x%d y%d" % (i, j)): c for (i, j), c in img.coeffs}
         out["image_str"] = repr(img)
         out["is_unit"] = is_unit_in_S(m, n, img)
     return out

@@ -87,13 +87,53 @@ class Mat2(Frozen):
         return "[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
 
 
+def _mul(x, y, q):
+    """X Y mod q for row-major entry quadruples of ints or arrays, each
+    entry v reduced as v - (v // q) q: numpy divides an array by a scalar
+    several times faster than it takes the remainder. The kernels here are
+    duck-typed, so the group tables of `quotients` run them on numpy
+    arrays without this module importing numpy."""
+    a, b, c, d = x
+    e, f, g, h = y
+    p, r, s, t = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (p - p // q * q, r - r // q * q, s - s // q * q, t - t // q * q)
+
+
+def _inv(x, q):
+    """X^-1 mod q for determinant 1."""
+    a, b, c, d = x
+    return (d % q, -b % q, -c % q, a % q)
+
+
+def _mat(m, q):
+    """The Mat2 over Z/q with the reduced entry quadruple m."""
+    a, b, c, d = m
+    return Mat2(ModInt(a, q), ModInt(b, q), ModInt(c, q), ModInt(d, q))
+
+
 def mat_mod(m, q):
     """Reduce a matrix modulo q, entry by entry through `rings.residue`."""
-    return m.map(lambda v: ModInt(residue(v, q), q))
+    return _mat([residue(v, q) for v in m.entries()], q)
 
 
 def commutator(x, y):
-    """W(X, Y) = X Y X^-1 Y^-1."""
+    """W(X, Y) = X Y X^-1 Y^-1.
+
+    Over Z/q, when all eight entries are ModInts of one modulus q and
+    both determinants are 1 mod q, W is one evaluation of the int kernels
+    `_mul` and `_inv` on the residues, wrapped once into ModInts. Any
+    other input runs the generic chain X * Y * X.inverse() * Y.inverse(),
+    which raises what it raises: mixed moduli, and a determinant other
+    than 1, are ValueErrors, and int entries beside ModInts are coerced.
+    """
+    if type(x) is Mat2 and type(y) is Mat2:
+        entries = x.entries() + y.entries()
+        q = getattr(x.a, "q", None)
+        if all(type(v) is ModInt and v.q == q for v in entries):
+            a, b, c, d, e, f, g, h = [v.v for v in entries]
+            if (a * d - b * c) % q == 1 == (e * h - f * g) % q:
+                xs, ys = (a, b, c, d), (e, f, g, h)
+                return _mat(_mul(_mul(xs, ys, q), _mul(_inv(xs, q), _inv(ys, q), q), q), q)
     return x * y * x.inverse() * y.inverse()
 
 

@@ -27,14 +27,18 @@ gamma = g_Z g_i^-1, which carries r c^-1 to Z. The table keeps the
 traces of the commutator-class representatives too, the
 commutator-trace image (`GroupTable.traces`). Tables are cached (the 16
 most recent moduli); the one at q = 64 keeps about 4 MB.
+
+The arithmetic of SL2(Z/q) on entry quadruples, the product `_mul`, the
+inverse `_inv` and the wrap `_mat` into a Mat2 over Z/q, lives in `mat2`:
+the tables run those kernels on arrays, and `mat2.commutator` on ints.
 """
 
 import functools
 
 import numpy as np
 
-from .mat2 import Mat2
-from .rings import BudgetExceeded, ModInt, residue
+from .mat2 import Mat2, _inv, _mat, _mul
+from .rings import BudgetExceeded, residue
 
 
 # The table at q = 128 holds 1.6e6 elements (about 1 s and 124 MB to build,
@@ -96,22 +100,6 @@ def sl2_tuples(q):
     return list(zip(*group_table(q).entries.tolist()))
 
 
-def _mul(x, y, q):
-    """X Y mod q for row-major entry quadruples of ints or arrays, each
-    entry v reduced as v - (v // q) q: numpy divides an array by a scalar
-    several times faster than it takes the remainder."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return tuple(v - v // q * q for v in (a * e + b * g, a * f + b * h,
-                                          c * e + d * g, c * f + d * h))
-
-
-def _inv(x, q):
-    """X^-1 mod q for determinant 1."""
-    a, b, c, d = x
-    return (d % q, -b % q, -c % q, a % q)
-
-
 def _conjugate(g, m, q):
     """g M g^-1 mod q for entry quadruples of ints or arrays, g of
     determinant 1 mod q."""
@@ -120,11 +108,6 @@ def _conjugate(g, m, q):
     e, f, h, k = p * a + s * c, p * b + s * d, t * a + u * c, t * b + u * d
     return ((e * u - f * t) % q, (f * p - e * s) % q,
             (h * u - k * t) % q, (k * p - h * s) % q)
-
-
-def _mat(m, q):
-    """The Mat2 over Z/q with the reduced entry quadruple m."""
-    return Mat2(*(ModInt(v, q) for v in m))
 
 
 class GroupTable:

@@ -528,7 +528,8 @@ def in_derived_subgroup(m, n, w):
 # --- the metabelian quotient --------------------------------------------------
 
 def _reduce(m, n, terms):
-    """The normal form of the sum of c x^i y^j over raw ((i, j), c) terms.
+    """The normal form of the sum of c x^i y^j over raw ((i, j), c) terms,
+    as the sorted tuple of its nonzero ((i, j), c) terms.
 
     x^i becomes x^(i mod m), and x^(m-1) becomes minus the lower powers of
     x, since psi_m(x) = 0; the same rule applies in y for finite n.  The
@@ -545,7 +546,7 @@ def _reduce(m, n, terms):
         for r in xs:
             for s in ys:
                 out[(r, s)] = out.get((r, s), 0) + c
-    return {key: c for key, c in out.items() if c}
+    return tuple(sorted((key, c) for key, c in out.items() if c))
 
 
 class SRingElem(Frozen):
@@ -553,10 +554,10 @@ class SRingElem(Frozen):
     psi_k = 1 + X + ... + X^(k-1) and psi_infinity = 0.
 
     Built from a dict {(i, j): c} or an iterable of ((i, j), c) terms, and
-    kept in the normal form of `_reduce`: coefficients live on monomials
-    x^i y^j with 0 <= i <= m-2 and, for finite n, 0 <= j <= n-2; infinite
-    n leaves j free over Z.  The dict field makes the field tuple
-    unhashable, so the hash reads the sorted terms.
+    kept in the normal form of `_reduce`, the sorted tuple of the nonzero
+    ((i, j), c) terms: coefficients live on monomials x^i y^j with
+    0 <= i <= m-2 and, for finite n, 0 <= j <= n-2; infinite n leaves j
+    free over Z.
     """
 
     __slots__ = ("m", "n", "coeffs")
@@ -572,14 +573,11 @@ class SRingElem(Frozen):
     def monomial(m, n, i=0, j=0, c=1):
         return SRingElem(m, n, [((i, j), c)])
 
-    def __hash__(self):
-        return hash((self.m, self.n, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for (i, j), c in sorted(self.coeffs.items()):
+        for (i, j), c in self.coeffs:
             mono = "".join((["x" if i == 1 else "x^%d" % i] if i else [])
                            + (["y" if j == 1 else "y^%d" % j] if j else []))
             parts.append("%+d%s" % (c, mono) if mono else "%+d" % c)
@@ -641,7 +639,7 @@ def is_unit_in_S(m, n, s):
     _check_mn(m, n)
     if len(s.coeffs) > (m - 1) * (n - 1 if n else 1):
         return False  # more terms than the normal form of any +-x^i y^j
-    js = range(n) if n is not None else {j for _, j in s.coeffs}
+    js = range(n) if n is not None else {j for (_, j), _ in s.coeffs}
     return any(s == SRingElem.monomial(m, n, i, j, sign)
                for sign in (1, -1) for i in range(m) for j in js)
 

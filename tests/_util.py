@@ -16,8 +16,8 @@ from mksurf.markoff import (
     level,
     reduce_point,
 )
-from mksurf.mat2 import Mat2
-from mksurf.quotients import _inv, _mul, group_table
+from mksurf.mat2 import Mat2, _inv, _mul
+from mksurf.quotients import group_table
 from mksurf.rings import INF, factorize, square_class_int
 from mksurf.words import _EMBED_WORDS, SRingElem, Word, _min_rotation
 
@@ -102,7 +102,7 @@ def gram(point):
 def mul_monomial(elem, i, j, c=1):
     """The SRingElem elem times c x^i y^j, term by term."""
     return SRingElem(elem.m, elem.n, [((i1 + i, j1 + j), c1 * c)
-                                      for (i1, j1), c1 in elem.coeffs.items()])
+                                      for (i1, j1), c1 in elem.coeffs])
 
 
 def square_roots(d):
@@ -227,6 +227,12 @@ def psl2_class_reps_by_search(t):
 
     dfs((), Mat2(1, 0, 0, 1))
     return sorted(reps, key=lambda w: (w.length(), w.runs))
+
+
+def commutator_by_chain(x, y):
+    """[X, Y] as the generic chain X * Y * X.inverse() * Y.inverse() of
+    Mat2 arithmetic, the oracle of `mat2.commutator`."""
+    return x * y * x.inverse() * y.inverse()
 
 
 def conjugator(table, i, j):

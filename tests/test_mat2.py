@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -13,9 +14,10 @@ from mksurf.mat2 import (
 )
 from mksurf.lifting import trace_triple
 from mksurf.markoff import level
+from mksurf.quotients import commutator_test_modq, sl2_tuples
 from mksurf.rings import ModInt, SIntegerRing
 
-from _util import random_sl2z
+from _util import commutator_by_chain, random_sl2z
 
 
 def rand_mat(rng, lo=-9, hi=9):
@@ -49,6 +51,81 @@ def test_commutator_examples():
     y5 = mat_mod(Mat2(0, -1, 1, 0), 5)
     w = commutator(x5, y5)
     assert w == mat_mod(Mat2(-1, 0, 0, -1), 5)
+
+
+def _outcome(f, x, y):
+    """f(x, y) entry by entry with each entry's type and modulus, or the
+    type and message of what it raises."""
+    try:
+        m = f(x, y)
+    except Exception as e:
+        return type(e), str(e)
+    return [(type(v), v.v, v.q) if isinstance(v, ModInt) else (type(v), v) for v in m.entries()]
+
+
+def _assert_commutator_is_the_chain(x, y):
+    assert _outcome(commutator, x, y) == _outcome(commutator_by_chain, x, y), (x, y)
+
+
+def _random_sl2_modq(rng, q):
+    """A random element of SL2(Z/q) for a prime power q: one with a unit
+    top-left entry, times S = [[0, -1], [1, 0]] half the time (one of a
+    and b is a unit)."""
+    while True:
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        if math.gcd(a, q) == 1:
+            break
+    d = (1 + b * c) * pow(a, -1, q) % q
+    m = Mat2(a, b, c, d) if rng.random() < 0.5 else Mat2(b, -a, d, -c)
+    return mat_mod(m, q)
+
+
+def test_commutator_over_zq_is_the_chain_on_every_table_witness():
+    for q in range(2, 17):
+        for z in sl2_tuples(q):
+            ok, wit = commutator_test_modq(z, q)
+            if ok:
+                _assert_commutator_is_the_chain(*wit)
+                assert commutator(*wit) == mat_mod(Mat2(*z), q)
+
+
+@pytest.mark.parametrize("q", [27, 32, 64, 81, 97, 128])
+def test_commutator_over_zq_is_the_chain_on_random_pairs(q):
+    rng = random.Random(4600 + q)
+    for _ in range(500):
+        _assert_commutator_is_the_chain(_random_sl2_modq(rng, q), _random_sl2_modq(rng, q))
+
+
+def test_commutator_falls_back_to_the_chain():
+    x8, y8 = mat_mod(Mat2(3, 1, 2, 1), 8), mat_mod(Mat2(1, 2, 0, 1), 8)
+    x9 = mat_mod(Mat2(2, 1, 1, 1), 9)
+    cases = [
+        # mixed moduli, between and within the matrices
+        (x8, x9, ValueError), (x9, x8, ValueError),
+        (Mat2(ModInt(1, 8), ModInt(0, 9), ModInt(0, 8), ModInt(1, 8)), y8, ValueError),
+        (x8, Mat2(ModInt(1, 8), ModInt(2, 8), ModInt(0, 8), ModInt(1, 16)), ValueError),
+        # int entries beside ModInts are coerced
+        (Mat2(ModInt(3, 8), 1, ModInt(2, 8), ModInt(1, 8)), y8, Mat2),
+        (x8, Mat2(1, 2, 0, 1), Mat2),
+        (Mat2(3, 1, 2, 1), y8, Mat2),
+        # a determinant other than 1 mod q, of X, of Y or of both
+        (mat_mod(Mat2(2, 0, 0, 1), 5), mat_mod(Mat2(1, 1, 0, 1), 5), ValueError),
+        (x8, mat_mod(Mat2(3, 0, 0, 1), 8), ValueError),
+        (mat_mod(Mat2(6, 2, 4, 2), 5), mat_mod(Mat2(3, 6, 0, 3), 5), ValueError),
+        # other rings and non-matrices
+        (Mat2(2, 1, 1, 1), Mat2(1, 1, 0, 1), Mat2),
+        (Mat2(Fraction(1, 2), 0, 0, 2), Mat2(1, Fraction(1, 3), 0, 1), Mat2),
+        (Mat2(2, 0, 0, 1), Mat2(1, 1, 0, 1), ValueError),
+        (x8, 2, TypeError), (1, 2, AttributeError),
+    ]
+    for x, y, kind in cases:
+        _assert_commutator_is_the_chain(x, y)
+        out = _outcome(commutator, x, y)
+        assert (out[0] is kind) if kind is not Mat2 else isinstance(out, list), (x, y, out)
+    with pytest.raises(ValueError, match="mixed moduli 8 and 9"):
+        commutator(x8, x9)
+    with pytest.raises(ValueError, match=r"inverse needs determinant 1, got 2\(mod 5\)"):
+        commutator(mat_mod(Mat2(2, 0, 0, 1), 5), mat_mod(Mat2(1, 1, 0, 1), 5))
 
 
 def test_adjugate_identities():

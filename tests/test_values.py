@@ -72,10 +72,24 @@ def test_every_value_class_keeps_the_value_contract(cls):
 
 
 def test_sring_elem_hashes_its_sorted_terms():
-    # the dict field leaves the field tuple unhashable
+    # the terms are the sorted ((i, j), c) pairs, so the field tuple hashes
+    # as the sorted items of a dict of them did
     s = EXAMPLES[SRingElem][0]
-    assert hash(s) == hash((3, 3, tuple(sorted(s.coeffs.items()))))
-    assert len({s, SRingElem(3, 3, dict(s.coeffs))}) == 1
+    assert s.coeffs == (((0, 0), 1), ((0, 1), 1), ((1, 1), 1))
+    assert hash(s) == hash((3, 3, tuple(sorted(dict(s.coeffs).items()))))
+    assert len({s, SRingElem(3, 3, dict(s.coeffs)), SRingElem(3, 3, s.coeffs[::-1])}) == 1
+
+
+def test_sring_elem_terms_cannot_change_in_place():
+    s = EXAMPLES[SRingElem][0]
+    h, r = hash(s), repr(s)
+    with pytest.raises(TypeError):
+        s.coeffs[0] = ((0, 0), 5)
+    with pytest.raises(TypeError):
+        del s.coeffs[0]
+    for method in ("update", "pop", "clear", "append", "setdefault"):
+        assert not hasattr(s.coeffs, method), method
+    assert hash(s) == h and repr(s) == r == "+1 +1y +1xy"
 
 
 def test_value_operators_refuse_foreign_operands():
