@@ -412,19 +412,18 @@ def _scan_buffers(n):
     return tuple(buf[:n] for buf in ws)
 
 
-def _square_cells(a, b, c, xs):
-    """The perfect squares of the rectangle a_r x^2 + b_r x + c_r, with row r
-    from the int64 coefficient arrays a, b and c and column x from the
-    int64 vector xs; b is None for a zero middle coefficient.  Returns
-    int64 arrays (rows, cols, roots): the row and column index of every
+def _square_cells(a, c, xs):
+    """The perfect squares of the rectangle a_r x^2 + c_r, row r from the
+    int64 coefficient arrays a and c, column x from the int64 vector xs,
+    as int64 arrays (rows, cols, roots): the row and column index of every
     cell holding a square, in row-major order, and its root.
 
-    The rectangle d is evaluated by Horner's rule, (a_r x + b_r) x + c_r,
-    with out= ufuncs into the workspace of `_scan_buffers`; the arrays
-    returned are fresh, never views of the workspace, so they survive the
-    next call.  The caller keeps every cell inside int64; int64 arithmetic
-    is exact modulo 2^64, so a partial sum that wraps on the way does not
-    change a cell that ends inside int64.
+    The rectangle d is evaluated as (a_r x) x + c_r, with out= ufuncs into
+    the workspace of `_scan_buffers`; the arrays returned are fresh, never
+    views of the workspace, so they survive the next call.  The caller
+    keeps every cell inside int64; int64 arithmetic is exact modulo 2^64,
+    so a partial product that wraps on the way does not change a cell
+    that ends inside int64.
 
     The float root is exact where it matters: for d = r^2 < 2^63, float64(d)
     has relative error at most 2^-53, which moves its square root by less
@@ -439,8 +438,6 @@ def _square_cells(a, b, c, xs):
     width = len(xs)
     d, s, root, hit = (buf.reshape(len(a), width) for buf in _scan_buffers(len(a) * width))
     np.multiply(a[:, None], xs, out=d)
-    if b is not None:
-        np.add(d, b[:, None], out=d)
     np.multiply(d, xs, out=d)
     np.add(d, c[:, None], out=d)
     np.maximum(d, 0, out=s)
@@ -693,7 +690,7 @@ def _rectangle_hits(k, b):
     xs = np.arange(0, b + 1, dtype=np.int64)
     for x1s, bot, top in _rectangles(kept, lo[kept].tolist(), hi[kept].tolist()):
         sq = x1s * x1s
-        rows, idx, roots = _square_cells(sq - 4, None, 4 * (k - sq), xs[bot:top + 1])
+        rows, idx, roots = _square_cells(sq - 4, 4 * (k - sq), xs[bot:top + 1])
         yield from zip(x1s[rows].tolist(), (idx + bot).tolist(), roots.tolist())
 
 
@@ -776,7 +773,7 @@ def search_localized(k, ell, max_exp, bound):
         for i in range(0, len(x1s), step):
             # discriminant of t^2 - P t + C: (x1^2 - 4) x2^2 - 4 L (x1^2 - k)
             sq = x1s[i:i + step] * x1s[i:i + step]
-            rows, idx, roots = _square_cells(sq - 4, None, -4 * big * (sq - k), keep2)
+            rows, idx, roots = _square_cells(sq - 4, -4 * big * (sq - k), keep2)
             for x1, x2, r in zip(x1s[i + rows].tolist(), keep2[idx].tolist(), roots.tolist()):
                 for x3 in ((x1 * x2 - r) // 2, (x1 * x2 + r) // 2):
                     if abs(x3) <= b and x3 % ell != 0:

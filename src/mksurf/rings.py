@@ -430,15 +430,14 @@ class ResidueRing:
 
 
 def parse_ring(spec):
-    """Ring descriptor from a CLI spelling: z, q, z1/6, mod97."""
+    """Ring descriptor from a CLI spelling: z, q, z1/N (N >= 1) or modN
+    (N >= 2); any other spelling is refused with one message naming it."""
     s = spec.strip().lower()
-    if s == "z":
-        return SIntegerRing(())
-    if s == "q":
-        return SIntegerRing(None)
-    if s.startswith("z1/"):
-        n = int(s[3:])
+    if s in ("z", "q"):
+        return SIntegerRing(() if s == "z" else None)
+    n = int(s[3:]) if s[3:].isdecimal() else 0
+    if s.startswith("z1/") and n >= 1:
         return SIntegerRing([p for p, _ in factorize(n)])
-    if s.startswith("mod"):
-        return ResidueRing(int(s[3:]))
-    raise ValueError("unknown ring %r" % (spec,))
+    if s.startswith("mod") and n >= 2:
+        return ResidueRing(n)
+    raise ValueError("unknown ring %r: expected z, q, z1/N (N >= 1) or modN (N >= 2)" % (spec,))

@@ -114,13 +114,10 @@ def square_roots(d):
     return idx, s[idx]
 
 
-def square_cells_fresh(a, b, c, xs):
-    """markoff._square_cells on fresh arrays: the rectangle
-    a_r x^2 + b_r x + c_r (b None for zero) built as one new int64 array
-    and tested by square_roots."""
+def square_cells_fresh(a, c, xs):
+    """markoff._square_cells on fresh arrays: the rectangle a_r x^2 + c_r
+    built as one new int64 array and tested by square_roots."""
     d = a[:, None] * (xs * xs)
-    if b is not None:
-        d += b[:, None] * xs
     d += c[:, None]
     idx, roots = square_roots(d.ravel())
     return idx // len(xs), idx % len(xs), roots
@@ -167,8 +164,14 @@ def class_data_by_every_point(k):
 
 
 def witness_search_by_rows(point, bound):
-    """quadforms._witness_search one row at a time, in the order
-    u1 = 0, 1, -1, 2, -2, ..., each row with its own square_roots call."""
+    """A nonzero integer zero of the form attached to point with
+    |u_i| <= bound, or None: the box scan that quadforms.form_isotropic
+    ran before it solved for its zero, kept as the oracle for it.  Rows
+    u1 = 0, 1, -1, 2, -2, ..., each with its own square_roots call, solve
+    for u3, whose discriminant is quadratic in u2; the first row holding a
+    zero gives the zero with the least (|u2|, |u3|), made primitive.  The
+    caller keeps 4 bound^2 (X^2 + X + 2) < 2^63 for X = max|x_i|, so no
+    int64 discriminant wraps."""
     x1, x2, x3 = point.coords()
     u2s = np.arange(-bound, bound + 1, dtype=np.int64)
     squares = u2s * u2s

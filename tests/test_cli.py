@@ -298,6 +298,18 @@ def test_lift_universal_errors_spell_rationals(capsys, ring, eps, error):
     assert json.loads(out) == {"error": error, "kind": "invalid-input"}
 
 
+@pytest.mark.parametrize("ring", ["modx", "z1/x", "z1/", "mod", "z1/0", "z1/-6", "z1/+6",
+                                  "mod1", "mod0", "mod-97", "z1", "zz", ""])
+def test_malformed_ring_spellings_are_refused_in_one_message(capsys, ring):
+    # no spelling reaches int(), factorize or a ring of its own with a
+    # message of their own, and a negative n is no longer read as |n|
+    code, out = capture(capsys, ["lift", "universal", "--t", "7", "--ring", ring, "--eps", "2"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "unknown ring %r: expected z, q, z1/N (N >= 1) or modN (N >= 2)" % ring,
+        "kind": "invalid-input"}
+
+
 def test_certify_commands(tmp_path, capsys):
     code, out = capture(capsys, ["certify", "hfz", "--k", "1062", "--bound", "500"])
     assert code == 0

@@ -592,9 +592,9 @@ def test_python_and_numpy_scans_match_the_row_oracle(monkeypatch):
     rectangles = []
     scan = mksurf.markoff._square_cells
 
-    def recording(a, b, c, xs):
+    def recording(a, c, xs):
         rectangles.append(len(xs))
-        return scan(a, b, c, xs)
+        return scan(a, c, xs)
 
     monkeypatch.setattr(mksurf.markoff, "_square_cells", recording)
     for k in range(-3000, 6001):
@@ -629,9 +629,9 @@ def test_integral_coords_rectangles_at_the_cell_cap(monkeypatch, b):
     shapes = []
     scan = mksurf.markoff._square_cells
 
-    def recording(a, lin, c, xs):
+    def recording(a, c, xs):
         shapes.append((len(a), len(xs)))
-        return scan(a, lin, c, xs)
+        return scan(a, c, xs)
 
     monkeypatch.setattr(mksurf.markoff, "_square_cells", recording)
     for k in (102, -5000, level(4, 5, 16), 10**8 + 1, -b * b, 5, 4 + b * b):
@@ -969,7 +969,7 @@ def test_square_roots_matches_isqrt():
     # the kernel as a one-column rectangle 0 x^2 + d, and the fresh-array
     # reference
     zero = np.zeros(1, dtype=np.int64)
-    rows, _, roots = mksurf.markoff._square_cells(np.zeros_like(d), None, d, zero)
+    rows, _, roots = mksurf.markoff._square_cells(np.zeros_like(d), d, zero)
     assert len(d) <= SCAN_CELLS
     for idx, roots in ((rows, roots), square_roots(d)):
         assert list(zip(idx.tolist(), roots.tolist())) == expected
@@ -977,9 +977,9 @@ def test_square_roots_matches_isqrt():
 
 
 def _scan_cases():
-    """Seeded rectangles (a, b, c, xs) for _square_cells: integral-scan
-    rows (zero middle coefficient), random rows with a middle coefficient,
-    the witness scan's rows of a form with zeros, and one row wider than
+    """Seeded rectangles (a, c, xs) for _square_cells: integral-scan rows,
+    random rows a_r x^2 + c_r with a square planted in each, the Z[1/l]
+    scan's rows of a level with points, and one row wider than
     SCAN_CELLS; every cell stays inside int64."""
     rng = random.Random(29)
     cases = []
@@ -989,22 +989,23 @@ def _scan_cases():
         xs = np.arange(lo, lo + rng.randint(1, SCAN_CELLS // len(x1s)), dtype=np.int64)
         # the level of a point in one of the rows
         k = level(rng.choice(x1s.tolist()), rng.choice(xs.tolist()), rng.randint(-10**4, 10**4))
-        cases.append((x1s * x1s - 4, None, 4 * (k - x1s * x1s), xs))
+        cases.append((x1s * x1s - 4, 4 * (k - x1s * x1s), xs))
     for _ in range(60):
         rows = rng.randint(1, 30)
         xs = np.arange(-rng.randint(0, 500), rng.randint(1, 500), dtype=np.int64)
-        a, b, c = (np.array([rng.randint(-10**4, 10**4) for _ in range(rows)], dtype=np.int64)
-                   for _ in range(3))
-        cases.append((a * a, 2 * a * b, b * b + c % 3, xs))  # (a x + b)^2 where c % 3 == 0
-    x1, x2, x3 = 4, 5, 16  # level -23: x3^2 - 4 > 0 and zeros in the box
-    u1s = np.arange(0, 27, dtype=np.int64)
-    cases.append((np.full(len(u1s), x3 * x3 - 4, dtype=np.int64), (2 * x2 * x3 - 4 * x1) * u1s,
-                  (x2 * x2 - 4) * u1s * u1s, np.arange(-600, 601, dtype=np.int64)))
+        a = np.array([rng.randint(-10**4, 10**4) for _ in range(rows)], dtype=np.int64)
+        # a_r x0^2 + c_r = y0^2 at a column x0 of the row
+        x0, y0 = (np.array([rng.choice(xs.tolist()) for _ in range(rows)], dtype=np.int64),
+                  np.array([rng.randint(0, 10**5) for _ in range(rows)], dtype=np.int64))
+        cases.append((a, y0 * y0 - a * x0 * x0, xs))
+    # the exponent-1 rows of search_localized(8, 3, 1, 200), which holds points
+    x1s = np.arange(0, 201, dtype=np.int64)
+    cases.append((x1s * x1s - 4, -4 * 9 * (x1s * x1s - 8), np.arange(0, 201, dtype=np.int64)))
     # rows 0 and 5 of the box b = 40000: a sum of two squares in many ways,
     # and the level of (5, 30000, 1)
     xs = np.arange(0, 40001, dtype=np.int64)
     for x1, k in ((0, 5 * 13 * 17 * 29 * 37 * 41), (5, level(5, 30000, 1))):
-        cases.append((np.array([x1 * x1 - 4], dtype=np.int64), None,
+        cases.append((np.array([x1 * x1 - 4], dtype=np.int64),
                       np.array([4 * (k - x1 * x1)], dtype=np.int64), xs))
     return cases
 
@@ -1015,17 +1016,17 @@ def _listed(cells):
 
 def test_square_cells_matches_fresh_arrays():
     hits = 0
-    for a, b, c, xs in _scan_cases():
-        got = mksurf.markoff._square_cells(a, b, c, xs)
+    for a, c, xs in _scan_cases():
+        got = mksurf.markoff._square_cells(a, c, xs)
         assert all(v.dtype == np.int64 for v in got)
-        assert _listed(got) == _listed(square_cells_fresh(a, b, c, xs))
+        assert _listed(got) == _listed(square_cells_fresh(a, c, xs))
         hits += len(got[0])
-    assert len(_scan_cases()[-1][3]) > SCAN_CELLS and hits > 500
+    assert len(_scan_cases()[-1][2]) > SCAN_CELLS and hits > 500
 
 
 def test_square_cells_results_survive_the_next_call():
     cases = _scan_cases()
-    first = mksurf.markoff._square_cells(*cases[-3])  # the witness rows
+    first = mksurf.markoff._square_cells(*cases[-3])  # the Z[1/l] rows
     kept = _listed(first)
     assert kept[0]
     for case in cases:

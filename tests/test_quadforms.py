@@ -10,7 +10,6 @@ import mksurf.quadforms
 import mksurf.rings
 from mksurf.markoff import (
     GENERATORS,
-    SCAN_CELLS,
     MarkoffPoint,
     admissible_k,
     apply_move,
@@ -22,18 +21,19 @@ from mksurf.markoff import (
 from mksurf.quadforms import (
     MEMO_SIZE,
     HasseProfile,
-    WITNESS_BOUND,
-    _odd_primes,
-    _witness_search,
+    _factors,
+    _legendre,
+    _sqrt_mod,
     form_isotropic,
     hasse_profile,
 )
-from mksurf.rings import INF, BudgetExceeded, factorize, hilbert, jacobi, square_class_int
+from mksurf.rings import INF, factorize, hilbert, jacobi, square_class_int
 
 from _util import (
     check_frozen_like_dataclass,
     form_value,
     gram,
+    hilbert_product_places,
     random_point,
     squarefree_part,
     witness_search_by_rows,
@@ -69,7 +69,7 @@ def test_hasse_profile_is_a_frozen_value():
 
 
 def clear_memos():
-    _odd_primes.cache_clear()
+    _factors.cache_clear()
     hasse_profile.cache_clear()
 
 
@@ -238,9 +238,8 @@ def test_form_isotropic_examples():
     # k = 3780: isotropic, with (409, 251, 5) among the small zeros
     p = MarkoffPoint.make(-3, 3, 57)
     assert p.k == 3780
-    verdict, data = form_isotropic(p)
-    assert verdict == "Isotropic"
-    assert form_value(p, *data["witness"]) == 0
+    assert form_isotropic(p) == ("Isotropic", {"witness": (5, -1, 1)})
+    assert form_value(p, 5, -1, 1) == 0
     assert form_value(p, 409, 251, 5) == 0
     # k = 329 second class: isotropic, (9, 1, -1) is a zero
     p2 = MarkoffPoint.make(-4, 4, 11)
@@ -267,11 +266,11 @@ def test_form_isotropic_decides_every_point():
     # the squarefree-part oracle decides none of these: every coordinate
     # of (-2, 2, 2) is +-2, and at k = 9, k-4 = 5 and no coordinate of
     # (0, 0, 3) has x^2-4 a nonresidue mod 5
-    for coords, zero in (((-2, 2, 2), (0, -1, 1)), ((1, 2, 2), (0, -1, 1)),
-                         ((0, 0, 3), (1, -1, 1))):
+    for coords, zero in (((-2, 2, 2), (1, 1, 0)), ((1, 2, 2), (-1, 0, 1)),
+                         ((0, 0, 3), (-1, 1, -2))):
         p = MarkoffPoint.make(*coords)
         assert form_isotropic_by_squarefree_parts(p)[0] == "Inapplicable", coords
-        assert form_isotropic(p) == ("Isotropic", {"witness": zero, "witness_bound": WITNESS_BOUND})
+        assert form_isotropic(p) == ("Isotropic", {"witness": zero})
         assert form_value(p, *zero) == 0
     p = MarkoffPoint.make(0, 0, 3)
     assert _anisotropy_prime(p.coords(), factorize(p.k - 4)) is None
@@ -375,7 +374,8 @@ def test_a_coordinate_of_two_makes_every_symbol_trivial():
         if p.k <= 4 or all(c * c == 4 for c in coords):
             continue
         assert all(v == 1 for _, v in hasse_profile(p).entries), p
-        assert form_isotropic(p)[0] == "Isotropic", p
+        verdict, data = form_isotropic(p)
+        assert verdict == "Isotropic" and form_value(p, *data["witness"]) == 0, p
         done += 1
 
 
@@ -394,10 +394,18 @@ def test_anisotropic_places_are_the_nontrivial_symbols():
 def test_form_isotropic_factors_each_argument_once(monkeypatch):
     # over one level's representatives, with the memos cleared: k - 4 and
     # x^2 - 4 at the least |x| of each, which comes first in a
-    # representative, each distinct integer once; hasse_profile then
-    # reads the memo
+    # representative, for the profile and the zero together, and the
+    # integers each descent step goes down with, each distinct integer
+    # once; hasse_profile then reads the memo
     calls = counted_factorize(monkeypatch)
-    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: None)
+    steps = []
+    real_legendre = mksurf.quadforms._legendre
+
+    def recording_legendre(a, b):
+        steps.extend((a, b))
+        return real_legendre(a, b)
+
+    monkeypatch.setattr(mksurf.quadforms, "_legendre", recording_legendre)
 
     def factored(p):
         clear_memos()
@@ -411,13 +419,14 @@ def test_form_isotropic_factors_each_argument_once(monkeypatch):
             continue
         clear_memos()
         calls.clear()
+        steps.clear()
         reps = class_data(k)
         for p in reps:
             form_isotropic(p)
         usable = [p for p in reps if all(x * x != 4 for x in p.coords())]
         assert len(calls) == len(set(calls)), (k, calls)
         assert set(calls) == ({k - 4} if usable else set()) | {
-            min(p.coords(), key=abs) ** 2 - 4 for p in usable}, k
+            min(p.coords(), key=abs) ** 2 - 4 for p in usable} | set(steps), k
         calls.clear()
         for p in usable:
             hasse_profile(p)
@@ -431,9 +440,10 @@ def test_form_isotropic_factors_each_argument_once(monkeypatch):
     assert twos > 10
     # a random point, from cleared memos: nothing with a coordinate +-2;
     # otherwise one evaluation in |x| order, which factors k - 4 and the
-    # least x^2 - 4
+    # least x^2 - 4, and then, for an isotropic form, the integers of the
+    # descent steps
     rng = random.Random(66)
-    twos = 0
+    twos = descents = 0
     for p in (random_point(rng, 40) for _ in range(400)):
         if p.k <= 4:
             continue
@@ -442,8 +452,12 @@ def test_form_isotropic_factors_each_argument_once(monkeypatch):
             twos += 1
         else:
             x = min(p.coords(), key=abs)
-            assert factored(p) == list(dict.fromkeys([p.k - 4, x * x - 4])), p
-    assert twos > 10
+            head = list(dict.fromkeys([p.k - 4, x * x - 4]))
+            steps.clear()
+            got = factored(p)
+            assert got == head + [m for m in dict.fromkeys(steps) if m not in head], p
+            descents += len(set(steps) - set(head)) > 0
+    assert twos > 10 and descents > 50
 
 
 def test_memos_stay_within_their_bound():
@@ -456,17 +470,15 @@ def test_memos_stay_within_their_bound():
                 hasse_profile(p)
             levels += bool(reps)
     assert levels > MEMO_SIZE
-    for memo in (_odd_primes, hasse_profile):
+    for memo in (_factors, hasse_profile):
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE, memo
 
 
-def test_memoized_results_equal_fresh_ones(monkeypatch):
+def test_memoized_results_equal_fresh_ones():
     # every evaluation with the memos as the earlier ones left them, and
     # again at once (read off the profile memo), equals one from cleared
-    # memos; the witness scan, which nothing memoizes, reports the point
-    # it was given
-    monkeypatch.setattr(mksurf.quadforms, "_witness_search", lambda point, bound: point.coords())
+    # memos, zeros included
     reps = [r for k in range(5, 1500) if admissible_k(k) for r in class_data(k)]
     as_ints = MarkoffPoint.make(-3, 8, 8)
     as_fractions = MarkoffPoint(Fraction(-3), Fraction(8), Fraction(8), Fraction(329))
@@ -479,7 +491,7 @@ def test_memoized_results_equal_fresh_ones(monkeypatch):
 
     warm = [(evaluate(p), evaluate(p)) for p in points]
     assert hasse_profile.cache_info().hits >= len(points)
-    assert _odd_primes.cache_info().hits > len(points)
+    assert _factors.cache_info().hits > len(points)
     for p, (first, again) in zip(points, warm):
         clear_memos()
         fresh = evaluate(p)
@@ -487,12 +499,12 @@ def test_memoized_results_equal_fresh_ones(monkeypatch):
 
 
 def test_factorize_refuses_non_integers_through_the_memo():
-    assert _odd_primes(5) == (5,) and _odd_primes(-45) == (3, 5)
+    assert _factors(5) == ((5, 1),) and _factors(-45) == ((3, 2), (5, 1))
     for x in (5.0, Fraction(5), Fraction(5, 3), "5"):
         with pytest.raises(TypeError):
             factorize(x)
         with pytest.raises(TypeError):
-            _odd_primes(x)
+            _factors(x)
 
 
 def test_form_isotropic_verdicts_match_witness_search():
@@ -512,9 +524,9 @@ def test_form_isotropic_verdicts_match_witness_search():
 
 
 def brute_witness(point, bound):
-    """_witness_search's documented answer by plain enumeration: rows
-    u1 = 0, 1, -1, 2, -2, ...; in the first row holding a nontrivial zero,
-    the least (|u2|, |u3|), made primitive."""
+    """witness_search_by_rows's documented answer by plain enumeration:
+    rows u1 = 0, 1, -1, 2, -2, ...; in the first row holding a nontrivial
+    zero, the least (|u2|, |u3|), made primitive."""
     for u1 in [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]:
         row = [(abs(u2), abs(u3), (u1, u2, u3))
                for u2 in range(-bound, bound + 1) for u3 in range(-bound, bound + 1)
@@ -527,76 +539,147 @@ def brute_witness(point, bound):
 
 
 def test_witness_search_matches_brute_force():
+    # the row-scan oracle against plain enumeration of its box
     points = [rep for k in (329, 460, 3780, 10**4 + 1) for rep in class_data(k)]
     rng = random.Random(55)
     points += [random_point(rng, 12) for _ in range(60)]
     found = 0
     for p in points:
-        w = _witness_search(p, 9)
+        w = witness_search_by_rows(p, 9)
         assert w == brute_witness(p, 9), p
         found += w is not None
     assert 20 < found < len(points)
 
 
-def test_witness_search_matches_the_row_scan_on_every_class_form():
+def check_zero(point, verdict, data):
+    """An Isotropic verdict carries a primitive nonzero integer zero."""
+    assert verdict == "Isotropic" and set(data) == {"witness"}, point
+    u = data["witness"]
+    assert all(isinstance(v, int) for v in u) and math.gcd(*u) == 1, (point, u)
+    assert form_value(point, *u) == 0, (point, u)
+
+
+def seeded_levels(seed, count, lo, hi):
+    rng = random.Random(seed)
+    levels = []
+    while len(levels) < count:
+        k = rng.randint(lo, hi)
+        if admissible_k(k) and k not in levels:
+            levels.append(k)
+    return levels
+
+
+def test_every_isotropic_verdict_carries_a_zero():
+    # every class representative of the admissible k in 5..3000, of
+    # 8944952, whose (-1, 349, 2801) has no zero in the box |u_i| <= 600,
+    # and of 20 seeded levels in [10^8, 8.8 10^8]
+    levels = [k for k in range(5, 3001) if admissible_k(k)] + [8944952]
+    levels += seeded_levels(47, 20, 10**8, 88 * 10**7)
+    isotropic = {}
+    for k in levels:
+        for r in class_data(k):
+            verdict, data = form_isotropic(r)
+            if verdict == "Isotropic":
+                check_zero(r, verdict, data)
+                isotropic[r.coords()] = data["witness"]
+    assert (-1, 349, 2801) in isotropic
+    assert len(isotropic) > 1811 + 100
+    # the zeros at 9 and 329 that CI pins (3780's is in the examples)
+    assert [isotropic[c] for c in ((0, 0, 3), (-4, 4, 11))] == [(-1, 1, -2), (1, -1, 6)]
+
+
+def test_each_coordinate_of_two_gives_its_square_zero():
+    # x_i = +-2 at slot i: u_j^2 + u_l^2 + x_i u_j u_l = (u_j + (x_i/2) u_l)^2
+    # for the two u's it multiplies, so u_j = 1, u_l = -x_i/2 and the third
+    # u = 0; the first such slot is used
+    rng = random.Random(68)
+    pairs = {0: (0, 1), 1: (0, 2), 2: (1, 2)}
+    for slot, (j, l) in pairs.items():
+        for two in (2, -2):
+            for _ in range(40):
+                coords = [rng.randint(3, 60) * rng.choice((1, -1)) for _ in range(3)]
+                coords[slot] = two
+                p = MarkoffPoint.make(*coords)
+                if p.k <= 4:
+                    continue
+                want = [0, 0, 0]
+                want[j], want[l] = 1, -two // 2
+                verdict, data = form_isotropic(p)
+                assert data["witness"] in (tuple(want), tuple(-v for v in want)), p
+                check_zero(p, verdict, data)
+    # level 20: every representative has a coordinate +-2, and (-2, 2, 2)
+    # has nothing else
+    got = [(r.coords(), form_isotropic(r)) for r in class_data(20)]
+    assert got == [((-2, 2, 2), ("Isotropic", {"witness": (1, 1, 0)})),
+                   ((-1, 2, 3), ("Isotropic", {"witness": (1, 0, -1)})),
+                   ((0, 2, 4), ("Isotropic", {"witness": (1, 0, -1)}))]
+    for r, (verdict, data) in got:
+        check_zero(MarkoffPoint.make(*r), verdict, data)
+
+
+def test_form_isotropic_verdicts_match_the_row_scan_on_every_class_form():
+    # wherever the box |u_i| <= 12 holds a zero, the verdict is Isotropic;
+    # every Anisotropic verdict has none there
     reps = [r for k in range(5, 3001) if admissible_k(k) for r in class_data(k)]
     scanned = 0
     for r in reps:
-        assert _witness_search(r, 12) == witness_search_by_rows(r, 12), r
         verdict, data = form_isotropic(r)
-        if verdict == "Isotropic":
-            assert data["witness"] == witness_search_by_rows(r, WITNESS_BOUND), r
-            scanned += data["witness"] is not None
+        w = witness_search_by_rows(r, 12)
+        if w is not None:
+            assert form_value(r, *w) == 0 and any(w), r
+            check_zero(r, verdict, data)
+            scanned += 1
+        else:
+            assert verdict == "Anisotropic" or form_value(r, *data["witness"]) == 0, r
     assert scanned > 1500
 
 
-def test_witness_search_blocks_at_and_past_the_cell_cap(monkeypatch):
-    shapes = []
-    scan = mksurf.quadforms._square_cells
-
-    def recording(a, lin, c, xs):
-        shapes.append((len(a), len(xs)))
-        return scan(a, lin, c, xs)
-
-    monkeypatch.setattr(mksurf.quadforms, "_square_cells", recording)
-    # no zero at all: the whole box, in blocks of 1, 2, 4, 8, 16 rows and
-    # then 27, the most rows of 1201 cells that fit in SCAN_CELLS
-    for point in ((1, 3, 3), (0, 3, 4)):
-        p = MarkoffPoint.make(*point)
-        assert _witness_search(p, WITNESS_BOUND) is None
-        assert witness_search_by_rows(p, WITNESS_BOUND) is None
-    rows = [r for r, _ in shapes[:len(shapes) // 2]]
-    width = 2 * WITNESS_BOUND + 1
-    assert rows[:6] == [1, 2, 4, 8, 16, SCAN_CELLS // width] and sum(rows) == WITNESS_BOUND + 1
-    assert 27 * width <= SCAN_CELLS < 28 * width
-    # rows of 2^15 + 1 cells, each a block of its own: rows 0..3, the zero
-    # being in row 3
-    shapes.clear()
-    p = MarkoffPoint.make(0, 6, 7)
-    assert _witness_search(p, 2**14) == witness_search_by_rows(p, 2**14) == (3, -1, -1)
-    assert shapes == [(1, 2**15 + 1)] * 4
+def test_form_isotropic_solves_past_the_int64_range():
+    # (X - 4, -1, X) has the zero (1, 1, -1); the box scan that went
+    # before the descent refused such points once its int64 discriminants
+    # could wrap, from X of about 1.3 10^6 at its bound 600
+    for x in (1_300_000, 10**10 + 5, 10**15 + 1):
+        p = MarkoffPoint.make(x - 4, -1, x)
+        assert form_value(p, 1, 1, -1) == 0
+        check_zero(p, *form_isotropic(p))
 
 
-def test_witness_search_int64_edge():
-    # (X - 4, -1, X) has the zero (1, 1, -1); with B = 600 the scan's
-    # discriminants fit in int64 while 4 B^2 (X^2 + X + 2) < 2^63
-    top = math.isqrt(2**63 // (4 * 600 * 600))
-    while 4 * 600 * 600 * (top * top + top + 2) >= 2**63:
-        top -= 1
-    assert _witness_search(MarkoffPoint.make(top - 4, -1, top), 600) == (1, 1, -1)
-    with pytest.raises(BudgetExceeded):
-        _witness_search(MarkoffPoint.make(top - 3, -1, top + 1), 600)
-    # (1, 1, -1) is a zero here too, but the scan's int64 rows would wrap
-    with pytest.raises(BudgetExceeded):
-        form_isotropic(MarkoffPoint.make(10**10 + 1, -1, 10**10 + 5))
+def test_sqrt_mod_matches_brute_force():
+    # every squarefree n <= 2000, either sign, at 20 seeded squares mod n
+    # (every square for n <= 100), spelled as a residue and shifted by a
+    # multiple of n; a non-squarefree n stands for its squarefree part
+    rng = random.Random(69)
+    checked = 0
+    for n in range(1, 2001):
+        if any(e > 1 for _, e in factorize(n)):
+            continue
+        roots = {}
+        for r in range(n):
+            roots.setdefault(r * r % n, set()).add(r)
+        squares = sorted(roots)
+        for a in squares if n <= 100 else rng.sample(squares, min(20, len(squares))):
+            for spelled, modulus in ((a, n), (a + n * rng.randint(-50, 50), -n * 36)):
+                r = _sqrt_mod(spelled, modulus)
+                assert r % n in roots[a] and 2 * abs(r) <= n, (spelled, modulus, r)
+                checked += 1
+    assert checked > 40000
 
 
-def test_witness_search_bound_0():
-    # bound 0 holds only the trivial vector; coordinates >= 2^63 would
-    # still reach numpy's int64 conversion, so the range check covers them
-    assert _witness_search(MarkoffPoint.make(10, -1, 14), 0) is None
-    with pytest.raises(BudgetExceeded):
-        _witness_search(MarkoffPoint.make(2**63 + 1, -1, 2**63 + 5), 0)
+def test_legendre_on_pairs_with_trivial_symbols():
+    # seeded pairs whose symbols are +1 at every place, squarefree and
+    # then times a square: a primitive nonzero solution of
+    # x^2 = a y^2 + b z^2
+    rng = random.Random(70)
+    solved = 0
+    while solved < 600:
+        a, b = (squarefree_part(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 9)))
+                * (rng.randint(1, 30) ** 2 if solved >= 300 else 1) for _ in range(2))
+        if any(hilbert(a, b, p) == -1 for p in hilbert_product_places(a, b)):
+            continue
+        x, y, z = _legendre(a, b)
+        assert x * x == a * y * y + b * z * z and (x, y, z) != (0, 0, 0), (a, b)
+        assert math.gcd(x, y, z) == 1, (a, b, x, y, z)
+        solved += 1
 
 
 def test_k460_nonmtype_equivalence():
